@@ -41,7 +41,6 @@ use fet_stats::binomial::BinomialSampler;
 use fet_stats::rng::SeedTree;
 use rand::rngs::SmallRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Error type for conflict-engine construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,7 +93,7 @@ pub struct ConflictEngine<P: Protocol> {
 }
 
 /// Long-run occupancy measurements from [`ConflictEngine::run_measure`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConflictOutcome {
     /// Time-averaged `x_t` (fraction of 1-outputs, stubborn included) over
     /// the measurement window.

@@ -30,10 +30,9 @@ use fet_sim::convergence::ConvergenceCriterion;
 use fet_sim::engine::{Engine, Fidelity};
 use fet_sim::observer::NullObserver;
 use fet_stats::rng::SeedTree;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the impossibility demonstration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ImpossibilityScenario {
     /// Population size.
     pub n: u64,
@@ -46,7 +45,7 @@ pub struct ImpossibilityScenario {
 }
 
 /// Measured outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ImpossibilityOutcome {
     /// Rounds scenario 1 needed to converge to all-1 (sanity anchor).
     pub scenario1_convergence: Option<u64>,

@@ -21,10 +21,9 @@ use fet_core::config::ProblemSpec;
 use fet_core::fet::{FetProtocol, FetState};
 use fet_core::opinion::Opinion;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Builder of explicit FET state vectors for [`fet_sim::engine::Engine::from_states`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FetConfigurator {
     protocol: FetProtocol,
     spec: ProblemSpec,

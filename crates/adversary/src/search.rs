@@ -18,10 +18,9 @@ use fet_sim::engine::{Engine, Fidelity};
 use fet_sim::observer::NullObserver;
 use fet_stats::rng::SeedTree;
 use fet_stats::summary::Summary;
-use serde::{Deserialize, Serialize};
 
 /// A point in the adversarial family.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdversaryPoint {
     /// Fraction of non-source agents starting with opinion 1.
     pub frac_ones: f64,
@@ -30,7 +29,7 @@ pub struct AdversaryPoint {
 }
 
 /// Measured cost of one adversary point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeasuredPoint {
     /// The configuration family parameters.
     pub point: AdversaryPoint,
@@ -44,7 +43,7 @@ pub struct MeasuredPoint {
 }
 
 /// Search configuration and runner.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorstCaseSearch {
     protocol: FetProtocol,
     spec: ProblemSpec,
@@ -59,7 +58,7 @@ pub struct WorstCaseSearch {
 }
 
 /// Result of a search.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchOutcome {
     /// Every point measured, in evaluation order.
     pub measured: Vec<MeasuredPoint>,

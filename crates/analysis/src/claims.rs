@@ -12,10 +12,9 @@
 
 use crate::drift::DriftField;
 use fet_stats::binomial::Binomial;
-use serde::{Deserialize, Serialize};
 
 /// Result of a monotonicity scan (Claim 1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MonotonicityCheck {
     /// The `x` at which the interval `[x, x + 1/√ℓ]` was scanned.
     pub x: f64,

@@ -12,10 +12,9 @@ use fet_stats::bounds::{
     lemma15_underdog_wins_lower,
 };
 use fet_stats::compare::CoinCompetition;
-use serde::{Deserialize, Serialize};
 
 /// One bound-vs-exact comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoundCheck {
     /// Tosses per coin.
     pub k: u64,
@@ -32,7 +31,7 @@ pub struct BoundCheck {
 }
 
 /// Which lemma a sweep validates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoinLemma {
     /// Lemma 12: upper bound on the favorite's win probability (small gap).
     Lemma12,
@@ -97,7 +96,7 @@ pub fn check(lemma: CoinLemma, k: u64, p: f64, q: f64, lambda: f64) -> BoundChec
 }
 
 /// Result of sweeping a lemma over a grid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepReport {
     /// The lemma swept.
     pub lemma: CoinLemma,

@@ -31,11 +31,10 @@
 //! measure-zero boundaries documented on [`DomainParams::classify`].
 
 use crate::error::AnalysisError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A domain of the Figure 1a partition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Domain {
     /// Fast upward movement: consensus on 1 next round (Lemma 1).
     Green1,
@@ -112,7 +111,7 @@ impl fmt::Display for Domain {
 }
 
 /// Domain color family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum DomainKind {
     /// Green (one-round consensus).
     Green,
@@ -140,7 +139,7 @@ impl fmt::Display for DomainKind {
 }
 
 /// Sub-areas of `Yellow′` (Figure 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum YellowArea {
     /// Speed builds up; escape hatch of Yellow′ (Lemmas 7–8).
     A1,
@@ -183,7 +182,7 @@ impl fmt::Display for YellowArea {
 
 /// Parameters of the partition: the population size `n` (through
 /// `1/log n` and `λ_n`) and the constant `δ ∈ (0, 1/2)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DomainParams {
     n: u64,
     delta: f64,

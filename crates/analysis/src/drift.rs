@@ -14,12 +14,11 @@
 
 use crate::error::AnalysisError;
 use fet_stats::compare::CoinCompetition;
-use serde::{Deserialize, Serialize};
 
 /// The drift field for a population of `n` agents sampling `ℓ` per
 /// half-sample, with a single source holding opinion 1 (the paper's
 /// w.l.o.g. convention).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DriftField {
     n: u64,
     ell: u64,

@@ -18,16 +18,15 @@
 
 use crate::drift::DriftField;
 use crate::error::AnalysisError;
-use serde::{Deserialize, Serialize};
 
 /// Bisection-based solver for `f(x)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FixedPointSolver {
     field: DriftField,
 }
 
 /// Outcome of evaluating `f` at one `x`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FixedPoint {
     /// The argument `x`.
     pub x: f64,

@@ -28,16 +28,15 @@
 
 use crate::error::AnalysisError;
 use fet_stats::compare::CoinCompetition;
-use serde::{Deserialize, Serialize};
 
 /// The mean-field FET map for half-sample size `ℓ`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MeanFieldMap {
     ell: u64,
 }
 
 /// A fixed point of the mean-field map with its linearization.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeanFieldFixedPoint {
     /// The diagonal coordinate (`x = y`).
     pub x: f64,

@@ -7,11 +7,10 @@
 //! of Figure 1b and the dwell statistics test Lemmas 1–5.
 
 use crate::domains::{Domain, DomainParams};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One maximal stay inside a domain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DomainVisit {
     /// The domain visited.
     pub domain: Domain,
@@ -22,7 +21,7 @@ pub struct DomainVisit {
 }
 
 /// A classified trajectory.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DomainTrace {
     visits: Vec<DomainVisit>,
     per_round: Vec<Domain>,
@@ -85,7 +84,7 @@ impl DomainTrace {
 }
 
 /// Aggregated dwell-time and transition statistics over many traces.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DwellStats {
     dwell_sum: BTreeMap<Domain, u64>,
     dwell_max: BTreeMap<Domain, u64>,

@@ -6,9 +6,6 @@
 //!
 //! * `typed` — `Engine<FetProtocol>`, batched pipeline: the monomorphized
 //!   buffered baseline.
-//! * `boxed` — `Engine<ErasedProtocol>`, batched: the legacy per-agent
-//!   erasure; every round re-materializes a contiguous typed buffer (O(n)
-//!   alloc + 2 clones per agent).
 //! * `population` — `PopulationEngine` over `Box<dyn DynPopulation>`,
 //!   batched: one virtual dispatch per round into the typed kernel, zero
 //!   per-round copying.
@@ -96,24 +93,8 @@ fn bench_round(c: &mut Criterion) {
     let threads = announced_bench_threads();
     let mut group = c.benchmark_group("erased_path_round");
     for &n in &SIZES {
-        let ell = ell_for_population(n, 4.0);
-        let spec = || ProblemSpec::single_source(n, Opinion::One).unwrap();
-
         group.bench_with_input(BenchmarkId::new("typed", n), &n, |b, &n| {
             let mut engine = typed_engine(n, ExecutionMode::Batched);
-            b.iter(|| engine.step());
-        });
-
-        group.bench_with_input(BenchmarkId::new("boxed", n), &n, |b, _| {
-            let mut engine = Engine::new(
-                ErasedProtocol::new(FetProtocol::new(ell).unwrap()),
-                spec(),
-                Fidelity::Binomial,
-                InitialCondition::Random,
-                42,
-            )
-            .unwrap();
-            engine.set_execution_mode(ExecutionMode::Batched).unwrap();
             b.iter(|| engine.step());
         });
 

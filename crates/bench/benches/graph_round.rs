@@ -39,12 +39,11 @@ use fet_bench::{announced_bench_threads, report_host_parallelism};
 use fet_core::erased::ErasedProtocol;
 use fet_core::fet::FetProtocol;
 use fet_core::opinion::Opinion;
-use fet_sim::engine::{ExecutionMode, PopulationEngine};
+use fet_sim::engine::{Engine, ExecutionMode, PopulationEngine};
 use fet_sim::init::InitialCondition;
 use fet_stats::isa::{self, IsaPath};
 use fet_stats::rng::SeedTree;
 use fet_topology::builders;
-use fet_topology::engine::TopologyEngine;
 
 const DEGREE: u32 = 32;
 
@@ -94,9 +93,9 @@ fn bench_graph_round(c: &mut Criterion) {
                 let mut rng = SeedTree::new(17).child("graph-bench").rng();
                 let graph =
                     builders::random_regular(n, DEGREE, &mut rng).expect("valid regular graph");
-                let mut engine = TopologyEngine::new(
+                let mut engine = Engine::with_neighborhood(
                     FetProtocol::for_population(u64::from(n), 4.0).expect("valid ℓ"),
-                    graph,
+                    Box::new(graph),
                     1,
                     Opinion::One,
                     InitialCondition::Random,

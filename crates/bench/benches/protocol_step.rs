@@ -108,20 +108,6 @@ fn bench_step_batch(c: &mut Criterion) {
             fet.step_batch(&mut states, &observations, &ctx, &mut rng, &mut outputs);
         });
     });
-    // The legacy erased layer's price: boxed states, plus a typed-buffer
-    // materialization (O(n) alloc + 2 clones/agent) each `step_batch`.
-    group.bench_function("fet_erased_step_batch_1024", |b| {
-        let erased = ErasedProtocol::new(fet.clone());
-        let mut rng = SeedTree::new(8).child("erased").rng();
-        let mut init_rng = SeedTree::new(7).child("erased-init").rng();
-        let mut states: Vec<_> = (0..agents)
-            .map(|_| erased.init_state(Opinion::Zero, &mut init_rng))
-            .collect();
-        let mut outputs = vec![Opinion::Zero; agents];
-        b.iter(|| {
-            erased.step_batch(&mut states, &observations, &ctx, &mut rng, &mut outputs);
-        });
-    });
     // The population-erased layer: one contiguous typed buffer behind an
     // object-safe container — a single virtual dispatch per round, zero
     // per-round allocation or cloning. Must sit within ~5% of the typed
@@ -167,10 +153,9 @@ fn bench_step_batch(c: &mut Criterion) {
     group.finish();
 }
 
-/// The acceptance gauge at scale: typed vs boxed-erased vs
-/// population-erased FET kernels over 10^5 agents. The population path
-/// must stay within ~5% of the typed kernel; the boxed path documents the
-/// overhead the population container removes.
+/// The acceptance gauge at scale: typed vs population-erased FET kernels
+/// over 10^5 agents. The population path must stay within ~5% of the
+/// typed kernel.
 fn bench_step_batch_large(c: &mut Criterion) {
     let mut group = c.benchmark_group("protocol_step_batch_100k");
     let ell = 32u32;
@@ -191,18 +176,6 @@ fn bench_step_batch_large(c: &mut Criterion) {
         let mut outputs = vec![Opinion::Zero; agents];
         b.iter(|| {
             fet.step_batch(&mut states, &observations, &ctx, &mut rng, &mut outputs);
-        });
-    });
-    group.bench_function("fet_erased_step_batch_100k", |b| {
-        let erased = ErasedProtocol::new(fet.clone());
-        let mut init_rng = SeedTree::new(7).child("erased-init").rng();
-        let mut rng = SeedTree::new(8).child("erased").rng();
-        let mut states: Vec<_> = (0..agents)
-            .map(|_| erased.init_state(Opinion::Zero, &mut init_rng))
-            .collect();
-        let mut outputs = vec![Opinion::Zero; agents];
-        b.iter(|| {
-            erased.step_batch(&mut states, &observations, &ctx, &mut rng, &mut outputs);
         });
     });
     group.bench_function("fet_population_erased_step_batch_100k", |b| {

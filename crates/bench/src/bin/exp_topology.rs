@@ -2,7 +2,7 @@
 //!
 //! The paper's model (§1.2) is a fully-connected population. This
 //! experiment replaces uniform global sampling with uniform sampling from
-//! graph neighborhoods ([`fet_topology::engine::TopologyEngine`]) and
+//! graph neighborhoods ([`fet_sim::engine::Engine::with_neighborhood`]) and
 //! sweeps a menagerie of topologies at fixed `n`. Shapes of interest:
 //!
 //! * *expander-like* graphs (dense G(n, p), random `d`-regular with
@@ -27,11 +27,11 @@ use fet_plot::csv::CsvWriter;
 use fet_plot::table::{fmt_float, Table};
 use fet_sim::batch::{parallel_map, BatchSummary};
 use fet_sim::convergence::{ConvergenceCriterion, ConvergenceReport};
+use fet_sim::engine::Engine;
 use fet_sim::init::InitialCondition;
 use fet_sim::observer::NullObserver;
 use fet_stats::rng::SeedTree;
 use fet_topology::builders;
-use fet_topology::engine::TopologyEngine;
 use fet_topology::graph::{Graph, GraphStats};
 
 /// One topology under test.
@@ -164,9 +164,9 @@ fn main() {
                 .child_indexed("rep", rep)
                 .seed();
             let protocol = FetProtocol::for_population(u64::from(n), 4.0).expect("valid");
-            let mut engine = TopologyEngine::new(
+            let mut engine = Engine::with_neighborhood(
                 protocol,
-                case.graph.clone(),
+                Box::new(case.graph.clone()),
                 1,
                 Opinion::One,
                 InitialCondition::AllWrong,
@@ -264,9 +264,9 @@ fn main() {
             let oks: Vec<bool> = parallel_map(&indices, 8, |&rep| {
                 let seed = gen.child_indexed("rep", rep).seed();
                 let protocol = FetProtocol::for_population(u64::from(n), 4.0).expect("valid");
-                let mut engine = TopologyEngine::new(
+                let mut engine = Engine::with_neighborhood(
                     protocol,
-                    graph.clone(),
+                    Box::new(graph.clone()),
                     1,
                     Opinion::One,
                     InitialCondition::AllWrong,

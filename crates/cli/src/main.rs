@@ -32,7 +32,6 @@ use fet_analysis::trace::DomainTrace;
 use fet_core::config::ProblemSpec;
 use fet_core::fet::FetProtocol;
 use fet_core::opinion::Opinion;
-use fet_core::protocol::Protocol;
 use fet_gauntlet::{run_gauntlet, GauntletOptions, GauntletSpec};
 use fet_plot::heatmap::CategoricalMap;
 use fet_plot::table::Table;

@@ -125,6 +125,29 @@ fn run_fused_parallel_replays_per_seed_and_thread_count() {
 }
 
 #[test]
+fn run_rejects_a_malformed_worker_override_only_when_it_shards() {
+    let run = |mode: &[&str]| {
+        fet()
+            .args(["run", "--n", "300", "--seed", "3"])
+            .args(mode)
+            .env("FET_PARALLEL_WORKERS", "bogus")
+            .output()
+            .expect("binary runs")
+    };
+    let out = run(&["--mode", "fused-parallel", "--threads", "2"]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(
+            "invalid parameter `FET_PARALLEL_WORKERS`: must be a u32 worker count, got `bogus`"
+        ),
+        "{stderr}"
+    );
+    // A run that never shards ignores the variable.
+    assert!(run(&["--mode", "fused"]).status.success());
+}
+
+#[test]
 fn run_rejects_threads_without_parallel_mode() {
     let out = fet()
         .args(["run", "--n", "300", "--threads", "4"])

@@ -58,9 +58,9 @@
 //! word-at-a-time kernel draws the very same observation stream 64
 //! agents at a time (see the contract on
 //! [`ObservationSource::next_threshold_word`]). A bit-plane run is
-//! therefore **bit-identical** to the typed, boxed, and
-//! population-erased runs of the same `(seed, shard count)` — the
-//! property `tests/erasure_equivalence.rs` extends to 4-way — and the
+//! therefore **bit-identical** to the typed and population-erased runs
+//! of the same `(seed, shard count)` — the property
+//! `tests/erasure_equivalence.rs` checks — and the
 //! aux-plane layout (byte, nibble, bit-sliced) never enters the stream.
 //!
 //! # Word-aligned sharding
@@ -72,14 +72,14 @@
 //! population size and shard count, which is word-aligned for **every**
 //! plane width at once: 64 agents are 1 opinion word, 4 nibble words,
 //! and exactly `bits` interleaved sliced words.
-//! [`BitPopulation::step_fused_parallel_inplace`] relies on it.
+//! [`Population::step_round`] relies on it.
 
 use crate::memory::MemoryFootprint;
 use crate::observation::Observation;
 use crate::opinion::Opinion;
 use crate::population::{DynPopulation, Population};
 use crate::protocol::{FusedCounters, ObservationSource, Protocol, RoundContext, StatePlanes};
-use crate::shard::{ShardPlan, ShardSourceFactory};
+use crate::shard::{self, RoundStreams, ShardSlices, ShardSourceFactory};
 use rand::RngCore;
 use std::fmt;
 
@@ -558,7 +558,8 @@ impl<'a> AuxSliceMut<'a> {
     ///
     /// When the tail is non-empty, `agents` must be a multiple of 64 —
     /// the word-group alignment every plane width shares, which
-    /// [`ShardPlan::shard_range`] guarantees for shard boundaries.
+    /// [`ShardPlan::shard_range`](crate::shard::ShardPlan::shard_range)
+    /// guarantees for shard boundaries.
     fn split_for_agents(self, agents: usize) -> (AuxSliceMut<'a>, AuxSliceMut<'a>) {
         match self {
             AuxSliceMut::None => (AuxSliceMut::None, AuxSliceMut::None),
@@ -582,6 +583,49 @@ impl<'a> AuxSliceMut<'a> {
                 )
             }
         }
+    }
+}
+
+/// One shard's piece of a bit-plane population: its opinion words, its
+/// aux plane view, and (when the caller asked for them) its output slots.
+struct PlaneSlices<'a> {
+    words: &'a mut [u64],
+    aux: AuxSliceMut<'a>,
+    outputs: Option<&'a mut [Opinion]>,
+}
+
+impl ShardSlices for PlaneSlices<'_> {
+    /// Shard ranges start on 64-agent boundaries, which is a whole-word
+    /// boundary for every plane width — opinion words, nibble words and
+    /// interleaved slice groups alike — so the splits land exactly between
+    /// shards.
+    fn split_at_agent(self, agents: usize) -> (Self, Self) {
+        let at = agents.div_ceil(WORD_BITS);
+        debug_assert!(
+            at == self.words.len() || agents.is_multiple_of(WORD_BITS),
+            "a shard boundary at agent {agents} splits a word"
+        );
+        let (words, words_rest) = self.words.split_at_mut(at);
+        let (aux, aux_rest) = self.aux.split_for_agents(agents);
+        let (outputs, outputs_rest) = match self.outputs {
+            Some(out) => {
+                let (head, tail) = out.split_at_mut(agents);
+                (Some(head), Some(tail))
+            }
+            None => (None, None),
+        };
+        (
+            PlaneSlices {
+                words,
+                aux,
+                outputs,
+            },
+            PlaneSlices {
+                words: words_rest,
+                aux: aux_rest,
+                outputs: outputs_rest,
+            },
+        )
     }
 }
 
@@ -850,10 +894,9 @@ fn step_packed_slice<P: Protocol>(
 /// Construction requires a packable protocol — see the
 /// [module docs](self) for the contract. Every [`Population`] entry
 /// point is implemented, so the container drops into byte-addressed
-/// engines unchanged; the in-place fused rounds
-/// ([`Population::step_fused_inplace`] /
-/// [`Population::step_fused_parallel_inplace`]) additionally let
-/// bit-aware engines skip the per-agent output buffer entirely.
+/// engines unchanged; [`Population::step_round`] with `outputs: None`
+/// additionally lets bit-aware engines skip the per-agent output buffer
+/// entirely.
 #[derive(Clone)]
 pub struct BitPopulation<P: Protocol> {
     protocol: P,
@@ -964,124 +1007,6 @@ impl<P: Protocol> BitPopulation<P> {
         self.opinions.set(idx, opinion);
         self.aux.set(idx, aux);
     }
-
-    /// One shard's job for the parallel rounds: shard index, agent
-    /// range, opinion word slice, aux plane view, and (outputs path
-    /// only) the output slice.
-    fn run_parallel<'a>(
-        &'a mut self,
-        factory: &dyn ShardSourceFactory,
-        ctx: &RoundContext,
-        plan: &ShardPlan,
-        correct: Opinion,
-        mut outputs: Option<&'a mut [Opinion]>,
-    ) -> FusedCounters
-    where
-        P: Sync,
-    {
-        type ShardJob<'b> = (
-            u32,
-            std::ops::Range<usize>,
-            &'b mut [u64],
-            AuxSliceMut<'b>,
-            Option<&'b mut [Opinion]>,
-        );
-        let n = self.opinions.len();
-        if let Some(out) = outputs.as_deref() {
-            assert_eq!(out.len(), n, "one output slot per agent");
-        }
-        let shards = plan.shards();
-        // Carve the planes into per-shard slices once. The plan's ranges
-        // start on 64-agent boundaries (see `ShardPlan::shard_range`),
-        // which is a whole-word boundary for every plane width — opinion
-        // words, nibble words, and interleaved slice groups alike — so
-        // the splits below land exactly between shards and the slices
-        // are disjoint, which is what lets them run concurrently.
-        let mut jobs: Vec<ShardJob<'_>> = Vec::with_capacity(shards as usize);
-        let mut words_rest = self.opinions.words_mut();
-        let mut aux_rest = self.aux.slice_mut();
-        let mut outputs_rest = outputs.take();
-        for s in 0..shards {
-            let range = plan.shard_range(n, s);
-            if range.is_empty() {
-                continue;
-            }
-            debug_assert!(
-                range.start.is_multiple_of(WORD_BITS),
-                "shard range {range:?} splits a word"
-            );
-            let word_count = range.end.div_ceil(WORD_BITS) - range.start / WORD_BITS;
-            let (w, w_rest) = words_rest.split_at_mut(word_count);
-            words_rest = w_rest;
-            let (aux_slice, a_rest) = aux_rest.split_for_agents(range.len());
-            aux_rest = a_rest;
-            let out_slice = outputs_rest.take().map(|o| {
-                let (head, tail) = o.split_at_mut(range.len());
-                outputs_rest = Some(tail);
-                head
-            });
-            jobs.push((s, range, w, aux_slice, out_slice));
-        }
-        let protocol = &self.protocol;
-        let run_shard = |(s, range, words, aux, out): ShardJob<'_>| {
-            let mut rng = plan.rng_for_shard(s);
-            let mut source = factory.shard_source(range.clone());
-            step_packed_slice(
-                protocol,
-                words,
-                aux,
-                range.len(),
-                source.as_mut(),
-                ctx,
-                &mut rng,
-                correct,
-                out,
-            )
-        };
-        // Reduce per-shard counters into fixed slots in shard order —
-        // exactly the discipline `TypedPopulation::step_fused_parallel`
-        // documents, so totals never depend on worker scheduling.
-        let workers = (plan.workers() as usize).min(jobs.len());
-        let mut totals = FusedCounters::default();
-        if workers <= 1 {
-            for job in jobs {
-                totals += run_shard(job);
-            }
-        } else {
-            let mut groups: Vec<Vec<_>> = (0..workers).map(|_| Vec::new()).collect();
-            for (i, job) in jobs.into_iter().enumerate() {
-                groups[i % workers].push(job);
-            }
-            let run_shard = &run_shard;
-            let per_shard = std::thread::scope(|scope| {
-                let handles: Vec<_> = groups
-                    .into_iter()
-                    .map(|group| {
-                        scope.spawn(move || {
-                            group
-                                .into_iter()
-                                .map(|job| {
-                                    let s = job.0;
-                                    (s, run_shard(job))
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                let mut per_shard = vec![FusedCounters::default(); shards as usize];
-                for handle in handles {
-                    for (s, c) in handle.join().expect("shard worker panicked") {
-                        per_shard[s as usize] = c;
-                    }
-                }
-                per_shard
-            });
-            for c in per_shard {
-                totals += c;
-            }
-        }
-        totals
-    }
 }
 
 impl<P> Population for BitPopulation<P>
@@ -1152,43 +1077,43 @@ where
         }
     }
 
-    fn step_fused(
+    fn step_round(
         &mut self,
-        source: &mut dyn ObservationSource,
+        sources: &dyn ShardSourceFactory,
         ctx: &RoundContext,
-        rng: &mut dyn RngCore,
+        streams: RoundStreams<'_>,
         correct: Opinion,
-        outputs: &mut [Opinion],
+        outputs: Option<&mut [Opinion]>,
     ) -> FusedCounters {
-        let len = self.opinions.len();
+        let n = self.opinions.len();
+        if let Some(out) = outputs.as_deref() {
+            assert_eq!(out.len(), n, "one output slot per agent");
+        }
         let BitPopulation {
             protocol,
             opinions,
             aux,
             ..
         } = self;
-        step_packed_slice(
-            protocol,
-            opinions.words_mut(),
-            aux.slice_mut(),
-            len,
-            source,
-            ctx,
-            rng,
-            correct,
-            Some(outputs),
-        )
-    }
-
-    fn step_fused_parallel(
-        &mut self,
-        factory: &dyn ShardSourceFactory,
-        ctx: &RoundContext,
-        plan: &ShardPlan,
-        correct: Opinion,
-        outputs: &mut [Opinion],
-    ) -> FusedCounters {
-        self.run_parallel(factory, ctx, plan, correct, Some(outputs))
+        let planes = PlaneSlices {
+            words: opinions.words_mut(),
+            aux: aux.slice_mut(),
+            outputs,
+        };
+        let protocol = &*protocol;
+        shard::run_round(planes, n, sources, streams, |piece, len, source, rng| {
+            step_packed_slice(
+                protocol,
+                piece.words,
+                piece.aux,
+                len,
+                source,
+                ctx,
+                rng,
+                correct,
+                piece.outputs,
+            )
+        })
     }
 
     fn step_agent(
@@ -1240,43 +1165,6 @@ where
 
     fn supports_inplace_rounds(&self) -> bool {
         true
-    }
-
-    fn step_fused_inplace(
-        &mut self,
-        source: &mut dyn ObservationSource,
-        ctx: &RoundContext,
-        rng: &mut dyn RngCore,
-        correct: Opinion,
-    ) -> FusedCounters {
-        let len = self.opinions.len();
-        let BitPopulation {
-            protocol,
-            opinions,
-            aux,
-            ..
-        } = self;
-        step_packed_slice(
-            protocol,
-            opinions.words_mut(),
-            aux.slice_mut(),
-            len,
-            source,
-            ctx,
-            rng,
-            correct,
-            None,
-        )
-    }
-
-    fn step_fused_parallel_inplace(
-        &mut self,
-        factory: &dyn ShardSourceFactory,
-        ctx: &RoundContext,
-        plan: &ShardPlan,
-        correct: Opinion,
-    ) -> FusedCounters {
-        self.run_parallel(factory, ctx, plan, correct, None)
     }
 
     fn write_opinion_words(&self, snapshot: &mut [u64]) {
@@ -1452,6 +1340,14 @@ mod tests {
                 Observation::new(rng.next_u32() % (self.m + 1), self.m).unwrap()
             }
         }
+        impl ShardSourceFactory for Uniform {
+            fn shard_source(
+                &self,
+                _range: std::ops::Range<usize>,
+            ) -> Box<dyn ObservationSource + '_> {
+                Box::new(Uniform { m: self.m })
+            }
+        }
         for ell in [5, 8, 200] {
             let (mut typed, mut bits) = filled_pair(ell, 77);
             let m = typed.samples_per_round();
@@ -1460,14 +1356,33 @@ mod tests {
             let mut rb = rand::rngs::SmallRng::seed_from_u64(42);
             let mut out_t = vec![Opinion::Zero; 77];
             let mut out_b = vec![Opinion::Zero; 77];
-            let ct = typed.step_fused(&mut Uniform { m }, &ctx, &mut rt, Opinion::One, &mut out_t);
-            let cb = bits.step_fused(&mut Uniform { m }, &ctx, &mut rb, Opinion::One, &mut out_b);
+            let source = Uniform { m };
+            let ct = typed.step_round(
+                &source,
+                &ctx,
+                RoundStreams::Main(&mut rt),
+                Opinion::One,
+                Some(&mut out_t),
+            );
+            let cb = bits.step_round(
+                &source,
+                &ctx,
+                RoundStreams::Main(&mut rb),
+                Opinion::One,
+                Some(&mut out_b),
+            );
             assert_eq!(out_t, out_b, "ell={ell}");
             assert_eq!(ct, cb, "ell={ell}");
-            // And the in-place variant walks the very same stream.
+            // And the in-place round walks the very same stream.
             let (_, mut bits2) = filled_pair(ell, 77);
             let mut r2 = rand::rngs::SmallRng::seed_from_u64(42);
-            let c2 = bits2.step_fused_inplace(&mut Uniform { m }, &ctx, &mut r2, Opinion::One);
+            let c2 = bits2.step_round(
+                &source,
+                &ctx,
+                RoundStreams::Main(&mut r2),
+                Opinion::One,
+                None,
+            );
             assert_eq!(c2, cb, "ell={ell}");
             for (i, &out) in out_b.iter().enumerate() {
                 assert_eq!(bits2.output_of(i), out, "ell={ell}");

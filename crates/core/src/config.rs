@@ -7,7 +7,6 @@
 
 use crate::error::CoreError;
 use crate::opinion::Opinion;
-use serde::{Deserialize, Serialize};
 
 /// One instance of the bit-dissemination problem.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(spec.num_non_sources(), 999);
 /// # Ok::<(), fet_core::CoreError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ProblemSpec {
     n: u64,
     num_sources: u64,

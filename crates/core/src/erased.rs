@@ -5,122 +5,42 @@
 //! registry in `fet-protocols`, the `Simulation` facade in `fet-sim`) needs
 //! exactly that. This module provides the bridge:
 //!
-//! * [`DynProtocol`] — an object-safe mirror of [`Protocol`] whose per-agent
-//!   state is a boxed [`DynState`]. Every `Protocol` implements it through a
-//!   blanket impl (state downcast via `Any`).
-//! * [`ErasedProtocol`] — a cheaply clonable handle (`Arc<dyn DynProtocol>`)
-//!   that implements [`Protocol`] *again*, with `State = Box<dyn DynState>`,
-//!   so all engines accept runtime-selected protocols unchanged.
+//! * [`DynProtocol`] — an object-safe view of a [`Protocol`]'s
+//!   configuration (name, sample size, capability flags) plus the
+//!   factories that build its population containers. Every `Protocol`
+//!   implements it through a blanket impl.
+//! * [`ErasedProtocol`] — a cheaply clonable handle (`Arc<dyn
+//!   DynProtocol>`) with inherent accessors for the same configuration.
 //!
-//! The erasure costs one virtual call per agent step plus a per-agent box;
-//! the batched entry point ([`Protocol::step_batch`]) still dispatches once
-//! per *round* into the underlying typed kernel, so the round loop keeps a
-//! single indirect call per agent rather than three.
-//!
-//! # `ErasedProtocol` vs [`DynPopulation`]: which erasure to use
-//!
-//! There are two ways to run a runtime-selected protocol, erased at
-//! different granularities:
-//!
-//! | | [`ErasedProtocol`] (per-agent) | [`DynPopulation`] (population) |
-//! |---|---|---|
-//! | state layout | `n` separately boxed states | one contiguous `Vec<P::State>` |
-//! | per-round cost | `O(n)` buffer alloc + 2 clones/agent (boxes are not contiguous, so [`DynProtocol::step_batch_erased`] materializes a typed buffer and writes back) | zero-copy: one virtual dispatch into the typed kernel |
-//! | per-agent state access | yes — states are first-class `Box<dyn DynState>` values you can hold, swap, and move between containers | through the population only (indices, not owned values) |
-//! | drop-in for `Engine<P>` | yes — implements [`Protocol`] itself | no — engines need a population-aware entry point |
-//!
-//! **Default to the population container**: every facade/registry run does
-//! (`ErasedProtocol::population` is the bridge), and at `n = 1024` the
-//! boxed path measured ~25% slower than the typed kernel while the
-//! population path is within noise of it. Reach for `ErasedProtocol`'s
-//! per-agent states only when code genuinely needs owned, individually
-//! boxed states — e.g. adversarial surgery that moves single states across
-//! engines, or generic code written against `Protocol` that cannot be made
-//! population-aware. The boxed representation also remains reachable as
-//! `TypedPopulation<ErasedProtocol>` (erasing twice), which is what keeps
-//! old call sites working unchanged.
+//! Erasure happens at the granularity of the **population**, not the
+//! agent: [`ErasedProtocol::population`] hands out a
+//! [`DynPopulation`] holding one contiguous `Vec` of the concrete states
+//! (or packed bit planes, [`ErasedProtocol::bit_population`]), so a
+//! runtime-selected protocol pays one virtual dispatch per round into the
+//! typed kernel and nothing per agent. Every engine — synchronous and
+//! asynchronous — drives runtime-selected protocols through such a
+//! container.
 //!
 //! [`DynPopulation`]: crate::population::DynPopulation
-//! [`TypedPopulation<ErasedProtocol>`]: crate::population::TypedPopulation
 
 use crate::bitplane::BitPopulation;
 use crate::memory::MemoryFootprint;
-use crate::observation::Observation;
-use crate::opinion::Opinion;
 use crate::population::{DynPopulation, TypedPopulation};
-use crate::protocol::{Protocol, RoundContext, StatePlanes};
-use rand::RngCore;
-use std::any::Any;
+use crate::protocol::{Protocol, StatePlanes};
 use std::fmt;
 use std::sync::Arc;
 
-/// A type-erased per-agent protocol state.
-///
-/// Blanket-implemented for every `Clone + Debug + Send + 'static` type, so
-/// any [`Protocol::State`] qualifies automatically.
-pub trait DynState: fmt::Debug + Send {
-    /// Clones the state behind the box.
-    fn clone_box(&self) -> Box<dyn DynState>;
-    /// Upcast for downcasting back to the concrete state type.
-    fn as_any(&self) -> &dyn Any;
-    /// Mutable upcast for downcasting back to the concrete state type.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
-}
-
-impl<T: Clone + fmt::Debug + Send + 'static> DynState for T {
-    fn clone_box(&self) -> Box<dyn DynState> {
-        Box::new(self.clone())
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-impl Clone for Box<dyn DynState> {
-    fn clone(&self) -> Self {
-        // Explicit deref: `self.clone_box()` would resolve against the
-        // blanket `DynState for Box<dyn DynState>` impl and recurse.
-        (**self).clone_box()
-    }
-}
-
-/// Object-safe mirror of [`Protocol`] over boxed states.
+/// Object-safe view of a [`Protocol`]'s configuration and population
+/// factories.
 ///
 /// Obtain one by coercion from any protocol value (`&p`, `Box::new(p)`,
 /// `Arc::new(p)`); the blanket impl covers every [`Protocol`]. Use
-/// [`ErasedProtocol`] to feed it back into engines.
+/// [`ErasedProtocol`] to hand it to engines.
 pub trait DynProtocol: fmt::Debug + Send + Sync {
     /// See [`Protocol::name`].
     fn name_erased(&self) -> &str;
     /// See [`Protocol::samples_per_round`].
     fn samples_per_round_erased(&self) -> u32;
-    /// See [`Protocol::init_state`].
-    fn init_state_erased(&self, opinion: Opinion, rng: &mut dyn RngCore) -> Box<dyn DynState>;
-    /// See [`Protocol::step`].
-    fn step_erased(
-        &self,
-        state: &mut dyn DynState,
-        obs: &Observation,
-        ctx: &RoundContext,
-        rng: &mut dyn RngCore,
-    ) -> Opinion;
-    /// See [`Protocol::step_batch`]. Dispatches into the typed batch kernel
-    /// once per round.
-    fn step_batch_erased(
-        &self,
-        states: &mut [Box<dyn DynState>],
-        observations: &[Observation],
-        ctx: &RoundContext,
-        rng: &mut dyn RngCore,
-        outputs: &mut [Opinion],
-    );
-    /// See [`Protocol::output`].
-    fn output_erased(&self, state: &dyn DynState) -> Opinion;
-    /// See [`Protocol::decision`].
-    fn decision_erased(&self, state: &dyn DynState) -> Opinion;
     /// See [`Protocol::is_passive`].
     fn is_passive_erased(&self) -> bool;
     /// See [`Protocol::has_fused_kernel`].
@@ -132,13 +52,11 @@ pub trait DynProtocol: fmt::Debug + Send + Sync {
     /// See [`Protocol::memory_footprint`].
     fn memory_footprint_erased(&self) -> MemoryFootprint;
     /// Creates an empty contiguous population container for this protocol
-    /// — the zero-copy alternative to boxing each agent's state (see the
-    /// [module docs](self) for the trade-off). The container owns a clone
-    /// of the protocol configuration, so the handle and the population can
-    /// live independently.
+    /// (see the [module docs](self)). The container owns a clone of the
+    /// protocol configuration, so the handle and the population can live
+    /// independently.
     fn fresh_population_erased(&self) -> Box<dyn DynPopulation>;
-    /// See [`Protocol::state_planes`] — the *underlying* protocol's packed
-    /// layout (the erased wrapper's own boxed states never pack).
+    /// See [`Protocol::state_planes`].
     fn state_planes_erased(&self) -> StatePlanes;
     /// Creates an empty **bit-plane** population container
     /// ([`BitPopulation`]) for this
@@ -146,20 +64,6 @@ pub trait DynProtocol: fmt::Debug + Send + Sync {
     /// ([`Protocol::state_planes`] is [`StatePlanes::Unpacked`], or the
     /// protocol is not passive).
     fn fresh_bit_population_erased(&self) -> Option<Box<dyn DynPopulation>>;
-}
-
-fn downcast<'a, S: 'static>(state: &'a dyn DynState, name: &str) -> &'a S {
-    state
-        .as_any()
-        .downcast_ref::<S>()
-        .unwrap_or_else(|| panic!("state type mismatch: protocol `{name}` handed a foreign state"))
-}
-
-fn downcast_mut<'a, S: 'static>(state: &'a mut dyn DynState, name: &str) -> &'a mut S {
-    match state.as_any_mut().downcast_mut::<S>() {
-        Some(s) => s,
-        None => panic!("state type mismatch: protocol `{name}` handed a foreign state"),
-    }
 }
 
 impl<P> DynProtocol for P
@@ -173,63 +77,6 @@ where
 
     fn samples_per_round_erased(&self) -> u32 {
         Protocol::samples_per_round(self)
-    }
-
-    fn init_state_erased(&self, opinion: Opinion, rng: &mut dyn RngCore) -> Box<dyn DynState> {
-        Box::new(self.init_state(opinion, rng))
-    }
-
-    fn step_erased(
-        &self,
-        state: &mut dyn DynState,
-        obs: &Observation,
-        ctx: &RoundContext,
-        rng: &mut dyn RngCore,
-    ) -> Opinion {
-        self.step(
-            downcast_mut::<P::State>(state, Protocol::name(self)),
-            obs,
-            ctx,
-            rng,
-        )
-    }
-
-    fn step_batch_erased(
-        &self,
-        states: &mut [Box<dyn DynState>],
-        observations: &[Observation],
-        ctx: &RoundContext,
-        rng: &mut dyn RngCore,
-        outputs: &mut [Opinion],
-    ) {
-        assert_eq!(
-            states.len(),
-            observations.len(),
-            "one observation per agent"
-        );
-        assert_eq!(states.len(), outputs.len(), "one output slot per agent");
-        // Boxed states are not contiguous, so the typed batch kernel
-        // cannot run over them in place. Materialize them into a
-        // contiguous buffer, run the kernel, write back: two clones per
-        // agent (states are small — FET's is 8 bytes) buy the kernel's
-        // hoisted validation and precomputed sampling tables.
-        let name = Protocol::name(self);
-        let mut typed: Vec<P::State> = states
-            .iter()
-            .map(|s| downcast::<P::State>(s.as_ref(), name).clone())
-            .collect();
-        self.step_batch(&mut typed, observations, ctx, rng, outputs);
-        for (boxed, fresh) in states.iter_mut().zip(typed) {
-            *downcast_mut::<P::State>(boxed.as_mut(), name) = fresh;
-        }
-    }
-
-    fn output_erased(&self, state: &dyn DynState) -> Opinion {
-        self.output(downcast::<P::State>(state, Protocol::name(self)))
-    }
-
-    fn decision_erased(&self, state: &dyn DynState) -> Opinion {
-        self.decision(downcast::<P::State>(state, Protocol::name(self)))
     }
 
     fn is_passive_erased(&self) -> bool {
@@ -269,16 +116,14 @@ where
     }
 }
 
-/// A runtime-selected protocol usable wherever a typed [`Protocol`] is:
-/// `ErasedProtocol` implements [`Protocol`] with `State = Box<dyn
-/// DynState>`, forwarding every call through the erased vtable.
+/// A runtime-selected protocol: a factory handle for its population
+/// containers, with inherent accessors for its configuration.
 ///
 /// # Example
 ///
 /// ```
 /// use fet_core::erased::ErasedProtocol;
 /// use fet_core::fet::FetProtocol;
-/// use fet_core::protocol::Protocol;
 ///
 /// let erased = ErasedProtocol::new(FetProtocol::new(16)?);
 /// assert_eq!(erased.name(), "fet");
@@ -309,32 +154,52 @@ impl ErasedProtocol {
         }
     }
 
-    /// Wraps an already-erased protocol handle.
-    pub fn from_arc(inner: Arc<dyn DynProtocol>) -> Self {
-        ErasedProtocol { inner }
+    /// See [`Protocol::name`].
+    pub fn name(&self) -> &str {
+        self.inner.name_erased()
     }
 
-    /// The underlying erased protocol.
-    pub fn as_dyn(&self) -> &dyn DynProtocol {
-        self.inner.as_ref()
+    /// See [`Protocol::samples_per_round`].
+    pub fn samples_per_round(&self) -> u32 {
+        self.inner.samples_per_round_erased()
+    }
+
+    /// See [`Protocol::is_passive`].
+    pub fn is_passive(&self) -> bool {
+        self.inner.is_passive_erased()
+    }
+
+    /// See [`Protocol::has_fused_kernel`].
+    pub fn has_fused_kernel(&self) -> bool {
+        self.inner.has_fused_kernel_erased()
+    }
+
+    /// See [`Protocol::parallel_eligible`].
+    pub fn parallel_eligible(&self) -> bool {
+        self.inner.parallel_eligible_erased()
+    }
+
+    /// See [`Protocol::aggregate_ell`].
+    pub fn aggregate_ell(&self) -> Option<u32> {
+        self.inner.aggregate_ell_erased()
+    }
+
+    /// See [`Protocol::memory_footprint`].
+    pub fn memory_footprint(&self) -> MemoryFootprint {
+        self.inner.memory_footprint_erased()
     }
 
     /// Creates an empty contiguous population container for the underlying
-    /// *typed* protocol — the zero-copy execution path for runtime-selected
-    /// protocols (see the [module docs](self) for the trade-off against
-    /// per-agent boxed states).
-    ///
-    /// The call routes through the erased handle's inner protocol, so the
-    /// resulting container holds a `Vec` of the original concrete states —
-    /// not boxes — even though `self` is erased.
+    /// typed protocol — the execution path for runtime-selected protocols
+    /// (see the [module docs](self)). The container holds a `Vec` of the
+    /// original concrete states even though `self` is erased.
     pub fn population(&self) -> Box<dyn DynPopulation> {
         self.inner.fresh_population_erased()
     }
 
-    /// The underlying *typed* protocol's packed plane layout. Distinct
-    /// from [`Protocol::state_planes`] on `self` (which reports
-    /// [`StatePlanes::Unpacked`] — boxed `dyn` states never pack): this
-    /// is the layout a bit-plane container would use.
+    /// The underlying protocol's packed plane layout
+    /// ([`Protocol::state_planes`]): the layout a bit-plane container
+    /// would use.
     pub fn packed_planes(&self) -> StatePlanes {
         self.inner.state_planes_erased()
     }
@@ -350,144 +215,26 @@ impl ErasedProtocol {
     }
 }
 
-impl Protocol for ErasedProtocol {
-    type State = Box<dyn DynState>;
-
-    fn name(&self) -> &str {
-        self.inner.name_erased()
-    }
-
-    fn samples_per_round(&self) -> u32 {
-        self.inner.samples_per_round_erased()
-    }
-
-    fn init_state(&self, opinion: Opinion, rng: &mut dyn RngCore) -> Box<dyn DynState> {
-        self.inner.init_state_erased(opinion, rng)
-    }
-
-    fn step(
-        &self,
-        state: &mut Box<dyn DynState>,
-        obs: &Observation,
-        ctx: &RoundContext,
-        rng: &mut dyn RngCore,
-    ) -> Opinion {
-        self.inner.step_erased(state.as_mut(), obs, ctx, rng)
-    }
-
-    fn step_batch(
-        &self,
-        states: &mut [Box<dyn DynState>],
-        observations: &[Observation],
-        ctx: &RoundContext,
-        rng: &mut dyn RngCore,
-        outputs: &mut [Opinion],
-    ) {
-        self.inner
-            .step_batch_erased(states, observations, ctx, rng, outputs)
-    }
-
-    fn output(&self, state: &Box<dyn DynState>) -> Opinion {
-        self.inner.output_erased(state.as_ref())
-    }
-
-    fn decision(&self, state: &Box<dyn DynState>) -> Opinion {
-        self.inner.decision_erased(state.as_ref())
-    }
-
-    fn is_passive(&self) -> bool {
-        self.inner.is_passive_erased()
-    }
-
-    // `step_fused` is intentionally *not* overridden: the trait default
-    // loops over `step`, which forwards through the erased vtable into the
-    // typed update (cached split tables included), so the boxed fallback
-    // walks the same fused stream as every typed representation with O(1)
-    // auxiliary memory — at its usual per-agent-dispatch price.
-
-    fn has_fused_kernel(&self) -> bool {
-        self.inner.has_fused_kernel_erased()
-    }
-
-    fn parallel_eligible(&self) -> bool {
-        self.inner.parallel_eligible_erased()
-    }
-
-    fn aggregate_ell(&self) -> Option<u32> {
-        self.inner.aggregate_ell_erased()
-    }
-
-    fn memory_footprint(&self) -> MemoryFootprint {
-        self.inner.memory_footprint_erased()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fet::FetProtocol;
     use crate::simple_trend::SimpleTrendProtocol;
-    use rand::SeedableRng;
-
-    fn rng() -> rand::rngs::SmallRng {
-        rand::rngs::SmallRng::seed_from_u64(0xE7A5)
-    }
 
     #[test]
-    fn erased_fet_steps_like_typed_fet() {
+    fn accessors_forward_to_the_typed_protocol() {
         let typed = FetProtocol::new(8).unwrap();
         let erased = ErasedProtocol::new(typed.clone());
-        let mut rng_typed = rng();
-        let mut rng_erased = rng();
-        let mut st = typed.init_state(Opinion::Zero, &mut rng_typed);
-        let mut se = erased.init_state(Opinion::Zero, &mut rng_erased);
-        let ctx = RoundContext::new(0);
-        for ones in [0u32, 4, 9, 16, 13, 2] {
-            let obs = Observation::new(ones, 16).unwrap();
-            let a = typed.step(&mut st, &obs, &ctx, &mut rng_typed);
-            let b = erased.step(&mut se, &obs, &ctx, &mut rng_erased);
-            assert_eq!(a, b);
-            assert_eq!(erased.output(&se), typed.output(&st));
-        }
         assert_eq!(erased.name(), "fet");
+        assert_eq!(erased.samples_per_round(), typed.samples_per_round());
         assert!(erased.is_passive());
+        assert_eq!(erased.has_fused_kernel(), typed.has_fused_kernel());
+        assert_eq!(erased.parallel_eligible(), typed.parallel_eligible());
+        assert_eq!(erased.aggregate_ell(), Some(8));
         assert_eq!(erased.memory_footprint(), typed.memory_footprint());
-    }
-
-    #[test]
-    fn erased_batch_matches_erased_loop() {
-        let erased = ErasedProtocol::new(SimpleTrendProtocol::new(6).unwrap());
-        let ctx = RoundContext::new(0);
-        let mut r = rng();
-        let mut a: Vec<_> = (0..10)
-            .map(|_| erased.init_state(Opinion::Zero, &mut r))
-            .collect();
-        let mut b: Vec<_> = a.clone();
-        let obs: Vec<_> = (0..10)
-            .map(|i| Observation::new(i % 7, 6).unwrap())
-            .collect();
-        let looped: Vec<Opinion> = a
-            .iter_mut()
-            .zip(&obs)
-            .map(|(s, o)| erased.step(s, o, &ctx, &mut r))
-            .collect();
-        let mut batched = vec![Opinion::Zero; 10];
-        erased.step_batch(&mut b, &obs, &ctx, &mut r, &mut batched);
-        assert_eq!(looped, batched);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(erased.output(x), erased.output(y));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "state type mismatch")]
-    fn foreign_state_is_rejected() {
-        let fet = ErasedProtocol::new(FetProtocol::new(4).unwrap());
-        let other = ErasedProtocol::new(SimpleTrendProtocol::new(4).unwrap());
-        let mut r = rng();
-        let mut foreign = other.init_state(Opinion::Zero, &mut r);
-        let obs = Observation::new(2, 8).unwrap();
-        let _ = fet.step(&mut foreign, &obs, &RoundContext::new(0), &mut r);
+        assert_eq!(erased.packed_planes(), typed.state_planes());
+        let simple = ErasedProtocol::new(SimpleTrendProtocol::new(6).unwrap());
+        assert_eq!(simple.aggregate_ell(), None);
     }
 
     #[test]

@@ -34,7 +34,6 @@ use crate::opinion::Opinion;
 use crate::protocol::{FusedCounters, ObservationSource, Protocol, RoundContext, StatePlanes};
 use fet_stats::hypergeometric::SplitTable;
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -78,7 +77,7 @@ fn split_table(ell: u64) -> Arc<SplitTable> {
 /// assert_eq!(p.samples_per_round(), 2 * p.ell());
 /// # Ok::<(), fet_core::CoreError>(())
 /// ```
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct FetProtocol {
     ell: u32,
     table: Arc<SplitTable>,
@@ -113,7 +112,7 @@ impl Hash for FetProtocol {
 /// Fields are public so the adversary crate can construct *worst-case*
 /// initial states directly (the self-stabilizing setting places internal
 /// variables entirely under adversarial control at time 0).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FetState {
     /// Current public opinion `Y_t`.
     pub opinion: Opinion,

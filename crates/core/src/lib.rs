@@ -72,7 +72,7 @@ pub use error::CoreError;
 /// Convenient re-exports of the most commonly used items.
 pub mod prelude {
     pub use crate::config::ProblemSpec;
-    pub use crate::erased::{DynProtocol, DynState, ErasedProtocol};
+    pub use crate::erased::{DynProtocol, ErasedProtocol};
     pub use crate::error::CoreError;
     pub use crate::fet::{FetProtocol, FetState};
     pub use crate::memory::MemoryFootprint;
@@ -80,7 +80,7 @@ pub mod prelude {
     pub use crate::opinion::{AgentId, Opinion};
     pub use crate::population::{DynPopulation, Population, TypedPopulation};
     pub use crate::protocol::{Protocol, RoundContext};
-    pub use crate::shard::{ShardPlan, ShardSourceFactory};
+    pub use crate::shard::{RoundStreams, ShardPlan, ShardSourceFactory};
     pub use crate::simple_trend::SimpleTrendProtocol;
     pub use crate::source::Source;
     pub use crate::variants::{FetVariant, Memory, TieBreak};

@@ -6,11 +6,10 @@
 //! (c) uses transiently within a round. Experiment E8 tabulates these for
 //! FET and every baseline.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Bit-level memory footprint of one agent running a protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemoryFootprint {
     output_bits: u32,
     persistent_bits: u32,

@@ -10,11 +10,10 @@
 
 use crate::error::CoreError;
 use crate::opinion::Opinion;
-use serde::{Deserialize, Serialize};
 
 /// What one agent learns in one round: the number of 1-opinions among the
 /// agents it sampled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Observation {
     ones: u32,
     sample_size: u32,

@@ -1,6 +1,5 @@
 //! Binary opinions and agent identities.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Not;
 
@@ -21,7 +20,7 @@ use std::ops::Not;
 /// assert_eq!(y.as_bit(), 1);
 /// assert_eq!(Opinion::from_bit_value(0), Opinion::Zero);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Opinion {
     /// Opinion `0`.
     Zero,
@@ -110,9 +109,7 @@ impl fmt::Display for Opinion {
 ///
 /// A newtype rather than a bare `usize` so agent indices cannot be confused
 /// with round numbers or counts in engine code.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct AgentId(pub u32);
 
 impl AgentId {

@@ -1,23 +1,18 @@
 //! Type-erased *population containers*: the zero-copy erased hot path.
 //!
-//! [`crate::erased::ErasedProtocol`] erases a protocol by boxing every
-//! per-agent state (`Vec<Box<dyn DynState>>`). That keeps runtime protocol
-//! selection fully general, but the batched round kernel cannot run over a
-//! slice of boxes: each round it must materialize a contiguous typed buffer
-//! and write it back — an `O(n)` allocation plus two clones per agent, per
-//! round, measured at ~25% over the typed kernel at `n = 1024`.
-//!
-//! This module erases at a coarser granularity — the **population**, not the
-//! agent. A [`TypedPopulation<P>`] owns one contiguous `Vec<P::State>` next
-//! to its protocol configuration; the object-safe [`Population`] /
-//! [`DynPopulation`] traits expose exactly the operations the round loop
-//! needs (initialize agents, step the whole slice, read outputs and
-//! decisions, account memory, clone for snapshots). A runtime-selected
-//! protocol therefore pays **one** virtual dispatch per round — straight
-//! into the typed [`Protocol::step_batch`] kernel — with zero per-round
-//! allocation or cloning. The states stay tiny and uniform (FET's is 8
-//! bytes), exactly the regime the 3-bit/noisy-PULL literature optimizes
-//! for, so one contiguous buffer is also the cache-friendly layout.
+//! Runtime protocol selection needs a type that hides a protocol's
+//! `State`. This module erases at the granularity of the **population**,
+//! not the agent. A [`TypedPopulation<P>`] owns one contiguous
+//! `Vec<P::State>` next to its protocol configuration; the object-safe
+//! [`Population`] / [`DynPopulation`] traits expose exactly the operations
+//! the round loop needs (initialize agents, step the whole slice, read
+//! outputs and decisions, account memory, clone for snapshots). A
+//! runtime-selected protocol therefore pays **one** virtual dispatch per
+//! round — straight into the typed [`Protocol::step_batch`] or
+//! [`Protocol::step_fused`] kernel — with no per-round state buffer and
+//! no cloning. The states stay tiny and uniform (FET's is 8 bytes), exactly
+//! the regime the 3-bit/noisy-PULL literature optimizes for, so one
+//! contiguous buffer is also the cache-friendly layout.
 //!
 //! Two traits split the interface by what callers need:
 //!
@@ -27,12 +22,6 @@
 //! * [`DynPopulation`] — adds [`DynPopulation::clone_box`] (engines and
 //!   trajectory snapshots are `Clone`), and is the type protocol factories
 //!   hand out: `Box<dyn DynPopulation>`.
-//!
-//! The per-agent boxed representation remains available — erasing an
-//! [`ErasedProtocol`](crate::erased::ErasedProtocol) *again* yields a
-//! `TypedPopulation<ErasedProtocol>` whose "typed" state is `Box<dyn
-//! DynState>` — but it is a compatibility fallback, not the hot path. See
-//! the [`crate::erased`] module docs for the full trade-off discussion.
 //!
 //! # Example
 //!
@@ -64,8 +53,8 @@
 use crate::memory::MemoryFootprint;
 use crate::observation::Observation;
 use crate::opinion::Opinion;
-use crate::protocol::{FusedCounters, ObservationSource, Protocol, RoundContext};
-use crate::shard::{ShardPlan, ShardSourceFactory};
+use crate::protocol::{FusedCounters, Protocol, RoundContext};
+use crate::shard::{self, RoundStreams, ShardSourceFactory};
 use rand::RngCore;
 use std::fmt;
 
@@ -138,59 +127,54 @@ pub trait Population: fmt::Debug + Send {
         outputs: &mut [Opinion],
     );
 
-    /// Executes one *fused* round for every agent: observations are drawn
-    /// from `source` on demand, each agent's new public opinion is written
-    /// to `outputs[i]`, and the round counters come back accumulated — one
-    /// dispatch into the typed [`Protocol::step_fused`] kernel, `O(1)`
-    /// auxiliary memory (no observation buffer exists anywhere). This is
-    /// the mean-field hot path; see the engine docs in `fet-sim` for when
-    /// it is selected over [`Population::step_batch`].
+    /// Executes one *fused* round for every agent: each agent's
+    /// observation is drawn on demand from a shard source, its update
+    /// applied, and the round counters accumulated in one pass —
+    /// `O(1)` auxiliary memory (no observation buffer exists anywhere).
+    /// This is the one fused entry point; see the engine docs in
+    /// `fet-sim` for when it is selected over [`Population::step_batch`].
     ///
-    /// # Panics
+    /// `streams` picks the execution:
     ///
-    /// Panics when `outputs.len() != len()`, or when `source` yields an
-    /// observation whose sample size does not match
-    /// [`Population::samples_per_round`].
-    fn step_fused(
-        &mut self,
-        source: &mut dyn ObservationSource,
-        ctx: &RoundContext,
-        rng: &mut dyn RngCore,
-        correct: Opinion,
-        outputs: &mut [Opinion],
-    ) -> FusedCounters;
-
-    /// Executes one **work-sharded parallel** fused round: the agents are
-    /// split into `plan.shards()` balanced contiguous ranges, each shard
-    /// runs the fused kernel over its own slice with its own
-    /// counter-derived RNG ([`ShardPlan::rng_for_shard`]) and its own
-    /// observation source ([`ShardSourceFactory::shard_source`]), and the
-    /// per-shard [`FusedCounters`] are reduced into the round totals. Up
-    /// to `plan.workers()` scoped OS threads execute the shards.
+    /// * [`RoundStreams::Main`] — the single-threaded round: the whole
+    ///   population is shard 0 over `0..len()`, stepped with the given RNG
+    ///   and `sources.shard_source(0..len())`.
+    /// * [`RoundStreams::Sharded`] — the work-sharded round: the agents
+    ///   split into `plan.shards()` word-aligned contiguous ranges, each
+    ///   stepped with its own counter-derived RNG
+    ///   ([`ShardPlan::rng_for_shard`](crate::shard::ShardPlan::rng_for_shard))
+    ///   and its own source ([`ShardSourceFactory::shard_source`]) by up
+    ///   to `plan.workers()` scoped OS threads, and the per-shard
+    ///   [`FusedCounters`] reduced in shard order.
+    ///
+    /// `outputs`, when present, receives every agent's new public opinion
+    /// (index-aligned). Byte-addressed containers need it; containers
+    /// whose own opinion storage is the output store
+    /// ([`Population::supports_inplace_rounds`]) take `None`.
     ///
     /// # Determinism contract
     ///
     /// The resulting states, outputs, and counters are a pure function of
-    /// the agent states, the source configuration, and the plan's
-    /// `(stream, round, shard count)` — **never** of `plan.workers()`,
-    /// thread scheduling, or how a shard's range is sub-chunked (each
-    /// shard is one sequential kernel pass). All representations of one
-    /// protocol (typed, boxed, population-erased) walk identical parallel
-    /// streams because they all dispatch into the same typed kernel per
-    /// shard.
+    /// the agent states, the source configuration, and the streams — for a
+    /// plan, its `(stream, round, shard count)`, **never**
+    /// `plan.workers()`, thread scheduling, or how a shard's range is
+    /// sub-chunked (each shard is one sequential kernel pass). Typed and
+    /// bit-plane containers of one protocol walk identical streams because
+    /// they dispatch into kernels with the same per-agent draw order.
     ///
     /// # Panics
     ///
-    /// Panics when `outputs.len() != len()`, when a source yields an
-    /// observation whose sample size does not match
+    /// Panics when `outputs` has a length other than [`Population::len`],
+    /// when a byte-addressed container gets `None`, when a source yields
+    /// an observation whose sample size does not match
     /// [`Population::samples_per_round`], or when a shard worker panics.
-    fn step_fused_parallel(
+    fn step_round(
         &mut self,
-        factory: &dyn ShardSourceFactory,
+        sources: &dyn ShardSourceFactory,
         ctx: &RoundContext,
-        plan: &ShardPlan,
+        streams: RoundStreams<'_>,
         correct: Opinion,
-        outputs: &mut [Opinion],
+        outputs: Option<&mut [Opinion]>,
     ) -> FusedCounters;
 
     /// Executes one round for the single agent `idx` (the sleepy-agent
@@ -259,58 +243,12 @@ pub trait Population: fmt::Debug + Send {
         0
     }
 
-    /// `true` when this container supports the *in-place* fused rounds
-    /// ([`Population::step_fused_inplace`] /
-    /// [`Population::step_fused_parallel_inplace`]) that skip the
-    /// engine-side `outputs` buffer entirely. Only bit-plane containers
-    /// do: their opinion plane *is* the output store.
+    /// `true` when the container's own opinion storage is the output
+    /// store, so [`Population::step_round`] runs with `outputs: None` and
+    /// engines keep no byte output buffer. Only bit-plane containers do:
+    /// their opinion plane *is* the output store.
     fn supports_inplace_rounds(&self) -> bool {
         false
-    }
-
-    /// Like [`Population::step_fused`], but without an `outputs` slice:
-    /// the container's own opinion storage is the output store. Only
-    /// meaningful when [`Population::supports_inplace_rounds`] is `true`.
-    ///
-    /// # Panics
-    ///
-    /// The default panics — byte-addressed containers have no in-place
-    /// representation.
-    fn step_fused_inplace(
-        &mut self,
-        source: &mut dyn ObservationSource,
-        ctx: &RoundContext,
-        rng: &mut dyn RngCore,
-        correct: Opinion,
-    ) -> FusedCounters {
-        let _ = (source, ctx, rng, correct);
-        panic!(
-            "population `{}` has no in-place fused round",
-            self.protocol_name()
-        );
-    }
-
-    /// Like [`Population::step_fused_parallel`], but without an `outputs`
-    /// slice. The plan's shard ranges must be word-aligned
-    /// ([`ShardPlan::shard_range`] guarantees it) so the opinion plane
-    /// splits at `u64` boundaries.
-    ///
-    /// # Panics
-    ///
-    /// The default panics — byte-addressed containers have no in-place
-    /// representation.
-    fn step_fused_parallel_inplace(
-        &mut self,
-        factory: &dyn ShardSourceFactory,
-        ctx: &RoundContext,
-        plan: &ShardPlan,
-        correct: Opinion,
-    ) -> FusedCounters {
-        let _ = (factory, ctx, plan, correct);
-        panic!(
-            "population `{}` has no in-place fused round",
-            self.protocol_name()
-        );
     }
 
     /// Copies the opinion plane word-for-word into `snapshot`, which must
@@ -456,108 +394,27 @@ where
             .step_batch(&mut self.states, observations, ctx, rng, outputs);
     }
 
-    fn step_fused(
+    fn step_round(
         &mut self,
-        source: &mut dyn ObservationSource,
+        sources: &dyn ShardSourceFactory,
         ctx: &RoundContext,
-        rng: &mut dyn RngCore,
+        streams: RoundStreams<'_>,
         correct: Opinion,
-        outputs: &mut [Opinion],
+        outputs: Option<&mut [Opinion]>,
     ) -> FusedCounters {
-        self.protocol
-            .step_fused(&mut self.states, source, ctx, rng, correct, outputs)
-    }
-
-    fn step_fused_parallel(
-        &mut self,
-        factory: &dyn ShardSourceFactory,
-        ctx: &RoundContext,
-        plan: &ShardPlan,
-        correct: Opinion,
-        outputs: &mut [Opinion],
-    ) -> FusedCounters {
-        /// One shard's work item: its index, its agent range (so the
-        /// factory can build a range-aligned source), and its disjoint
-        /// state and output slices.
-        type ShardJob<'a, S> = (u32, std::ops::Range<usize>, &'a mut [S], &'a mut [Opinion]);
+        let outputs = outputs.expect("byte-addressed populations write round outputs to a slice");
         let n = self.states.len();
         assert_eq!(outputs.len(), n, "one output slot per agent");
-        let shards = plan.shards();
-        // Carve the state and output buffers into per-shard slices once;
-        // disjointness is what lets the shards run concurrently without
-        // any synchronization on the hot path.
-        let mut jobs: Vec<ShardJob<'_, P::State>> = Vec::with_capacity(shards as usize);
-        let mut states_rest = &mut self.states[..];
-        let mut outputs_rest = outputs;
-        for s in 0..shards {
-            let range = plan.shard_range(n, s);
-            let (st, st_rest) = states_rest.split_at_mut(range.len());
-            let (out, out_rest) = outputs_rest.split_at_mut(range.len());
-            states_rest = st_rest;
-            outputs_rest = out_rest;
-            if !st.is_empty() {
-                jobs.push((s, range, st, out));
-            }
-        }
         let protocol = &self.protocol;
-        let run_shard = |(s, range, st, out): (
-            u32,
-            std::ops::Range<usize>,
-            &mut [P::State],
-            &mut [Opinion],
-        )| {
-            let mut rng = plan.rng_for_shard(s);
-            let mut source = factory.shard_source(range);
-            protocol.step_fused(st, source.as_mut(), ctx, &mut rng, correct, out)
-        };
-        // Per-shard counters are accumulated into fixed slots and reduced
-        // in shard order, so the totals cannot depend on which worker
-        // finished first (u64 sums are order-free anyway; the slots keep
-        // the reduction obviously deterministic).
-        let workers = (plan.workers() as usize).min(jobs.len());
-        let mut totals = FusedCounters::default();
-        if workers <= 1 {
-            for job in jobs {
-                totals += run_shard(job);
-            }
-        } else {
-            // Round-robin shard-to-worker striping; any assignment yields
-            // identical results (see the determinism contract), and the
-            // striping balances the remainder-carrying early shards
-            // across workers.
-            let mut groups: Vec<Vec<_>> = (0..workers).map(|_| Vec::new()).collect();
-            for (i, job) in jobs.into_iter().enumerate() {
-                groups[i % workers].push(job);
-            }
-            let run_shard = &run_shard;
-            let per_shard = std::thread::scope(|scope| {
-                let handles: Vec<_> = groups
-                    .into_iter()
-                    .map(|group| {
-                        scope.spawn(move || {
-                            group
-                                .into_iter()
-                                .map(|job| {
-                                    let s = job.0;
-                                    (s, run_shard(job))
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                let mut per_shard = vec![FusedCounters::default(); shards as usize];
-                for handle in handles {
-                    for (s, c) in handle.join().expect("shard worker panicked") {
-                        per_shard[s as usize] = c;
-                    }
-                }
-                per_shard
-            });
-            for c in per_shard {
-                totals += c;
-            }
-        }
-        totals
+        shard::run_round(
+            (&mut self.states[..], outputs),
+            n,
+            sources,
+            streams,
+            |(states, out), _, source, rng| {
+                protocol.step_fused(states, source, ctx, rng, correct, out)
+            },
+        )
     }
 
     fn step_agent(
@@ -617,7 +474,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::erased::ErasedProtocol;
     use crate::fet::FetProtocol;
     use rand::SeedableRng;
 
@@ -768,8 +624,13 @@ mod tests {
                     let (mut pop, _) = filled(n);
                     let plan = crate::shard::ShardPlan::new(shards, workers, 0xDEAD, 9);
                     let mut out = vec![Opinion::Zero; n];
-                    let counters =
-                        pop.step_fused_parallel(&factory, &ctx, &plan, Opinion::One, &mut out);
+                    let counters = pop.step_round(
+                        &factory,
+                        &ctx,
+                        RoundStreams::Sharded(&plan),
+                        Opinion::One,
+                        Some(&mut out),
+                    );
                     assert_eq!(
                         pop.states(),
                         reference.states(),
@@ -784,20 +645,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn double_erasure_is_the_boxed_fallback() {
-        // Erasing an already-erased protocol yields the legacy per-agent
-        // boxed representation — supported, just not the hot path.
-        let erased = ErasedProtocol::new(FetProtocol::new(4).unwrap());
-        let mut pop = TypedPopulation::new(erased);
-        let mut r = rng();
-        pop.push_agent(Opinion::Zero, &mut r);
-        assert_eq!(pop.protocol_name(), "fet");
-        assert_eq!(pop.len(), 1);
-        let obs = [Observation::new(3, 8).unwrap()];
-        let mut out = [Opinion::Zero];
-        pop.step_batch(&obs, &RoundContext::new(0), &mut r, &mut out);
     }
 }

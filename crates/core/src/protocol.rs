@@ -14,7 +14,6 @@ use crate::memory::MemoryFootprint;
 use crate::observation::Observation;
 use crate::opinion::Opinion;
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Per-round oracle context passed to protocols.
@@ -25,7 +24,7 @@ use std::fmt;
 /// (which *assumes* a shared notion of global time) can be expressed in the
 /// same framework and compared against FET — the comparison that motivates
 /// the paper's contribution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RoundContext {
     round: u64,
 }
@@ -104,7 +103,7 @@ pub trait ObservationSource {
 /// These are exactly the two aggregates the synchronous round loop needs
 /// each round; accumulating them inside the kernel is what lets the fused
 /// path skip the engine's output-buffer fold entirely.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FusedCounters {
     /// Number of agents in the stepped slice whose new output is 1.
     pub ones: u64,
@@ -136,7 +135,7 @@ impl std::ops::AddAssign for FusedCounters {
 /// **is** the state's [`Protocol::output`] (and, because packing is
 /// restricted to passive protocols, its decision too) — that identity is
 /// what lets the container answer global 1-counts by popcount.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StatePlanes {
     /// The state does not pack; only the unpacked typed container
     /// ([`TypedPopulation`](crate::population::TypedPopulation)) can hold

@@ -27,15 +27,20 @@
 //! [`ShardPlan`] carries the partition (shard count, balanced contiguous
 //! ranges) and the per-round stream base; [`ShardSourceFactory`] lets an
 //! engine hand each shard a private observation source without any
-//! observation buffer existing. Both are consumed by
-//! [`Population::step_fused_parallel`](crate::population::Population::step_fused_parallel).
+//! observation buffer existing. [`RoundStreams`] picks between the plan
+//! and the engine's main RNG (the single-threaded fused round, which is
+//! shard 0 over the whole population). All three are consumed by
+//! [`Population::step_round`](crate::population::Population::step_round),
+//! whose containers only carve their storage into per-shard pieces and
+//! hand them to this module's one shard runner: worker striping, scoped
+//! threads and the shard-ordered counter reduction live here, once.
 //!
 //! [`Protocol::step_fused`]: crate::protocol::Protocol::step_fused
 
-use crate::protocol::ObservationSource;
+use crate::protocol::{FusedCounters, ObservationSource};
 use fet_stats::rng::{counter_split, counter_stream_base};
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use std::ops::Range;
 
 /// Builds one shard's private observation source.
@@ -155,6 +160,153 @@ impl ShardPlan {
         let end = ((start_w + len_w) * WORD).min(n);
         start..end
     }
+}
+
+/// The random streams one fused round draws from.
+pub enum RoundStreams<'a> {
+    /// One stream for the whole population: the single-threaded fused
+    /// round, run as shard 0 over `0..n` on the engine's main RNG.
+    Main(&'a mut dyn RngCore),
+    /// One counter-split stream per shard of the plan
+    /// ([`ShardPlan::rng_for_shard`]), executed by up to
+    /// [`ShardPlan::workers`] scoped threads.
+    Sharded(&'a ShardPlan),
+}
+
+impl std::fmt::Debug for RoundStreams<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RoundStreams::Main(_) => f.write_str("RoundStreams::Main"),
+            RoundStreams::Sharded(plan) => {
+                f.debug_tuple("RoundStreams::Sharded").field(plan).finish()
+            }
+        }
+    }
+}
+
+/// Agent storage a fused round can carve into disjoint per-shard pieces.
+pub(crate) trait ShardSlices: Send + Sized {
+    /// Splits off the first `agents` agents, returning `(head, tail)`.
+    /// Shard boundaries come from [`ShardPlan::shard_range`], so `agents`
+    /// is a multiple of 64 whenever the tail is non-empty.
+    fn split_at_agent(self, agents: usize) -> (Self, Self);
+}
+
+impl<T: Send> ShardSlices for &mut [T] {
+    fn split_at_agent(self, agents: usize) -> (Self, Self) {
+        self.split_at_mut(agents)
+    }
+}
+
+impl<A: ShardSlices, B: ShardSlices> ShardSlices for (A, B) {
+    fn split_at_agent(self, agents: usize) -> (Self, Self) {
+        let (a, a_rest) = self.0.split_at_agent(agents);
+        let (b, b_rest) = self.1.split_at_agent(agents);
+        ((a, b), (a_rest, b_rest))
+    }
+}
+
+/// Runs one fused round over the `n` agents held in `storage`: the shard
+/// runner behind every [`Population::step_round`](crate::population::Population::step_round).
+///
+/// `step(piece, len, source, rng)` steps the `len` agents of one storage
+/// piece with that shard's observation source and RNG. Under
+/// [`RoundStreams::Main`] the whole storage is one piece over `0..n`
+/// stepped with the main RNG. Under [`RoundStreams::Sharded`] the storage
+/// is carved along [`ShardPlan::shard_range`], every non-empty shard gets
+/// [`ShardPlan::rng_for_shard`] and a fresh
+/// [`ShardSourceFactory::shard_source`] for its range, and the per-shard
+/// counters are reduced in shard order — so the result never depends on
+/// the worker count or on which worker finished first.
+///
+/// # Panics
+///
+/// Panics when a shard worker panics.
+pub(crate) fn run_round<S, F>(
+    storage: S,
+    n: usize,
+    sources: &dyn ShardSourceFactory,
+    streams: RoundStreams<'_>,
+    step: F,
+) -> FusedCounters
+where
+    S: ShardSlices,
+    F: Fn(S, usize, &mut dyn ObservationSource, &mut dyn RngCore) -> FusedCounters + Sync,
+{
+    let plan = match streams {
+        RoundStreams::Main(rng) => {
+            let mut source = sources.shard_source(0..n);
+            return step(storage, n, source.as_mut(), rng);
+        }
+        RoundStreams::Sharded(plan) => plan,
+    };
+    let shards = plan.shards();
+    // Carve the storage into per-shard pieces once; disjointness is what
+    // lets the shards run concurrently without any synchronization on the
+    // hot path.
+    let mut jobs: Vec<(u32, Range<usize>, S)> = Vec::with_capacity(shards as usize);
+    let mut rest = storage;
+    for s in 0..shards {
+        let range = plan.shard_range(n, s);
+        if range.is_empty() {
+            continue;
+        }
+        let (piece, tail) = rest.split_at_agent(range.len());
+        rest = tail;
+        jobs.push((s, range, piece));
+    }
+    let run_shard = |(s, range, piece): (u32, Range<usize>, S)| {
+        let mut rng = plan.rng_for_shard(s);
+        let mut source = sources.shard_source(range.clone());
+        step(piece, range.len(), source.as_mut(), &mut rng)
+    };
+    // Per-shard counters are accumulated into fixed slots and reduced in
+    // shard order, so the totals cannot depend on which worker finished
+    // first (u64 sums are order-free anyway; the slots keep the reduction
+    // obviously deterministic).
+    let workers = (plan.workers() as usize).min(jobs.len());
+    let mut totals = FusedCounters::default();
+    if workers <= 1 {
+        for job in jobs {
+            totals += run_shard(job);
+        }
+        return totals;
+    }
+    // Round-robin shard-to-worker striping; any assignment yields
+    // identical results (see the determinism contract), and the striping
+    // balances the remainder-carrying early shards across workers.
+    let mut groups: Vec<Vec<_>> = (0..workers).map(|_| Vec::new()).collect();
+    for (i, job) in jobs.into_iter().enumerate() {
+        groups[i % workers].push(job);
+    }
+    let run_shard = &run_shard;
+    let per_shard = std::thread::scope(|scope| {
+        let handles: Vec<_> = groups
+            .into_iter()
+            .map(|group| {
+                scope.spawn(move || {
+                    group
+                        .into_iter()
+                        .map(|job| {
+                            let s = job.0;
+                            (s, run_shard(job))
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let mut per_shard = vec![FusedCounters::default(); shards as usize];
+        for handle in handles {
+            for (s, c) in handle.join().expect("shard worker panicked") {
+                per_shard[s as usize] = c;
+            }
+        }
+        per_shard
+    });
+    for c in per_shard {
+        totals += c;
+    }
+    totals
 }
 
 #[cfg(test)]

@@ -24,7 +24,6 @@ use crate::observation::Observation;
 use crate::opinion::Opinion;
 use crate::protocol::{Protocol, RoundContext};
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 /// The unpartitioned trend protocol with sample size `ℓ`.
 ///
@@ -38,13 +37,13 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(p.samples_per_round(), 16); // ℓ, not 2ℓ
 /// # Ok::<(), fet_core::CoreError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SimpleTrendProtocol {
     ell: u32,
 }
 
 /// Per-agent state of the unpartitioned protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SimpleTrendState {
     /// Current public opinion `Y_t`.
     pub opinion: Opinion,

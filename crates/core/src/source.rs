@@ -7,7 +7,6 @@
 //! that the source actively cooperates with the algorithm" (§5).
 
 use crate::opinion::Opinion;
-use serde::{Deserialize, Serialize};
 
 /// A source agent: a constant emitter of the correct opinion.
 ///
@@ -27,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// src.retarget(Opinion::Zero); // the correct bit itself changed
 /// assert_eq!(src.output(), Opinion::Zero);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Source {
     correct: Opinion,
 }

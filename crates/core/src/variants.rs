@@ -22,10 +22,9 @@ use crate::opinion::Opinion;
 use crate::protocol::{Protocol, RoundContext};
 use fet_stats::hypergeometric::split_sample;
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 /// What to do when the two compared counts are equal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TieBreak {
     /// Keep the current opinion (the paper's rule; preserves absorption).
     Keep,
@@ -51,7 +50,7 @@ impl TieBreak {
 }
 
 /// Which quantity the fresh count is compared against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Memory {
     /// The stored second half of the *previous* round's sample (the
     /// paper's rule: a genuine trend estimate across rounds).
@@ -85,7 +84,7 @@ impl Memory {
 /// assert!(canonical.is_canonical());
 /// # Ok::<(), fet_core::CoreError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FetVariant {
     ell: u32,
     tie_break: TieBreak,
@@ -94,7 +93,7 @@ pub struct FetVariant {
 
 /// State of a [`FetVariant`] agent (same shape as the canonical
 /// [`crate::fet::FetState`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FetVariantState {
     /// Current public opinion.
     pub opinion: Opinion,

@@ -14,7 +14,6 @@ use fet_core::observation::Observation;
 use fet_core::opinion::Opinion;
 use fet_core::protocol::{Protocol, RoundContext};
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 /// Majority-of-`ℓ`-samples dynamics with keep-on-tie.
 ///
@@ -28,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(m.samples_per_round(), 31);
 /// # Ok::<(), fet_core::CoreError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MajorityProtocol {
     ell: u32,
 }

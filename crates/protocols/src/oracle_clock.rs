@@ -25,7 +25,6 @@ use fet_core::observation::Observation;
 use fet_core::opinion::Opinion;
 use fet_core::protocol::{Protocol, RoundContext};
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 /// Clock-assisted two-subphase broadcast (§1.4), sampling one agent per
 /// round.
@@ -39,7 +38,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(p.subphase_len(), 2 * 7); // 2·⌈ln 1000⌉
 /// # Ok::<(), fet_core::CoreError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OracleClockProtocol {
     subphase_len: u64,
 }

@@ -34,7 +34,6 @@ use fet_core::error::CoreError;
 use fet_core::fet::FetProtocol;
 use fet_core::population::DynPopulation;
 use fet_core::simple_trend::SimpleTrendProtocol;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
@@ -45,7 +44,7 @@ use std::fmt;
 /// unless overridden); protocols with intrinsic sample sizes (voter,
 /// 3-majority, …) ignore it, clock-assisted ones use `n` for their phase
 /// lengths.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ProtocolParams {
     /// Population size of the instance.
     pub n: u64,
@@ -280,7 +279,6 @@ impl ProtocolRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fet_core::protocol::Protocol;
 
     #[test]
     fn builtins_cover_the_comparison_set() {

@@ -21,10 +21,9 @@ use fet_core::observation::Observation;
 use fet_core::opinion::Opinion;
 use fet_core::protocol::{Protocol, RoundContext};
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 /// Per-agent rumor-spreading state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RumorState {
     /// Current opinion.
     pub opinion: Opinion,
@@ -33,7 +32,7 @@ pub struct RumorState {
 }
 
 /// Copy-on-first-sight PULL rumor spreading, one sample per round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RumorProtocol {
     /// When `true`, [`Protocol::init_state`] marks agents informed (the
     /// adversarial corruption); when `false`, agents start uninformed (the

@@ -11,14 +11,13 @@ use fet_core::observation::Observation;
 use fet_core::opinion::Opinion;
 use fet_core::protocol::{FusedCounters, ObservationSource, Protocol, RoundContext, StatePlanes};
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 /// 3-majority: adopt the majority among three uniformly sampled opinions.
 ///
 /// With three binary samples a majority always exists, so unlike
 /// [`crate::majority::MajorityProtocol`] there is no keep-on-tie branch and
 /// the update is memoryless.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ThreeMajorityProtocol;
 
 impl ThreeMajorityProtocol {

@@ -19,10 +19,9 @@ use fet_core::observation::Observation;
 use fet_core::opinion::Opinion;
 use fet_core::protocol::{Protocol, RoundContext};
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 /// Per-agent state: the displayed opinion plus the undecided flag.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct UndecidedState {
     /// The displayed (and decided-upon) opinion.
     pub opinion: Opinion,
@@ -31,7 +30,7 @@ pub struct UndecidedState {
 }
 
 /// Undecided-state dynamics over one sample per round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct UndecidedProtocol;
 
 impl UndecidedProtocol {

@@ -12,7 +12,6 @@ use fet_core::observation::Observation;
 use fet_core::opinion::Opinion;
 use fet_core::protocol::{FusedCounters, ObservationSource, Protocol, RoundContext, StatePlanes};
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 /// The voter dynamic: each round, adopt the opinion of one random agent.
 ///
@@ -25,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// let v = VoterProtocol::new();
 /// assert_eq!(v.samples_per_round(), 1);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct VoterProtocol;
 
 impl VoterProtocol {

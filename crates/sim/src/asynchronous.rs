@@ -28,7 +28,8 @@ use crate::init::InitialCondition;
 use fet_core::config::ProblemSpec;
 use fet_core::observation::Observation;
 use fet_core::opinion::Opinion;
-use fet_core::protocol::{Protocol, RoundContext};
+use fet_core::population::DynPopulation;
+use fet_core::protocol::RoundContext;
 use fet_core::source::Source;
 use fet_stats::rng::SeedTree;
 use rand::rngs::SmallRng;
@@ -37,10 +38,17 @@ use rand::Rng;
 /// Asynchronous engine: one uniformly random non-source agent activates
 /// per tick.
 ///
+/// The agents live in a population container (see
+/// [`fet_core::population`]) — the same contiguous typed states the
+/// synchronous engines use — and each activation is one
+/// [`Population::step_agent`](fet_core::population::Population::step_agent)
+/// call.
+///
 /// # Example
 ///
 /// ```
 /// use fet_core::config::ProblemSpec;
+/// use fet_core::erased::ErasedProtocol;
 /// use fet_core::fet::FetProtocol;
 /// use fet_core::opinion::Opinion;
 /// use fet_sim::asynchronous::AsyncEngine;
@@ -48,34 +56,36 @@ use rand::Rng;
 /// use fet_sim::init::InitialCondition;
 ///
 /// let spec = ProblemSpec::single_source(300, Opinion::One)?;
-/// let protocol = FetProtocol::for_population(300, 4.0)?;
-/// let mut engine = AsyncEngine::new(protocol, spec, InitialCondition::AllWrong, 5)?;
+/// let protocol = ErasedProtocol::new(FetProtocol::for_population(300, 4.0)?);
+/// let mut engine = AsyncEngine::new(protocol.population(), spec, InitialCondition::AllWrong, 5)?;
 /// let report = engine.run_parallel_rounds(500, ConvergenceCriterion::new(3));
 /// // The negative finding: asynchrony breaks FET (see module docs).
 /// assert!(!report.converged());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone)]
-pub struct AsyncEngine<P: Protocol> {
-    protocol: P,
+pub struct AsyncEngine {
+    population: Box<dyn DynPopulation>,
     spec: ProblemSpec,
     source: Source,
     outputs: Vec<Opinion>,
-    states: Vec<P::State>,
     ones_count: u64,
     rng: SmallRng,
     ticks: u64,
 }
 
-impl<P: Protocol> AsyncEngine<P> {
-    /// Creates the engine.
+impl AsyncEngine {
+    /// Creates the engine, filling the (empty) `population` with
+    /// non-source agents: one opinion draw from `init`, then one state
+    /// init, per agent in order.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::UnsupportedPopulation`] when `n` does not fit in
-    /// memory for per-agent simulation.
+    /// memory for per-agent simulation, and [`SimError::InvalidParameter`]
+    /// when the container already holds agents.
     pub fn new(
-        protocol: P,
+        mut population: Box<dyn DynPopulation>,
         spec: ProblemSpec,
         init: InitialCondition,
         seed: u64,
@@ -85,28 +95,34 @@ impl<P: Protocol> AsyncEngine<P> {
                 detail: format!("n = {} too large for the async engine", spec.n()),
             });
         }
+        if !population.is_empty() {
+            return Err(SimError::InvalidParameter {
+                name: "population",
+                detail: format!(
+                    "expected an empty container, got {} pre-filled agents",
+                    population.len()
+                ),
+            });
+        }
         let mut rng = SeedTree::new(seed).child("async").rng();
         let n = spec.n() as usize;
         let num_sources = spec.num_sources() as usize;
         let source = Source::new(spec.correct());
         let mut outputs = Vec::with_capacity(n);
-        let mut states = Vec::with_capacity(n - num_sources);
+        population.reserve(n - num_sources);
         for _ in 0..num_sources {
             outputs.push(source.output());
         }
         for _ in num_sources..n {
             let opinion = init.draw(spec.correct(), &mut rng);
-            let state = protocol.init_state(opinion, &mut rng);
-            outputs.push(protocol.output(&state));
-            states.push(state);
+            outputs.push(population.push_agent(opinion, &mut rng));
         }
         let ones_count = outputs.iter().filter(|o| o.is_one()).count() as u64;
         Ok(AsyncEngine {
-            protocol,
+            population,
             spec,
             source,
             outputs,
-            states,
             ones_count,
             rng,
             ticks: 0,
@@ -130,8 +146,7 @@ impl<P: Protocol> AsyncEngine<P> {
 
     /// Heap bytes resident in the per-agent state and output buffers.
     pub fn resident_state_bytes(&self) -> usize {
-        self.states.capacity() * std::mem::size_of::<P::State>()
-            + self.outputs.capacity() * std::mem::size_of::<Opinion>()
+        self.population.resident_bytes() + self.outputs.capacity() * std::mem::size_of::<Opinion>()
     }
 
     /// The paper's `x_t` (fraction of ones over the whole population).
@@ -141,20 +156,16 @@ impl<P: Protocol> AsyncEngine<P> {
 
     /// `true` when every non-source agent decides the correct opinion.
     pub fn all_correct(&self) -> bool {
-        let correct = self.source.correct();
-        self.states
-            .iter()
-            .all(|s| self.protocol.decision(s) == correct)
+        self.population
+            .count_correct_decisions(self.source.correct())
+            == self.spec.num_non_sources()
     }
 
     /// Fraction of non-source agents currently deciding the correct
     /// opinion (an `O(n)` scan; intended for once-per-parallel-round use).
     pub fn fraction_correct(&self) -> f64 {
-        let correct = self.source.correct();
-        self.states
-            .iter()
-            .filter(|s| self.protocol.decision(s) == correct)
-            .count() as f64
+        self.population
+            .count_correct_decisions(self.source.correct()) as f64
             / self.spec.num_non_sources() as f64
     }
 
@@ -162,9 +173,9 @@ impl<P: Protocol> AsyncEngine<P> {
     pub fn tick(&mut self) {
         let n = self.outputs.len();
         let num_sources = self.spec.num_sources() as usize;
-        let j = self.rng.gen_range(0..self.states.len());
+        let j = self.rng.gen_range(0..self.population.len());
         let agent_index = num_sources + j;
-        let m = self.protocol.samples_per_round();
+        let m = self.population.samples_per_round();
         let mut ones = 0u32;
         for _ in 0..m {
             let k = self.rng.gen_range(0..n);
@@ -175,9 +186,7 @@ impl<P: Protocol> AsyncEngine<P> {
         let obs = Observation::new(ones, m).expect("count bounded by sample size");
         let ctx = RoundContext::new(self.parallel_rounds());
         let before = self.outputs[agent_index];
-        let after = self
-            .protocol
-            .step(&mut self.states[j], &obs, &ctx, &mut self.rng);
+        let after = self.population.step_agent(j, &obs, &ctx, &mut self.rng);
         self.outputs[agent_index] = after;
         match (before.is_one(), after.is_one()) {
             (false, true) => self.ones_count += 1,
@@ -205,17 +214,10 @@ impl<P: Protocol> AsyncEngine<P> {
             round = self.parallel_rounds();
             done = detector.observe(round, self.all_correct());
         }
-        let correct = self.source.correct();
-        let frac = self
-            .states
-            .iter()
-            .filter(|s| self.protocol.decision(s) == correct)
-            .count() as f64
-            / self.spec.num_non_sources() as f64;
         ConvergenceReport {
             converged_at: detector.converged_at(),
             rounds_run: round,
-            final_fraction_correct: frac,
+            final_fraction_correct: self.fraction_correct(),
         }
     }
 }
@@ -223,10 +225,15 @@ impl<P: Protocol> AsyncEngine<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fet_core::erased::ErasedProtocol;
     use fet_core::fet::FetProtocol;
 
     fn spec(n: u64) -> ProblemSpec {
         ProblemSpec::single_source(n, Opinion::One).unwrap()
+    }
+
+    fn fet(protocol: FetProtocol) -> Box<dyn DynPopulation> {
+        ErasedProtocol::new(protocol).population()
     }
 
     #[test]
@@ -235,7 +242,8 @@ mod tests {
         // asynchronous scheduler breaks FET. Assert the measured behaviour
         // so any future change that *fixes* asynchrony shows up loudly.
         let protocol = FetProtocol::for_population(200, 4.0).unwrap();
-        let mut e = AsyncEngine::new(protocol, spec(200), InitialCondition::AllWrong, 3).unwrap();
+        let mut e =
+            AsyncEngine::new(fet(protocol), spec(200), InitialCondition::AllWrong, 3).unwrap();
         let report = e.run_parallel_rounds(20_000, ConvergenceCriterion::new(3));
         assert!(
             !report.converged(),
@@ -251,7 +259,8 @@ mod tests {
         // absorbing: at unanimity count′ = ℓ ≥ any stored count, so agents
         // adopt or keep 1 forever.
         let protocol = FetProtocol::for_population(150, 4.0).unwrap();
-        let mut e = AsyncEngine::new(protocol, spec(150), InitialCondition::AllCorrect, 5).unwrap();
+        let mut e =
+            AsyncEngine::new(fet(protocol), spec(150), InitialCondition::AllCorrect, 5).unwrap();
         assert!((e.fraction_ones() - 1.0).abs() < 1e-12);
         for _ in 0..150 * 50 {
             e.tick();
@@ -262,7 +271,7 @@ mod tests {
     #[test]
     fn tick_counting() {
         let protocol = FetProtocol::new(4).unwrap();
-        let mut e = AsyncEngine::new(protocol, spec(10), InitialCondition::Random, 7).unwrap();
+        let mut e = AsyncEngine::new(fet(protocol), spec(10), InitialCondition::Random, 7).unwrap();
         for _ in 0..25 {
             e.tick();
         }
@@ -275,7 +284,7 @@ mod tests {
         let run = |seed: u64| {
             let protocol = FetProtocol::new(6).unwrap();
             let mut e =
-                AsyncEngine::new(protocol, spec(60), InitialCondition::Random, seed).unwrap();
+                AsyncEngine::new(fet(protocol), spec(60), InitialCondition::Random, seed).unwrap();
             let r = e.run_parallel_rounds(5_000, ConvergenceCriterion::new(2));
             (r.converged_at, e.ticks())
         };
@@ -287,7 +296,7 @@ mod tests {
         let protocol = FetProtocol::new(4).unwrap();
         let spec_big = ProblemSpec::single_source(1 << 40, Opinion::One).unwrap();
         assert!(matches!(
-            AsyncEngine::new(protocol, spec_big, InitialCondition::Random, 1),
+            AsyncEngine::new(fet(protocol), spec_big, InitialCondition::Random, 1),
             Err(SimError::UnsupportedPopulation { .. })
         ));
     }

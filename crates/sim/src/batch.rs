@@ -16,7 +16,6 @@
 
 use crate::convergence::ConvergenceReport;
 use fet_stats::summary::{wilson_interval, Summary, WelfordAccumulator};
-use serde::{Deserialize, Serialize};
 use std::sync::Mutex;
 
 /// Maps `f` over `items` on up to `threads` worker threads, preserving
@@ -49,7 +48,7 @@ where
 }
 
 /// Aggregated outcome of a batch of convergence runs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchSummary {
     /// Number of replicates.
     pub replicates: u64,
@@ -63,7 +62,7 @@ pub struct BatchSummary {
 }
 
 /// Convergence-time statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimeStats {
     /// Mean convergence round.
     pub mean: f64,

@@ -11,10 +11,9 @@
 //! absorbing state need larger windows.
 
 use crate::fault::FaultEventKind;
-use serde::{Deserialize, Serialize};
 
 /// When to declare convergence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConvergenceCriterion {
     /// Number of consecutive all-correct rounds required.
     pub stability_window: u64,
@@ -86,7 +85,7 @@ impl ConvergenceDetector {
 }
 
 /// Result of one simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConvergenceReport {
     /// `t_con`: first round of the stability-confirmed all-correct streak.
     pub converged_at: Option<u64>,
@@ -122,7 +121,7 @@ impl ConvergenceReport {
 /// Both stay `None` when the run never recovers before the next event or
 /// the round budget — under persistent noise that is the expected
 /// outcome, not an error.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryRecord {
     /// Round at whose start the event fired.
     pub event_round: u64,

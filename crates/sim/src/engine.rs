@@ -28,9 +28,7 @@
 //!   `Box<dyn DynPopulation>` (built by
 //!   [`ErasedProtocol::population`](fet_core::erased::ErasedProtocol::population)
 //!   or the `fet-protocols` registry), paying exactly one virtual dispatch
-//!   per round on the batched path — *not* the per-agent boxing and
-//!   per-round buffer copies of the older `Engine<ErasedProtocol>` route,
-//!   which remains supported but deprecated in spirit.
+//!   per round.
 //!
 //! Both front ends share every line of round code, so their random streams
 //! are identical by construction: a facade run selected by registry name
@@ -46,7 +44,8 @@
 //!   and the only one for [`Fidelity::Agent`]'s literal complete-graph
 //!   index sampling.
 //! * **fused** — the single-pass streaming kernel: one
-//!   [`Population::step_fused`] dispatch draws each agent's observation
+//!   [`Population::step_round`] dispatch on the engine's main RNG draws
+//!   each agent's observation
 //!   from an on-demand source, applies the update, writes the output, and
 //!   accumulates the round counters in **one pass** — no observation
 //!   buffer, no output scratch. On the mean-field fidelities
@@ -56,15 +55,16 @@
 //!   ([`Neighborhood`]) runs the source reads neighbors' round-start
 //!   opinions from a **persistent double buffer** (~1 byte/agent,
 //!   allocated once and rotated by pointer swap each round — still no
-//!   per-round allocation and no typed-state clone).
+//!   per-round buffer and no typed-state clone).
 //! * **fused-parallel** — the fused kernel, work-sharded: the population
 //!   splits into `threads` balanced contiguous agent ranges, every shard
 //!   runs the fused pass against the *round-start* state (global 1-count,
 //!   or the shared opinion double buffer plus adjacency on graphs) with
 //!   an independent RNG stream derived by a counter-based split of
 //!   `(seed, round, shard index)` (see [`fet_core::shard`]), and the
-//!   per-shard counters reduce into the round totals. One
-//!   [`Population::step_fused_parallel`] dispatch; scoped OS threads, no
+//!   per-shard counters reduce into the round totals. The same
+//!   [`Population::step_round`] dispatch, handed a [`ShardPlan`] instead
+//!   of the main RNG; scoped OS threads, no
 //!   `O(n)` auxiliary memory beyond the graph double buffer.
 //!
 //! [`ExecutionMode::Auto`] (the default) selects a fused path exactly when
@@ -81,7 +81,7 @@
 //! all observations first, and the parallel path re-keys the draws per
 //! shard. The modes are therefore *distinct deterministic streams* of the
 //! same distribution: a fused run replays bit-for-bit against any other
-//! fused run of the same seed — across typed, boxed, and population
+//! fused run of the same seed — across typed, population and bit-plane
 //! representations, exactly like the batched stream-identity story above
 //! — and a parallel run replays bit-for-bit for a fixed `(seed, thread
 //! count)` regardless of how many OS threads actually execute it (the
@@ -100,23 +100,20 @@ use crate::fault::{FaultEvent, FaultPlan, FaultSchedule};
 use crate::init::InitialCondition;
 use crate::neighborhood::{ensure_observable, Neighborhood};
 use crate::observer::{RoundObserver, RoundSnapshot};
-use crate::sources::{
-    GraphSourceFactory, MeanFieldSampler, MeanFieldSource, MeanFieldSourceFactory, SnapshotView,
-};
+use crate::sources::{GraphSourceFactory, MeanFieldSampler, MeanFieldSourceFactory, SnapshotView};
 use fet_core::bitplane::BitPlane;
 use fet_core::config::ProblemSpec;
 use fet_core::observation::Observation;
 use fet_core::opinion::Opinion;
 use fet_core::population::{DynPopulation, Population, TypedPopulation};
-use fet_core::protocol::{FusedCounters, Protocol, RoundContext};
-use fet_core::shard::ShardPlan;
+use fet_core::protocol::{Protocol, RoundContext};
+use fet_core::shard::{RoundStreams, ShardPlan, ShardSourceFactory};
 use fet_core::source::Source;
 use fet_stats::binomial::BinomialSampler;
 use fet_stats::hypergeometric::Hypergeometric;
 use fet_stats::rng::{counter_split, counter_stream_base, SeedTree};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How per-agent observations are generated.
@@ -125,7 +122,7 @@ use std::fmt;
 /// paper's with-replacement model and differ only in cost.
 /// [`Fidelity::WithoutReplacement`] is a deliberate model variation for
 /// robustness experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Fidelity {
     /// Literal sampling: draw `m` uniform agent indices, read their output
     /// bits. `O(n·m)` per round.
@@ -154,7 +151,7 @@ pub enum Fidelity {
 /// Which synchronous round implementation executes (see the
 /// [module docs](self) for the batched/fused/parallel trade-off and the
 /// stream-compatibility caveat).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum ExecutionMode {
     /// Select automatically: a fused kernel wherever an on-demand
     /// observation source exists (mean-field fidelities *and* neighborhood
@@ -349,6 +346,24 @@ fn check_fidelity(samples_per_round: u32, fidelity: Fidelity, n: usize) -> Resul
     Ok(())
 }
 
+/// Parses the `FET_PARALLEL_WORKERS` worker-count override (`None` when
+/// unset). The value caps the OS threads a parallel round spawns and never
+/// enters the stream; `0` is clamped to one worker by [`ShardPlan::new`].
+///
+/// # Errors
+///
+/// Returns [`SimError::InvalidParameter`] naming the variable when the
+/// value is not a `u32`.
+fn parse_parallel_workers(raw: Option<&str>) -> Result<Option<u32>, SimError> {
+    raw.map(|value| {
+        value.parse().map_err(|_| SimError::InvalidParameter {
+            name: "FET_PARALLEL_WORKERS",
+            detail: format!("must be a u32 worker count, got `{value}`"),
+        })
+    })
+    .transpose()
+}
+
 /// Everything a synchronous engine is *besides* its agents: the problem
 /// instance, the sampling machinery, the fault plan, the cached output
 /// bits and counters, and the round loop itself.
@@ -386,8 +401,8 @@ struct EngineCore {
     /// `true` when the population stores opinions as packed bit planes
     /// ([`Population::supports_inplace_rounds`]): the engine then keeps
     /// **no** byte-addressed `outputs` buffer at all — the population's
-    /// own opinion plane is the output store, rounds run through the
-    /// in-place fused kernels, and graph rounds double-buffer round-start
+    /// own opinion plane is the output store, fused rounds run with
+    /// `outputs: None`, and graph rounds double-buffer round-start
     /// opinions in [`EngineCore::bit_snapshot`] (1 bit/agent instead of
     /// 1 byte/agent).
     bit_store: bool,
@@ -413,12 +428,14 @@ struct EngineCore {
     auto_threads: u32,
     /// Worker-thread override from `FET_PARALLEL_WORKERS` (a CI/testing
     /// knob: caps the OS threads actually spawned without touching the
-    /// shard count, hence without touching the stream). Kept raw and
-    /// parsed only when a parallel round actually runs, so a malformed
-    /// value in the environment cannot abort batched/fused runs — but a
-    /// parallel run fails loudly rather than silently ignoring it (CI's
-    /// determinism job depends on the two worker counts differing).
-    parallel_workers: Option<String>,
+    /// shard count, hence without touching the stream), parsed once at
+    /// construction. A malformed value is kept as its error: runs that
+    /// never shard ignore it, and every constructor and
+    /// [`EngineCore::set_mode`] return it once the run can resolve to a
+    /// parallel round ([`EngineCore::check_parallel_workers`]) — a
+    /// parallel run never silently ignores it (CI's determinism job
+    /// depends on the two worker counts differing).
+    parallel_workers: Result<Option<u32>, SimError>,
     /// Whether the population's protocol admits parallel sharding
     /// ([`Protocol::parallel_eligible`]); cached at construction since a
     /// population never changes protocol. Consulted by explicit
@@ -545,7 +562,9 @@ impl EngineCore {
             auto_threads: std::thread::available_parallelism()
                 .map_or(1, |p| p.get() as u32)
                 .min(FUSED_PARALLEL_AUTO_MAX_THREADS),
-            parallel_workers: std::env::var("FET_PARALLEL_WORKERS").ok(),
+            parallel_workers: parse_parallel_workers(
+                std::env::var("FET_PARALLEL_WORKERS").ok().as_deref(),
+            ),
             parallel_eligible: pop.parallel_eligible(),
         }
     }
@@ -662,8 +681,22 @@ impl EngineCore {
                 });
             }
         }
-        self.mode = mode;
+        let previous = std::mem::replace(&mut self.mode, mode);
+        if let Err(e) = self.check_parallel_workers() {
+            self.mode = previous;
+            return Err(e);
+        }
         Ok(())
+    }
+
+    /// Returns the `FET_PARALLEL_WORKERS` parse error when the current
+    /// configuration can resolve to a parallel round; runs that never
+    /// shard ignore the variable.
+    fn check_parallel_workers(&self) -> Result<(), SimError> {
+        match (self.resolve_round_impl(), &self.parallel_workers) {
+            (RoundImpl::FusedParallel { .. }, Err(e)) => Err(e.clone()),
+            _ => Ok(()),
+        }
     }
 
     /// Bytes of per-round auxiliary buffers currently allocated (output
@@ -814,8 +847,8 @@ impl EngineCore {
             }
             match round_impl {
                 RoundImpl::Batched => self.step_batched(pop),
-                RoundImpl::Fused => self.step_fused_round(pop),
-                RoundImpl::FusedParallel { shards } => self.step_fused_parallel_round(pop, shards),
+                RoundImpl::Fused => self.step_fused_round(pop, None),
+                RoundImpl::FusedParallel { shards } => self.step_fused_round(pop, Some(shards)),
             }
         }
         self.round += 1;
@@ -926,22 +959,35 @@ impl EngineCore {
         self.correct_decisions = settle_correct_decisions(pop, correct, correct_decisions);
     }
 
-    /// The fused round path: one [`Population::step_fused`] dispatch draws
+    /// The fused round path: one [`Population::step_round`] dispatch draws
     /// each agent's observation, applies the update, writes the output in
-    /// place, and hands back the round counters — a single pass. On
-    /// mean-field rounds the observation source is the round's global
-    /// sampler (`O(1)` auxiliary memory); on neighborhood rounds it is a
-    /// [`crate::sources::GraphSource`] over the round-start opinion double buffer (the
-    /// only auxiliary memory, ~1 byte/agent, rotated — never reallocated —
-    /// each round).
-    fn step_fused_round<A: Population + ?Sized>(&mut self, pop: &mut A) {
+    /// place, and hands back the round counters — a single pass.
+    ///
+    /// With `shards = None` the round runs on the engine's main RNG as one
+    /// shard over the whole population. With `Some(shards)` it is
+    /// work-sharded: `shards` contiguous ranges, each under its own
+    /// counter-derived RNG stream (never the engine RNG — the main stream
+    /// is untouched by parallel rounds), executed by `min(shards,
+    /// FET_PARALLEL_WORKERS if set)` workers, which never affects the
+    /// trajectory.
+    ///
+    /// Every shard gets a private source over shared round-start state: on
+    /// mean-field rounds the round's global sampler (`O(1)` auxiliary
+    /// memory); on neighborhood rounds a range-aligned
+    /// [`crate::sources::GraphSource`] over the round-start opinion double
+    /// buffer (the only auxiliary memory, ~1 byte/agent — or 1 bit/agent on
+    /// bit-plane populations — rotated, never reallocated, each round).
+    fn step_fused_round<A: Population + ?Sized>(&mut self, pop: &mut A, shards: Option<u32>) {
         let num_sources = self.spec.num_sources() as usize;
+        let num_sources_u32 = u32::try_from(num_sources).expect("num_sources < n fits u32");
         let m = pop.samples_per_round();
         let ctx = RoundContext::new(self.round);
         let correct = self.source.correct();
         let fault = (self.fault.flip_prob > 0.0).then_some(&self.fault);
-        let num_sources_u32 = u32::try_from(num_sources).expect("num_sources < n fits u32");
-        let counters = if let Some(nb) = self.neighborhood.as_deref() {
+        let graph_factory;
+        let mean_field_factory;
+        let samplers;
+        let sources: &dyn ShardSourceFactory = if let Some(nb) = self.neighborhood.as_deref() {
             let view = if self.bit_store {
                 SnapshotView::Bits {
                     source_output: self.source.output(),
@@ -951,7 +997,7 @@ impl EngineCore {
             } else {
                 SnapshotView::Bytes(&self.snapshot)
             };
-            let factory = GraphSourceFactory::new(
+            graph_factory = GraphSourceFactory::new(
                 nb,
                 view,
                 fault,
@@ -960,128 +1006,35 @@ impl EngineCore {
                 self.graph_index_stream,
                 self.round,
             );
-            // Stack-built source over the full range: no per-round
-            // allocation on the single-threaded path.
-            let mut obs_source = factory.source_for(0..pop.len());
-            if self.bit_store {
-                pop.step_fused_inplace(&mut obs_source, &ctx, &mut self.rng, correct)
-            } else {
-                pop.step_fused(
-                    &mut obs_source,
-                    &ctx,
-                    &mut self.rng,
-                    correct,
-                    &mut self.outputs[num_sources..],
-                )
-            }
+            &graph_factory
         } else {
-            let (binomial, hypergeometric) = self.round_samplers(m);
-            let sampler = match (binomial.as_ref(), hypergeometric.as_ref()) {
+            samplers = self.round_samplers(m);
+            let sampler = match &samplers {
                 (Some(s), _) => MeanFieldSampler::Binomial(s),
                 (_, Some(h)) => MeanFieldSampler::Hypergeometric(h),
                 _ => unreachable!("fused complete-graph rounds run on mean-field fidelities only"),
             };
-            let mut obs_source = MeanFieldSource { sampler, fault, m };
-            if self.bit_store {
-                pop.step_fused_inplace(&mut obs_source, &ctx, &mut self.rng, correct)
-            } else {
-                pop.step_fused(
-                    &mut obs_source,
-                    &ctx,
-                    &mut self.rng,
-                    correct,
-                    &mut self.outputs[num_sources..],
-                )
-            }
+            mean_field_factory = MeanFieldSourceFactory { sampler, fault, m };
+            &mean_field_factory
         };
-        self.settle_fused_counters(pop, counters);
-    }
-
-    /// The work-sharded parallel fused round: one
-    /// [`Population::step_fused_parallel`] dispatch shards the agents into
-    /// `shards` contiguous ranges, each stepped by the fused kernel under
-    /// its own counter-derived RNG stream (never the engine RNG — the main
-    /// stream is untouched by parallel rounds). Every shard gets a private
-    /// source over shared round-start state: the mean-field samplers, or
-    /// the opinion double buffer plus adjacency on neighborhood runs
-    /// (range-aligned through [`GraphSourceFactory`]). Worker count =
-    /// `min(shards, FET_PARALLEL_WORKERS if set)`; it never affects the
-    /// trajectory.
-    fn step_fused_parallel_round<A: Population + ?Sized>(&mut self, pop: &mut A, shards: u32) {
-        let num_sources = self.spec.num_sources() as usize;
-        let m = pop.samples_per_round();
-        let ctx = RoundContext::new(self.round);
-        let correct = self.source.correct();
-        let fault = (self.fault.flip_prob > 0.0).then_some(&self.fault);
-        let workers = match &self.parallel_workers {
-            Some(v) => v
-                .parse()
-                .unwrap_or_else(|_| panic!("FET_PARALLEL_WORKERS must be a u32, got `{v}`")),
-            None => shards,
-        };
-        let plan = ShardPlan::new(shards, workers, self.parallel_stream, self.round);
-        let num_sources_u32 = u32::try_from(num_sources).expect("num_sources < n fits u32");
-        let counters = if let Some(nb) = self.neighborhood.as_deref() {
-            let view = if self.bit_store {
-                SnapshotView::Bits {
-                    source_output: self.source.output(),
-                    num_sources: num_sources_u32,
-                    words: self.bit_snapshot.words(),
-                }
-            } else {
-                SnapshotView::Bytes(&self.snapshot)
-            };
-            let factory = GraphSourceFactory::new(
-                nb,
-                view,
-                fault,
-                m,
-                num_sources_u32,
-                self.graph_index_stream,
-                self.round,
-            );
-            if self.bit_store {
-                pop.step_fused_parallel_inplace(&factory, &ctx, &plan, correct)
-            } else {
-                pop.step_fused_parallel(
-                    &factory,
-                    &ctx,
-                    &plan,
-                    correct,
-                    &mut self.outputs[num_sources..],
-                )
+        let plan;
+        let streams = match shards {
+            Some(shards) => {
+                let workers = self
+                    .parallel_workers
+                    .as_ref()
+                    .expect("FET_PARALLEL_WORKERS is validated before a parallel round resolves")
+                    .unwrap_or(shards);
+                plan = ShardPlan::new(shards, workers, self.parallel_stream, self.round);
+                RoundStreams::Sharded(&plan)
             }
-        } else {
-            let (binomial, hypergeometric) = self.round_samplers(m);
-            let sampler = match (binomial.as_ref(), hypergeometric.as_ref()) {
-                (Some(s), _) => MeanFieldSampler::Binomial(s),
-                (_, Some(h)) => MeanFieldSampler::Hypergeometric(h),
-                _ => unreachable!(
-                    "parallel fused complete-graph rounds run on mean-field fidelities only"
-                ),
-            };
-            let factory = MeanFieldSourceFactory { sampler, fault, m };
-            if self.bit_store {
-                pop.step_fused_parallel_inplace(&factory, &ctx, &plan, correct)
-            } else {
-                pop.step_fused_parallel(
-                    &factory,
-                    &ctx,
-                    &plan,
-                    correct,
-                    &mut self.outputs[num_sources..],
-                )
-            }
+            None => RoundStreams::Main(&mut self.rng),
         };
-        self.settle_fused_counters(pop, counters);
-    }
-
-    /// Folds one fused round's kernel counters into the engine counters.
-    fn settle_fused_counters<A: Population + ?Sized>(&mut self, pop: &A, counters: FusedCounters) {
-        let num_sources = self.spec.num_sources();
-        self.ones_count = num_sources * u64::from(self.source.output().is_one()) + counters.ones;
-        self.correct_decisions =
-            settle_correct_decisions(pop, self.source.correct(), counters.correct);
+        let outputs = (!self.bit_store).then(|| &mut self.outputs[num_sources..]);
+        let counters = pop.step_round(sources, &ctx, streams, correct, outputs);
+        self.ones_count =
+            num_sources as u64 * u64::from(self.source.output().is_one()) + counters.ones;
+        self.correct_decisions = settle_correct_decisions(pop, correct, counters.correct);
     }
 
     /// The per-agent round path, used when sleepy-agent faults are active.
@@ -1236,7 +1189,9 @@ where
     /// Returns [`SimError::UnsupportedPopulation`] when `n` does not fit in
     /// addressable memory for per-agent simulation, and
     /// [`SimError::InvalidParameter`] when [`Fidelity::WithoutReplacement`]
-    /// is requested with a sample size exceeding the population.
+    /// is requested with a sample size exceeding the population, or when
+    /// `FET_PARALLEL_WORKERS` is malformed and the default mode resolves to
+    /// a parallel round (see [`Engine::set_execution_mode`]).
     pub fn new(
         protocol: P,
         spec: ProblemSpec,
@@ -1246,6 +1201,7 @@ where
     ) -> Result<Self, SimError> {
         let mut population = TypedPopulation::new(protocol);
         let core = EngineCore::construct(&mut population, spec, fidelity, init, seed)?;
+        core.check_parallel_workers()?;
         Ok(Engine { population, core })
     }
 
@@ -1266,6 +1222,7 @@ where
     ) -> Result<Self, SimError> {
         let mut population = TypedPopulation::from_states(protocol, states);
         let core = EngineCore::construct_filled(&mut population, spec, fidelity, seed)?;
+        core.check_parallel_workers()?;
         Ok(Engine { population, core })
     }
 
@@ -1293,6 +1250,7 @@ where
         let spec = neighborhood_spec(neighborhood.as_ref(), num_sources, correct)?;
         let mut engine = Engine::new(protocol, spec, Fidelity::Agent, init, seed)?;
         engine.core.neighborhood = Some(neighborhood);
+        engine.core.check_parallel_workers()?;
         Ok(engine)
     }
 
@@ -1329,7 +1287,9 @@ where
     /// requested for a configuration that must read individual agents (a
     /// neighborhood, or [`Fidelity::Agent`]), and for
     /// [`ExecutionMode::FusedParallel`] with zero threads or a protocol
-    /// that opts out of parallel sharding.
+    /// that opts out of parallel sharding. Also returns it, naming
+    /// `FET_PARALLEL_WORKERS`, when that variable is malformed and the
+    /// mode can resolve to a parallel round; the mode is then unchanged.
     pub fn set_execution_mode(&mut self, mode: ExecutionMode) -> Result<(), SimError> {
         self.core.set_mode(mode)
     }
@@ -1453,12 +1413,10 @@ where
 /// The runtime-selected synchronous engine: [`Engine`] mechanics over a
 /// type-erased contiguous population container.
 ///
-/// Where the old erased route (`Engine<ErasedProtocol>`) boxed every
-/// agent's state and re-materialized a typed buffer each round, this engine
-/// owns a `Box<dyn DynPopulation>` — one contiguous `Vec` of concrete
-/// states behind an object-safe interface — so each batched round costs a
-/// single virtual dispatch into the typed kernel with **zero per-round
-/// allocation or cloning**. Runs selected by registry name through
+/// This engine owns a `Box<dyn DynPopulation>` — one contiguous `Vec` of
+/// concrete states (or packed bit planes) behind an object-safe interface
+/// — so each round costs a single virtual dispatch into the typed kernel
+/// with **zero per-round cloning**. Runs selected by registry name through
 /// `Simulation::builder()` execute here and are stream-identical to the
 /// corresponding typed [`Engine<P>`] run.
 ///
@@ -1565,6 +1523,7 @@ impl PopulationEngine {
         if core.bit_store && !core.fused_capable() {
             return Err(bit_store_fidelity_error());
         }
+        core.check_parallel_workers()?;
         Ok(PopulationEngine { population, core })
     }
 
@@ -1595,6 +1554,7 @@ impl PopulationEngine {
         if core.bit_store && !core.fused_capable() {
             return Err(bit_store_fidelity_error());
         }
+        core.check_parallel_workers()?;
         Ok(PopulationEngine { population, core })
     }
 
@@ -3037,6 +2997,35 @@ mod tests {
 
     /// `PopulationEngine::from_population` replays `Engine::from_states`
     /// for byte containers and accepts pre-filled bit-plane containers.
+    #[test]
+    fn malformed_worker_override_fails_only_runs_that_shard() {
+        assert_eq!(parse_parallel_workers(None), Ok(None));
+        assert_eq!(parse_parallel_workers(Some("4")), Ok(Some(4)));
+        for bad in ["bogus", "", "-1", "4.5", "99999999999"] {
+            assert!(parse_parallel_workers(Some(bad)).is_err(), "`{bad}`");
+        }
+        let mut engine = Engine::new(
+            FetProtocol::new(6).unwrap(),
+            spec(200),
+            Fidelity::Binomial,
+            InitialCondition::AllWrong,
+            5,
+        )
+        .unwrap();
+        engine.core.parallel_workers = parse_parallel_workers(Some("bogus"));
+        let err = engine
+            .set_execution_mode(ExecutionMode::FusedParallel { threads: 2 })
+            .unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("`FET_PARALLEL_WORKERS`: must be a u32 worker count, got `bogus`"),
+            "{err}"
+        );
+        assert_eq!(engine.execution_mode(), ExecutionMode::Auto);
+        engine.set_execution_mode(ExecutionMode::Fused).unwrap();
+        engine.step();
+    }
+
     #[test]
     fn population_engine_from_population_replays_from_states() {
         let protocol = FetProtocol::new(4).unwrap();

@@ -17,14 +17,13 @@ use fet_core::config::ProblemSpec;
 use fet_core::fet::FetProtocol;
 use fet_core::opinion::Opinion;
 use fet_core::protocol::Protocol;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Default sample-size constant: `ℓ = ⌈c·ln n⌉` with `c = 4`.
 pub use crate::simulation::DEFAULT_SAMPLE_CONSTANT;
 
 /// Everything one convergence run needs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExperimentSpec {
     /// Population size.
     pub n: u64,
@@ -191,7 +190,7 @@ impl ExperimentSpecBuilder {
 
 /// Outcome of one run: the convergence report plus the recorded `x_t`
 /// trajectory.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunOutcome {
     /// Convergence result.
     pub report: ConvergenceReport,

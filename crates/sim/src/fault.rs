@@ -27,11 +27,10 @@ use crate::error::SimError;
 use fet_core::opinion::Opinion;
 use fet_stats::binomial::sample_binomial;
 use rand::{Rng, RngCore};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Ambient fault environment for one run. The default plan is fault-free.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultPlan {
     /// Probability that each observed opinion bit is flipped (i.i.d.).
     pub flip_prob: f64,
@@ -140,7 +139,7 @@ impl FaultPlan {
 
 /// The kind of a [`FaultEvent`] — carried into recovery records so
 /// per-event metrics can be partitioned by what perturbed the run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultEventKind {
     /// The correct opinion flipped ([`FaultEvent::TrendSwitch`]).
     TrendSwitch,
@@ -183,7 +182,7 @@ impl fmt::Display for FaultEventKind {
 
 /// One round-indexed adversary action. Events fire at the *start* of
 /// their round, before that round's observations are drawn.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultEvent {
     /// The correct opinion becomes `correct` — the paper's trend switch.
     TrendSwitch {
@@ -289,7 +288,7 @@ impl FaultEvent {
 /// be ambiguous). A schedule with no events runs bit-identically to its
 /// base plan alone: event side effects draw from a dedicated RNG lane
 /// that fault-free streams never touch.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultSchedule {
     base: FaultPlan,
     events: Vec<FaultEvent>,

@@ -8,11 +8,10 @@
 
 use fet_core::opinion::Opinion;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// How non-source agents' *opinions* are set at round 0 (internal protocol
 /// variables are always drawn arbitrarily via `Protocol::init_state`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum InitialCondition {
     /// Every non-source agent starts on the **wrong** opinion — the classic
     /// hard case (rumor-spreading-style protocols die here).

@@ -1,9 +1,7 @@
 //! Round observers: hooks for recording trajectories and statistics.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-round snapshot delivered to observers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoundSnapshot {
     /// Round index `t` (0 is the initial configuration).
     pub round: u64,

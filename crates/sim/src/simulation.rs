@@ -39,9 +39,9 @@
 //! *population container* (one contiguous buffer of concrete states, see
 //! [`fet_core::population`]) and every round dispatches once into the typed
 //! batch kernel. A registry-name run is therefore stream-identical to, and
-//! within a few percent of, the equivalent typed `Engine<P>` run; the older
-//! per-agent boxed route (`Engine<ErasedProtocol>`) remains available for
-//! code that needs owned boxed states but is no longer used here.
+//! within a few percent of, the equivalent typed `Engine<P>` run.
+//! Asynchronous runs step the same kind of container, one agent per
+//! activation.
 //!
 //! # Example
 //!
@@ -86,11 +86,10 @@ use fet_core::protocol::Protocol;
 use fet_protocols::registry::{ProtocolParams, ProtocolRegistry};
 use fet_stats::binomial::sample_binomial;
 use fet_stats::rng::SeedTree;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// When agents act relative to one another.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scheduler {
     /// The paper's model: every agent observes and updates each round.
     Synchronous,
@@ -129,7 +128,7 @@ pub const BIT_PLANE_AUTO_MIN_N: u64 = 10_000_000;
 /// validates all of that. Trajectories are **bit-identical** to the
 /// typed representation for the same `(seed, execution mode, shard
 /// count)` — storage never perturbs the stream.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Storage {
     /// Select automatically: bit-plane when the protocol is packable,
     /// the configuration supports it, and `n ≥` [`BIT_PLANE_AUTO_MIN_N`];
@@ -166,7 +165,7 @@ pub fn default_max_rounds(n: u64) -> u64 {
 }
 
 /// Uniform outcome of one run, whatever ran underneath.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// Name of the protocol that ran.
     pub protocol: String,
@@ -222,13 +221,13 @@ impl RunReport {
 
 enum Runner {
     /// The synchronous hot path: the generic round loop over a type-erased
-    /// *population container* (one contiguous typed state buffer — zero
-    /// per-round allocation or cloning), stream-identical to the typed
+    /// *population container* (one contiguous typed state buffer — no
+    /// per-round state buffer or clone), stream-identical to the typed
     /// `Engine<P>` for the same seed.
     Sync(Box<PopulationEngine>),
-    /// The per-activation scheduler steps one agent at a time, so it keeps
-    /// the per-agent erased representation.
-    Async(Box<AsyncEngine<ErasedProtocol>>),
+    /// The per-activation scheduler: one agent of the same population
+    /// container steps per tick.
+    Async(Box<AsyncEngine>),
     Aggregate(AggregateFetChain),
 }
 
@@ -440,7 +439,7 @@ impl Simulation {
 
 /// Drives the async engine in parallel rounds, with observer snapshots.
 fn run_async(
-    engine: &mut AsyncEngine<ErasedProtocol>,
+    engine: &mut AsyncEngine,
     max_parallel_rounds: u64,
     criterion: ConvergenceCriterion,
     observer: &mut dyn RoundObserver,
@@ -448,7 +447,7 @@ fn run_async(
     let n = engine.spec().n();
     let mut detector = ConvergenceDetector::new(criterion);
     let mut round = engine.parallel_rounds();
-    let snapshot = |engine: &AsyncEngine<ErasedProtocol>, round| RoundSnapshot {
+    let snapshot = |engine: &AsyncEngine, round| RoundSnapshot {
         round,
         fraction_ones: engine.fraction_ones(),
         fraction_correct: engine.fraction_correct(),
@@ -924,8 +923,8 @@ impl SimulationBuilder {
         // bit planes fails at build time with the offending axis named.
         let bit_plane_obstacle: Option<String> = if self.scheduler == Scheduler::Asynchronous {
             Some(
-                "offending axis: scheduler — the asynchronous runner steps boxed per-agent \
-                 states, not packed planes"
+                "offending axis: scheduler — the asynchronous runner steps one agent per \
+                 activation on typed storage; bit planes serve the synchronous fused rounds"
                     .into(),
             )
         } else if fidelity == Fidelity::Aggregate {
@@ -995,7 +994,7 @@ impl SimulationBuilder {
                 )?)
             }
             (Scheduler::Asynchronous, _) => Runner::Async(Box::new(AsyncEngine::new(
-                protocol.clone(),
+                protocol.population(),
                 spec,
                 self.init,
                 self.seed,
@@ -1032,9 +1031,9 @@ impl SimulationBuilder {
                     Some(schedule) => engine.set_fault_schedule(schedule),
                     None => engine.set_fault_plan(self.fault),
                 }
-                engine
-                    .set_execution_mode(self.mode)
-                    .expect("fused-mode compatibility validated above");
+                // Mode compatibility is validated above; what is left is
+                // a malformed `FET_PARALLEL_WORKERS` on a run that shards.
+                engine.set_execution_mode(self.mode)?;
                 Runner::Sync(Box::new(engine))
             }
         };

@@ -18,8 +18,10 @@
 //!
 //! Both sources compose the same per-observation fault corruption
 //! ([`FaultPlan::corrupt_count`]) the batched pipeline applies, and both
-//! come with a [`ShardSourceFactory`] so the work-sharded parallel round
-//! can hand every shard a private source: [`MeanFieldSourceFactory`]
+//! come with a [`ShardSourceFactory`] — the one way a fused round obtains
+//! its sources — so every shard gets a private source (the
+//! single-threaded round is shard 0 over the whole population):
+//! [`MeanFieldSourceFactory`]
 //! ignores the shard range (mean-field draws are position-oblivious),
 //! [`GraphSourceFactory`] aligns the cursor with the shard's first agent.
 //! Either way a source's draws are a pure function of the round
@@ -143,7 +145,7 @@ impl ObservationSource for MeanFieldSource<'_> {
     }
 }
 
-/// The engine's [`ShardSourceFactory`] for parallel mean-field rounds:
+/// The engine's [`ShardSourceFactory`] for mean-field fused rounds:
 /// hands every shard a private [`MeanFieldSource`] over the *shared,
 /// round-start* sampler configuration. Sharing is read-only (the samplers
 /// are built from the round-start 1-count and never mutated), so shards
@@ -589,9 +591,8 @@ impl<'a> GraphSourceFactory<'a> {
         }
     }
 
-    /// Builds the shard source for `range` without boxing — the
-    /// single-threaded fused round calls this with `0..n` and keeps the
-    /// source on the stack (no per-round allocation).
+    /// Builds the shard source for `range` without boxing
+    /// ([`ShardSourceFactory::shard_source`] boxes the same source).
     pub fn source_for(&self, range: Range<usize>) -> GraphSource<'_> {
         GraphSource::new(
             self.neighborhood,

@@ -1,7 +1,6 @@
 //! Fixed-width histograms for dwell-time and convergence-time distributions.
 
 use crate::error::StatsError;
-use serde::{Deserialize, Serialize};
 
 /// A histogram over `[lo, hi)` with equally wide bins, plus underflow and
 /// overflow counters.
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(h.overflow(), 1);
 /// assert_eq!(h.bin_count(1), 2); // 2.5 and 2.6 fall in [2, 4)
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

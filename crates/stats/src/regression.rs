@@ -7,10 +7,9 @@
 //! baseline protocols.
 
 use crate::error::StatsError;
-use serde::{Deserialize, Serialize};
 
 /// Result of a simple linear regression `y = intercept + slope · x`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinearFit {
     /// Fitted slope.
     pub slope: f64,
@@ -96,7 +95,7 @@ pub fn linear_fit(xs: &[f64], ys: &[f64]) -> Result<LinearFit, StatsError> {
 }
 
 /// A fitted model `y = a · (ln x)^b`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerOfLogFit {
     /// Multiplicative constant `a`.
     pub a: f64,
@@ -143,7 +142,7 @@ pub fn fit_power_of_log(xs: &[f64], ys: &[f64]) -> Result<PowerOfLogFit, StatsEr
 }
 
 /// A fitted model `y = a · x^b`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerLawFit {
     /// Multiplicative constant `a`.
     pub a: f64,

@@ -3,7 +3,6 @@
 
 use crate::error::StatsError;
 use crate::normal::normal_quantile;
-use serde::{Deserialize, Serialize};
 
 /// Numerically stable streaming accumulator for mean and variance
 /// (Welford's algorithm), plus min/max tracking.
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((acc.mean() - 5.0).abs() < 1e-12);
 /// assert!((acc.population_variance() - 4.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct WelfordAccumulator {
     count: u64,
     mean: f64,
@@ -145,7 +144,7 @@ impl Extend<f64> for WelfordAccumulator {
 }
 
 /// Batch summary of a sample: moments plus exact order statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Summary {
     count: usize,
     mean: f64,

@@ -1,10 +1,9 @@
 //! A minimal, deterministic JSON value: parser and serializer.
 //!
-//! The workspace's `serde` is an offline no-op stand-in (see
-//! `vendor/serde`), so the sweep engine's three wire formats — spec files,
-//! the JSON-lines checkpoint manifest, and the `fet serve` protocol —
-//! are built on this hand-rolled value type instead. Two properties the
-//! sweep engine leans on:
+//! The workspace builds offline with no serialization framework, so the
+//! sweep engine's three wire formats — spec files, the JSON-lines
+//! checkpoint manifest, and the `fet serve` protocol — are built on this
+//! hand-rolled value type. Two properties the sweep engine leans on:
 //!
 //! * **Deterministic serialization.** Objects keep insertion order and
 //!   numbers format via Rust's shortest-roundtrip `Display`, so the same

@@ -24,8 +24,8 @@
 //! * [`runner`] — the batch runner behind `fet sweep`.
 //! * [`serve`] — the `fet serve` daemon: sweeps over HTTP/1.1 with
 //!   NDJSON streaming and round-robin fairness across clients.
-//! * [`json`] — the vendored `serde` is a no-op shim, so manifests and
-//!   the wire protocol use this small canonical JSON implementation.
+//! * [`json`] — the small canonical JSON implementation behind spec
+//!   files, manifests, and the wire protocol.
 //!
 //! ## Determinism contract
 //!

@@ -258,6 +258,9 @@ impl SweepSpec {
             },
         };
         let fidelity = match doc.get("fidelity").map(|v| v.as_str()) {
+            // Graph sweeps sample neighbors literally, so an omitted
+            // fidelity means `agent` there and `binomial` elsewhere.
+            None if doc.get("topology").is_some() => Fidelity::Agent,
             None => Fidelity::Binomial,
             Some(Some("binomial")) => Fidelity::Binomial,
             Some(Some("without-replacement")) => Fidelity::WithoutReplacement,
@@ -1138,6 +1141,26 @@ mod tests {
             record.report, direct_report.report,
             "same deterministic stream"
         );
+    }
+
+    #[test]
+    fn graph_sweep_without_fidelity_is_the_agent_sweep() {
+        let omitted =
+            SweepSpec::parse(r#"{"n": [1000], "topology": {"graph": "regular", "degree": 8}}"#)
+                .unwrap();
+        let explicit = SweepSpec::parse(
+            r#"{"n": [1000], "topology": {"graph": "regular", "degree": 8}, "fidelity": "agent"}"#,
+        )
+        .unwrap();
+        assert_eq!(omitted.fidelity, Fidelity::Agent);
+        assert_eq!(
+            omitted.to_json().to_string(),
+            explicit.to_json().to_string()
+        );
+        assert_eq!(omitted.hash(), explicit.hash());
+        // The complete graph keeps its binomial default.
+        let flat = SweepSpec::parse(r#"{"n": [1000]}"#).unwrap();
+        assert_eq!(flat.fidelity, Fidelity::Binomial);
     }
 
     #[test]

@@ -12,7 +12,6 @@
 //! `O(log deg)` and keeps generators honest (duplicates would be visible).
 
 use crate::error::TopologyError;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// An immutable simple undirected graph in CSR form.
@@ -32,7 +31,7 @@ use std::collections::VecDeque;
 /// assert!(g.is_connected());
 /// # Ok::<(), fet_topology::TopologyError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Graph {
     /// `offsets[v]..offsets[v + 1]` indexes `neighbors` for vertex `v`.
     offsets: Vec<usize>,
@@ -318,10 +317,9 @@ impl fet_sim::neighborhood::Neighborhood for Graph {
 /// `Neighborhood` whose `clone_box` is a reference-count bump instead of
 /// an `O(n + m)` CSR copy.
 ///
-/// [`crate::engine::TopologyEngine`] hands the engine this form so that
-/// engine clones (trajectory snapshots, batch replication) and the
-/// engine's own boxed copy all read one adjacency structure — and so
-/// graph-fused shard workers share it without any duplication.
+/// Engines handed this form share one adjacency structure across engine
+/// clones (trajectory snapshots, batch replication), their own boxed
+/// copy, and graph-fused shard workers, without any duplication.
 ///
 /// # Example
 ///
@@ -372,7 +370,7 @@ impl fet_sim::neighborhood::Neighborhood for SharedGraph {
 }
 
 /// Summary statistics of a graph's degree sequence and connectivity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GraphStats {
     /// Number of vertices.
     pub n: u32,

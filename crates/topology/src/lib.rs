@@ -11,9 +11,12 @@
 //!   itself, sparse expanders (Erdős–Rényi, random-regular), the tunable
 //!   Watts–Strogatz family, and pathological extremes (ring, star,
 //!   barbell).
-//! * [`engine`] — [`engine::TopologyEngine`], a drop-in analogue of
-//!   `fet_sim::engine::Engine` where each agent samples (with
-//!   replacement) from its *neighbors*.
+//!
+//! A [`graph::Graph`] is a `fet_sim::neighborhood::Neighborhood`: hand it
+//! to `Simulation::builder().topology(graph)` or
+//! `fet_sim::engine::Engine::with_neighborhood` and each agent samples
+//! (with replacement) from its *neighbors* instead of the whole
+//! population.
 //!
 //! ## What E18 finds
 //!
@@ -49,7 +52,6 @@
 #![deny(missing_debug_implementations)]
 
 pub mod builders;
-pub mod engine;
 pub mod error;
 pub mod graph;
 
@@ -58,7 +60,6 @@ pub use error::TopologyError;
 /// Convenient re-exports of the most commonly used items.
 pub mod prelude {
     pub use crate::builders;
-    pub use crate::engine::TopologyEngine;
     pub use crate::error::TopologyError;
     pub use crate::graph::{Graph, GraphStats};
 }

@@ -3,13 +3,12 @@
 use fet_core::fet::FetProtocol;
 use fet_core::opinion::Opinion;
 use fet_sim::convergence::ConvergenceCriterion;
-use fet_sim::engine::Fidelity;
+use fet_sim::engine::{Engine, Fidelity};
 use fet_sim::init::InitialCondition;
 use fet_sim::observer::NullObserver;
 use fet_sim::simulation::Simulation;
 use fet_stats::rng::SeedTree;
 use fet_topology::builders;
-use fet_topology::engine::TopologyEngine;
 
 #[test]
 fn expander_converges_through_the_facade() {
@@ -34,22 +33,22 @@ fn expander_converges_through_the_facade() {
 }
 
 #[test]
-fn facade_agrees_with_the_legacy_topology_engine() {
+fn facade_agrees_with_the_typed_neighborhood_engine() {
     // Same graph, same protocol family: both executions must converge and
     // stabilize at all-correct (streams differ; outcomes agree).
     let mut rng = SeedTree::new(2).child("facade-vs-legacy").rng();
     let graph = builders::erdos_renyi(250, 0.2, &mut rng).unwrap();
     let protocol = FetProtocol::for_population(250, 4.0).unwrap();
-    let mut legacy = TopologyEngine::new(
+    let mut typed = Engine::with_neighborhood(
         protocol,
-        graph.clone(),
+        Box::new(graph.clone()),
         1,
         Opinion::One,
         InitialCondition::AllWrong,
         13,
     )
     .unwrap();
-    let legacy_report = legacy.run(20_000, ConvergenceCriterion::new(5), &mut NullObserver);
+    let typed_report = typed.run(20_000, ConvergenceCriterion::new(5), &mut NullObserver);
     let mut facade = Simulation::builder()
         .topology(graph)
         .seed(13)
@@ -58,9 +57,9 @@ fn facade_agrees_with_the_legacy_topology_engine() {
         .build()
         .unwrap();
     let facade_report = facade.run();
-    assert!(legacy_report.converged() && facade_report.converged());
+    assert!(typed_report.converged() && facade_report.converged());
     assert_eq!(
-        legacy_report.final_fraction_correct,
+        typed_report.final_fraction_correct,
         facade_report.report.final_fraction_correct
     );
 }

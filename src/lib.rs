@@ -83,7 +83,7 @@ pub mod prelude {
     pub use fet_core::opinion::Opinion;
     pub use fet_core::population::{DynPopulation, Population, TypedPopulation};
     pub use fet_core::protocol::Protocol;
-    pub use fet_core::shard::{ShardPlan, ShardSourceFactory};
+    pub use fet_core::shard::{RoundStreams, ShardPlan, ShardSourceFactory};
     pub use fet_gauntlet::{run_gauntlet, GauntletOptions, GauntletSpec};
     pub use fet_protocols::registry::{ProtocolParams, ProtocolRegistry};
     pub use fet_sim::convergence::{ConvergenceCriterion, ConvergenceReport};
@@ -95,6 +95,5 @@ pub mod prelude {
     pub use fet_stats::rng::SeedTree;
     pub use fet_sweep::runner::{run_sweep, SweepOptions, SweepOutcome};
     pub use fet_sweep::spec::SweepSpec;
-    pub use fet_topology::engine::TopologyEngine;
     pub use fet_topology::graph::{Graph, GraphStats};
 }

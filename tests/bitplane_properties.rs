@@ -202,12 +202,20 @@ proptest! {
                 let ctx = RoundContext::new(round);
                 let mut out_a = vec![Opinion::Zero; n];
                 let mut out_b = vec![Opinion::Zero; n];
-                let ca = typed.step_fused(
-                    &mut UniformSource { m }, &ctx, &mut rng_a, Opinion::One, &mut out_a,
-                );
-                let cb = bits.step_fused(
-                    &mut UniformSource { m }, &ctx, &mut rng_b, Opinion::One, &mut out_b,
-                );
+                let ca = typed.step_round(
+            &UniformFactory { m },
+            &ctx,
+            RoundStreams::Main(&mut rng_a),
+            Opinion::One,
+            Some(&mut out_a),
+        );
+                let cb = bits.step_round(
+            &UniformFactory { m },
+            &ctx,
+            RoundStreams::Main(&mut rng_b),
+            Opinion::One,
+            Some(&mut out_b),
+        );
                 prop_assert_eq!(&out_a, &out_b, "n={} round={}", n, round);
                 prop_assert_eq!(ca, cb);
                 // Popcount global count ≡ scalar recount, every round.
@@ -230,7 +238,7 @@ proptest! {
 
     /// Shard level: parallel rounds whose agent-balanced split would land
     /// mid-word (arbitrary shard counts against boundary-stressing sizes)
-    /// match the typed container and the in-place variant — word-aligned
+    /// match the typed container and the in-place round — word-aligned
     /// ranges change nothing but where the split falls.
     #[test]
     fn parallel_rounds_match_across_representations_and_entry_points(
@@ -249,14 +257,12 @@ proptest! {
             let factory = UniformFactory { m };
             let mut out_a = vec![Opinion::Zero; n];
             let mut out_b = vec![Opinion::Zero; n];
-            let ca = typed.step_fused_parallel(&factory, &ctx, &plan, Opinion::One, &mut out_a);
-            let cb = bits.step_fused_parallel(&factory, &ctx, &plan, Opinion::One, &mut out_b);
-            let ci = bits_inplace.step_fused_parallel_inplace(
-                &factory, &ctx, &plan, Opinion::One,
-            );
+            let ca = typed.step_round(&factory, &ctx, RoundStreams::Sharded(&plan), Opinion::One, Some(&mut out_a));
+            let cb = bits.step_round(&factory, &ctx, RoundStreams::Sharded(&plan), Opinion::One, Some(&mut out_b));
+            let ci = bits_inplace.step_round(&factory, &ctx, RoundStreams::Sharded(&plan), Opinion::One, None);
             prop_assert_eq!(&out_a, &out_b, "n={} shards={}", n, shards);
             prop_assert_eq!(ca, cb);
-            prop_assert_eq!(cb, ci, "in-place variant must reduce the same counters");
+            prop_assert_eq!(cb, ci, "the in-place round must reduce the same counters");
             for i in 0..n {
                 prop_assert_eq!(bits.output_of(i), bits_inplace.output_of(i), "agent {}", i);
                 prop_assert_eq!(typed.output_of(i), bits.output_of(i), "agent {}", i);
@@ -347,19 +353,19 @@ where
         let ctx = RoundContext::new(round);
         let mut out_a = vec![Opinion::Zero; n];
         let mut out_b = vec![Opinion::Zero; n];
-        let ca = word.step_fused(
-            &mut UniformSource { m },
+        let ca = word.step_round(
+            &UniformFactory { m },
             &ctx,
-            &mut rng_a,
+            RoundStreams::Main(&mut rng_a),
             Opinion::One,
-            &mut out_a,
+            Some(&mut out_a),
         );
-        let cb = scalar.step_fused(
-            &mut UniformSource { m },
+        let cb = scalar.step_round(
+            &UniformFactory { m },
             &ctx,
-            &mut rng_b,
+            RoundStreams::Main(&mut rng_b),
             Opinion::One,
-            &mut out_b,
+            Some(&mut out_b),
         );
         prop_assert_eq!(&out_a, &out_b, "n={} round={}", n, round);
         prop_assert_eq!(ca, cb);
@@ -372,8 +378,20 @@ where
     let plan = ShardPlan::new(shards, 2, seed, rounds);
     let ctx = RoundContext::new(rounds);
     let factory = UniformFactory { m };
-    let ca = word.step_fused_parallel_inplace(&factory, &ctx, &plan, Opinion::One);
-    let cb = scalar.step_fused_parallel_inplace(&factory, &ctx, &plan, Opinion::One);
+    let ca = word.step_round(
+        &factory,
+        &ctx,
+        RoundStreams::Sharded(&plan),
+        Opinion::One,
+        None,
+    );
+    let cb = scalar.step_round(
+        &factory,
+        &ctx,
+        RoundStreams::Sharded(&plan),
+        Opinion::One,
+        None,
+    );
     prop_assert_eq!(ca, cb, "sharded n={}", n);
     for i in 0..n {
         prop_assert_eq!(word.output_of(i), scalar.output_of(i), "agent {}", i);
@@ -482,19 +500,19 @@ fn pinned_word_boundary_sizes_step_correctly() {
         let mut rng_b = rand::rngs::SmallRng::seed_from_u64(7);
         let mut out_a = vec![Opinion::Zero; n];
         let mut out_b = vec![Opinion::Zero; n];
-        typed.step_fused(
-            &mut UniformSource { m },
+        typed.step_round(
+            &UniformFactory { m },
             &ctx,
-            &mut rng_a,
+            RoundStreams::Main(&mut rng_a),
             Opinion::One,
-            &mut out_a,
+            Some(&mut out_a),
         );
-        bits.step_fused(
-            &mut UniformSource { m },
+        bits.step_round(
+            &UniformFactory { m },
             &ctx,
-            &mut rng_b,
+            RoundStreams::Main(&mut rng_b),
             Opinion::One,
-            &mut out_b,
+            Some(&mut out_b),
         );
         assert_eq!(out_a, out_b, "n={n}");
         assert_eq!(

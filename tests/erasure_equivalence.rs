@@ -1,14 +1,12 @@
 //! The erased-execution guarantees, checked from the outside:
 //!
-//! 1. Typed `Engine<P>`, the legacy per-agent boxed route
-//!    (`Engine<ErasedProtocol>`), the population-erased facade path
+//! 1. Typed `Engine<P>`, the population-erased facade path
 //!    (`Simulation::builder().protocol_name(..)`), and the **bit-plane**
 //!    facade path (`.storage(Storage::BitPlane)`) replay **identical**
 //!    trajectories for the same seed — representation (erasure *and*
 //!    packing) never touches the random stream.
 //! 2. A registry-name facade run performs **zero per-round state clones**
-//!    (the defining property of the contiguous population container, vs.
-//!    the two-clones-per-agent-per-round of the boxed route).
+//!    (the defining property of the contiguous population container).
 //! 3. A bit-plane run allocates **no more than** the equivalent typed run
 //!    while stepping (the packed planes are persistent; rounds touch them
 //!    in place), measured with a counting allocator.
@@ -105,30 +103,12 @@ fn facade_trajectory(name: &str) -> (ConvergenceReport, Vec<f64>) {
     facade_trajectory_on(name, Storage::Typed)
 }
 
-/// Runs the legacy per-agent boxed route directly.
-fn boxed_trajectory(erased: ErasedProtocol) -> (ConvergenceReport, Vec<f64>) {
-    let spec = ProblemSpec::single_source(N, Opinion::One).unwrap();
-    let mut engine = Engine::new(
-        erased,
-        spec,
-        Fidelity::Binomial,
-        InitialCondition::AllWrong,
-        SEED,
-    )
-    .unwrap();
-    let mut rec = TrajectoryRecorder::new();
-    let report = engine.run(MAX_ROUNDS, ConvergenceCriterion::new(WINDOW), &mut rec);
-    (report, rec.into_fractions())
-}
-
 #[test]
 fn fet_four_paths_identical_trajectories() {
     let ell = ell_for_population(N, 4.0);
     let typed = typed_trajectory(FetProtocol::new(ell).unwrap());
-    let boxed = boxed_trajectory(ErasedProtocol::new(FetProtocol::new(ell).unwrap()));
     let facade = facade_trajectory("fet");
     let bits = facade_trajectory_on("fet", Storage::BitPlane);
-    assert_eq!(typed, boxed, "typed vs per-agent erased diverged");
     assert_eq!(typed, facade, "typed vs population-erased diverged");
     assert_eq!(typed, bits, "typed vs bit-plane diverged");
     assert!(typed.0.converged(), "{:?}", typed.0);
@@ -137,14 +117,12 @@ fn fet_four_paths_identical_trajectories() {
 #[test]
 fn three_majority_four_paths_identical_trajectories() {
     let typed = typed_trajectory(ThreeMajorityProtocol::new());
-    let boxed = boxed_trajectory(ErasedProtocol::new(ThreeMajorityProtocol::new()));
     let facade = facade_trajectory("3-majority");
     let bits = facade_trajectory_on("3-majority", Storage::BitPlane);
-    assert_eq!(typed, boxed, "typed vs per-agent erased diverged");
     assert_eq!(typed, facade, "typed vs population-erased diverged");
     assert_eq!(typed, bits, "typed vs bit-plane diverged");
     // 3-majority has no stubborn-source guarantee; we only require the
-    // four paths to walk the same trajectory, converged or not.
+    // paths to walk the same trajectory, converged or not.
     assert_eq!(typed.1.len(), facade.1.len());
 }
 

@@ -1,11 +1,10 @@
 //! The fused execution path's two guarantees, checked from the outside:
 //!
 //! 1. **Determinism / representation-independence** — a fused run is its
-//!    own deterministic stream: for one seed, the typed `Engine<P>`, the
-//!    legacy boxed route (`Engine<ErasedProtocol>`), and the facade's
-//!    population-erased path replay **identical** fused trajectories, and
-//!    none of them allocates a per-round snapshot/observation/output
-//!    buffer (`round_scratch_bytes() == 0`).
+//!    own deterministic stream: for one seed, the typed `Engine<P>` and
+//!    the facade's population-erased path replay **identical** fused
+//!    trajectories, and none of them allocates a per-round
+//!    snapshot/observation/output buffer (`round_scratch_bytes() == 0`).
 //! 2. **Statistical equivalence with the batched path** — fused rounds
 //!    interleave RNG draws differently (per agent instead of
 //!    observations-first), so fused and batched trajectories for one seed
@@ -81,13 +80,7 @@ fn fet_fused_three_paths_identical_trajectories() {
         ExecutionMode::Fused,
         Fidelity::Binomial,
     );
-    let boxed = typed_trajectory(
-        ErasedProtocol::new(FetProtocol::new(ell).unwrap()),
-        ExecutionMode::Fused,
-        Fidelity::Binomial,
-    );
     let facade = facade_trajectory("fet", ExecutionMode::Fused);
-    assert_eq!(typed, boxed, "typed vs per-agent erased fused diverged");
     assert_eq!(typed, facade, "typed vs population-erased fused diverged");
     assert!(typed.0.converged(), "{:?}", typed.0);
 }
@@ -99,13 +92,7 @@ fn three_majority_fused_three_paths_identical_trajectories() {
         ExecutionMode::Fused,
         Fidelity::Binomial,
     );
-    let boxed = typed_trajectory(
-        ErasedProtocol::new(ThreeMajorityProtocol::new()),
-        ExecutionMode::Fused,
-        Fidelity::Binomial,
-    );
     let facade = facade_trajectory("3-majority", ExecutionMode::Fused);
-    assert_eq!(typed, boxed, "typed vs per-agent erased fused diverged");
     assert_eq!(typed, facade, "typed vs population-erased fused diverged");
     assert_eq!(typed.1.len(), facade.1.len());
 }

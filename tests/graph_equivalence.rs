@@ -4,8 +4,7 @@
 //!
 //! 1. **Determinism / representation-independence** — a graph-fused run
 //!    is its own deterministic stream: for one seed (and, for the
-//!    parallel mode, one shard count), the typed `Engine<P>`, the legacy
-//!    boxed route (`Engine<ErasedProtocol>`), the facade's
+//!    parallel mode, one shard count), the typed `Engine<P>`, the facade's
 //!    population-erased path, and the facade's bit-plane path
 //!    (`.storage(Storage::BitPlane)`) replay **identical** trajectories,
 //!    and the only auxiliary memory any of them keeps is the persistent
@@ -111,13 +110,8 @@ fn fet_graph_fused_four_paths_identical_trajectories() {
         ExecutionMode::FusedParallel { threads: 3 },
     ] {
         let typed = typed_trajectory(FetProtocol::new(ell).unwrap(), mode);
-        let boxed = typed_trajectory(ErasedProtocol::new(FetProtocol::new(ell).unwrap()), mode);
         let facade = facade_trajectory("fet", mode);
         let bits = facade_trajectory_on("fet", mode, Storage::BitPlane);
-        assert_eq!(
-            typed, boxed,
-            "{mode:?}: typed vs per-agent erased graph trajectories diverged"
-        );
         assert_eq!(
             typed, facade,
             "{mode:?}: typed vs population-erased graph trajectories diverged"

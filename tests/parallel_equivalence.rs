@@ -3,10 +3,9 @@
 //!
 //! 1. **Determinism / representation-independence** — a parallel fused
 //!    run is keyed by `(seed, thread count)`: for one such pair, the typed
-//!    `Engine<P>`, the legacy boxed route (`Engine<ErasedProtocol>`), the
-//!    facade's population-erased path, and the facade's **bit-plane**
-//!    path (`.storage(Storage::BitPlane)`) replay **identical**
-//!    trajectories, and none of them allocates per-round
+//!    `Engine<P>`, the facade's population-erased path, and the facade's
+//!    **bit-plane** path (`.storage(Storage::BitPlane)`) replay
+//!    **identical** trajectories, and none of them allocates per-round
 //!    snapshot/observation/output buffers.
 //! 2. **Statistical equivalence with the single-threaded fused path** —
 //!    every shard draws from the same round-start mean-field samplers, so
@@ -95,14 +94,8 @@ fn fet_parallel_four_paths_identical_trajectories() {
     let ell = ell_for_population(N, 4.0);
     let mode = ExecutionMode::FusedParallel { threads: THREADS };
     let typed = typed_trajectory(FetProtocol::new(ell).unwrap(), mode, Fidelity::Binomial);
-    let boxed = typed_trajectory(
-        ErasedProtocol::new(FetProtocol::new(ell).unwrap()),
-        mode,
-        Fidelity::Binomial,
-    );
     let facade = facade_trajectory("fet", mode);
     let bits = facade_trajectory_on("fet", mode, Storage::BitPlane);
-    assert_eq!(typed, boxed, "typed vs per-agent erased parallel diverged");
     assert_eq!(
         typed, facade,
         "typed vs population-erased parallel diverged"
@@ -118,14 +111,8 @@ fn fet_parallel_four_paths_identical_trajectories() {
 fn three_majority_parallel_four_paths_identical_trajectories() {
     let mode = ExecutionMode::FusedParallel { threads: THREADS };
     let typed = typed_trajectory(ThreeMajorityProtocol::new(), mode, Fidelity::Binomial);
-    let boxed = typed_trajectory(
-        ErasedProtocol::new(ThreeMajorityProtocol::new()),
-        mode,
-        Fidelity::Binomial,
-    );
     let facade = facade_trajectory("3-majority", mode);
     let bits = facade_trajectory_on("3-majority", mode, Storage::BitPlane);
-    assert_eq!(typed, boxed, "typed vs per-agent erased parallel diverged");
     assert_eq!(
         typed, facade,
         "typed vs population-erased parallel diverged"

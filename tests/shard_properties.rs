@@ -127,8 +127,13 @@ proptest! {
             let mut pop = filled_population(ell, n, stream);
             let factory = UniformFactory { m };
             let mut out = vec![Opinion::Zero; n];
-            let counters =
-                pop.step_fused_parallel(&factory, &ctx, &plan, Opinion::One, &mut out);
+            let counters = pop.step_round(
+                &factory,
+                &ctx,
+                RoundStreams::Sharded(&plan),
+                Opinion::One,
+                Some(&mut out),
+            );
             prop_assert_eq!(
                 pop.states(), reference.states(),
                 "n={} shards={} workers={} chunk={}: states diverged", n, shards, workers, chunk
@@ -236,7 +241,13 @@ proptest! {
         // Parallel dispatch under the given worker count.
         let mut pop = filled_population(ell, n, stream);
         let mut out = vec![Opinion::Zero; n];
-        let counters = pop.step_fused_parallel(&factory, &ctx, &plan, Opinion::One, &mut out);
+        let counters = pop.step_round(
+            &factory,
+            &ctx,
+            RoundStreams::Sharded(&plan),
+            Opinion::One,
+            Some(&mut out),
+        );
         prop_assert_eq!(
             pop.states(), reference.states(),
             "kind={} n={} shards={} workers={}: states diverged", kind, n, shards, workers

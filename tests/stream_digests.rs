@@ -1,0 +1,208 @@
+//! Cross-commit stream digests: every execution path's random stream,
+//! pinned to the bytes it produced when the digests were recorded.
+//!
+//! The other identity suites compare paths *with each other* inside one
+//! build (typed vs erased, worker counts, ISA tiers), which cannot notice a
+//! change that moves every path at once. This suite hashes each round's
+//! [`RoundSnapshot`] (round index plus the bit patterns of `x_t` and the
+//! fraction correct) for a matrix of
+//! {binomial, without-replacement, literal Agent, random-regular graph} ×
+//! {fused, fused-parallel with 1 and 3 shards, batched where it runs} ×
+//! {typed, bit-plane where eligible}, plus one asynchronous, one sleepy
+//! and one fault-schedule run, and compares the FNV-1a digests against the
+//! table below. A refactor of the round machinery must leave every digest
+//! unchanged; a deliberate stream re-key updates the table in the same
+//! change and says so in docs/DETERMINISM.md.
+//!
+//! On a mismatch the failure message lists every case's current digest in
+//! table form.
+
+use fet::prelude::*;
+use fet::sim::observer::{RoundObserver, RoundSnapshot};
+use fet::topology::builders::random_regular;
+use rand::SeedableRng;
+
+const N: u64 = 640;
+const SEED: u64 = 0x5EED_D16E;
+const MAX_ROUNDS: u64 = 150;
+const GRAPH_DEGREE: u32 = 8;
+
+/// FNV-1a over every snapshot's round and the bit patterns of its two
+/// fractions.
+struct SnapshotDigest(u64);
+
+impl SnapshotDigest {
+    fn feed(&mut self, word: u64) {
+        for byte in word.to_le_bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+}
+
+impl RoundObserver for SnapshotDigest {
+    fn on_round(&mut self, snapshot: RoundSnapshot) {
+        self.feed(snapshot.round);
+        self.feed(snapshot.fraction_ones.to_bits());
+        self.feed(snapshot.fraction_correct.to_bits());
+    }
+}
+
+/// A run observing the population one way: a complete-graph fidelity
+/// (`binomial`, `without-replacement`, `agent`) or a random-regular
+/// `graph`.
+fn observed(kind: &str) -> SimulationBuilder {
+    let base = Simulation::builder()
+        .seed(SEED)
+        .max_rounds(MAX_ROUNDS)
+        .stability_window(3);
+    match kind {
+        "binomial" => base.population(N).fidelity(Fidelity::Binomial),
+        "without-replacement" => base.population(N).fidelity(Fidelity::WithoutReplacement),
+        "agent" => base.population(N).fidelity(Fidelity::Agent),
+        _ => {
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(SEED);
+            let graph = random_regular(N as u32, GRAPH_DEGREE, &mut rng)
+                .expect("N·degree is even and degree < N");
+            base.topology(graph)
+        }
+    }
+}
+
+fn digest(builder: SimulationBuilder) -> u64 {
+    let mut sim = builder.build().expect("every digest case is a valid build");
+    let mut digest = SnapshotDigest(0xCBF2_9CE4_8422_2325);
+    sim.run_observed(&mut digest);
+    digest.0
+}
+
+/// Every case of the matrix, labelled, with its current digest.
+fn current_digests() -> Vec<(String, u64)> {
+    let modes = [
+        ("fused", ExecutionMode::Fused),
+        ("parallel-1", ExecutionMode::FusedParallel { threads: 1 }),
+        ("parallel-3", ExecutionMode::FusedParallel { threads: 3 }),
+        ("batched", ExecutionMode::Batched),
+    ];
+    let mut cases = Vec::new();
+    for kind in ["binomial", "without-replacement", "agent", "graph"] {
+        for (mode_label, mode) in modes {
+            // The literal Agent fidelity on the complete graph runs the
+            // batched pipeline only.
+            if kind == "agent" && mode != ExecutionMode::Batched {
+                continue;
+            }
+            for storage in [Storage::Typed, Storage::BitPlane] {
+                // Bit planes run the fused family only.
+                if storage == Storage::BitPlane && mode == ExecutionMode::Batched {
+                    continue;
+                }
+                let storage_label = if storage == Storage::BitPlane {
+                    "bits"
+                } else {
+                    "typed"
+                };
+                cases.push((
+                    format!("{kind}/{mode_label}/{storage_label}"),
+                    digest(observed(kind).execution_mode(mode).storage(storage)),
+                ));
+            }
+        }
+    }
+    cases.push((
+        "async".into(),
+        digest(
+            Simulation::builder()
+                .population(200)
+                .seed(SEED)
+                .scheduler(Scheduler::Asynchronous)
+                .max_rounds(40),
+        ),
+    ));
+    cases.push((
+        "sleepy".into(),
+        digest(
+            observed("binomial")
+                .fault(FaultPlan::with_sleep(0.2).expect("valid sleep probability")),
+        ),
+    ));
+    let schedule = FaultSchedule::new(
+        FaultPlan::with_noise(0.002).expect("valid flip probability"),
+        vec![
+            FaultEvent::TrendSwitch {
+                round: 12,
+                correct: Opinion::Zero,
+            },
+            FaultEvent::NoiseBurst {
+                round: 30,
+                rounds: 4,
+                flip_prob: 0.05,
+            },
+            FaultEvent::StateCorruption {
+                round: 45,
+                fraction: 0.3,
+            },
+        ],
+    )
+    .expect("sorted, valid events");
+    cases.push((
+        "fault-schedule".into(),
+        digest(
+            observed("binomial")
+                .execution_mode(ExecutionMode::Fused)
+                .fault_schedule(schedule),
+        ),
+    ));
+    cases
+}
+
+/// Digests recorded before the round pipeline was consolidated onto one
+/// fused entry point.
+const RECORDED: &[(&str, u64)] = &[
+    ("binomial/fused/typed", 0x0FEDC72F581E9080),
+    ("binomial/fused/bits", 0x0FEDC72F581E9080),
+    ("binomial/parallel-1/typed", 0x584EBE985A6175C0),
+    ("binomial/parallel-1/bits", 0x584EBE985A6175C0),
+    ("binomial/parallel-3/typed", 0x9E699D8D81DB79C7),
+    ("binomial/parallel-3/bits", 0x9E699D8D81DB79C7),
+    ("binomial/batched/typed", 0xA9EDC26B90B4A5FA),
+    ("without-replacement/fused/typed", 0x15C0B393325FDF54),
+    ("without-replacement/fused/bits", 0x15C0B393325FDF54),
+    ("without-replacement/parallel-1/typed", 0xAF5B5F10B55E6543),
+    ("without-replacement/parallel-1/bits", 0xAF5B5F10B55E6543),
+    ("without-replacement/parallel-3/typed", 0x3DF3249E62A4A599),
+    ("without-replacement/parallel-3/bits", 0x3DF3249E62A4A599),
+    ("without-replacement/batched/typed", 0x725AFB7D86347CE9),
+    ("agent/batched/typed", 0xA6743791CBBC27F1),
+    ("graph/fused/typed", 0xCE97937645F368AC),
+    ("graph/fused/bits", 0xCE97937645F368AC),
+    ("graph/parallel-1/typed", 0x0FEECD9300F8158A),
+    ("graph/parallel-1/bits", 0x0FEECD9300F8158A),
+    ("graph/parallel-3/typed", 0x5BF53E1234490162),
+    ("graph/parallel-3/bits", 0x5BF53E1234490162),
+    ("graph/batched/typed", 0x960556074F09AA6A),
+    ("async", 0x13734C7E19126BAC),
+    ("sleepy", 0x9CFB3E84758874C8),
+    ("fault-schedule", 0x06EC39AFC583EBB3),
+];
+
+#[test]
+fn every_stream_matches_its_recorded_digest() {
+    let current = current_digests();
+    let table: String = current
+        .iter()
+        .map(|(label, d)| format!("    (\"{label}\", 0x{d:016X}),\n"))
+        .collect();
+    let labels: Vec<&str> = current.iter().map(|(l, _)| l.as_str()).collect();
+    let recorded: Vec<&str> = RECORDED.iter().map(|(l, _)| *l).collect();
+    assert_eq!(
+        labels, recorded,
+        "case list changed; current table:\n{table}"
+    );
+    for ((label, got), (_, want)) in current.iter().zip(RECORDED) {
+        assert_eq!(
+            got, want,
+            "stream of `{label}` moved; current table:\n{table}"
+        );
+    }
+}
