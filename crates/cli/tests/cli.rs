@@ -148,6 +148,31 @@ fn run_rejects_a_malformed_worker_override_only_when_it_shards() {
 }
 
 #[test]
+fn run_rejects_a_malformed_simd_override_before_the_run() {
+    let out = fet()
+        .args([
+            "run",
+            "--n",
+            "1000",
+            "--seed",
+            "3",
+            "--storage",
+            "bit-plane",
+        ])
+        .env("FET_SIMD", "bogus")
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr
+            .contains("invalid parameter `FET_SIMD`: must be one of scalar|swar|avx2, got `bogus`"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
 fn run_rejects_threads_without_parallel_mode() {
     let out = fet()
         .args(["run", "--n", "300", "--threads", "4"])

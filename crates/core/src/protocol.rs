@@ -84,9 +84,9 @@ pub trait ObservationSource {
     /// `count..64` of the returned word must be zero (the trailing plane
     /// word's padding invariant rides on this). The default loops
     /// `next_observation` and is identical by construction;
-    /// `MeanFieldSource` overrides it to hoist the per-draw virtual call,
-    /// sampler dispatch, and fault check out of the loop — one virtual
-    /// call per 64 agents instead of one per agent.
+    /// `MeanFieldSource` overrides it to hoist the per-draw virtual call
+    /// and sampler dispatch out of the loop — one virtual call per 64
+    /// agents instead of one per agent.
     fn next_threshold_word(&mut self, rng: &mut dyn RngCore, count: u32, threshold: u32) -> u64 {
         debug_assert!(count as usize <= 64, "a word holds at most 64 draws");
         let mut word = 0u64;

@@ -272,23 +272,26 @@ fn settle_correct_decisions<A: Population + ?Sized>(
     }
 }
 
-/// Draws one agent's raw observed 1-count for the round: from its
+/// Draws one agent's observed 1-count for the round: from its
 /// neighborhood when one is set, else via the fidelity's per-round
-/// sampler, else by literal index sampling. Shared by the batched and
-/// sleepy round paths so the sampling semantics cannot drift between
-/// them.
+/// sampler, else by literal index sampling — then applies the fault
+/// plan's observation noise, except to binomial draws, whose sampler law
+/// already carries it ([`EngineCore::round_samplers`]). Shared by the
+/// batched and sleepy round paths so the sampling semantics cannot drift
+/// between them.
 #[allow(clippy::too_many_arguments)]
-fn draw_raw_count(
+fn draw_count(
     neighborhood: Option<&dyn Neighborhood>,
     binomial: Option<&BinomialSampler>,
     hypergeometric: Option<&Hypergeometric>,
+    fault: &FaultPlan,
     snapshot: &[Opinion],
     vertex: usize,
     n: usize,
     m: u32,
     rng: &mut SmallRng,
 ) -> u32 {
-    if let Some(nb) = neighborhood {
+    let raw_ones = if let Some(nb) = neighborhood {
         let neighbors = nb.neighbors_of(vertex as u32);
         let mut c = 0u32;
         for _ in 0..m {
@@ -299,7 +302,7 @@ fn draw_raw_count(
         }
         c
     } else if let Some(sampler) = binomial {
-        sampler.sample(rng) as u32
+        return sampler.sample(rng) as u32;
     } else if let Some(h) = hypergeometric {
         h.sample(rng) as u32
     } else {
@@ -311,7 +314,8 @@ fn draw_raw_count(
             }
         }
         c
-    }
+    };
+    fault.corrupt_count(raw_ones, m, rng)
 }
 
 fn checked_n(spec: &ProblemSpec) -> Result<usize, SimError> {
@@ -889,6 +893,12 @@ impl EngineCore {
     }
 
     /// Per-round samplers for the current fidelity (`None` = literal).
+    ///
+    /// The binomial sampler carries the round's observation noise: when
+    /// each observed bit flips independently with probability `δ`, an
+    /// observed bit is a 1 with probability `x_t(1 − δ) + (1 − x_t)δ`, so
+    /// a noisy observation is *exactly* `Binomial(m, x_t(1 − δ) +
+    /// (1 − x_t)δ)` and no round path corrupts binomial draws afterwards.
     fn round_samplers(&self, m: u32) -> (Option<BinomialSampler>, Option<Hypergeometric>) {
         // Sized from the spec, not the byte output buffer — bit-plane
         // populations keep no such buffer.
@@ -896,13 +906,19 @@ impl EngineCore {
         let x_t = self.ones_count as f64 / n as f64;
         match self.fidelity {
             Fidelity::Agent => (None, None),
-            Fidelity::Binomial => (
-                Some(
-                    BinomialSampler::new(u64::from(m), x_t)
-                        .expect("x_t is a fraction of counts, always in [0, 1]"),
-                ),
-                None,
-            ),
+            Fidelity::Binomial => {
+                let delta = self.fault.flip_prob;
+                // At δ = 0 this is `x_t` bit for bit: `x·1 = x`,
+                // `(1 − x)·0 = +0` and `x + 0 = x` for `x ≥ 0`.
+                let p = x_t * (1.0 - delta) + (1.0 - x_t) * delta;
+                (
+                    Some(
+                        BinomialSampler::new(u64::from(m), p)
+                            .expect("a convex combination of probabilities lies in [0, 1]"),
+                    ),
+                    None,
+                )
+            }
             Fidelity::WithoutReplacement => (
                 None,
                 Some(
@@ -927,17 +943,17 @@ impl EngineCore {
         self.obs_buf.clear();
         self.obs_buf.reserve(num_agents);
         for j in 0..num_agents {
-            let raw_ones = draw_raw_count(
+            let seen = draw_count(
                 self.neighborhood.as_deref(),
                 binomial.as_ref(),
                 hypergeometric.as_ref(),
+                &self.fault,
                 &self.snapshot,
                 num_sources + j,
                 n,
                 m,
                 &mut self.rng,
             );
-            let seen = self.fault.corrupt_count(raw_ones, m, &mut self.rng);
             self.obs_buf
                 .push(Observation::new(seen, m).expect("corrupt_count preserves the bound"));
         }
@@ -1011,10 +1027,10 @@ impl EngineCore {
             samplers = self.round_samplers(m);
             let sampler = match &samplers {
                 (Some(s), _) => MeanFieldSampler::Binomial(s),
-                (_, Some(h)) => MeanFieldSampler::Hypergeometric(h),
+                (_, Some(h)) => MeanFieldSampler::Hypergeometric(h, fault),
                 _ => unreachable!("fused complete-graph rounds run on mean-field fidelities only"),
             };
-            mean_field_factory = MeanFieldSourceFactory { sampler, fault, m };
+            mean_field_factory = MeanFieldSourceFactory { sampler, m };
             &mean_field_factory
         };
         let plan;
@@ -1051,17 +1067,17 @@ impl EngineCore {
             let agent_index = num_sources + j;
             let sleeping = self.fault.draws_sleep(&mut self.rng);
             if !sleeping {
-                let raw_ones = draw_raw_count(
+                let seen = draw_count(
                     self.neighborhood.as_deref(),
                     binomial.as_ref(),
                     hypergeometric.as_ref(),
+                    &self.fault,
                     &self.snapshot,
                     agent_index,
                     n,
                     m,
                     &mut self.rng,
                 );
-                let seen = self.fault.corrupt_count(raw_ones, m, &mut self.rng);
                 let obs = Observation::new(seen, m)
                     .expect("corrupt_count preserves the sample-size bound");
                 let new_output = pop.step_agent(j, &obs, &ctx, &mut self.rng);

@@ -25,7 +25,6 @@
 
 use crate::error::SimError;
 use fet_core::opinion::Opinion;
-use fet_stats::binomial::sample_binomial;
 use rand::{Rng, RngCore};
 use std::fmt;
 
@@ -112,15 +111,57 @@ impl FaultPlan {
     }
 
     /// Applies observation bit-flip noise to a true count of `ones` among
-    /// `sample_size` observed bits: flipped ones become zeros and vice
-    /// versa. Exact (two binomial draws), not an approximation.
+    /// `sample_size` observed bits: each bit flips independently with
+    /// probability `flip_prob`, so flipped ones become zeros and vice
+    /// versa. Exact, not an approximation.
+    ///
+    /// The bits are exchangeable given their count, so the ones sit at
+    /// positions `0..ones` and the zeros after them. The flipped positions
+    /// are visited by geometric skipping: a uniform `u ∈ (0, 1]` leaves the
+    /// remaining `r` bits untouched iff `u ≤ (1 − δ)^r`, and otherwise the
+    /// next flip lies `⌊ln u / ln(1 − δ)⌋` bits ahead. The common no-flip
+    /// observation costs one RNG word and a multiply. At `δ = 1`,
+    /// `ln(1 − δ) = −∞` makes every skip zero, so every bit flips.
     pub fn corrupt_count(&self, ones: u32, sample_size: u32, rng: &mut dyn RngCore) -> u32 {
         if self.flip_prob <= 0.0 {
             return ones;
         }
-        let lost = sample_binomial(u64::from(ones), self.flip_prob, rng) as u32;
-        let gained = sample_binomial(u64::from(sample_size - ones), self.flip_prob, rng) as u32;
-        ones - lost + gained
+        self.skip_flips(ones, sample_size, rng)
+    }
+
+    /// The skip loop of [`FaultPlan::corrupt_count`] at `δ > 0`. Kept out
+    /// of line: inlined into a caller's sampling loop, its float state
+    /// pushed the literal-Agent loop's running count onto the stack and
+    /// slowed noise-free Agent rounds by 10–20%.
+    #[inline(never)]
+    fn skip_flips(&self, ones: u32, sample_size: u32, rng: &mut dyn RngCore) -> u32 {
+        let flip = self.flip_prob;
+        let keep = 1.0 - flip;
+        let mut seen = ones;
+        let mut pos = 0u32;
+        loop {
+            // 53 random bits, shifted onto (0, 1].
+            let u = ((rng.next_u64() >> 11) + 1) as f64 * (1.0 / (1u64 << 53) as f64);
+            let remaining = sample_size - pos;
+            // Bernoulli's inequality, (1 − δ)^r ≥ 1 − rδ, settles most
+            // no-flip draws before the power is computed.
+            if u <= 1.0 - f64::from(remaining) * flip || u <= keep.powi(remaining as i32) {
+                return seen;
+            }
+            let skip = (u.ln() / (-flip).ln_1p()) as u32;
+            if skip >= remaining {
+                // `u` sat within rounding of `(1 − δ)^r`: no flip, as the
+                // test above nearly said.
+                return seen;
+            }
+            let flipped = pos + skip;
+            if flipped < ones {
+                seen -= 1;
+            } else {
+                seen += 1;
+            }
+            pos = flipped + 1;
+        }
     }
 
     /// Draws whether an agent sleeps this round.

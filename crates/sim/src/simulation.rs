@@ -753,9 +753,14 @@ impl SimulationBuilder {
     /// — topology with a non-agent fidelity or the async scheduler,
     /// aggregate fidelity with a protocol lacking the Observation 1
     /// structure / with faults / with the async scheduler,
-    /// without-replacement sampling with `m > n`, an unknown registry name
-    /// — and [`SimError::Core`] for invalid instance parameters.
+    /// without-replacement sampling with `m > n`, an unknown registry name,
+    /// a malformed `FET_SIMD` (or `avx2` forced on a host without it) —
+    /// and [`SimError::Core`] for invalid instance parameters.
     pub fn build(self) -> Result<Simulation, SimError> {
+        // The kernel tier resolves lazily, on a run's first tiered draw:
+        // validate its override here so a bad value fails the build, not
+        // the middle of a run.
+        fet_stats::isa::env_override().map_err(|detail| Self::invalid("FET_SIMD", detail))?;
         let n = match (self.n, self.topology.as_ref()) {
             (Some(n), Some(t)) if n != u64::from(t.population()) => {
                 return Err(Self::invalid(

@@ -16,8 +16,9 @@
 //!   cursor that advances once per draw, so it must be constructed knowing
 //!   the first vertex it streams for.
 //!
-//! Both sources compose the same per-observation fault corruption
-//! ([`FaultPlan::corrupt_count`]) the batched pipeline applies, and both
+//! Both sources apply observation noise exactly as the batched pipeline
+//! does — folded into the law of binomial draws, through
+//! [`FaultPlan::corrupt_count`] on hypergeometric and graph draws — and both
 //! come with a [`ShardSourceFactory`] — the one way a fused round obtains
 //! its sources — so every shard gets a private source (the
 //! single-threaded round is shard 0 over the whole population):
@@ -58,46 +59,51 @@ use rand::{RngCore, SeedableRng};
 use std::ops::Range;
 
 /// The round's mean-field sampler: one of the two exact per-agent
-/// shortcuts for complete-graph sampling.
+/// shortcuts for complete-graph sampling, each carrying the round's
+/// observation noise in the one way its law allows.
 #[derive(Debug, Clone, Copy)]
 pub enum MeanFieldSampler<'a> {
-    /// `Binomial(m, x_t)` — with-replacement sampling.
+    /// `Binomial(m, p)` — with-replacement sampling. Noise is part of the
+    /// law: when every observed bit flips independently with probability
+    /// `δ`, an observed bit is a 1 with probability
+    /// `p = x_t(1 − δ) + (1 − x_t)δ`, and the engine builds the sampler at
+    /// that `p` (at `x_t` itself when `δ = 0`).
     Binomial(&'a fet_stats::binomial::BinomialSampler),
-    /// `Hypergeometric(n, ones_t, m)` — without-replacement sampling.
-    Hypergeometric(&'a fet_stats::hypergeometric::Hypergeometric),
+    /// `Hypergeometric(n, ones_t, m)` — without-replacement sampling,
+    /// followed by per-observation corruption
+    /// ([`FaultPlan::corrupt_count`]) when observation noise is active.
+    Hypergeometric(
+        &'a fet_stats::hypergeometric::Hypergeometric,
+        Option<&'a FaultPlan>,
+    ),
 }
 
 /// The engine's [`ObservationSource`] for mean-field fused rounds: the
-/// fidelity's per-round sampler plus per-observation fault corruption —
-/// exactly the sampling semantics of the batched pipeline's sampler
-/// branches, delivered one observation at a time so no buffer ever
-/// exists. The noise-free configuration (`fault: None`) skips the
-/// corruption call, keeping the per-agent cost to one sampler draw.
+/// fidelity's per-round sampler, noise included — exactly the sampling
+/// semantics of the batched pipeline's sampler branches, delivered one
+/// observation at a time so no buffer ever exists. A binomial observation
+/// costs one sampler draw whatever the noise level.
 #[derive(Debug)]
 pub struct MeanFieldSource<'a> {
     pub(crate) sampler: MeanFieldSampler<'a>,
-    /// `Some` only when observation noise is active.
-    pub(crate) fault: Option<&'a FaultPlan>,
     pub(crate) m: u32,
 }
 
 impl ObservationSource for MeanFieldSource<'_> {
     fn next_observation(&mut self, rng: &mut dyn RngCore) -> Observation {
-        let raw_ones = match self.sampler {
+        let seen = match self.sampler {
             MeanFieldSampler::Binomial(sampler) => sampler.sample(rng) as u32,
-            MeanFieldSampler::Hypergeometric(h) => h.sample(rng) as u32,
-        };
-        let seen = match self.fault {
-            Some(fault) => fault.corrupt_count(raw_ones, self.m, rng),
-            None => raw_ones,
+            MeanFieldSampler::Hypergeometric(h, noise) => {
+                noisy(noise, h.sample(rng) as u32, self.m, rng)
+            }
         };
         Observation::new(seen, self.m).expect("corrupt_count preserves the bound")
     }
 
     /// The word-at-a-time override behind the bit-plane threshold kernel:
-    /// hoists the sampler match and fault check out of the per-draw loop,
-    /// so the `count ≤ 64` draws cost one virtual call total instead of
-    /// one each. **Stream-identical** to `count` successive
+    /// hoists the sampler match out of the per-draw loop, so the
+    /// `count ≤ 64` draws cost one virtual call total instead of one each.
+    /// **Stream-identical** to `count` successive
     /// [`MeanFieldSource::next_observation`] calls by construction — the
     /// same sampler and corruption draws from the same `rng` in the same
     /// order; only the [`Observation`] wrapper and dispatch overhead are
@@ -105,8 +111,8 @@ impl ObservationSource for MeanFieldSource<'_> {
     fn next_threshold_word(&mut self, rng: &mut dyn RngCore, count: u32, threshold: u32) -> u64 {
         debug_assert!(count as usize <= 64, "a word holds at most 64 draws");
         let mut word = 0u64;
-        match (self.sampler, self.fault) {
-            (MeanFieldSampler::Binomial(sampler), None) => {
+        match self.sampler {
+            MeanFieldSampler::Binomial(sampler) => {
                 // Fast path: one `fill_bytes` block for all `count` draws
                 // (exact-stream — see `AliasTable::try_sample_block`);
                 // falls back to per-draw sampling when the round's alias
@@ -123,25 +129,23 @@ impl ObservationSource for MeanFieldSource<'_> {
                     }
                 }
             }
-            (MeanFieldSampler::Hypergeometric(h), None) => {
+            MeanFieldSampler::Hypergeometric(h, noise) => {
                 for j in 0..count {
-                    word |= u64::from(h.sample(rng) as u32 >= threshold) << j;
-                }
-            }
-            (MeanFieldSampler::Binomial(sampler), Some(fault)) => {
-                for j in 0..count {
-                    let seen = fault.corrupt_count(sampler.sample(rng) as u32, self.m, rng);
-                    word |= u64::from(seen >= threshold) << j;
-                }
-            }
-            (MeanFieldSampler::Hypergeometric(h), Some(fault)) => {
-                for j in 0..count {
-                    let seen = fault.corrupt_count(h.sample(rng) as u32, self.m, rng);
+                    let seen = noisy(noise, h.sample(rng) as u32, self.m, rng);
                     word |= u64::from(seen >= threshold) << j;
                 }
             }
         }
         word
+    }
+}
+
+/// `ones` after the round's observation noise, when there is any.
+#[inline]
+fn noisy(noise: Option<&FaultPlan>, ones: u32, m: u32, rng: &mut dyn RngCore) -> u32 {
+    match noise {
+        Some(fault) => fault.corrupt_count(ones, m, rng),
+        None => ones,
     }
 }
 
@@ -155,7 +159,6 @@ impl ObservationSource for MeanFieldSource<'_> {
 #[derive(Debug)]
 pub struct MeanFieldSourceFactory<'a> {
     pub(crate) sampler: MeanFieldSampler<'a>,
-    pub(crate) fault: Option<&'a FaultPlan>,
     pub(crate) m: u32,
 }
 
@@ -163,7 +166,6 @@ impl ShardSourceFactory for MeanFieldSourceFactory<'_> {
     fn shard_source(&self, _range: Range<usize>) -> Box<dyn ObservationSource + '_> {
         Box::new(MeanFieldSource {
             sampler: self.sampler,
-            fault: self.fault,
             m: self.m,
         })
     }
@@ -336,10 +338,7 @@ impl ObservationSource for GraphSource<'_> {
                 self.m,
             )
         };
-        let seen = match self.fault {
-            Some(fault) => fault.corrupt_count(raw_ones, self.m, rng),
-            None => raw_ones,
-        };
+        let seen = noisy(self.fault, raw_ones, self.m, rng);
         Observation::new(seen, self.m).expect("corrupt_count preserves the bound")
     }
 }

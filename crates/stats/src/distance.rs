@@ -3,8 +3,9 @@
 //! The fidelity tower (literal sampling ≡ binomial counts ≡ aggregate
 //! chain) is validated *distributionally*: this module provides the
 //! Kolmogorov–Smirnov two-sample test, total-variation and KL divergences
-//! on discrete PMFs, and a chi-square-style goodness check used by the
-//! equivalence tests and the E10/E14 experiments.
+//! on discrete PMFs, and a chi-square goodness-of-fit statistic with its
+//! p-value, used by the equivalence and law tests and the E10/E14
+//! experiments.
 
 use crate::error::StatsError;
 
@@ -148,6 +149,66 @@ pub fn chi_square_statistic(observed: &[u64], expected_prob: &[f64]) -> Result<f
     Ok(acc)
 }
 
+/// Upper tail `P(χ²_df > x)` of the chi-square distribution with `df`
+/// degrees of freedom — the p-value of a [`chi_square_statistic`] over
+/// `df + 1` categories. Computed as the regularized upper incomplete gamma
+/// function `Q(df/2, x/2)`: its power series below `x/2 = df/2 + 1`, its
+/// continued fraction (modified Lentz) above.
+///
+/// # Panics
+///
+/// Panics when `df` is zero.
+pub fn chi_square_survival(df: u32, x: f64) -> f64 {
+    assert!(
+        df > 0,
+        "a chi-square law needs at least one degree of freedom"
+    );
+    if x <= 0.0 {
+        return 1.0;
+    }
+    let a = f64::from(df) / 2.0;
+    let x = x / 2.0;
+    let front = (a * x.ln() - x - crate::ln_gamma(a)).exp();
+    if x < a + 1.0 {
+        // P(a, x) = e^{-x} x^a Σ_k x^k / Γ(a + k + 1).
+        let (mut term, mut sum, mut ak) = (1.0 / a, 1.0 / a, a);
+        for _ in 0..1000 {
+            ak += 1.0;
+            term *= x / ak;
+            sum += term;
+            if term < sum * 1e-16 {
+                break;
+            }
+        }
+        (1.0 - front * sum).max(0.0)
+    } else {
+        const TINY: f64 = 1e-300;
+        let mut b = x + 1.0 - a;
+        let mut c = 1.0 / TINY;
+        let mut d = 1.0 / b;
+        let mut h = d;
+        for i in 1..1000 {
+            let an = -f64::from(i) * (f64::from(i) - a);
+            b += 2.0;
+            d = an * d + b;
+            if d.abs() < TINY {
+                d = TINY;
+            }
+            c = b + an / c;
+            if c.abs() < TINY {
+                c = TINY;
+            }
+            d = 1.0 / d;
+            let step = d * c;
+            h *= step;
+            if (step - 1.0).abs() < 1e-16 {
+                break;
+            }
+        }
+        front * h
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,6 +243,29 @@ mod tests {
             !ks_same_distribution(&a, &c, 0.001).unwrap(),
             "shifted law accepted"
         );
+    }
+
+    #[test]
+    fn chi_square_survival_matches_closed_forms() {
+        // Two degrees of freedom: P(χ² > x) = e^{-x/2}, on both sides of
+        // the series/continued-fraction switch at x = 4.
+        for x in [0.1, 1.0, 3.9, 4.1, 10.0, 40.0] {
+            let want = (-x / 2.0f64).exp();
+            let got = chi_square_survival(2, x);
+            assert!(
+                (got - want).abs() < 1e-12 * want.max(1e-3),
+                "df 2, x {x}: {got}"
+            );
+        }
+        // One degree of freedom: P(χ² > z²) = 2(1 − Φ(z)).
+        for z in [0.5f64, 1.0, 2.0, 3.0] {
+            let want = 2.0 * (1.0 - crate::normal::normal_cdf(z));
+            let got = chi_square_survival(1, z * z);
+            assert!((got - want).abs() < 1e-6, "df 1, z {z}: {got} vs {want}");
+        }
+        // A textbook table value: the 0.1% critical value at 10 df.
+        assert!((chi_square_survival(10, 29.588) - 1e-3).abs() < 1e-6);
+        assert_eq!(chi_square_survival(3, 0.0), 1.0);
     }
 
     #[test]

@@ -39,10 +39,13 @@
 //! [`active_path`] resolves once (atomically cached): a programmatic
 //! [`force_path`] override beats the `FET_SIMD=scalar|swar|avx2` environment
 //! variable, which beats runtime detection (AVX2 when available, SWAR
-//! otherwise). Forcing `avx2` on a host without AVX2 panics loudly rather
-//! than silently falling back — CI guards the forced leg with a cpuinfo
-//! check. Building with `--cfg fet_no_simd` compiles the intrinsics out
-//! entirely (the non-x86_64 story, checkable from an x86_64 host).
+//! otherwise). A misspelled value, or `avx2` forced on a host without
+//! AVX2, never silently falls back: [`env_override`] reports it as an
+//! error, which `SimulationBuilder::build` returns before the run starts,
+//! and [`active_path`] panics on it — CI guards the forced leg with a
+//! cpuinfo check. Building with `--cfg fet_no_simd` compiles the
+//! intrinsics out entirely (the non-x86_64 story, checkable from an
+//! x86_64 host).
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -117,21 +120,34 @@ fn encode(path: IsaPath) -> u8 {
     }
 }
 
-fn resolve() -> IsaPath {
-    if let Ok(name) = std::env::var("FET_SIMD") {
-        let path = IsaPath::from_name(&name)
-            .unwrap_or_else(|| panic!("FET_SIMD must be one of scalar|swar|avx2, got {name:?}"));
-        assert!(
-            path != IsaPath::Avx2 || avx2_available(),
-            "FET_SIMD=avx2 forced, but this build/host cannot execute AVX2 \
-             (non-x86_64, fet_no_simd, or the CPU lacks the feature)"
-        );
-        return path;
+/// The path the `FET_SIMD` environment variable forces, if it is set.
+///
+/// # Errors
+///
+/// Returns what is wrong with the value when it is not one of
+/// `scalar|swar|avx2` or forces `avx2` on a build or host that cannot
+/// execute it. Front ends call this before a run starts so a bad value is
+/// a typed error there; [`active_path`] panics on it.
+pub fn env_override() -> Result<Option<IsaPath>, String> {
+    let Ok(name) = std::env::var("FET_SIMD") else {
+        return Ok(None);
+    };
+    let path = IsaPath::from_name(&name)
+        .ok_or_else(|| format!("must be one of scalar|swar|avx2, got `{name}`"))?;
+    if path == IsaPath::Avx2 && !avx2_available() {
+        return Err("forces avx2, but this build/host cannot execute AVX2 \
+                    (non-x86_64, fet_no_simd, or the CPU lacks the feature)"
+            .into());
     }
-    if avx2_available() {
-        IsaPath::Avx2
-    } else {
-        IsaPath::Swar
+    Ok(Some(path))
+}
+
+fn resolve() -> IsaPath {
+    match env_override() {
+        Ok(Some(path)) => path,
+        Ok(None) if avx2_available() => IsaPath::Avx2,
+        Ok(None) => IsaPath::Swar,
+        Err(detail) => panic!("FET_SIMD {detail}"),
     }
 }
 

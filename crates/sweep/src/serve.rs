@@ -232,6 +232,7 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result
     let method = parts.next().unwrap_or("").to_string();
     let path = parts.next().unwrap_or("").to_string();
     let mut content_length = 0usize;
+    let mut bad_length = None;
     loop {
         let mut line = String::new();
         reader.read_line(&mut line)?;
@@ -244,10 +245,23 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result
             .strip_prefix("content-length:")
             .map(str::trim)
         {
-            content_length = v.parse().unwrap_or(0);
+            match v.parse() {
+                Ok(length) => content_length = length,
+                Err(_) => bad_length = Some(v.to_string()),
+            }
         }
     }
     let mut stream = stream;
+    if let Some(value) = bad_length {
+        let err = Json::object([(
+            "error",
+            Json::Str(format!(
+                "Content-Length must be a non-negative byte count, got `{value}`"
+            )),
+        )])
+        .to_string();
+        return respond(&mut stream, 400, "application/json", &err);
+    }
     match (method.as_str(), path.as_str()) {
         ("GET", "/status") => {
             let body = status_json(shared).to_string();
@@ -425,6 +439,26 @@ mod tests {
         let mut response = String::new();
         conn.read_to_string(&mut response).unwrap();
         assert!(response.starts_with("HTTP/1.1 413"), "{response}");
+    }
+
+    #[test]
+    fn malformed_content_length_is_rejected_by_name() {
+        for value in ["abc", "-5", "12x"] {
+            let server = SweepServer::bind("127.0.0.1:0", 1).unwrap();
+            let mut conn = TcpStream::connect(server.local_addr()).unwrap();
+            write!(
+                conn,
+                "POST /sweep HTTP/1.1\r\nHost: x\r\nContent-Length: {value}\r\n\r\n"
+            )
+            .unwrap();
+            let mut response = String::new();
+            conn.read_to_string(&mut response).unwrap();
+            assert!(response.starts_with("HTTP/1.1 400"), "{value}: {response}");
+            assert!(
+                response.contains("Content-Length must be a non-negative byte count"),
+                "{value}: {response}"
+            );
+        }
     }
 
     #[test]

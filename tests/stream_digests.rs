@@ -9,10 +9,11 @@
 //! {binomial, without-replacement, literal Agent, random-regular graph} ×
 //! {fused, fused-parallel with 1 and 3 shards, batched where it runs} ×
 //! {typed, bit-plane where eligible}, plus one asynchronous, one sleepy
-//! and one fault-schedule run, and compares the FNV-1a digests against the
-//! table below. A refactor of the round machinery must leave every digest
-//! unchanged; a deliberate stream re-key updates the table in the same
-//! change and says so in docs/DETERMINISM.md.
+//! and one fault-schedule run, one noisy run per sampling rule and noisy
+//! batched and sleepy binomial runs, and compares the FNV-1a digests
+//! against the table below. A refactor of the round machinery must leave
+//! every digest unchanged; a deliberate stream re-key updates the table in
+//! the same change and says so in docs/DETERMINISM.md.
 //!
 //! On a mismatch the failure message lists every case's current digest in
 //! table form.
@@ -26,6 +27,8 @@ const N: u64 = 640;
 const SEED: u64 = 0x5EED_D16E;
 const MAX_ROUNDS: u64 = 150;
 const GRAPH_DEGREE: u32 = 8;
+/// Flip probability of the noisy legs.
+const NOISE: f64 = 0.02;
 
 /// FNV-1a over every snapshot's round and the bit patterns of its two
 /// fractions.
@@ -153,11 +156,70 @@ fn current_digests() -> Vec<(String, u64)> {
                 .fault_schedule(schedule),
         ),
     ));
+    // Observation noise reaches each sampling rule its own way: folded
+    // into the binomial law, through `corrupt_count` everywhere else.
+    for (kind, mode_label, mode, storage, storage_label) in [
+        (
+            "binomial",
+            "fused",
+            ExecutionMode::Fused,
+            Storage::BitPlane,
+            "bits",
+        ),
+        (
+            "binomial",
+            "batched",
+            ExecutionMode::Batched,
+            Storage::Typed,
+            "typed",
+        ),
+        (
+            "without-replacement",
+            "fused",
+            ExecutionMode::Fused,
+            Storage::Typed,
+            "typed",
+        ),
+        (
+            "graph",
+            "fused",
+            ExecutionMode::Fused,
+            Storage::Typed,
+            "typed",
+        ),
+        (
+            "agent",
+            "batched",
+            ExecutionMode::Batched,
+            Storage::Typed,
+            "typed",
+        ),
+    ] {
+        cases.push((
+            format!("noisy/{kind}/{mode_label}/{storage_label}"),
+            digest(
+                observed(kind)
+                    .execution_mode(mode)
+                    .storage(storage)
+                    .fault(FaultPlan::with_noise(NOISE).expect("valid flip probability")),
+            ),
+        ));
+    }
+    cases.push((
+        "noisy/sleepy".into(),
+        digest(observed("binomial").fault(FaultPlan {
+            sleep_prob: 0.2,
+            ..FaultPlan::with_noise(NOISE).expect("valid flip probability")
+        })),
+    ));
     cases
 }
 
 /// Digests recorded before the round pipeline was consolidated onto one
-/// fused entry point.
+/// fused entry point — except `fault-schedule` and the `noisy/` legs,
+/// recorded when observation noise was folded into the binomial round law
+/// and `FaultPlan::corrupt_count` became a geometric skip (both re-keys are
+/// listed in docs/DETERMINISM.md).
 const RECORDED: &[(&str, u64)] = &[
     ("binomial/fused/typed", 0x0FEDC72F581E9080),
     ("binomial/fused/bits", 0x0FEDC72F581E9080),
@@ -183,7 +245,13 @@ const RECORDED: &[(&str, u64)] = &[
     ("graph/batched/typed", 0x960556074F09AA6A),
     ("async", 0x13734C7E19126BAC),
     ("sleepy", 0x9CFB3E84758874C8),
-    ("fault-schedule", 0x06EC39AFC583EBB3),
+    ("fault-schedule", 0x09627D961712269D),
+    ("noisy/binomial/fused/bits", 0x48406B686CAC7D5D),
+    ("noisy/binomial/batched/typed", 0x85BA95D3946E7C37),
+    ("noisy/without-replacement/fused/typed", 0x2C2285985658677F),
+    ("noisy/graph/fused/typed", 0x833E6E900ACF1663),
+    ("noisy/agent/batched/typed", 0x06D292FA338FA184),
+    ("noisy/sleepy", 0x6977C576F33CC7DC),
 ];
 
 #[test]
