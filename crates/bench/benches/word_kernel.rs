@@ -2,25 +2,26 @@
 //!
 //! `OpinionOnly` protocols whose update is a pure observation threshold
 //! (voter: `m = 1`, threshold 1; 3-majority: `m = 3`, threshold 2) skip
-//! the per-agent unpack → `step` → repack loop entirely: the fused round
-//! asks the observation source for one 64-agent *word* of threshold bits
-//! at a time and writes it straight into the opinion plane, counting by
-//! popcount. This bench pins the claimed win — the acceptance bar is
-//! **word ≥ 2× per-agent at `n = 10⁷`** (ISSUE 9).
+//! the tile kernel (unpack 64 states → `step_fused` → repack) entirely:
+//! the fused round asks the observation source for one 64-agent *word* of
+//! threshold bits at a time and writes it straight into the opinion
+//! plane, counting by popcount. This bench pins the win — the bar is
+//! **word ≥ 2× the baseline at `n = 10⁷`**.
 //!
 //! The baseline is the *same* `BitPopulation` fused round forced down
-//! the per-agent packed loop by a delegating wrapper protocol whose
+//! the tile kernel by a delegating wrapper protocol whose
 //! `opinion_threshold()` returns `None`. Both paths draw the identical
 //! RNG stream (`next_threshold_word` is stream-identical to 64
 //! `next_observation` calls by contract), so the bench isolates pure
-//! kernel overhead: per-agent virtual dispatch, `Observation`
-//! construction, and bit RMW versus one virtual call and one word store
-//! per 64 agents.
+//! kernel overhead: per-agent virtual dispatch and `Observation`
+//! construction, plus the tile's unpack and repack, versus one virtual
+//! call and one word store per 64 agents.
 //!
 //! Rows, per size `n ∈ {10⁶, 10⁷}`:
 //!
 //! * `voter_word` — `VoterProtocol` through the word kernel;
-//! * `voter_per_agent` — the wrapper through the per-agent packed loop;
+//! * `voter_per_agent` — the wrapper through the tile kernel (the row
+//!   keeps the name it had when the baseline was a per-agent loop);
 //! * `three_majority_word` / `three_majority_per_agent` — the same pair
 //!   at `m = 3`, where sampler draws dominate and the kernel win shrinks;
 //! * `plane_popcount` — one `BitPlane::count_ones` sweep over the n-bit
@@ -46,8 +47,8 @@ use fet_sim::init::InitialCondition;
 use rand::RngCore;
 
 /// Delegating wrapper that hides the inner protocol's
-/// `opinion_threshold()`, forcing `BitPopulation` down the per-agent
-/// packed loop — the bench baseline. Stream-identical to the wrapped
+/// `opinion_threshold()`, forcing `BitPopulation` down the tile kernel
+/// — the bench baseline. Stream-identical to the wrapped
 /// protocol (the step rule and RNG usage are untouched).
 #[derive(Debug, Clone, Copy)]
 struct PerAgent<P>(P);

@@ -32,7 +32,7 @@ use fet_sim::init::InitialCondition;
 use fet_sim::observer::NullObserver;
 use fet_stats::rng::SeedTree;
 use fet_topology::builders;
-use fet_topology::graph::{Graph, GraphStats};
+use fet_topology::graph::{Diameter, Graph, GraphStats};
 
 /// One topology under test.
 struct Case {
@@ -189,7 +189,7 @@ fn main() {
             case.label.to_string(),
             stats.edges.to_string(),
             format!("{}..{}", stats.min_degree, stats.max_degree),
-            stats.diameter.map_or("∞".into(), |d| d.to_string()),
+            stats.diameter.to_string(),
             format!("{:.3}", summary.success_rate()),
             fmt_float(mean),
             fmt_float(p95),
@@ -201,7 +201,10 @@ fn main() {
             stats.edges.to_string(),
             stats.min_degree.to_string(),
             stats.max_degree.to_string(),
-            stats.diameter.map_or(-1.0, f64::from).to_string(),
+            match stats.diameter {
+                Diameter::Exact(d) | Diameter::AtLeast(d) => d.to_string(),
+                Diameter::Disconnected => "-1".into(),
+            },
             summary.success_rate().to_string(),
             mean.to_string(),
             p95.to_string(),

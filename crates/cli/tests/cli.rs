@@ -226,6 +226,24 @@ fn topology_fused_replays_per_seed() {
 }
 
 #[test]
+fn topology_reports_a_diameter_bound_past_the_exact_cap() {
+    // 20 000 vertices is past the exact-diameter cap: the stats line must
+    // carry the double-sweep bound instead of an all-pairs BFS.
+    let text = run_ok(&[
+        "topology",
+        "--n",
+        "20000",
+        "--graph",
+        "regular",
+        "--degree",
+        "8",
+        "--max-rounds",
+        "1",
+    ]);
+    assert!(text.contains("diam≥"), "{text}");
+}
+
+#[test]
 fn protocols_table_reports_fused_kernels() {
     let text = run_ok(&["protocols"]);
     assert!(text.contains("fused-kernel"), "missing column: {text}");

@@ -37,26 +37,38 @@
 //! declaring a packed aux width promise `aux < 2^bits` for every
 //! reachable state — the planes store only the low `bits` bits.
 //!
-//! # Word-at-a-time kernels
+//! # Tile kernel
+//!
+//! A bit-plane round is a storage adapter around the protocol's own fused
+//! kernel. For each 64-agent plane word it loads the opinion word and the
+//! word's 64 aux values into a stack tile of unpacked states, runs
+//! [`Protocol::step_fused`] on the tile — the kernel
+//! [`TypedPopulation`](crate::population::TypedPopulation) runs over its
+//! state slice — and stores the tile back. The aux load and store move a
+//! whole word at a time: a bit-sliced word group is gathered one byte per
+//! slice word into 8×8 bit matrices and transposed with three delta
+//! swaps, a nibble word unpacks with 16 shifts, and a byte plane is a
+//! slice copy. The tile lives on the stack, so a round allocates nothing.
 //!
 //! [`StatePlanes::OpinionOnly`] protocols whose update is a pure
 //! threshold on the observation ([`Protocol::opinion_threshold`] is
-//! `Some`) skip the per-agent unpack → step → repack walk entirely: the
-//! fused round asks the source for one *threshold word* per 64 agents
+//! `Some`) skip the tile: the fused round asks the source for one
+//! *threshold word* per 64 agents
 //! ([`ObservationSource::next_threshold_word`]) and writes it straight
 //! into the opinion plane, counting by popcount. The mean-field source
 //! overrides the word draw to hoist its per-draw virtual dispatch,
 //! sampler match, and fault check out of the loop, which is where the
-//! measured ≥ 2× per-round win over the per-agent packed loop comes from
+//! measured ≥ 2× per-round win over the tile kernel comes from
 //! (`fet-bench`'s `word_kernel`).
 //!
 //! # Trajectory identity
 //!
-//! [`BitPopulation`] steps each agent by unpack → [`Protocol::step`] →
-//! repack, drawing observations and randomness in exactly the per-agent
-//! order the kernel contract pins for every other representation; the
-//! word-at-a-time kernel draws the very same observation stream 64
-//! agents at a time (see the contract on
+//! [`Protocol::step_fused`] consumes observations and randomness exactly
+//! as per-agent [`Protocol::step`] calls in agent order would — the
+//! kernel contract every representation shares — and the tile hands it
+//! the agents in plane order, so the tile boundary never enters the
+//! stream. The word-at-a-time kernel draws the very same observation
+//! stream 64 agents at a time (see the contract on
 //! [`ObservationSource::next_threshold_word`]). A bit-plane run is
 //! therefore **bit-identical** to the typed and population-erased runs
 //! of the same `(seed, shard count)` — the property
@@ -103,14 +115,6 @@ impl BitPlane {
     /// An empty plane.
     pub fn new() -> Self {
         BitPlane::default()
-    }
-
-    /// An empty plane with room for `bits` bits.
-    pub fn with_capacity(bits: usize) -> Self {
-        BitPlane {
-            words: Vec::with_capacity(bits.div_ceil(WORD_BITS)),
-            len: 0,
-        }
     }
 
     /// A plane of `bits` zero bits.
@@ -213,14 +217,6 @@ impl NibblePlane {
     /// An empty plane.
     pub fn new() -> Self {
         NibblePlane::default()
-    }
-
-    /// A plane of `len` zero nibbles.
-    pub fn zeroed(len: usize) -> Self {
-        NibblePlane {
-            words: vec![0; len.div_ceil(NIBBLES_PER_WORD)],
-            len,
-        }
     }
 
     /// Number of nibbles stored.
@@ -334,18 +330,6 @@ impl BitSlicedPlane {
         }
     }
 
-    /// A plane of `len` zero values at `bits` bits each.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 ≤ bits ≤ 8`.
-    pub fn zeroed(bits: u8, len: usize) -> Self {
-        let mut plane = BitSlicedPlane::new(bits);
-        plane.words = vec![0; len.div_ceil(WORD_BITS) * bits as usize];
-        plane.len = len;
-        plane
-    }
-
     /// Bits per stored value.
     pub fn bits(&self) -> u8 {
         self.bits
@@ -441,7 +425,7 @@ impl BitSlicedPlane {
 
 /// The auxiliary plane of a [`BitPopulation`]: whichever packed layout
 /// the protocol's [`StatePlanes`] descriptor selects.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AuxPlane {
     /// No auxiliary state ([`StatePlanes::OpinionOnly`]).
     None,
@@ -584,6 +568,103 @@ impl<'a> AuxSliceMut<'a> {
             }
         }
     }
+
+    /// Loads the packed values of plane word `w`'s agents — agents
+    /// `64·w .. 64·w + in_word` of this view — into `tile[..in_word]`.
+    /// Slots past `in_word` hold the plane's zero padding or stale values;
+    /// callers step only `..in_word`.
+    #[inline]
+    fn load_tile(&self, w: usize, in_word: usize, tile: &mut [u8; WORD_BITS]) {
+        match self {
+            AuxSliceMut::None => tile[..in_word].fill(0),
+            AuxSliceMut::Bytes(b) => {
+                let start = w * WORD_BITS;
+                tile[..in_word].copy_from_slice(&b[start..start + in_word]);
+            }
+            AuxSliceMut::Nibbles(words) => {
+                // A tile spans four nibble words; the trailing one may hold fewer.
+                let group = &words[w * 4..words.len().min(w * 4 + 4)];
+                for (&word, values) in group.iter().zip(tile.chunks_exact_mut(NIBBLES_PER_WORD)) {
+                    for (i, value) in values.iter_mut().enumerate() {
+                        *value = ((word >> (4 * i)) & 0xF) as u8;
+                    }
+                }
+            }
+            AuxSliceMut::Sliced { bits, words } => {
+                let bits = usize::from(*bits);
+                // Row j of column k's 8×8 bit matrix is byte k of slice
+                // word j: bit j of agents 8k..8k+8. Transposed, byte i is
+                // agent 8k+i's whole value.
+                let mut columns = [0u64; 8];
+                for (j, &word) in words[w * bits..(w + 1) * bits].iter().enumerate() {
+                    for (k, column) in columns.iter_mut().enumerate() {
+                        *column |= ((word >> (8 * k)) & 0xFF) << (8 * j);
+                    }
+                }
+                for (column, values) in columns.iter().zip(tile.chunks_exact_mut(8)) {
+                    values.copy_from_slice(&transpose_8x8(*column).to_le_bytes());
+                }
+            }
+        }
+    }
+
+    /// Stores `tile` back as the packed values of plane word `w`'s agents,
+    /// the inverse of [`AuxSliceMut::load_tile`]. Slots past `in_word`
+    /// must be zero: they land in the trailing word's padding, which stays
+    /// zero. Values keep their low `bits` bits, as the per-agent setters do.
+    #[inline]
+    fn store_tile(&mut self, w: usize, in_word: usize, tile: &[u8; WORD_BITS]) {
+        debug_assert!(
+            tile[in_word..].iter().all(|&v| v == 0),
+            "tile padding not zero"
+        );
+        match self {
+            AuxSliceMut::None => {}
+            AuxSliceMut::Bytes(b) => {
+                let start = w * WORD_BITS;
+                b[start..start + in_word].copy_from_slice(&tile[..in_word]);
+            }
+            AuxSliceMut::Nibbles(words) => {
+                let end = words.len().min(w * 4 + 4);
+                for (word, values) in words[w * 4..end]
+                    .iter_mut()
+                    .zip(tile.chunks_exact(NIBBLES_PER_WORD))
+                {
+                    *word = values
+                        .iter()
+                        .enumerate()
+                        .fold(0, |acc, (i, &v)| acc | (u64::from(v & 0xF) << (4 * i)));
+                }
+            }
+            AuxSliceMut::Sliced { bits, words } => {
+                let bits = usize::from(*bits);
+                let mut slices = [0u64; 8];
+                for (k, values) in tile.chunks_exact(8).enumerate() {
+                    let column = transpose_8x8(u64::from_le_bytes(
+                        values.try_into().expect("8-agent column"),
+                    ));
+                    for (j, slice) in slices.iter_mut().enumerate() {
+                        *slice |= ((column >> (8 * j)) & 0xFF) << (8 * k);
+                    }
+                }
+                words[w * bits..(w + 1) * bits].copy_from_slice(&slices[..bits]);
+            }
+        }
+    }
+}
+
+/// Transposes the 8×8 bit matrix in `x` — row `r` is byte `r`, column `c`
+/// is bit `c` of that byte — with three delta swaps (2×2, 4×4, then 8×8
+/// blocks). The transpose is its own inverse.
+#[inline(always)]
+fn transpose_8x8(mut x: u64) -> u64 {
+    let t = (x ^ (x >> 7)) & 0x00AA_00AA_00AA_00AA;
+    x ^= t ^ (t << 7);
+    let t = (x ^ (x >> 14)) & 0x0000_CCCC_0000_CCCC;
+    x ^= t ^ (t << 14);
+    let t = (x ^ (x >> 28)) & 0x0000_0000_F0F0_F0F0;
+    x ^= t ^ (t << 28);
+    x
 }
 
 /// One shard's piece of a bit-plane population: its opinion words, its
@@ -629,138 +710,14 @@ impl ShardSlices for PlaneSlices<'_> {
     }
 }
 
-/// Monomorphized per-agent aux access for the packed round kernel: one
-/// instantiation per plane layout, so the hot loop carries no per-agent
-/// layout dispatch.
-trait AuxAccess {
-    fn get(&self, idx: usize) -> u8;
-    fn set(&mut self, idx: usize, value: u8);
-}
-
-/// No aux plane: reads 0, writes vanish.
-struct NoAux;
-
-impl AuxAccess for NoAux {
-    #[inline(always)]
-    fn get(&self, _idx: usize) -> u8 {
-        0
-    }
-    #[inline(always)]
-    fn set(&mut self, _idx: usize, _value: u8) {}
-}
-
-struct ByteAux<'a>(&'a mut [u8]);
-
-impl AuxAccess for ByteAux<'_> {
-    #[inline(always)]
-    fn get(&self, idx: usize) -> u8 {
-        self.0[idx]
-    }
-    #[inline(always)]
-    fn set(&mut self, idx: usize, value: u8) {
-        self.0[idx] = value;
-    }
-}
-
-struct NibbleAux<'a>(&'a mut [u64]);
-
-impl AuxAccess for NibbleAux<'_> {
-    #[inline(always)]
-    fn get(&self, idx: usize) -> u8 {
-        ((self.0[idx / NIBBLES_PER_WORD] >> ((idx % NIBBLES_PER_WORD) * 4)) & 0xF) as u8
-    }
-    #[inline(always)]
-    fn set(&mut self, idx: usize, value: u8) {
-        let shift = (idx % NIBBLES_PER_WORD) * 4;
-        let word = &mut self.0[idx / NIBBLES_PER_WORD];
-        *word = (*word & !(0xFu64 << shift)) | (u64::from(value & 0xF) << shift);
-    }
-}
-
-struct SlicedAux<'a> {
-    bits: u8,
-    words: &'a mut [u64],
-}
-
-impl AuxAccess for SlicedAux<'_> {
-    #[inline(always)]
-    fn get(&self, idx: usize) -> u8 {
-        let base = (idx / WORD_BITS) * self.bits as usize;
-        let bit = idx % WORD_BITS;
-        let mut value = 0u8;
-        for j in 0..self.bits as usize {
-            value |= (((self.words[base + j] >> bit) & 1) as u8) << j;
-        }
-        value
-    }
-    #[inline(always)]
-    fn set(&mut self, idx: usize, value: u8) {
-        let base = (idx / WORD_BITS) * self.bits as usize;
-        let mask = 1u64 << (idx % WORD_BITS);
-        for j in 0..self.bits as usize {
-            let word = &mut self.words[base + j];
-            *word = (*word & !mask) | (u64::from((value >> j) & 1) * mask);
-        }
-    }
-}
-
-/// The per-agent packed kernel, monomorphized per aux layout: unpack →
-/// [`Protocol::step`] → repack, each opinion word read once, rebuilt in
-/// a register, and written once. Observations and randomness are drawn
-/// in per-agent index order, so the stream is identical to every other
-/// representation's kernel.
-#[allow(clippy::too_many_arguments)]
-fn step_packed_words<P: Protocol, A: AuxAccess>(
-    protocol: &P,
-    words: &mut [u64],
-    aux: &mut A,
-    len: usize,
-    source: &mut dyn ObservationSource,
-    ctx: &RoundContext,
-    rng: &mut dyn RngCore,
-    correct: Opinion,
-    mut outputs: Option<&mut [Opinion]>,
-) -> FusedCounters {
-    let mut counters = FusedCounters::default();
-    let mut idx = 0usize;
-    for word_slot in words.iter_mut() {
-        if idx >= len {
-            break;
-        }
-        let in_word = (len - idx).min(WORD_BITS);
-        let mut word = *word_slot;
-        for bit in 0..in_word {
-            let opinion = Opinion::from(((word >> bit) & 1) == 1);
-            let mut state = protocol.unpack_state(opinion, aux.get(idx));
-            let obs = source.next_observation(rng);
-            let new_opinion = protocol.step(&mut state, &obs, ctx, rng);
-            let (packed_opinion, packed_aux) = protocol.pack_state(&state);
-            debug_assert_eq!(
-                packed_opinion, new_opinion,
-                "pack_state's opinion bit must be the state's output"
-            );
-            let mask = 1u64 << bit;
-            word = (word & !mask) | (u64::from(new_opinion.is_one()) * mask);
-            aux.set(idx, packed_aux);
-            if let Some(out) = outputs.as_deref_mut() {
-                out[idx] = new_opinion;
-            }
-            counters.ones += u64::from(new_opinion.is_one());
-            counters.correct += u64::from(new_opinion == correct);
-            idx += 1;
-        }
-        *word_slot = word;
-    }
-    counters
-}
-
 /// The word-at-a-time fused kernel for opinion-only threshold protocols
 /// (voter, 3-majority): one
 /// [`ObservationSource::next_threshold_word`] draw and one plane-word
-/// write per 64 agents, counters by popcount. Stream-identical to
-/// [`step_packed_words`] by the source contract (the same observations
-/// are drawn in the same per-agent order; the protocols consume no step
-/// randomness).
+/// write per 64 agents, counters by popcount. Stream-identical to the
+/// tile kernel ([`step_packed_slice`]) by the source contract (the same
+/// observations are drawn in the same per-agent order; the protocols
+/// consume no step randomness), and faster, since the source hoists its
+/// dispatch out of the word.
 ///
 /// The popcount/store reduction here is deliberately *not* routed
 /// through `fet_stats::isa`'s explicit-SIMD tiers: it is one
@@ -808,82 +765,66 @@ fn step_threshold_words(
     counters
 }
 
-/// Steps agents `0..len` of a packed plane slice pair through the
-/// protocol's update, drawing observations from `source`: the single
-/// dispatcher behind every `BitPopulation` round entry point. Opinion-
-/// only threshold protocols take the word-at-a-time kernel; everything
-/// else takes the per-agent kernel monomorphized for its aux layout.
-/// `outputs`, when present, receives the new opinions index-aligned
-/// (`None` on the in-place paths — the plane itself is the output
-/// store).
+/// Steps agents `0..len` of a packed plane slice pair, drawing
+/// observations from `source`: the tile kernel behind every
+/// `BitPopulation` round (see the [module docs](self)), or the
+/// word-at-a-time kernel for opinion-only threshold protocols. `outputs`,
+/// when present, receives the new opinions index-aligned (`None` on the
+/// in-place paths — the plane itself is the output store).
 #[allow(clippy::too_many_arguments)]
 fn step_packed_slice<P: Protocol>(
     protocol: &P,
     words: &mut [u64],
-    aux: AuxSliceMut<'_>,
+    mut aux: AuxSliceMut<'_>,
     len: usize,
     source: &mut dyn ObservationSource,
     ctx: &RoundContext,
     rng: &mut dyn RngCore,
     correct: Opinion,
-    outputs: Option<&mut [Opinion]>,
+    mut outputs: Option<&mut [Opinion]>,
 ) -> FusedCounters {
     debug_assert!(words.len() >= len.div_ceil(WORD_BITS));
     if let Some(out) = outputs.as_deref() {
         assert_eq!(out.len(), len, "one output slot per agent");
     }
-    match aux {
-        AuxSliceMut::None => {
-            if let Some(threshold) = protocol.opinion_threshold() {
-                return step_threshold_words(words, len, source, rng, threshold, correct, outputs);
-            }
-            step_packed_words(
-                protocol, words, &mut NoAux, len, source, ctx, rng, correct, outputs,
-            )
-        }
-        AuxSliceMut::Bytes(b) => {
-            debug_assert_eq!(b.len(), len);
-            step_packed_words(
-                protocol,
-                words,
-                &mut ByteAux(b),
-                len,
-                source,
-                ctx,
-                rng,
-                correct,
-                outputs,
-            )
-        }
-        AuxSliceMut::Nibbles(w) => {
-            debug_assert!(w.len() >= len.div_ceil(NIBBLES_PER_WORD));
-            step_packed_words(
-                protocol,
-                words,
-                &mut NibbleAux(w),
-                len,
-                source,
-                ctx,
-                rng,
-                correct,
-                outputs,
-            )
-        }
-        AuxSliceMut::Sliced { bits, words: w } => {
-            debug_assert!(w.len() >= len.div_ceil(WORD_BITS) * bits as usize);
-            step_packed_words(
-                protocol,
-                words,
-                &mut SlicedAux { bits, words: w },
-                len,
-                source,
-                ctx,
-                rng,
-                correct,
-                outputs,
-            )
-        }
+    if let (AuxSliceMut::None, Some(threshold)) = (&aux, protocol.opinion_threshold()) {
+        return step_threshold_words(words, len, source, rng, threshold, correct, outputs);
     }
+    let mut states: [P::State; WORD_BITS] =
+        std::array::from_fn(|_| protocol.unpack_state(Opinion::Zero, 0));
+    let mut values = [0u8; WORD_BITS];
+    let mut tile_outputs = [Opinion::Zero; WORD_BITS];
+    let mut counters = FusedCounters::default();
+    for (w, word_slot) in words[..len.div_ceil(WORD_BITS)].iter_mut().enumerate() {
+        let start = w * WORD_BITS;
+        let in_word = (len - start).min(WORD_BITS);
+        let states = &mut states[..in_word];
+        aux.load_tile(w, in_word, &mut values);
+        let opinions = *word_slot;
+        for (bit, state) in states.iter_mut().enumerate() {
+            let opinion = Opinion::from(((opinions >> bit) & 1) == 1);
+            *state = protocol.unpack_state(opinion, values[bit]);
+        }
+        let out = match outputs.as_deref_mut() {
+            Some(out) => &mut out[start..start + in_word],
+            None => &mut tile_outputs[..in_word],
+        };
+        counters += protocol.step_fused(states, source, ctx, rng, correct, out);
+        let mut word = 0u64;
+        for (bit, state) in states.iter().enumerate() {
+            let (opinion, value) = protocol.pack_state(state);
+            debug_assert_eq!(
+                opinion, out[bit],
+                "pack_state's opinion bit must be the state's output"
+            );
+            word |= u64::from(opinion.is_one()) << bit;
+            values[bit] = value;
+        }
+        values[in_word..].fill(0);
+        *word_slot = word;
+        aux.store_tile(w, in_word, &values);
+    }
+    counters
 }
 
 /// A [`Population`] storing its agents as packed planes: one opinion bit
@@ -1418,5 +1359,47 @@ mod tests {
         // Strictly under a byte per agent, far under the typed state.
         assert!(bits.resident_bytes() < 200);
         assert!(bits.resident_bytes() < 200 * std::mem::size_of::<crate::fet::FetState>());
+    }
+
+    #[test]
+    fn tile_store_of_load_is_identity_and_keeps_padding_zero() {
+        // Loads are checked against per-agent `get`, stores against a plane
+        // pushed agent by agent (whose padding is zero), so a wrong
+        // transpose, a dropped bit or dirty padding all fail here.
+        let mut r = rng();
+        let layouts = (1..=8).map(|bits| StatePlanes::OpinionPlusPacked { bits });
+        for planes in layouts.chain([StatePlanes::OpinionPlusByte]) {
+            let max = 1u64 << planes.aux_bits().unwrap();
+            for len in [1usize, 63, 64, 65, 130] {
+                let pushed = |values: &[u8]| {
+                    let mut plane = AuxPlane::for_planes(planes);
+                    values.iter().for_each(|&v| plane.push(v));
+                    plane
+                };
+                let mut draw = || {
+                    (0..len)
+                        .map(|_| (r.next_u64() % max) as u8)
+                        .collect::<Vec<_>>()
+                };
+                let (old, new) = (draw(), draw());
+                let mut plane = pushed(&old);
+                let mut tile = [0u8; WORD_BITS];
+                let mut view = plane.slice_mut();
+                for (w, old) in old.chunks(WORD_BITS).enumerate() {
+                    view.load_tile(w, old.len(), &mut tile);
+                    assert_eq!(&tile[..old.len()], old, "{planes} len={len} word {w}");
+                    tile[old.len()..].fill(0);
+                    view.store_tile(w, old.len(), &tile);
+                }
+                assert_eq!(plane, pushed(&old), "{planes} len={len}: store∘load");
+                let mut view = plane.slice_mut();
+                for (w, new) in new.chunks(WORD_BITS).enumerate() {
+                    tile = [0; WORD_BITS];
+                    tile[..new.len()].copy_from_slice(new);
+                    view.store_tile(w, new.len(), &tile);
+                }
+                assert_eq!(plane, pushed(&new), "{planes} len={len}");
+            }
+        }
     }
 }

@@ -414,12 +414,12 @@ pub trait Protocol {
     /// [`Protocol::step`] — the threshold. `Some` unlocks the
     /// word-at-a-time fused kernel in the bit-plane representation: 64
     /// agents per plane-word write via
-    /// [`ObservationSource::next_threshold_word`], bypassing the
-    /// per-agent unpack → step → repack walk while remaining
-    /// stream-identical to it.
+    /// [`ObservationSource::next_threshold_word`], bypassing the tile
+    /// kernel (unpack 64 states, [`Protocol::step_fused`], repack) while
+    /// remaining stream-identical to it.
     ///
     /// Voter (`m = 1`) returns `Some(1)`; 3-majority (`m = 3`) returns
-    /// `Some(2)`. Defaults to `None` (per-agent kernel).
+    /// `Some(2)`. Defaults to `None` (tile kernel).
     ///
     /// # Contract
     ///
@@ -427,7 +427,7 @@ pub trait Protocol {
     /// state: `step` sets the state's output to
     /// `Opinion::from(obs.ones() >= t)`, independent of the prior state,
     /// and draws nothing from its RNG — the two properties that make the
-    /// word kernel's draw stream equal to the per-agent loop's.
+    /// word kernel's draw stream equal to the tile kernel's.
     fn opinion_threshold(&self) -> Option<u32> {
         None
     }

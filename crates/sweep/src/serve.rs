@@ -39,6 +39,14 @@ use std::time::Duration;
 /// allocate unbounded memory.
 const MAX_BODY_BYTES: usize = 1 << 20;
 
+/// Longest accepted request or header line, line ending included. Each
+/// line is read through a cap one byte past it, so a client that never
+/// sends `\n` cannot grow a line without bound.
+const MAX_LINE_BYTES: usize = 8 << 10;
+
+/// Most header lines accepted in one request.
+const MAX_HEADERS: usize = 64;
+
 /// One client-submitted sweep.
 struct Submission {
     id: u64,
@@ -223,22 +231,54 @@ fn claim_next(q: &mut Queue) -> Option<Claim> {
     None
 }
 
-fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<()> {
+/// Reads one line of at most [`MAX_LINE_BYTES`] bytes, newline included;
+/// `None` when the line runs past the limit.
+fn read_bounded_line(reader: &mut impl BufRead) -> std::io::Result<Option<String>> {
+    let mut line = String::new();
+    reader
+        .take(MAX_LINE_BYTES as u64 + 1)
+        .read_line(&mut line)?;
+    Ok((line.len() <= MAX_LINE_BYTES).then_some(line))
+}
+
+/// Answers 431 with a JSON error naming the header limit that was hit.
+fn reject_header(stream: &mut TcpStream, what: String) -> std::io::Result<()> {
+    let err = Json::object([("error", Json::Str(what))]).to_string();
+    respond(stream, 431, "application/json", &err)
+}
+
+fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(10)))?;
     let mut reader = BufReader::new(stream.try_clone()?);
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
+    let Some(request_line) = read_bounded_line(&mut reader)? else {
+        return reject_header(
+            &mut stream,
+            format!("request line exceeds the {MAX_LINE_BYTES}-byte limit"),
+        );
+    };
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("").to_string();
     let path = parts.next().unwrap_or("").to_string();
     let mut content_length = 0usize;
     let mut bad_length = None;
+    let mut headers = 0usize;
     loop {
-        let mut line = String::new();
-        reader.read_line(&mut line)?;
+        let Some(line) = read_bounded_line(&mut reader)? else {
+            return reject_header(
+                &mut stream,
+                format!("header line exceeds the {MAX_LINE_BYTES}-byte limit"),
+            );
+        };
         let line = line.trim_end();
         if line.is_empty() {
             break;
+        }
+        headers += 1;
+        if headers > MAX_HEADERS {
+            return reject_header(
+                &mut stream,
+                format!("request has more than the {MAX_HEADERS}-header limit"),
+            );
         }
         if let Some(v) = line
             .to_ascii_lowercase()
@@ -251,7 +291,6 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result
             }
         }
     }
-    let mut stream = stream;
     if let Some(value) = bad_length {
         let err = Json::object([(
             "error",
@@ -401,6 +440,7 @@ fn respond(
         400 => "Bad Request",
         404 => "Not Found",
         413 => "Payload Too Large",
+        431 => "Request Header Fields Too Large",
         _ => "Method Not Allowed",
     };
     write!(
@@ -459,6 +499,57 @@ mod tests {
                 "{value}: {response}"
             );
         }
+    }
+
+    /// Sends `request` — ending exactly where the server stops reading, so
+    /// no unread byte makes its close a reset — and returns the answer.
+    fn answer_to(request: &[u8]) -> String {
+        let server = SweepServer::bind("127.0.0.1:0", 1).unwrap();
+        let mut conn = TcpStream::connect(server.local_addr()).unwrap();
+        conn.write_all(request).unwrap();
+        let mut response = String::new();
+        conn.read_to_string(&mut response).unwrap();
+        response
+    }
+
+    #[test]
+    fn overlong_request_line_is_431() {
+        let mut request = b"GET /".to_vec();
+        request.resize(MAX_LINE_BYTES + 1, b'a');
+        let response = answer_to(&request);
+        assert!(response.starts_with("HTTP/1.1 431 "), "{response}");
+        assert!(
+            response.contains("request line exceeds the 8192-byte limit"),
+            "{response}"
+        );
+    }
+
+    #[test]
+    fn overlong_header_line_is_431() {
+        let mut request = b"GET /status HTTP/1.1\r\n".to_vec();
+        let header_start = request.len();
+        request.extend_from_slice(b"X-Long: ");
+        request.resize(header_start + MAX_LINE_BYTES + 1, b'a');
+        let response = answer_to(&request);
+        assert!(response.starts_with("HTTP/1.1 431 "), "{response}");
+        assert!(
+            response.contains("header line exceeds the 8192-byte limit"),
+            "{response}"
+        );
+    }
+
+    #[test]
+    fn too_many_headers_are_431() {
+        let mut request = b"GET /status HTTP/1.1\r\n".to_vec();
+        for i in 0..=MAX_HEADERS {
+            request.extend_from_slice(format!("X-H{i}: 1\r\n").as_bytes());
+        }
+        let response = answer_to(&request);
+        assert!(response.starts_with("HTTP/1.1 431 "), "{response}");
+        assert!(
+            response.contains("more than the 64-header limit"),
+            "{response}"
+        );
     }
 
     #[test]

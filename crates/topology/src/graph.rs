@@ -369,6 +369,55 @@ impl fet_sim::neighborhood::Neighborhood for SharedGraph {
     }
 }
 
+/// Largest vertex count for which [`GraphStats::of`] computes the exact
+/// diameter. The exact pass runs one BFS per vertex, `O(n·(n + m))`; above
+/// this size the stats report the double-sweep lower bound instead.
+pub const EXACT_DIAMETER_MAX_N: u32 = 2048;
+
+/// A graph diameter as [`GraphStats`] reports it: exact, a lower bound, or
+/// infinite.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Diameter {
+    /// The exact diameter.
+    Exact(u32),
+    /// A lower bound: the eccentricity of the far end of a double sweep
+    /// (BFS from vertex 0, then BFS from the farthest vertex it found).
+    /// Exact on trees and cycles.
+    AtLeast(u32),
+    /// The graph is disconnected.
+    Disconnected,
+}
+
+impl Diameter {
+    /// The diameter of `g`: [`Diameter::Exact`] when
+    /// `g.n() ≤` [`EXACT_DIAMETER_MAX_N`], else the double-sweep
+    /// [`Diameter::AtLeast`] bound — two BFS passes, `O(n + m)`.
+    pub fn of(g: &Graph) -> Diameter {
+        if g.n() <= EXACT_DIAMETER_MAX_N {
+            return g.diameter().map_or(Diameter::Disconnected, Diameter::Exact);
+        }
+        let from_zero = g.bfs_distances(0);
+        if from_zero.contains(&u32::MAX) {
+            return Diameter::Disconnected;
+        }
+        let far = (0..g.n())
+            .max_by_key(|&v| from_zero[v as usize])
+            .expect("graph has at least one vertex");
+        Diameter::AtLeast(g.eccentricity(far).expect("connected graph"))
+    }
+}
+
+impl std::fmt::Display for Diameter {
+    /// `4`, `≥4` or `∞`.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Diameter::Exact(d) => write!(f, "{d}"),
+            Diameter::AtLeast(d) => write!(f, "≥{d}"),
+            Diameter::Disconnected => write!(f, "∞"),
+        }
+    }
+}
+
 /// Summary statistics of a graph's degree sequence and connectivity.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GraphStats {
@@ -384,13 +433,15 @@ pub struct GraphStats {
     pub mean_degree: f64,
     /// Number of connected components.
     pub components: u32,
-    /// Exact diameter (`None` when disconnected).
-    pub diameter: Option<u32>,
+    /// Diameter: exact up to [`EXACT_DIAMETER_MAX_N`] vertices, a lower
+    /// bound above (see [`Diameter::of`]).
+    pub diameter: Diameter,
 }
 
 impl GraphStats {
-    /// Computes the full summary for `g`. All-pairs BFS: intended for the
-    /// moderate sizes used in experiments and tests.
+    /// Computes the full summary for `g`: linear in the graph's size, plus
+    /// an all-pairs BFS for the exact diameter when
+    /// `n ≤` [`EXACT_DIAMETER_MAX_N`].
     pub fn of(g: &Graph) -> GraphStats {
         GraphStats {
             n: g.n(),
@@ -399,7 +450,7 @@ impl GraphStats {
             max_degree: g.max_degree(),
             mean_degree: g.mean_degree(),
             components: g.connected_components(),
-            diameter: g.diameter(),
+            diameter: Diameter::of(g),
         }
     }
 }
@@ -408,14 +459,19 @@ impl std::fmt::Display for GraphStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "n={} m={} deg[{}..{}] mean={:.2} comps={} diam={}",
+            "n={} m={} deg[{}..{}] mean={:.2} comps={} diam{}{}",
             self.n,
             self.edges,
             self.min_degree,
             self.max_degree,
             self.mean_degree,
             self.components,
-            self.diameter.map_or("∞".into(), |d| d.to_string()),
+            if matches!(self.diameter, Diameter::AtLeast(_)) {
+                ""
+            } else {
+                "="
+            },
+            self.diameter,
         )
     }
 }
@@ -493,6 +549,25 @@ mod tests {
     }
 
     #[test]
+    fn stats_diameter_is_exact_up_to_the_cap_and_a_bound_above() {
+        let small = path(EXACT_DIAMETER_MAX_N);
+        assert_eq!(
+            GraphStats::of(&small).diameter,
+            Diameter::Exact(EXACT_DIAMETER_MAX_N - 1)
+        );
+        assert!(GraphStats::of(&small).to_string().contains("diam=2047"));
+        // The double sweep is exact on a cycle: 0 → 2500 → 2500.
+        let cycle = crate::builders::ring_lattice(5000, 1).unwrap();
+        let stats = GraphStats::of(&cycle);
+        assert_eq!(stats.diameter, Diameter::AtLeast(2500));
+        assert!(stats.to_string().contains("diam≥2500"), "{stats}");
+        let split = Graph::from_edges(EXACT_DIAMETER_MAX_N + 2, &[(0, 1)]).unwrap();
+        assert_eq!(Diameter::of(&split), Diameter::Disconnected);
+        let tiny = Graph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
+        assert!(GraphStats::of(&tiny).to_string().contains("diam=∞"));
+    }
+
+    #[test]
     fn disconnected_graph_reports_components_and_no_diameter() {
         let g = Graph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
         assert!(!g.is_connected());
@@ -533,7 +608,7 @@ mod tests {
         assert_eq!(s.min_degree, 1);
         assert_eq!(s.max_degree, 2);
         assert_eq!(s.components, 1);
-        assert_eq!(s.diameter, Some(4));
+        assert_eq!(s.diameter, Diameter::Exact(4));
         assert!(s.to_string().contains("diam=4"));
     }
 }

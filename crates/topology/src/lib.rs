@@ -61,5 +61,5 @@ pub use error::TopologyError;
 pub mod prelude {
     pub use crate::builders;
     pub use crate::error::TopologyError;
-    pub use crate::graph::{Graph, GraphStats};
+    pub use crate::graph::{Diameter, Graph, GraphStats};
 }

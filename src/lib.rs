@@ -95,5 +95,5 @@ pub mod prelude {
     pub use fet_stats::rng::SeedTree;
     pub use fet_sweep::runner::{run_sweep, SweepOptions, SweepOutcome};
     pub use fet_sweep::spec::SweepSpec;
-    pub use fet_topology::graph::{Graph, GraphStats};
+    pub use fet_topology::graph::{Diameter, Graph, GraphStats};
 }

@@ -10,7 +10,9 @@
 //! * **representation equivalence** — a `BitPopulation` fused round
 //!   (sequential, parallel, and the in-place variants) writes the same
 //!   outputs, counters, and final decisions as a `TypedPopulation`
-//!   driven by the identical streams;
+//!   driven by the identical streams, for every `ℓ ≤ 255` — so every
+//!   clock-plane width (bit-sliced 1–3 and 5–7 bits, nibble, byte) goes
+//!   through the tile kernel's load and store;
 //! * **popcount invariant** — after *every* round,
 //!   `count_output_ones()` equals the scalar `output_of` recount;
 //! * **clock-plane round trip** — FET's `pack_state`/`unpack_state` are
@@ -22,8 +24,8 @@
 //!   such `ℓ` stays stream-identical to the typed container;
 //! * **word-kernel equivalence** — the word-at-a-time threshold kernel
 //!   (voter, 3-majority) produces the same trajectory, counters, and
-//!   popcounts as the per-agent packed loop it replaces, sequentially
-//!   and sharded.
+//!   popcounts as the tile kernel (the protocol's fused kernel over 64
+//!   unpacked states per plane word), sequentially and sharded.
 
 use fet::prelude::*;
 use fet_core::bitplane::{AuxPlane, BitPlane, BitPopulation};
@@ -37,9 +39,9 @@ use rand::RngCore;
 use rand::SeedableRng;
 
 /// Delegating wrapper that hides the inner protocol's
-/// `opinion_threshold()`, forcing `BitPopulation` down the per-agent
-/// packed loop. The step rule and RNG usage are untouched, so the
-/// wrapper is the stream-identical baseline the word kernel must match.
+/// `opinion_threshold()`, forcing `BitPopulation` down the tile kernel.
+/// The step rule and RNG usage are untouched, so the wrapper is the
+/// stream-identical baseline the word kernel must match.
 #[derive(Debug, Clone, Copy)]
 struct PerAgent<P>(P);
 
@@ -185,11 +187,11 @@ proptest! {
     /// Round level: sequential fused rounds on twin populations driven by
     /// identical streams stay bit-identical — outputs, counters, packed
     /// decisions, and the popcount-vs-scalar-recount invariant after
-    /// every round.
+    /// every round. `ℓ` spans every clock-plane width.
     #[test]
     fn fused_rounds_match_typed_and_keep_popcount_exact(
         extra_n in 1usize..400,
-        ell in 1u32..8,
+        ell in 1u32..=255,
         seed in 0u64..500,
         rounds in 1u64..5,
     ) {
@@ -239,15 +241,16 @@ proptest! {
     /// Shard level: parallel rounds whose agent-balanced split would land
     /// mid-word (arbitrary shard counts against boundary-stressing sizes)
     /// match the typed container and the in-place round — word-aligned
-    /// ranges change nothing but where the split falls.
+    /// ranges change nothing but where the split falls, at every
+    /// clock-plane width.
     #[test]
     fn parallel_rounds_match_across_representations_and_entry_points(
         extra_n in 1usize..400,
+        ell in 1u32..=255,
         shards in 2u32..12,
         workers in 1u32..5,
         stream in 0u64..300,
     ) {
-        let ell = 3u32;
         for n in boundary_sizes(extra_n) {
             let plan = ShardPlan::new(shards, workers, stream, 1);
             let ctx = RoundContext::new(1);
@@ -312,9 +315,9 @@ proptest! {
 
     /// Kernel level: the word-at-a-time threshold kernel (voter `m = 1`
     /// threshold 1, 3-majority `m = 3` threshold 2) is bit-identical to
-    /// the per-agent packed loop it replaces — outputs, counters, and
-    /// popcounts — across word-boundary sizes, multiple rounds, and the
-    /// sharded parallel entry point.
+    /// the tile kernel — outputs, counters, and popcounts — across
+    /// word-boundary sizes, multiple rounds, and the sharded parallel
+    /// entry point.
     #[test]
     fn word_kernel_matches_per_agent_kernel(
         extra_n in 1usize..400,
@@ -330,7 +333,7 @@ proptest! {
 }
 
 /// One word-kernel equivalence case: steps a word-path population and a
-/// per-agent-path twin (the [`PerAgent`] wrapper) through `rounds` fused
+/// tile-kernel twin (the [`PerAgent`] wrapper) through `rounds` fused
 /// rounds plus one sharded round from identical streams and asserts
 /// bit-identity at every level.
 fn word_kernel_case<P>(protocol: P, n: usize, seed: u64, rounds: u64, shards: u32)
@@ -374,7 +377,7 @@ where
         prop_assert_eq!(ca.ones, recount);
     }
     // One sharded round on top: the word kernel must respect shard
-    // boundaries exactly like the per-agent loop.
+    // boundaries exactly like the tile kernel.
     let plan = ShardPlan::new(shards, 2, seed, rounds);
     let ctx = RoundContext::new(rounds);
     let factory = UniformFactory { m };

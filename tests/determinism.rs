@@ -322,15 +322,23 @@ fn packed_clock_trajectory(shards: u32, ell: u32, storage: Storage) -> Vec<f64> 
 }
 
 /// The packed-aux determinism matrix: each tier-2 clock-plane layout —
-/// bit-sliced (`ℓ = 5` → 3 bits), nibble (`ℓ = 12` → 4 bits), and the
-/// byte fast path (`ℓ = 200` → 8 bits) — must replay the typed-storage
+/// bit-sliced (`ℓ = 5` → 3 bits; `ℓ = 47` → 6 bits, the benchmark's
+/// layout at n = 10⁵; `ℓ = 65` → 7 bits, what `fet run --n 10000000`
+/// packs), nibble (`ℓ = 12` → 4 bits), and the byte fast path
+/// (`ℓ = 200` → 8 bits) — must replay the typed-storage
 /// trajectory bit for bit per `(seed, shard count)`. The plane width is
 /// pure representation; it must never enter the stream. Serialized to
 /// `FET_DETERMINISM_DUMP_PACKED` for CI's cross-worker-count byte-diff.
 #[test]
 fn packed_clock_stream_identity_matrix() {
     // (label, ell) → aux layout exercised; see `FetProtocol::state_planes`.
-    let ells = [("sliced-3b", 5u32), ("nibble-4b", 12), ("byte-8b", 200)];
+    let ells = [
+        ("sliced-3b", 5u32),
+        ("sliced-6b", 47),
+        ("sliced-7b", 65),
+        ("nibble-4b", 12),
+        ("byte-8b", 200),
+    ];
     let mut dump = String::new();
     let workers = std::env::var("FET_PARALLEL_WORKERS").unwrap_or_else(|_| "unset".into());
     for shards in SHARD_COUNTS {
