@@ -104,22 +104,19 @@ fn bench_typed_vs_registry(c: &mut Criterion) {
     group.finish();
 }
 
-/// Batched vs fused vs parallel-fused full-convergence runs at `n = 10^5`
-/// through the facade: the ISSUE 3 acceptance pair
-/// (`batched / fused ≥ 1.5`) plus the parallel variant
-/// (`FET_BENCH_THREADS` shards, default 4). With `FET_BENCH_LARGE=1`,
+/// Fused vs parallel-fused full-convergence runs at `n = 10^5` through
+/// the facade (`FET_BENCH_THREADS` shards, default 4). With `FET_BENCH_LARGE=1`,
 /// also one `n = 10^7` episode in each fused mode plus a single `n = 10^8`
 /// bit-plane episode with RSS and rounds/s reporting — the bounded-memory
 /// and ISSUE 4 speedup demonstration rows of `docs/BENCHMARKS.md`
 /// (several minutes; excluded from default and CI budgets).
-fn bench_batched_vs_fused(c: &mut Criterion) {
+fn bench_fused_vs_parallel(c: &mut Criterion) {
     let threads = announced_bench_threads();
     let mut group = c.benchmark_group("end_to_end_convergence");
     group.sampling_mode(SamplingMode::Flat);
     group.sample_size(10);
     let n = 100_000u64;
     for (label, mode) in [
-        ("facade_batched_binomial", ExecutionMode::Batched),
         ("facade_fused_binomial", ExecutionMode::Fused),
         (
             "facade_fused_parallel_binomial",
@@ -245,6 +242,6 @@ criterion_group!(
     benches,
     bench_convergence,
     bench_typed_vs_registry,
-    bench_batched_vs_fused
+    bench_fused_vs_parallel
 );
 criterion_main!(benches);

@@ -2,17 +2,13 @@
 //!
 //! One synchronous binomial-fidelity round — observation generation plus
 //! the protocol dispatch plus counter folds — through each representation
-//! and round implementation the workspace can run a protocol in:
+//! and execution mode the workspace can run a protocol in:
 //!
-//! * `typed` — `Engine<FetProtocol>`, batched pipeline: the monomorphized
-//!   buffered baseline.
-//! * `population` — `PopulationEngine` over `Box<dyn DynPopulation>`,
-//!   batched: one virtual dispatch per round into the typed kernel, zero
-//!   per-round copying.
-//! * `typed_fused` / `population_fused` — the same two hot
-//!   representations through the fused single-pass kernel: observations
-//!   drawn on demand, outputs written in place, counters accumulated in
-//!   the kernel, `O(1)` auxiliary memory.
+//! * `typed_fused` / `population_fused` — `Engine<FetProtocol>` and
+//!   `PopulationEngine` over `Box<dyn DynPopulation>` (one virtual
+//!   dispatch per round into the typed kernel) through the fused
+//!   single-pass kernel: observations drawn on demand, outputs written in
+//!   place, counters accumulated in the kernel, `O(1)` auxiliary memory.
 //! * `typed_fused_parallel` / `population_fused_parallel` — the fused
 //!   kernel work-sharded over 4 threads (`FET_BENCH_THREADS` overrides):
 //!   per-shard split-RNG streams, one dispatch, per-shard counters
@@ -25,10 +21,9 @@
 //!   `docs/BENCHMARKS.md`, not the round time.
 //!
 //! These are the numbers recorded in `docs/BENCHMARKS.md`; the acceptance
-//! bars are `population / typed ≤ ~1.05` (PR 2),
-//! `typed / typed_fused ≥ 1.5` at `n = 10^5` (ISSUE 3), and
+//! bars are `population_fused / typed_fused ≤ ~1.05` and
 //! `typed_fused / typed_fused_parallel ≥ 2` at `n = 10^7` with 4 threads
-//! on a ≥ 4-core host (ISSUE 4, measured in `end_to_end_convergence`'s
+//! on a ≥ 4-core host (measured in `end_to_end_convergence`'s
 //! `FET_BENCH_LARGE` episode).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -93,16 +88,6 @@ fn bench_round(c: &mut Criterion) {
     let threads = announced_bench_threads();
     let mut group = c.benchmark_group("erased_path_round");
     for &n in &SIZES {
-        group.bench_with_input(BenchmarkId::new("typed", n), &n, |b, &n| {
-            let mut engine = typed_engine(n, ExecutionMode::Batched);
-            b.iter(|| engine.step());
-        });
-
-        group.bench_with_input(BenchmarkId::new("population", n), &n, |b, &n| {
-            let mut engine = population_engine(n, ExecutionMode::Batched);
-            b.iter(|| engine.step());
-        });
-
         group.bench_with_input(BenchmarkId::new("typed_fused", n), &n, |b, &n| {
             let mut engine = typed_engine(n, ExecutionMode::Fused);
             b.iter(|| engine.step());

@@ -1,10 +1,7 @@
-//! The graph (neighborhood) round implementations, measured at the engine
-//! level: one synchronous FET round on a random-regular expander through
-//! each execution mode.
+//! The graph (neighborhood) round, measured at the engine level: one
+//! synchronous FET round on a random-regular expander through each
+//! execution mode and storage.
 //!
-//! * `graph_batched` — the buffered pipeline (snapshot clone, observation
-//!   buffer fill over neighbor reads, `step_batch` dispatch, counter
-//!   fold): the PR 4 state of the art for every graph run.
 //! * `graph_fused` — the single-pass graph kernel: each agent's
 //!   observation drawn on demand from its neighbors' round-start opinions
 //!   (the persistent double buffer), update applied, output written in
@@ -62,7 +59,6 @@ fn bench_graph_round(c: &mut Criterion) {
     let parallel = ExecutionMode::FusedParallel { threads };
     for &n in &sizes() {
         let mut rows: Vec<(String, ExecutionMode, Option<IsaPath>)> = vec![
-            ("graph_batched".into(), ExecutionMode::Batched, None),
             ("graph_fused".into(), ExecutionMode::Fused, None),
             ("graph_fused_parallel".into(), parallel, None),
         ];

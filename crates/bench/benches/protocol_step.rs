@@ -1,14 +1,15 @@
-//! Micro-benchmark: one protocol step, per protocol — and the batched
-//! kernels against the per-agent loop.
+//! Micro-benchmark: one protocol step, per protocol — and
+//! `Protocol::step_batch` over a slice against the hand-written per-agent
+//! loop.
 //!
 //! Measures the per-agent per-round cost of the decision rule itself
 //! (observation already in hand) — FET's hypergeometric split dominates
-//! its step; the baselines are branch-only. The `protocol_step_batch`
-//! group is the acceptance gauge for `Protocol::step_batch`: the batched
-//! kernel must be no slower than stepping agent by agent.
+//! its step; the baselines are branch-only. `Protocol::step_batch` is the
+//! provided per-`step` loop (no protocol overrides it; engine rounds run
+//! `step_fused`), so the `protocol_step_batch` rows must read the same as
+//! the loop rows.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use fet_core::erased::ErasedProtocol;
 use fet_core::fet::{FetProtocol, FetState};
 use fet_core::observation::Observation;
 use fet_core::opinion::Opinion;
@@ -108,23 +109,6 @@ fn bench_step_batch(c: &mut Criterion) {
             fet.step_batch(&mut states, &observations, &ctx, &mut rng, &mut outputs);
         });
     });
-    // The population-erased layer: one contiguous typed buffer behind an
-    // object-safe container — a single virtual dispatch per round, zero
-    // per-round allocation or cloning. Must sit within ~5% of the typed
-    // kernel.
-    group.bench_function("fet_population_erased_step_batch_1024", |b| {
-        let mut population = ErasedProtocol::new(fet.clone()).population();
-        let mut rng = SeedTree::new(8).child("pop-erased").rng();
-        let mut init_rng = SeedTree::new(7).child("pop-erased-init").rng();
-        population.reserve(agents);
-        for _ in 0..agents {
-            population.push_agent(Opinion::Zero, &mut init_rng);
-        }
-        let mut outputs = vec![Opinion::Zero; agents];
-        b.iter(|| {
-            population.step_batch(&observations, &ctx, &mut rng, &mut outputs);
-        });
-    });
 
     let st = SimpleTrendProtocol::new(ell).unwrap();
     let obs_st: Vec<Observation> = (0..agents)
@@ -153,9 +137,7 @@ fn bench_step_batch(c: &mut Criterion) {
     group.finish();
 }
 
-/// The acceptance gauge at scale: typed vs population-erased FET kernels
-/// over 10^5 agents. The population path must stay within ~5% of the
-/// typed kernel.
+/// The FET kernel at scale: 10^5 agents, observations in hand.
 fn bench_step_batch_large(c: &mut Criterion) {
     let mut group = c.benchmark_group("protocol_step_batch_100k");
     let ell = 32u32;
@@ -176,19 +158,6 @@ fn bench_step_batch_large(c: &mut Criterion) {
         let mut outputs = vec![Opinion::Zero; agents];
         b.iter(|| {
             fet.step_batch(&mut states, &observations, &ctx, &mut rng, &mut outputs);
-        });
-    });
-    group.bench_function("fet_population_erased_step_batch_100k", |b| {
-        let mut population = ErasedProtocol::new(fet.clone()).population();
-        let mut init_rng = SeedTree::new(7).child("pop-init").rng();
-        let mut rng = SeedTree::new(8).child("pop").rng();
-        population.reserve(agents);
-        for _ in 0..agents {
-            population.push_agent(Opinion::Zero, &mut init_rng);
-        }
-        let mut outputs = vec![Opinion::Zero; agents];
-        b.iter(|| {
-            population.step_batch(&observations, &ctx, &mut rng, &mut outputs);
         });
     });
     group.finish();

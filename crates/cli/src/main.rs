@@ -3,7 +3,7 @@
 //! ```text
 //! fet run        --n 10000 [--protocol fet] [--ell 40] [--c 4.0] [--seed 7]
 //!                [--init all-wrong] [--fidelity agent|binomial|without-replacement|aggregate]
-//!                [--scheduler sync|async] [--mode batched|fused|fused-parallel]
+//!                [--scheduler sync|async] [--mode fused|fused-parallel]
 //!                [--threads N] [--storage auto|typed|bit-plane] [--agent-level]
 //! fet protocols                                    # list the registry
 //! fet trace      --n 100000 [--seed 7]             # trajectory + domain visits
@@ -13,7 +13,7 @@
 //! fet impossibility --n 1024
 //! fet baselines  --n 1000 [--reps 10]              # every registered protocol
 //! fet topology   --n 1000 --graph regular [--degree 32] [--seed 7] [--protocol fet]
-//!                [--mode batched|fused|fused-parallel] [--threads N]
+//!                [--mode fused|fused-parallel] [--threads N]
 //! fet conflict   --n 2000 --k0 40 --k1 160 [--seed 7]
 //! fet gauntlet   spec.json [--workers W] [--manifest STEM] [--limit K] [--quiet]
 //! ```
@@ -131,15 +131,15 @@ common flags: --n N  --protocol NAME  --ell L  --c C  --seed S  --delta D
               --steps K  --reps R  --init all-wrong|all-correct|random
               --fidelity agent|binomial|without-replacement|aggregate
               --scheduler sync|async  --agent-level (= --fidelity agent)
-              --mode batched|fused|fused-parallel (round implementation; default: auto-select.
-                     fused modes run on mean-field fidelities AND on `topology` graph runs;
-                     only --fidelity agent on the complete graph requires batched)
+              --mode fused|fused-parallel (round execution; default: auto-select, sharding
+                     across cores from n >= 2*10^6; applies to every per-agent fidelity
+                     and to `topology` graph runs)
               --threads N (shard/worker count for --mode fused-parallel; default: all cores)
               --storage auto|typed|bit-plane (state representation; bit-plane packs opinions
-                     64/word for packable protocols on fused configurations — same trajectory,
+                     64/word for packable protocols on synchronous runs — same trajectory,
                      ~8x less state; auto switches at n >= 10^7)
               --k K  --p P  --q Q  --correct 0|1  --max-rounds R
-topology:     --graph NAME  --degree D  --beta B  (accepts --mode, incl. fused/fused-parallel)
+topology:     --graph NAME  --degree D  --beta B  (accepts --mode fused|fused-parallel)
 conflict:     --k0 K0  --k1 K1  --burn-in B  --window W";
 
 type Flags = HashMap<String, String>;
@@ -207,7 +207,6 @@ fn get_fidelity(flags: &Flags) -> Result<Option<Fidelity>, String> {
 fn get_mode(flags: &Flags) -> Result<ExecutionMode, String> {
     let mode = match flags.get("mode").map(String::as_str) {
         None | Some("auto") => ExecutionMode::Auto,
-        Some("batched") => ExecutionMode::Batched,
         Some("fused") => ExecutionMode::Fused,
         Some("fused-parallel") => {
             // Default thread count: every core the host offers.
@@ -343,9 +342,8 @@ fn cmd_protocols() -> Result<(), String> {
             .to_string(),
             // Whether `--mode fused` (and auto-selection) hits a
             // hand-written single-pass kernel or the default per-step
-            // fused loop. Either way the fused path covers mean-field
-            // *and* graph (`topology`) runs; only the literal agent
-            // fidelity on the complete graph stays batched.
+            // fused loop. Either way the fused path covers every
+            // per-agent fidelity and graph (`topology`) runs.
             if p.has_fused_kernel() {
                 "specialized"
             } else {
@@ -375,9 +373,8 @@ fn cmd_protocols() -> Result<(), String> {
     println!("registered protocols (samples/round shown for n = 10000, c = 4):");
     print!("{table}");
     println!(
-        "fused-kernel/parallel columns apply to mean-field runs and to graph runs \
-         (`fet topology --mode fused|fused-parallel`) alike;\nonly `--fidelity agent` \
-         on the complete graph is batched-only."
+        "fused-kernel/parallel columns apply to every per-agent fidelity and to graph \
+         runs (`fet topology --mode fused|fused-parallel`) alike."
     );
     Ok(())
 }
@@ -817,10 +814,7 @@ mod tests {
             get_mode(&flags_of(&[]).unwrap()).unwrap(),
             ExecutionMode::Auto
         );
-        assert_eq!(
-            get_mode(&flags_of(&["--mode", "batched"]).unwrap()).unwrap(),
-            ExecutionMode::Batched
-        );
+        assert!(get_mode(&flags_of(&["--mode", "batched"]).unwrap()).is_err());
         assert_eq!(
             get_mode(&flags_of(&["--mode", "fused"]).unwrap()).unwrap(),
             ExecutionMode::Fused
@@ -868,7 +862,7 @@ mod tests {
         let sim = builder_from(&f).unwrap().population(200).build().unwrap();
         assert_eq!(sim.storage(), Storage::BitPlane);
         // Incompatible axes surface the facade's build error.
-        let f = flags_of(&["--storage", "bit-plane", "--mode", "batched"]).unwrap();
+        let f = flags_of(&["--storage", "bit-plane", "--fidelity", "aggregate"]).unwrap();
         let err = builder_from(&f)
             .unwrap()
             .population(200)

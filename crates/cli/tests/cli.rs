@@ -76,7 +76,7 @@ fn run_converges_small_instance() {
 
 #[test]
 fn run_accepts_both_execution_modes() {
-    for mode in ["batched", "fused"] {
+    for mode in ["auto", "fused"] {
         let text = run_ok(&["run", "--n", "300", "--seed", "7", "--mode", mode]);
         assert!(
             text.contains(&format!("mode = {mode}")),
@@ -183,26 +183,40 @@ fn run_rejects_threads_without_parallel_mode() {
 }
 
 #[test]
-fn run_rejects_fused_with_literal_sampling() {
-    let out = fet()
-        .args([
-            "run",
-            "--n",
-            "300",
+fn run_accepts_literal_sampling_in_every_fused_configuration() {
+    for extra in [
+        &["--mode", "fused"][..],
+        &["--mode", "fused-parallel", "--threads", "3"],
+        &["--storage", "bit-plane"],
+        &[
+            "--storage",
+            "bit-plane",
             "--mode",
-            "fused",
-            "--fidelity",
-            "agent",
-        ])
+            "fused-parallel",
+            "--threads",
+            "3",
+        ],
+    ] {
+        let mut args = vec!["run", "--n", "300", "--fidelity", "agent", "--seed", "4"];
+        args.extend_from_slice(extra);
+        let text = run_ok(&args);
+        assert!(text.contains("converged at round"), "{extra:?}: {text}");
+    }
+}
+
+#[test]
+fn run_rejects_the_retired_batched_mode() {
+    let out = fet()
+        .args(["run", "--n", "300", "--mode", "batched"])
         .output()
         .expect("binary runs");
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("fused"));
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown --mode `batched`"));
 }
 
 #[test]
 fn topology_accepts_the_fused_family() {
-    for mode in ["batched", "fused", "fused-parallel"] {
+    for mode in ["fused", "fused-parallel"] {
         let text = run_ok(&[
             "topology", "--n", "300", "--graph", "regular", "--degree", "24", "--seed", "7",
             "--mode", mode,

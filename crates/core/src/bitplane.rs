@@ -1000,24 +1000,6 @@ where
         self.repack(idx, &state);
     }
 
-    fn step_batch(
-        &mut self,
-        observations: &[Observation],
-        ctx: &RoundContext,
-        rng: &mut dyn RngCore,
-        outputs: &mut [Opinion],
-    ) {
-        let n = self.opinions.len();
-        assert_eq!(observations.len(), n, "one observation per agent");
-        assert_eq!(outputs.len(), n, "one output slot per agent");
-        for i in 0..n {
-            let mut state = self.unpack(i);
-            let new = self.protocol.step(&mut state, &observations[i], ctx, rng);
-            self.repack(i, &state);
-            outputs[i] = new;
-        }
-    }
-
     fn step_round(
         &mut self,
         sources: &dyn ShardSourceFactory,

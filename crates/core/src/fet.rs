@@ -43,7 +43,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 ///
 /// The table is deterministic in `ℓ`, so all `FetProtocol` values with the
 /// same `ℓ` share one `Arc`'d table. The lock is taken once per protocol
-/// *construction* — never on the step/batch/fused hot paths, which read
+/// *construction* — never on the step/fused hot paths, which read
 /// the `Arc` cached inside the protocol value.
 fn split_table(ell: u64) -> Arc<SplitTable> {
     static TABLES: OnceLock<Mutex<HashMap<u64, Arc<SplitTable>>>> = OnceLock::new();
@@ -215,50 +215,6 @@ impl Protocol for FetProtocol {
         state.opinion = new_opinion;
         state.prev_count_second_half = count_second as u32;
         new_opinion
-    }
-
-    fn step_batch(
-        &self,
-        states: &mut [FetState],
-        observations: &[Observation],
-        ctx: &RoundContext,
-        rng: &mut dyn RngCore,
-        outputs: &mut [Opinion],
-    ) {
-        assert_eq!(
-            states.len(),
-            observations.len(),
-            "one observation per agent"
-        );
-        assert_eq!(states.len(), outputs.len(), "one output slot per agent");
-        let m = self.samples_per_round();
-        if let Some(bad) = observations.iter().find(|o| o.sample_size() != m) {
-            panic!(
-                "FET(ℓ={}) expects {} samples, observation has {}",
-                self.ell,
-                m,
-                bad.sample_size()
-            );
-        }
-        // Same decision rule as `step`, with the sample-size validation
-        // hoisted out of the loop and the state updates running straight
-        // over the contiguous slice. The partition split runs off the
-        // inverse-CDF table cached at construction — stream-compatible
-        // with `split_sample`, so batch size never changes the draws.
-        for ((state, obs), out) in states.iter_mut().zip(observations).zip(outputs.iter_mut()) {
-            let ones = u64::from(obs.ones());
-            let (count_prime, count_second) = self.table.split(ones, rng);
-            let stale = u64::from(state.prev_count_second_half);
-            let new_opinion = match count_prime.cmp(&stale) {
-                std::cmp::Ordering::Greater => Opinion::One,
-                std::cmp::Ordering::Less => Opinion::Zero,
-                std::cmp::Ordering::Equal => state.opinion,
-            };
-            state.opinion = new_opinion;
-            state.prev_count_second_half = count_second as u32;
-            *out = new_opinion;
-        }
-        let _ = ctx;
     }
 
     fn step_fused(
@@ -499,49 +455,6 @@ mod tests {
     }
 
     #[test]
-    fn step_batch_matches_sequential_steps_bit_for_bit() {
-        // The batch kernel must preserve the sequential RNG semantics: the
-        // same seed must produce identical states and outputs either way.
-        let p = FetProtocol::new(8).unwrap();
-        let m = p.samples_per_round();
-        let ctx = ctx();
-        let mut init_rng = rng("batch-init");
-        let mut states_loop: Vec<FetState> = (0..64)
-            .map(|i| {
-                p.init_state(
-                    if i % 2 == 0 {
-                        Opinion::Zero
-                    } else {
-                        Opinion::One
-                    },
-                    &mut init_rng,
-                )
-            })
-            .collect();
-        let mut states_batch = states_loop.clone();
-        let observations: Vec<Observation> = (0..64)
-            .map(|i| Observation::new((i * 7) % (m + 1), m).unwrap())
-            .collect();
-        let mut rng_loop = rng("batch-stream");
-        let mut rng_batch = rng("batch-stream");
-        let outputs_loop: Vec<Opinion> = states_loop
-            .iter_mut()
-            .zip(&observations)
-            .map(|(s, o)| p.step(s, o, &ctx, &mut rng_loop))
-            .collect();
-        let mut outputs_batch = vec![Opinion::Zero; 64];
-        p.step_batch(
-            &mut states_batch,
-            &observations,
-            &ctx,
-            &mut rng_batch,
-            &mut outputs_batch,
-        );
-        assert_eq!(states_loop, states_batch);
-        assert_eq!(outputs_loop, outputs_batch);
-    }
-
-    #[test]
     fn aggregate_ell_exposed() {
         assert_eq!(FetProtocol::new(12).unwrap().aggregate_ell(), Some(12));
     }
@@ -610,17 +523,6 @@ mod tests {
         // Both paths must have consumed the same stream.
         assert_eq!(rng_loop.next_u64(), rng_fused.next_u64());
         assert!(p.has_fused_kernel());
-    }
-
-    #[test]
-    #[should_panic(expected = "expects 16 samples")]
-    fn step_batch_rejects_wrong_sample_size() {
-        let p = FetProtocol::new(8).unwrap();
-        let mut rng = rng("batch-panic");
-        let mut states = vec![p.init_state(Opinion::Zero, &mut rng)];
-        let obs = vec![Observation::new(3, 8).unwrap()];
-        let mut out = vec![Opinion::Zero];
-        p.step_batch(&mut states, &obs, &ctx(), &mut rng, &mut out);
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //! the round loop needs (initialize agents, step the whole slice, read
 //! outputs and decisions, account memory, clone for snapshots). A
 //! runtime-selected protocol therefore pays **one** virtual dispatch per
-//! round — straight into the typed [`Protocol::step_batch`] or
-//! [`Protocol::step_fused`] kernel — with no per-round state buffer and
-//! no cloning. The states stay tiny and uniform (FET's is 8 bytes), exactly
+//! round — straight into the typed [`Protocol::step_fused`] kernel — with
+//! no per-round state buffer and no cloning. The states stay tiny and uniform (FET's is 8 bytes), exactly
 //! the regime the 3-bit/noisy-PULL literature optimizes for, so one
 //! contiguous buffer is also the cache-friendly layout.
 //!
@@ -31,8 +30,24 @@
 //! use fet_core::observation::Observation;
 //! use fet_core::opinion::Opinion;
 //! use fet_core::population::Population;
-//! use fet_core::protocol::RoundContext;
-//! use rand::SeedableRng;
+//! use fet_core::protocol::{ObservationSource, RoundContext};
+//! use fet_core::shard::{RoundStreams, ShardSourceFactory};
+//! use rand::{RngCore, SeedableRng};
+//!
+//! /// Every agent sees 12 ones among its 16 samples.
+//! struct TwelveOfSixteen;
+//!
+//! impl ObservationSource for TwelveOfSixteen {
+//!     fn next_observation(&mut self, _rng: &mut dyn RngCore) -> Observation {
+//!         Observation::new(12, 16).expect("12 ≤ 16")
+//!     }
+//! }
+//!
+//! impl ShardSourceFactory for TwelveOfSixteen {
+//!     fn shard_source(&self, _range: std::ops::Range<usize>) -> Box<dyn ObservationSource + '_> {
+//!         Box::new(TwelveOfSixteen)
+//!     }
+//! }
 //!
 //! // A runtime-selected protocol hands out a contiguous population…
 //! let erased = ErasedProtocol::new(FetProtocol::new(8)?);
@@ -42,11 +57,16 @@
 //!     population.push_agent(Opinion::Zero, &mut rng);
 //! }
 //!
-//! // …and one round is a single dispatch into the typed batch kernel.
-//! let obs = vec![Observation::new(12, 16)?; 100];
+//! // …and one round is a single dispatch into the typed fused kernel.
 //! let mut out = vec![Opinion::Zero; 100];
-//! population.step_batch(&obs, &RoundContext::new(0), &mut rng, &mut out);
-//! assert_eq!(population.len(), 100);
+//! let counters = population.step_round(
+//!     &TwelveOfSixteen,
+//!     &RoundContext::new(0),
+//!     RoundStreams::Main(&mut rng),
+//!     Opinion::One,
+//!     Some(&mut out),
+//! );
+//! assert_eq!(counters.ones, out.iter().filter(|o| o.is_one()).count() as u64);
 //! # Ok::<(), fet_core::CoreError>(())
 //! ```
 
@@ -62,8 +82,8 @@ use std::fmt;
 ///
 /// Agents are indexed `0..len()` in insertion order ([`push_agent`]); a
 /// simulation engine keeps sources outside the population and maps indices
-/// itself. All batch methods preserve the *sequential RNG semantics* of
-/// [`Protocol::step_batch`]: stepping the population in one call draws the
+/// itself. The round method preserves the *sequential RNG semantics* of
+/// [`Protocol::step_fused`]: stepping the population in one call draws the
 /// same random stream as stepping agent by agent in index order.
 ///
 /// Bounds are deliberately minimal (`Debug + Send + Sync`, no `Clone` —
@@ -109,30 +129,12 @@ pub trait Population: fmt::Debug + Send {
     /// new agent's public output.
     fn push_agent(&mut self, opinion: Opinion, rng: &mut dyn RngCore) -> Opinion;
 
-    /// Executes one round for every agent: agent `i` consumes
-    /// `observations[i]` and its new public opinion is written to
-    /// `outputs[i]`. One dispatch into the typed
-    /// [`Protocol::step_batch`] kernel — no per-round allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the slice lengths differ from [`Population::len`], or
-    /// when an observation's sample size does not match
-    /// [`Population::samples_per_round`].
-    fn step_batch(
-        &mut self,
-        observations: &[Observation],
-        ctx: &RoundContext,
-        rng: &mut dyn RngCore,
-        outputs: &mut [Opinion],
-    );
-
     /// Executes one *fused* round for every agent: each agent's
     /// observation is drawn on demand from a shard source, its update
     /// applied, and the round counters accumulated in one pass —
     /// `O(1)` auxiliary memory (no observation buffer exists anywhere).
-    /// This is the one fused entry point; see the engine docs in
-    /// `fet-sim` for when it is selected over [`Population::step_batch`].
+    /// This is the one synchronous round entry point; see the engine docs
+    /// in `fet-sim` for how its streams are chosen.
     ///
     /// `streams` picks the execution:
     ///
@@ -383,17 +385,6 @@ where
         self.states[idx] = self.protocol.init_state(opinion, rng);
     }
 
-    fn step_batch(
-        &mut self,
-        observations: &[Observation],
-        ctx: &RoundContext,
-        rng: &mut dyn RngCore,
-        outputs: &mut [Opinion],
-    ) {
-        self.protocol
-            .step_batch(&mut self.states, observations, ctx, rng, outputs);
-    }
-
     fn step_round(
         &mut self,
         sources: &dyn ShardSourceFactory,
@@ -514,25 +505,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_equals_per_agent_loop() {
-        let (mut a, mut ra) = filled(16);
-        let (mut b, mut rb) = filled(16);
-        let ctx = RoundContext::new(0);
-        let obs: Vec<_> = (0..16)
-            .map(|i| Observation::new(i % 17, 16).unwrap())
-            .collect();
-        let mut batched = vec![Opinion::Zero; 16];
-        a.step_batch(&obs, &ctx, &mut ra, &mut batched);
-        let looped: Vec<_> = obs
-            .iter()
-            .enumerate()
-            .map(|(i, o)| b.step_agent(i, o, &ctx, &mut rb))
-            .collect();
-        assert_eq!(batched, looped);
-        assert_eq!(a.states(), b.states());
-    }
-
-    #[test]
     fn counters_and_outputs_agree() {
         let (pop, _) = filled(12);
         let mut out = vec![Opinion::One; 12];
@@ -555,9 +527,14 @@ mod tests {
         let (pop, mut r) = filled(6);
         let boxed: Box<dyn DynPopulation> = pop.clone_box();
         let mut copy = boxed.clone();
-        let obs = vec![Observation::new(16, 16).unwrap(); 6];
-        let mut out = vec![Opinion::Zero; 6];
-        copy.step_batch(&obs, &RoundContext::new(0), &mut r, &mut out);
+        for i in 0..6 {
+            copy.step_agent(
+                i,
+                &Observation::new(16, 16).unwrap(),
+                &RoundContext::new(0),
+                &mut r,
+            );
+        }
         // The original is untouched by stepping the clone.
         let mut orig_out = vec![Opinion::Zero; 6];
         pop.write_outputs(&mut orig_out);

@@ -64,9 +64,8 @@ pub trait ObservationSource {
     /// Draws the next agent's observation. Called exactly once per agent,
     /// in agent order over the stepped slice — implementations may consume
     /// `rng` (sampling, noise) and advance positional state, and the
-    /// kernel interleaves these draws with its own per-agent RNG use,
-    /// which is what gives the fused path its own deterministic stream
-    /// (distinct from the batched path's observations-first ordering).
+    /// kernel interleaves these draws with its own per-agent RNG use, in
+    /// agent order.
     fn next_observation(&mut self, rng: &mut dyn RngCore) -> Observation;
 
     /// Draws observations for `count ≤ 64` consecutive agents and returns
@@ -236,23 +235,15 @@ pub trait Protocol {
         rng: &mut dyn RngCore,
     ) -> Opinion;
 
-    /// Executes one round for a contiguous slice of agents: `states[i]`
-    /// consumes `observations[i]` and its new public opinion is written to
-    /// `outputs[i]`.
+    /// Executes one round for a contiguous slice of agents with the
+    /// observations already in hand: `states[i]` consumes
+    /// `observations[i]` and its new public opinion is written to
+    /// `outputs[i]` — exactly `step` once per agent in slice order with
+    /// the same RNG.
     ///
-    /// The default implementation loops over [`Protocol::step`] and is
-    /// always correct. Protocols with a hot decision rule (FET, the
-    /// `fet-protocols` baselines) override it with a kernel that hoists
-    /// the per-observation validation out of the loop and runs straight
-    /// over the contiguous state slice — the form the engine's round loop
-    /// is built around.
-    ///
-    /// # Contract
-    ///
-    /// Equivalent to calling `step` once per agent in slice order with the
-    /// same RNG: specializations must preserve the *sequential RNG
-    /// semantics* so that batched and looped execution produce identical
-    /// streams for a given seed.
+    /// The engines never call this; their rounds draw observations on
+    /// demand through [`Protocol::step_fused`]. It is a convenience for
+    /// callers that hold an observation buffer of their own.
     ///
     /// # Panics
     ///
@@ -284,20 +275,14 @@ pub trait Protocol {
     /// memory (no observation or scratch buffers).
     ///
     /// The default implementation loops over [`Protocol::step`] and is
-    /// always correct; since [`Protocol::step_batch`] is required to
-    /// preserve sequential-step semantics, this is behaviourally the
-    /// batched kernel with the buffers deleted. Protocols with a hot
-    /// decision rule (FET, voter, 3-majority) override it with a kernel
-    /// that hoists per-observation validation and table lookups out of the
-    /// loop; overrides **must** stay stream-identical to the default (same
-    /// per-agent draw interleaving, same results for a given RNG state),
-    /// so every representation of one protocol walks one fused stream.
-    ///
-    /// Note the fused path's RNG *interleaving* differs from the batched
-    /// path's (observation and update draws alternate per agent instead of
-    /// all observations being drawn first), so fused and batched rounds
-    /// are two distinct deterministic streams of the same distribution —
-    /// see `fet-sim`'s engine docs for the execution-mode story.
+    /// always correct. Protocols with a hot decision rule (FET, voter,
+    /// 3-majority) override it with a kernel that hoists per-observation
+    /// validation and table lookups out of the loop; overrides **must**
+    /// stay stream-identical to the default (same per-agent draw
+    /// interleaving — observation, then update — and the same results for
+    /// a given RNG state), so every representation of one protocol walks
+    /// one fused stream. See `fet-sim`'s engine docs for the
+    /// execution-mode story.
     ///
     /// # Panics
     ///

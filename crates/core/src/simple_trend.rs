@@ -135,44 +135,6 @@ impl Protocol for SimpleTrendProtocol {
         new_opinion
     }
 
-    fn step_batch(
-        &self,
-        states: &mut [SimpleTrendState],
-        observations: &[Observation],
-        _ctx: &RoundContext,
-        _rng: &mut dyn RngCore,
-        outputs: &mut [Opinion],
-    ) {
-        assert_eq!(
-            states.len(),
-            observations.len(),
-            "one observation per agent"
-        );
-        assert_eq!(states.len(), outputs.len(), "one output slot per agent");
-        // Branch-only, RNG-free kernel over the contiguous slice; the
-        // sample-size check rides the loop (a separate validation pass
-        // costs as much as the decision rule itself here).
-        for ((state, obs), out) in states.iter_mut().zip(observations).zip(outputs.iter_mut()) {
-            assert_eq!(
-                obs.sample_size(),
-                self.ell,
-                "simple-trend(ℓ={}) expects {} samples, observation has {}",
-                self.ell,
-                self.ell,
-                obs.sample_size()
-            );
-            let count = obs.ones();
-            let new_opinion = match count.cmp(&state.prev_count) {
-                std::cmp::Ordering::Greater => Opinion::One,
-                std::cmp::Ordering::Less => Opinion::Zero,
-                std::cmp::Ordering::Equal => state.opinion,
-            };
-            state.opinion = new_opinion;
-            state.prev_count = count;
-            *out = new_opinion;
-        }
-    }
-
     fn output(&self, state: &SimpleTrendState) -> Opinion {
         state.opinion
     }

@@ -90,40 +90,6 @@ impl Protocol for MajorityProtocol {
         *state
     }
 
-    fn step_batch(
-        &self,
-        states: &mut [Opinion],
-        observations: &[Observation],
-        _ctx: &RoundContext,
-        _rng: &mut dyn RngCore,
-        outputs: &mut [Opinion],
-    ) {
-        assert_eq!(
-            states.len(),
-            observations.len(),
-            "one observation per agent"
-        );
-        assert_eq!(states.len(), outputs.len(), "one output slot per agent");
-        if let Some(bad) = observations.iter().find(|o| o.sample_size() != self.ell) {
-            panic!(
-                "majority(ℓ={}) expects {} samples, observation has {}",
-                self.ell,
-                self.ell,
-                bad.sample_size()
-            );
-        }
-        // Branch-only threshold kernel over the contiguous slice.
-        for ((state, obs), out) in states.iter_mut().zip(observations).zip(outputs.iter_mut()) {
-            let twice = 2 * obs.ones();
-            *state = match twice.cmp(&self.ell) {
-                std::cmp::Ordering::Greater => Opinion::One,
-                std::cmp::Ordering::Less => Opinion::Zero,
-                std::cmp::Ordering::Equal => *state,
-            };
-            *out = *state;
-        }
-    }
-
     fn output(&self, state: &Opinion) -> Opinion {
         *state
     }

@@ -249,7 +249,7 @@ impl ProtocolRegistry {
     /// Constructs an empty contiguous population container for the
     /// protocol registered under `name` — the zero-copy erased execution
     /// path (engines fill it and then dispatch each round straight into
-    /// the typed batch kernel).
+    /// the typed fused kernel).
     ///
     /// # Errors
     ///

@@ -62,35 +62,6 @@ impl Protocol for ThreeMajorityProtocol {
         *state
     }
 
-    fn step_batch(
-        &self,
-        states: &mut [Opinion],
-        observations: &[Observation],
-        _ctx: &RoundContext,
-        _rng: &mut dyn RngCore,
-        outputs: &mut [Opinion],
-    ) {
-        assert_eq!(
-            states.len(),
-            observations.len(),
-            "one observation per agent"
-        );
-        assert_eq!(states.len(), outputs.len(), "one output slot per agent");
-        assert!(
-            observations.iter().all(|o| o.sample_size() == 3),
-            "3-majority expects exactly three samples"
-        );
-        // Stateless threshold kernel over the contiguous slice.
-        for ((state, obs), out) in states.iter_mut().zip(observations).zip(outputs.iter_mut()) {
-            *state = if obs.ones() >= 2 {
-                Opinion::One
-            } else {
-                Opinion::Zero
-            };
-            *out = *state;
-        }
-    }
-
     fn step_fused(
         &self,
         states: &mut [Opinion],

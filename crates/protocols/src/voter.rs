@@ -61,31 +61,6 @@ impl Protocol for VoterProtocol {
         *state
     }
 
-    fn step_batch(
-        &self,
-        states: &mut [Opinion],
-        observations: &[Observation],
-        _ctx: &RoundContext,
-        _rng: &mut dyn RngCore,
-        outputs: &mut [Opinion],
-    ) {
-        assert_eq!(
-            states.len(),
-            observations.len(),
-            "one observation per agent"
-        );
-        assert_eq!(states.len(), outputs.len(), "one output slot per agent");
-        assert!(
-            observations.iter().all(|o| o.sample_size() == 1),
-            "voter expects exactly one sample"
-        );
-        // Copy kernel: the new opinion IS the observed bit.
-        for ((state, obs), out) in states.iter_mut().zip(observations).zip(outputs.iter_mut()) {
-            *state = Opinion::from_bit_value(obs.ones() as u8);
-            *out = *state;
-        }
-    }
-
     fn step_fused(
         &self,
         states: &mut [Opinion],

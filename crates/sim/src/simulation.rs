@@ -19,12 +19,10 @@
 //! * **scheduler** — synchronous rounds ([`Scheduler::Synchronous`]) or the
 //!   population-protocol-style random-activation scheduler
 //!   ([`Scheduler::Asynchronous`]).
-//! * **execution mode** — how a synchronous round executes:
-//!   [`ExecutionMode::Auto`] (default; a fused single-pass kernel on
-//!   mean-field rounds — work-sharded across threads above an `n`
-//!   threshold on multi-core hosts — and the batched pipeline otherwise),
-//!   or force one with [`ExecutionMode::Fused`] /
-//!   [`ExecutionMode::FusedParallel`] / [`ExecutionMode::Batched`].
+//! * **execution mode** — how a synchronous round's fused single-pass
+//!   kernel executes: [`ExecutionMode::Auto`] (default; work-sharded
+//!   across threads above an `n` threshold on multi-core hosts), or force
+//!   one with [`ExecutionMode::Fused`] / [`ExecutionMode::FusedParallel`].
 //! * **fault plan, initial condition, convergence criterion, budgets,
 //!   seed, trajectory recording** — one method each.
 //!
@@ -38,7 +36,7 @@
 //! [`PopulationEngine`]: the protocol handle builds a type-erased
 //! *population container* (one contiguous buffer of concrete states, see
 //! [`fet_core::population`]) and every round dispatches once into the typed
-//! batch kernel. A registry-name run is therefore stream-identical to, and
+//! fused kernel. A registry-name run is therefore stream-identical to, and
 //! within a few percent of, the equivalent typed `Engine<P>` run.
 //! Asynchronous runs step the same kind of container, one agent per
 //! activation.
@@ -103,8 +101,8 @@ pub enum Scheduler {
 /// Default sample-size constant `c` in `ℓ = ⌈c·ln n⌉`.
 pub const DEFAULT_SAMPLE_CONSTANT: f64 = 4.0;
 
-/// Population size at which [`Storage::Auto`] switches a packable,
-/// fused-capable synchronous run to bit-plane storage. Below it the byte
+/// Population size at which [`Storage::Auto`] switches a packable
+/// synchronous run to bit-plane storage. Below it the byte
 /// representation's ~8 bytes/agent are immaterial and the typed buffer
 /// stays the familiar default; above it the packed planes cut resident
 /// opinion storage 8× (64×, for opinion-only protocols).
@@ -122,12 +120,11 @@ pub const BIT_PLANE_AUTO_MIN_N: u64 = 10_000_000;
 /// kernels; opinion-only threshold protocols (voter, 3-majority)
 /// additionally take the word-at-a-time kernel, 64 agents per plane
 /// write. It requires a *packable, passive* protocol
-/// ([`fet_core::protocol::Protocol::state_planes`]), a synchronous
-/// fused-capable configuration (any mean-field fidelity, or any
-/// topology), and no sleepy-agent faults; [`SimulationBuilder::build`]
-/// validates all of that. Trajectories are **bit-identical** to the
-/// typed representation for the same `(seed, execution mode, shard
-/// count)` — storage never perturbs the stream.
+/// ([`fet_core::protocol::Protocol::state_planes`]), the synchronous
+/// scheduler with a per-agent fidelity, and no sleepy-agent faults;
+/// [`SimulationBuilder::build`] validates all of that. Trajectories are
+/// **bit-identical** to the typed representation for the same `(seed,
+/// execution mode, shard count)` — storage never perturbs the stream.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Storage {
     /// Select automatically: bit-plane when the protocol is packable,
@@ -177,9 +174,9 @@ pub struct RunReport {
     /// Fidelity the run used.
     pub fidelity: Fidelity,
     /// Execution mode the run was configured with ([`ExecutionMode::Auto`]
-    /// resolves to the fused single-pass kernel on synchronous mean-field
-    /// runs and the batched pipeline otherwise; the aggregate and
-    /// asynchronous runners have one implementation each).
+    /// resolves to the single-threaded or the work-sharded fused kernel;
+    /// the aggregate and asynchronous runners have one implementation
+    /// each).
     pub mode: ExecutionMode,
     /// Scheduler the run used.
     pub scheduler: Scheduler,
@@ -637,17 +634,13 @@ impl SimulationBuilder {
         self
     }
 
-    /// Sets the synchronous round implementation (default
-    /// [`ExecutionMode::Auto`]: a fused single-pass kernel on mean-field
-    /// *and* topology (graph) rounds — parallelized above an `n` threshold
-    /// on multi-core hosts — and the batched pipeline for the literal
-    /// complete-graph Agent fidelity). Forcing [`ExecutionMode::Fused`] or
+    /// Sets how the synchronous fused round executes (default
+    /// [`ExecutionMode::Auto`]: parallelized above an `n` threshold on
+    /// multi-core hosts). Forcing [`ExecutionMode::Fused`] or
     /// [`ExecutionMode::FusedParallel`] is validated in
     /// [`SimulationBuilder::build`]: both require a synchronous per-agent
-    /// run with an on-demand observation source (any mean-field fidelity,
-    /// or any topology — only the literal Agent fidelity on the complete
-    /// graph is rejected), and the parallel mode additionally a non-zero
-    /// thread count and a
+    /// run, and the parallel mode additionally a non-zero thread count
+    /// and a
     /// [`parallel_eligible`](fet_core::protocol::Protocol::parallel_eligible)
     /// protocol. Note the stream caveat in [`crate::engine`]'s docs: each
     /// mode (and each parallel shard count) is its own deterministic
@@ -676,10 +669,8 @@ impl SimulationBuilder {
     /// [`Storage::BitPlane`] is validated in
     /// [`SimulationBuilder::build`]: it requires a packable passive
     /// protocol ([`fet_core::protocol::Protocol::state_planes`]), the
-    /// synchronous scheduler, a fused-capable configuration (any
-    /// mean-field fidelity, or any topology — not the literal Agent
-    /// fidelity on the complete graph, and not
-    /// [`ExecutionMode::Batched`]), and no sleepy-agent faults.
+    /// synchronous scheduler with a per-agent fidelity, and no
+    /// sleepy-agent faults.
     pub fn storage(mut self, s: Storage) -> Self {
         self.storage = s;
         self
@@ -754,13 +745,10 @@ impl SimulationBuilder {
     /// aggregate fidelity with a protocol lacking the Observation 1
     /// structure / with faults / with the async scheduler,
     /// without-replacement sampling with `m > n`, an unknown registry name,
-    /// a malformed `FET_SIMD` (or `avx2` forced on a host without it) —
-    /// and [`SimError::Core`] for invalid instance parameters.
+    /// a malformed `FET_SIMD` (or `avx2` forced on a host without it) on a
+    /// synchronous per-agent run — and [`SimError::Core`] for invalid
+    /// instance parameters.
     pub fn build(self) -> Result<Simulation, SimError> {
-        // The kernel tier resolves lazily, on a run's first tiered draw:
-        // validate its override here so a bad value fails the build, not
-        // the middle of a run.
-        fet_stats::isa::env_override().map_err(|detail| Self::invalid("FET_SIMD", detail))?;
         let n = match (self.n, self.topology.as_ref()) {
             (Some(n), Some(t)) if n != u64::from(t.population()) => {
                 return Err(Self::invalid(
@@ -878,7 +866,7 @@ impl SimulationBuilder {
             }
         }
         if self.mode != ExecutionMode::Auto {
-            // The batched/fused choice exists only for the synchronous
+            // The fused/parallel choice exists only for the synchronous
             // per-agent engine; other runners have a single implementation.
             if self.scheduler == Scheduler::Asynchronous || fidelity == Fidelity::Aggregate {
                 return Err(Self::invalid(
@@ -889,19 +877,6 @@ impl SimulationBuilder {
                          implementation each (use ExecutionMode::Auto)",
                         self.mode
                     ),
-                ));
-            }
-            let fused_family = matches!(
-                self.mode,
-                ExecutionMode::Fused | ExecutionMode::FusedParallel { .. }
-            );
-            if fused_family && self.topology.is_none() && fidelity == Fidelity::Agent {
-                return Err(Self::invalid(
-                    "mode",
-                    "offending axis: fidelity — the literal Agent fidelity on the complete \
-                     graph has no on-demand observation source and keeps the snapshot-driven \
-                     batched path; fused modes run on the mean-field fidelities \
-                     (Binomial/WithoutReplacement) and on topology (graph) runs",
                 ));
             }
             if matches!(self.mode, ExecutionMode::FusedParallel { threads: 0 }) {
@@ -924,8 +899,8 @@ impl SimulationBuilder {
         }
 
         // Storage is a synchronous per-agent engine axis riding the fused
-        // round family; every requirement is checkable here, so forcing
-        // bit planes fails at build time with the offending axis named.
+        // rounds; every requirement is checkable here, so forcing bit
+        // planes fails at build time with the offending axis named.
         let bit_plane_obstacle: Option<String> = if self.scheduler == Scheduler::Asynchronous {
             Some(
                 "offending axis: scheduler — the asynchronous runner steps one agent per \
@@ -936,19 +911,6 @@ impl SimulationBuilder {
             Some(
                 "offending axis: fidelity — the aggregate chain keeps no per-agent states \
                  to pack"
-                    .into(),
-            )
-        } else if self.mode == ExecutionMode::Batched {
-            Some(
-                "offending axis: mode — bit-plane populations run the fused round family, \
-                 not the snapshot-driven batched pipeline"
-                    .into(),
-            )
-        } else if self.topology.is_none() && fidelity == Fidelity::Agent {
-            Some(
-                "offending axis: fidelity — the literal Agent fidelity on the complete graph \
-                 keeps the batched path, which bit planes do not support (use \
-                 Binomial/WithoutReplacement fidelity, or a topology)"
                     .into(),
             )
         } else if effective_fault.sleep_prob > 0.0 {
@@ -1176,32 +1138,26 @@ mod tests {
     fn execution_mode_axis_builds_and_converges() {
         for mode in [
             ExecutionMode::Auto,
-            ExecutionMode::Batched,
             ExecutionMode::Fused,
             ExecutionMode::FusedParallel { threads: 2 },
         ] {
-            let mut sim = Simulation::builder()
-                .population(300)
-                .seed(7)
-                .execution_mode(mode)
-                .build()
-                .unwrap();
-            let report = sim.run();
-            assert!(report.converged(), "{mode:?}: {report:?}");
-            assert_eq!(report.mode, mode);
+            for fidelity in [Fidelity::Binomial, Fidelity::Agent] {
+                let mut sim = Simulation::builder()
+                    .population(300)
+                    .seed(7)
+                    .fidelity(fidelity)
+                    .execution_mode(mode)
+                    .build()
+                    .unwrap();
+                let report = sim.run();
+                assert!(report.converged(), "{mode:?}/{fidelity:?}: {report:?}");
+                assert_eq!(report.mode, mode);
+            }
         }
     }
 
     #[test]
     fn fused_mode_rejects_incompatible_configurations() {
-        // Literal fidelity needs the snapshot-driven batched path.
-        let err = Simulation::builder()
-            .population(100)
-            .fidelity(Fidelity::Agent)
-            .execution_mode(ExecutionMode::Fused)
-            .build()
-            .unwrap_err();
-        assert!(err.to_string().contains("fused"), "{err}");
         // Aggregate and async runners have one implementation each.
         for (fidelity, scheduler) in [
             (Some(Fidelity::Aggregate), Scheduler::Synchronous),
@@ -1221,14 +1177,6 @@ mod tests {
 
     #[test]
     fn fused_parallel_mode_is_validated_at_build_time() {
-        // Literal fidelity needs the snapshot-driven batched path.
-        let err = Simulation::builder()
-            .population(100)
-            .fidelity(Fidelity::Agent)
-            .execution_mode(ExecutionMode::FusedParallel { threads: 4 })
-            .build()
-            .unwrap_err();
-        assert!(err.to_string().contains("fused"), "{err}");
         // Zero threads is meaningless.
         let err = Simulation::builder()
             .population(100)
@@ -1317,17 +1265,23 @@ mod tests {
     #[test]
     fn storage_axis_is_trajectory_invisible() {
         // The representation equivalence contract at facade level: for a
-        // fixed (seed, mode), typed and bit-plane storage produce the
-        // same trajectory, report, and convergence round — the packed
-        // planes never enter the stream.
-        for mode in [
-            ExecutionMode::Fused,
-            ExecutionMode::FusedParallel { threads: 3 },
+        // fixed (seed, fidelity, mode), typed and bit-plane storage
+        // produce the same trajectory, report, and convergence round —
+        // the packed planes never enter the stream.
+        for (fidelity, mode) in [
+            (Fidelity::Binomial, ExecutionMode::Fused),
+            (
+                Fidelity::Binomial,
+                ExecutionMode::FusedParallel { threads: 3 },
+            ),
+            (Fidelity::Agent, ExecutionMode::Fused),
+            (Fidelity::Agent, ExecutionMode::FusedParallel { threads: 3 }),
         ] {
             let run = |storage: Storage| {
                 Simulation::builder()
                     .population(350)
                     .seed(13)
+                    .fidelity(fidelity)
                     .execution_mode(mode)
                     .storage(storage)
                     .record_trajectory(true)
@@ -1337,16 +1291,16 @@ mod tests {
             };
             let typed = run(Storage::Typed);
             let bits = run(Storage::BitPlane);
-            assert!(typed.converged(), "{mode:?}: {typed:?}");
+            assert!(typed.converged(), "{fidelity:?}/{mode:?}: {typed:?}");
             assert_eq!(typed.storage, Storage::Typed);
             assert_eq!(bits.storage, Storage::BitPlane);
-            assert_eq!(typed.trajectory, bits.trajectory, "{mode:?}");
-            assert_eq!(typed.report, bits.report, "{mode:?}");
+            assert_eq!(typed.trajectory, bits.trajectory, "{fidelity:?}/{mode:?}");
+            assert_eq!(typed.report, bits.report, "{fidelity:?}/{mode:?}");
             // And the representation actually shrinks resident state:
             // ~16 bytes/agent typed FET vs 1 bit + 1 byte packed.
             assert!(
                 bits.resident_bytes * 4 < typed.resident_bytes,
-                "{mode:?}: {} !< {}",
+                "{fidelity:?}/{mode:?}: {} !< {}",
                 bits.resident_bytes,
                 typed.resident_bytes
             );
@@ -1374,11 +1328,6 @@ mod tests {
                 .storage(Storage::BitPlane)
         };
         for (what, builder) in [
-            (
-                "batched mode",
-                base().execution_mode(ExecutionMode::Batched),
-            ),
-            ("literal fidelity", base().fidelity(Fidelity::Agent)),
             ("aggregate fidelity", base().fidelity(Fidelity::Aggregate)),
             (
                 "async scheduler",

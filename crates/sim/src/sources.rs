@@ -5,30 +5,31 @@
 //! [`ObservationSource`] on demand. This module is where the engine's
 //! sources live, one per sampling rule:
 //!
-//! * [`MeanFieldSource`] — the complete-graph fidelities
+//! * [`MeanFieldSource`] — the complete-graph shortcuts
 //!   ([`Fidelity::Binomial`] / [`Fidelity::WithoutReplacement`]): an
 //!   observation is a pure function of the round-start global 1-count and
 //!   the RNG, so the source is just the round's sampler configuration.
-//! * [`GraphSource`] — neighborhood sampling on an explicit
-//!   [`Neighborhood`]: agent `i` samples `m` neighbors **with
-//!   replacement** from its adjacency list and counts 1-opinions in the
-//!   round-start snapshot. The source is *positional*: it carries a vertex
-//!   cursor that advances once per draw, so it must be constructed knowing
-//!   the first vertex it streams for.
+//! * [`GraphSource`] — literal index sampling over the round-start
+//!   snapshot: agent `i` samples `m` vertices uniformly **with
+//!   replacement** and counts 1-opinions. On an explicit [`Neighborhood`]
+//!   the draws range over `i`'s adjacency list; on the complete graph
+//!   ([`Fidelity::Agent`], [`GraphSourceFactory::complete`]) over every
+//!   vertex, self and sources included. The source is *positional*: it
+//!   carries a vertex cursor that advances once per draw, so it must be
+//!   constructed knowing the first vertex it streams for.
 //!
-//! Both sources apply observation noise exactly as the batched pipeline
-//! does — folded into the law of binomial draws, through
-//! [`FaultPlan::corrupt_count`] on hypergeometric and graph draws — and both
-//! come with a [`ShardSourceFactory`] — the one way a fused round obtains
-//! its sources — so every shard gets a private source (the
-//! single-threaded round is shard 0 over the whole population):
+//! Both sources apply observation noise — folded into the law of binomial
+//! draws, through [`FaultPlan::corrupt_count`] on hypergeometric and index
+//! draws — and both come with a [`ShardSourceFactory`] — the one way a
+//! fused round obtains its sources — so every shard gets a private source
+//! (the single-threaded round is shard 0 over the whole population):
 //! [`MeanFieldSourceFactory`]
 //! ignores the shard range (mean-field draws are position-oblivious),
 //! [`GraphSourceFactory`] aligns the cursor with the shard's first agent.
 //! Either way a source's draws are a pure function of the round
 //! configuration and the shard plan — never of worker scheduling — which
-//! is what keeps parallel graph rounds on the `(seed, shard count)`
-//! determinism contract.
+//! is what keeps parallel graph and Agent rounds on the
+//! `(seed, shard count)` determinism contract.
 //!
 //! Funneling *all* on-demand draws through this one abstraction is what
 //! made the vectorized sampling tier slot in without touching any kernel:
@@ -43,6 +44,7 @@
 //! [`BinomialSampler::try_sample_block`]: fet_stats::binomial::BinomialSampler::try_sample_block
 //!
 //! [`Protocol::step_fused`]: fet_core::protocol::Protocol::step_fused
+//! [`Fidelity::Agent`]: crate::engine::Fidelity::Agent
 //! [`Fidelity::Binomial`]: crate::engine::Fidelity::Binomial
 //! [`Fidelity::WithoutReplacement`]: crate::engine::Fidelity::WithoutReplacement
 
@@ -79,8 +81,7 @@ pub enum MeanFieldSampler<'a> {
 }
 
 /// The engine's [`ObservationSource`] for mean-field fused rounds: the
-/// fidelity's per-round sampler, noise included — exactly the sampling
-/// semantics of the batched pipeline's sampler branches, delivered one
+/// fidelity's per-round sampler, noise included, delivered one
 /// observation at a time so no buffer ever exists. A binomial observation
 /// costs one sampler draw whatever the noise level.
 #[derive(Debug)]
@@ -158,8 +159,10 @@ fn noisy(noise: Option<&FaultPlan>, ones: u32, m: u32, rng: &mut dyn RngCore) ->
 /// ignored: mean-field draws are position-oblivious.
 #[derive(Debug)]
 pub struct MeanFieldSourceFactory<'a> {
-    pub(crate) sampler: MeanFieldSampler<'a>,
-    pub(crate) m: u32,
+    /// The round's sampler, built from the round-start 1-count.
+    pub sampler: MeanFieldSampler<'a>,
+    /// Observations per agent.
+    pub m: u32,
 }
 
 impl ShardSourceFactory for MeanFieldSourceFactory<'_> {
@@ -240,13 +243,13 @@ impl<'a, const N: usize> From<&'a [Opinion; N]> for SnapshotView<'a> {
     }
 }
 
-/// The engine's [`ObservationSource`] for graph (neighborhood) fused
-/// rounds: for each successive agent, samples `m` neighbors uniformly
-/// **with replacement** from the agent's adjacency list, counts 1-opinions
-/// in the round-start snapshot, and applies per-observation fault
-/// corruption — the sampling semantics of the batched pipeline's
-/// neighborhood branch (same law, its own index-draw stream), delivered
-/// one observation at a time so no observation buffer ever exists.
+/// The engine's [`ObservationSource`] for literal index sampling: for
+/// each successive agent, samples `m` vertices uniformly **with
+/// replacement** — from the agent's adjacency list on an explicit
+/// [`Neighborhood`], from all `n` vertices on the complete graph — counts
+/// 1-opinions in the round-start snapshot, and applies per-observation
+/// fault corruption, delivered one observation at a time so no
+/// observation buffer ever exists.
 ///
 /// The source is positional: construction fixes the first vertex it
 /// streams for, and the cursor advances once per draw. The snapshot it
@@ -260,7 +263,7 @@ impl<'a, const N: usize> From<&'a [Opinion; N]> for SnapshotView<'a> {
 /// The kernel hands sources a `&mut dyn RngCore`, so every word drawn
 /// from it costs a truly opaque virtual call — at `m = 2ℓ` index draws
 /// per agent, that call (and the instruction-level parallelism it
-/// forfeits inside the sampling loop) would dominate a graph observation.
+/// forfeits inside the sampling loop) would dominate an observation.
 /// A graph source therefore owns a **concrete** [`SmallRng`] for its
 /// index draws, seeded by a counter-based split of the engine's dedicated
 /// `graph-index` stream and the source's first agent index
@@ -273,7 +276,10 @@ impl<'a, const N: usize> From<&'a [Opinion; N]> for SnapshotView<'a> {
 /// `(engine seed, round, first agent)` — never of worker scheduling.
 #[derive(Debug)]
 pub struct GraphSource<'a> {
-    neighborhood: &'a dyn Neighborhood,
+    /// The adjacency structure; `None` is the complete graph.
+    neighborhood: Option<&'a dyn Neighborhood>,
+    /// Vertex count — the complete graph's draw range.
+    population: u32,
     snapshot: SnapshotView<'a>,
     fault: Option<&'a FaultPlan>,
     m: u32,
@@ -304,7 +310,8 @@ impl<'a> GraphSource<'a> {
         index_seed: u64,
     ) -> Self {
         GraphSource {
-            neighborhood,
+            neighborhood: Some(neighborhood),
+            population: neighborhood.population(),
             snapshot: snapshot.into(),
             fault,
             m,
@@ -316,30 +323,69 @@ impl<'a> GraphSource<'a> {
 
 impl ObservationSource for GraphSource<'_> {
     fn next_observation(&mut self, rng: &mut dyn RngCore) -> Observation {
-        let neighbors = self.neighborhood.neighbors_of(self.vertex);
-        debug_assert!(
-            !neighbors.is_empty(),
-            "vertex {} has no neighbors to observe (see ensure_observable)",
-            self.vertex
-        );
-        self.vertex += 1;
-        let d = u32::try_from(neighbors.len()).expect("degree < n fits u32");
-        let raw_ones = if d == 1 {
-            // A degree-1 vertex observes its one neighbor m times:
-            // unanimous by construction, no randomness to draw.
-            u32::from(self.snapshot.is_one(neighbors[0])) * self.m
-        } else {
-            sample_neighbor_ones(
+        let raw_ones = match self.neighborhood {
+            Some(neighborhood) => {
+                let neighbors = neighborhood.neighbors_of(self.vertex);
+                debug_assert!(
+                    !neighbors.is_empty(),
+                    "vertex {} has no neighbors to observe (see ensure_observable)",
+                    self.vertex
+                );
+                let d = u32::try_from(neighbors.len()).expect("degree < n fits u32");
+                if d == 1 {
+                    // A degree-1 vertex observes its one neighbor m times:
+                    // unanimous by construction, no randomness to draw.
+                    u32::from(self.snapshot.is_one(neighbors[0])) * self.m
+                } else {
+                    sample_neighbor_ones(
+                        isa::active_path(),
+                        &mut self.index_rng,
+                        self.snapshot,
+                        neighbors,
+                        d,
+                        self.m,
+                    )
+                }
+            }
+            None => sample_neighbor_ones(
                 isa::active_path(),
                 &mut self.index_rng,
                 self.snapshot,
-                neighbors,
-                d,
+                EveryVertex,
+                self.population,
                 self.m,
-            )
+            ),
         };
+        self.vertex += 1;
         let seen = noisy(self.fault, raw_ones, self.m, rng);
         Observation::new(seen, self.m).expect("corrupt_count preserves the bound")
+    }
+}
+
+/// Maps a draw `k ∈ [0, d)` to the vertex it observes: the two draw
+/// ranges of [`GraphSource`]. Each index kernel is instantiated once per
+/// implementation, so the adjacency-list instantiation is exactly the
+/// neighbor-sampling loop and the complete graph pays no lookup at all.
+trait DrawTargets: Copy {
+    fn vertex(self, k: u32) -> u32;
+}
+
+/// An adjacency list: draw `k` observes `neighbors[k]`.
+impl DrawTargets for &[u32] {
+    #[inline(always)]
+    fn vertex(self, k: u32) -> u32 {
+        self[k as usize]
+    }
+}
+
+/// The complete graph: draw `k` observes vertex `k`.
+#[derive(Debug, Clone, Copy)]
+struct EveryVertex;
+
+impl DrawTargets for EveryVertex {
+    #[inline(always)]
+    fn vertex(self, k: u32) -> u32 {
+        k
     }
 }
 
@@ -401,12 +447,12 @@ impl<'r> LaneFeed<'r> {
 /// The reference index-draw loop: `count` with-replacement draws mapped
 /// into `[0, d)` by Lemire's multiply-with-rejection — a lane is rejected
 /// iff the low half of `lane · d` falls below `2³² mod d` (never, when
-/// `d` is a power of two; rare otherwise) — counting 1-opinions in the
-/// round-start snapshot.
-fn scalar_draws(
+/// `d` is a power of two; rare otherwise) — counting 1-opinions of the
+/// drawn targets in the round-start snapshot.
+fn scalar_draws<T: DrawTargets>(
     feed: &mut LaneFeed<'_>,
     snapshot: SnapshotView<'_>,
-    neighbors: &[u32],
+    targets: T,
     d: u32,
     threshold: u32,
     count: u32,
@@ -420,27 +466,27 @@ fn scalar_draws(
                 break (wide >> 32) as u32;
             }
         };
-        ones += u32::from(snapshot.is_one(neighbors[idx as usize]));
+        ones += u32::from(snapshot.is_one(targets.vertex(idx)));
     }
     ones
 }
 
-/// One agent's `m` neighbor draws through the selected ISA path. Word and
-/// lane state is per-agent — fresh on entry, leftover lanes discarded on
-/// return — exactly as the scalar loop always behaved.
+/// One agent's `m` index draws over `d` targets through the selected ISA
+/// path. Word and lane state is per-agent — fresh on entry, leftover
+/// lanes discarded on return — exactly as the scalar loop always behaved.
 ///
 /// The vector tiers speculate: eight draws consume exactly four RNG words
 /// when no lane is rejected, so a group of eight is computed from four
 /// words pulled up front. Any rejection (impossible for power-of-two
-/// degree, probability `≈ 8·(2³² mod d)/2³²` per group otherwise) replays
+/// `d`, probability `≈ 8·(2³² mod d)/2³²` per group otherwise) replays
 /// those same four words through the reference loop, which then finishes
 /// the agent scalar — the consumed stream is bit-identical to
 /// [`IsaPath::Scalar`] in every case.
-fn sample_neighbor_ones(
+fn sample_neighbor_ones<T: DrawTargets>(
     path: IsaPath,
     rng: &mut SmallRng,
     snapshot: SnapshotView<'_>,
-    neighbors: &[u32],
+    targets: T,
     d: u32,
     m: u32,
 ) -> u32 {
@@ -449,21 +495,21 @@ fn sample_neighbor_ones(
         IsaPath::Scalar => scalar_draws(
             &mut LaneFeed::fresh(rng),
             snapshot,
-            neighbors,
+            targets,
             d,
             threshold,
             m,
         ),
-        IsaPath::Swar => vector_draws(isa::lemire8_swar, rng, snapshot, neighbors, d, threshold, m),
+        IsaPath::Swar => vector_draws(isa::lemire8_swar, rng, snapshot, targets, d, threshold, m),
         IsaPath::Avx2 => {
             #[cfg(all(target_arch = "x86_64", not(fet_no_simd)))]
             {
                 if isa::avx2_available() {
                     // SAFETY: AVX2 availability checked at runtime just above.
-                    return unsafe { vector_draws_avx2(rng, snapshot, neighbors, d, threshold, m) };
+                    return unsafe { vector_draws_avx2(rng, snapshot, targets, d, threshold, m) };
                 }
             }
-            vector_draws(isa::lemire8_swar, rng, snapshot, neighbors, d, threshold, m)
+            vector_draws(isa::lemire8_swar, rng, snapshot, targets, d, threshold, m)
         }
     }
 }
@@ -474,11 +520,11 @@ fn sample_neighbor_ones(
 /// once per 8 draws, which is the difference between winning and losing
 /// to the scalar loop on short degree draws.
 #[inline(always)]
-fn vector_draws(
+fn vector_draws<T: DrawTargets>(
     lemire8: impl Fn(&[u64; 4], u32, u32, &mut [u32; 8]) -> u8,
     rng: &mut SmallRng,
     snapshot: SnapshotView<'_>,
-    neighbors: &[u32],
+    targets: T,
     d: u32,
     threshold: u32,
     m: u32,
@@ -496,18 +542,18 @@ fn vector_draws(
         let rejections = lemire8(&words, d, threshold, &mut idx8);
         if rejections == 0 {
             for &idx in &idx8 {
-                ones += u32::from(snapshot.is_one(neighbors[idx as usize]));
+                ones += u32::from(snapshot.is_one(targets.vertex(idx)));
             }
             remaining -= 8;
         } else {
             let mut feed = LaneFeed::replaying(words, rng);
-            return ones + scalar_draws(&mut feed, snapshot, neighbors, d, threshold, remaining);
+            return ones + scalar_draws(&mut feed, snapshot, targets, d, threshold, remaining);
         }
     }
     ones + scalar_draws(
         &mut LaneFeed::fresh(rng),
         snapshot,
-        neighbors,
+        targets,
         d,
         threshold,
         remaining,
@@ -523,10 +569,10 @@ fn vector_draws(
 /// The CPU must support AVX2 (check [`isa::avx2_available`]).
 #[cfg(all(target_arch = "x86_64", not(fet_no_simd)))]
 #[target_feature(enable = "avx2")]
-unsafe fn vector_draws_avx2(
+unsafe fn vector_draws_avx2<T: DrawTargets>(
     rng: &mut SmallRng,
     snapshot: SnapshotView<'_>,
-    neighbors: &[u32],
+    targets: T,
     d: u32,
     threshold: u32,
     m: u32,
@@ -535,25 +581,30 @@ unsafe fn vector_draws_avx2(
         |words, d, threshold, out| unsafe { isa::lemire8_avx2_unchecked(words, d, threshold, out) },
         rng,
         snapshot,
-        neighbors,
+        targets,
         d,
         threshold,
         m,
     )
 }
 
-/// The engine's [`ShardSourceFactory`] for graph rounds: hands every
+/// The engine's [`ShardSourceFactory`] for index-sampling rounds — graph
+/// runs ([`GraphSourceFactory::new`]) and the literal Agent fidelity on
+/// the complete graph ([`GraphSourceFactory::complete`]): hands every
 /// shard a [`GraphSource`] whose cursor starts at the shard's first agent
 /// and whose index stream is seeded by
 /// [`counter_split`]`(round_base, range.start)`. The adjacency structure
 /// and the round-start snapshot
 /// are shared read-only across workers; each shard's draws depend only on
-/// its range and the round base, so graph shard streams are
+/// its range and the round base, so these shard streams are
 /// worker-invariant exactly like the mean-field ones. The single-threaded
 /// fused round uses the same factory with the full range `0..n`.
 #[derive(Debug)]
 pub struct GraphSourceFactory<'a> {
-    neighborhood: &'a dyn Neighborhood,
+    /// The adjacency structure; `None` is the complete graph.
+    neighborhood: Option<&'a dyn Neighborhood>,
+    /// Vertex count — the complete graph's draw range.
+    population: u32,
     snapshot: SnapshotView<'a>,
     fault: Option<&'a FaultPlan>,
     m: u32,
@@ -565,12 +616,12 @@ pub struct GraphSourceFactory<'a> {
 }
 
 impl<'a> GraphSourceFactory<'a> {
-    /// A factory for one round. `vertex_base` is the vertex id of the
-    /// first stepped (non-source) agent; shard ranges are offsets on top
-    /// of it. `index_stream` is the engine's run-level `graph-index` seed
-    /// lane and `round` the global round index: together they form the
-    /// round's counter-derived index-stream base, from which each shard's
-    /// seed splits purely by its range start.
+    /// A factory for one round on `neighborhood`. `vertex_base` is the
+    /// vertex id of the first stepped (non-source) agent; shard ranges are
+    /// offsets on top of it. `index_stream` is the engine's run-level
+    /// `graph-index` seed lane and `round` the global round index:
+    /// together they form the round's counter-derived index-stream base,
+    /// from which each shard's seed splits purely by its range start.
     pub fn new(
         neighborhood: &'a dyn Neighborhood,
         snapshot: impl Into<SnapshotView<'a>>,
@@ -580,8 +631,36 @@ impl<'a> GraphSourceFactory<'a> {
         index_stream: u64,
         round: u64,
     ) -> Self {
+        let mut factory = GraphSourceFactory::complete(
+            neighborhood.population(),
+            snapshot,
+            fault,
+            m,
+            vertex_base,
+            index_stream,
+            round,
+        );
+        factory.neighborhood = Some(neighborhood);
+        factory
+    }
+
+    /// A factory for one round on the complete graph of `n` vertices —
+    /// the literal [`Fidelity::Agent`](crate::engine::Fidelity::Agent)
+    /// model: every agent draws `m` vertices uniformly with replacement
+    /// from all `n`, itself and the sources included. Arguments as in
+    /// [`GraphSourceFactory::new`].
+    pub fn complete(
+        n: u32,
+        snapshot: impl Into<SnapshotView<'a>>,
+        fault: Option<&'a FaultPlan>,
+        m: u32,
+        vertex_base: u32,
+        index_stream: u64,
+        round: u64,
+    ) -> Self {
         GraphSourceFactory {
-            neighborhood,
+            neighborhood: None,
+            population: n,
             snapshot: snapshot.into(),
             fault,
             m,
@@ -593,14 +672,16 @@ impl<'a> GraphSourceFactory<'a> {
     /// Builds the shard source for `range` without boxing
     /// ([`ShardSourceFactory::shard_source`] boxes the same source).
     pub fn source_for(&self, range: Range<usize>) -> GraphSource<'_> {
-        GraphSource::new(
-            self.neighborhood,
-            self.snapshot,
-            self.fault,
-            self.m,
-            self.vertex_base + u32::try_from(range.start).expect("n is validated to fit u32"),
-            counter_split(self.round_base, range.start as u64),
-        )
+        GraphSource {
+            neighborhood: self.neighborhood,
+            population: self.population,
+            snapshot: self.snapshot,
+            fault: self.fault,
+            m: self.m,
+            vertex: self.vertex_base
+                + u32::try_from(range.start).expect("n is validated to fit u32"),
+            index_rng: SmallRng::seed_from_u64(counter_split(self.round_base, range.start as u64)),
+        }
     }
 }
 
@@ -718,17 +799,25 @@ mod tests {
         }
     }
 
-    /// Every ISA path draws the same neighbor indices from the same
-    /// words, leaves the owned generator in the same state, and counts
-    /// the same ones — across rejection-prone (d = 3, 7) and
-    /// rejection-free (d = 4) degrees, and across draw counts that
-    /// exercise the vector groups, the rejection replay, and the scalar
-    /// tail.
+    /// Every ISA path draws the same indices from the same words, leaves
+    /// the owned generator in the same state, and counts the same ones —
+    /// on adjacency lists and on the complete graph, across
+    /// rejection-prone (d = 3, 5, 7) and rejection-free (d = 4, 8) draw
+    /// ranges, and across draw counts that exercise the vector groups, the
+    /// rejection replay, and the scalar tail. The complete graph's draws
+    /// are also exactly those of the identity adjacency list `0..n`.
     #[test]
     fn neighbor_sampling_paths_are_stream_identical() {
+        /// The count, and the next word of the generator afterwards.
+        fn run(seed: u64, draw: impl Fn(&mut SmallRng) -> u32) -> (u32, u64) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let ones = draw(&mut rng);
+            (ones, rng.next_u64())
+        }
         for d in [3u32, 4, 7] {
             let graph = Complete::new(d + 1);
             let neighbors = graph.neighbors_of(0);
+            let identity: Vec<u32> = (0..=d).collect();
             let snapshot: Vec<Opinion> = (0..=d)
                 .map(|v| {
                     if v % 2 == 0 {
@@ -741,22 +830,64 @@ mod tests {
             let view = SnapshotView::Bytes(&snapshot);
             for m in [1u32, 7, 8, 9, 16, 21, 64] {
                 let seed = 0xFEED ^ (u64::from(d) << 8) ^ u64::from(m);
-                let mut rng_ref = SmallRng::seed_from_u64(seed);
-                let expect =
-                    sample_neighbor_ones(IsaPath::Scalar, &mut rng_ref, view, neighbors, d, m);
-                let end_state = rng_ref.next_u64();
+                let csr = |path| {
+                    run(seed, |rng| {
+                        sample_neighbor_ones(path, rng, view, neighbors, d, m)
+                    })
+                };
+                let complete = |path| {
+                    run(seed, |rng| {
+                        sample_neighbor_ones(path, rng, view, EveryVertex, d + 1, m)
+                    })
+                };
+                let identity_list = run(seed, |rng| {
+                    sample_neighbor_ones(IsaPath::Scalar, rng, view, &identity[..], d + 1, m)
+                });
+                assert_eq!(
+                    complete(IsaPath::Scalar),
+                    identity_list,
+                    "n={} m={m}: the complete graph must draw as the identity list",
+                    d + 1
+                );
                 for path in IsaPath::available() {
-                    let mut rng_path = SmallRng::seed_from_u64(seed);
-                    let got = sample_neighbor_ones(path, &mut rng_path, view, neighbors, d, m);
-                    assert_eq!(got, expect, "d={d} m={m} {path:?}: counts diverged");
                     assert_eq!(
-                        rng_path.next_u64(),
-                        end_state,
-                        "d={d} m={m} {path:?}: RNG word consumption diverged"
+                        csr(path),
+                        csr(IsaPath::Scalar),
+                        "d={d} m={m} {path:?}: count or word consumption diverged"
+                    );
+                    assert_eq!(
+                        complete(path),
+                        complete(IsaPath::Scalar),
+                        "complete n={} m={m} {path:?}: count or word consumption diverged",
+                        d + 1
                     );
                 }
             }
         }
+    }
+
+    #[test]
+    fn complete_source_reads_every_vertex_through_either_view() {
+        // Unanimous snapshots give unanimous counts whatever is drawn; the
+        // bits view answers the source prefix arithmetically.
+        let ones = [Opinion::One; 70];
+        let bits = SnapshotView::Bits {
+            source_output: Opinion::One,
+            num_sources: 3,
+            words: &[u64::MAX, 0b111],
+        };
+        let mut rng = SmallRng::seed_from_u64(4);
+        for view in [SnapshotView::Bytes(&ones), bits] {
+            let factory = GraphSourceFactory::complete(70, view, None, 9, 3, 5, 1);
+            let mut source = factory.shard_source(10..20);
+            for _ in 0..10 {
+                assert_eq!(source.next_observation(&mut rng).ones(), 9);
+            }
+        }
+        let zeros = [Opinion::Zero; 70];
+        let factory = GraphSourceFactory::complete(70, &zeros, None, 9, 3, 5, 1);
+        let mut source = factory.source_for(0..70);
+        assert_eq!(source.next_observation(&mut rng).ones(), 0);
     }
 
     #[test]

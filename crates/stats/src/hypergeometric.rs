@@ -167,7 +167,7 @@ pub fn split_sample<R: Rng + ?Sized>(ones: u64, half: u64, rng: &mut R) -> (u64,
 /// possible observed count `0..=2·half`.
 ///
 /// [`split_sample`] spends one `exp(ln Γ …)` evaluation per draw to seed
-/// the PMF recurrence. A round of the batched FET kernel performs one
+/// the PMF recurrence. A round of the FET kernel performs one
 /// split per agent, all from the same family `Hypergeometric(2ℓ, c, ℓ)` —
 /// so the table computes each count's CDF once (`O(ℓ²)` total) and every
 /// draw becomes one uniform plus a short scan. Construction amortizes

@@ -284,15 +284,17 @@ impl SweepSpec {
             ),
         };
         let mode = match doc.get("mode").map(|v| v.as_str()) {
-            None | Some(Some("fused")) => ExecutionMode::Fused,
+            // `batched` is the legacy spelling of the single-threaded,
+            // host-independent mode, from before the batched pipeline was
+            // folded into the fused round.
+            None | Some(Some("fused" | "batched")) => ExecutionMode::Fused,
             Some(Some("auto")) => ExecutionMode::Auto,
-            Some(Some("batched")) => ExecutionMode::Batched,
             Some(Some("fused-parallel")) => ExecutionMode::FusedParallel {
                 threads: threads.unwrap_or(1),
             },
             Some(Some(other)) => {
                 return Err(SweepError::spec(format!(
-                    "unknown `mode` `{other}` (auto, batched, fused, fused-parallel)"
+                    "unknown `mode` `{other}` (auto, fused, fused-parallel)"
                 )));
             }
             Some(None) => return Err(SweepError::spec("`mode` must be a string")),
@@ -456,15 +458,6 @@ impl SweepSpec {
                 "graph sweeps sample neighbors literally; omit `fidelity` or set `\"agent\"`",
             ));
         }
-        if self.fidelity == Fidelity::Agent
-            && self.topology.is_none()
-            && self.mode != ExecutionMode::Batched
-        {
-            return Err(SweepError::spec(
-                "the literal agent fidelity on the complete graph runs batched only; \
-                 set `\"mode\": \"batched\"`",
-            ));
-        }
         // Dry-build episode 0: protocol-name resolution, ℓ bounds,
         // without-replacement oversampling, graph construction, mode
         // compatibility — all the facade's build checks.
@@ -535,7 +528,6 @@ impl SweepSpec {
         ));
         let mode_name = match self.mode {
             ExecutionMode::Auto => "auto",
-            ExecutionMode::Batched => "batched",
             ExecutionMode::Fused => "fused",
             ExecutionMode::FusedParallel { .. } => "fused-parallel",
         };
@@ -1079,7 +1071,6 @@ mod tests {
             r#"{"n": [100], "threads": 4}"#,
             r#"{"n": [100], "protocol": "nonsense"}"#,
             r#"{"n": [100], "fidelity": "aggregate"}"#,
-            r#"{"n": [100], "fidelity": "agent"}"#,
             r#"{"n": [20], "ell": [32], "fidelity": "without-replacement"}"#,
         ] {
             assert!(SweepSpec::parse(bad).is_err(), "`{bad}` should be rejected");
@@ -1087,9 +1078,17 @@ mod tests {
     }
 
     #[test]
-    fn agent_fidelity_requires_batched_mode() {
-        let spec = SweepSpec::parse(r#"{"n": [100], "fidelity": "agent", "mode": "batched"}"#);
-        assert!(spec.is_ok(), "{spec:?}");
+    fn legacy_batched_mode_is_the_fused_mode() {
+        let agent = SweepSpec::parse(r#"{"n": [100], "fidelity": "agent"}"#).unwrap();
+        let legacy =
+            SweepSpec::parse(r#"{"n": [100], "fidelity": "agent", "mode": "batched"}"#).unwrap();
+        let fused =
+            SweepSpec::parse(r#"{"n": [100], "fidelity": "agent", "mode": "fused"}"#).unwrap();
+        assert_eq!(legacy.mode, ExecutionMode::Fused);
+        assert_eq!(legacy, fused);
+        assert_eq!(legacy.hash(), fused.hash());
+        assert_eq!(agent.hash(), fused.hash());
+        assert!(legacy.to_json().to_string().contains(r#""mode":"fused""#));
     }
 
     #[test]

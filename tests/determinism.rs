@@ -20,7 +20,9 @@
 //! their streams must be exactly as worker-invariant as the mean-field
 //! ones. `graph_parallel_stream_identity_matrix` serializes
 //! random-regular-graph trajectories to `FET_DETERMINISM_DUMP_GRAPH` for
-//! the same cross-worker-count byte-diff.
+//! the same cross-worker-count byte-diff. The literal Agent fidelity reads
+//! the same kind of source over the complete graph, so its `agent` and
+//! `noisy-agent` cases ride the mean-field matrix and its dumps.
 
 use fet::prelude::*;
 use fet::sim::observer::TrajectoryRecorder;
@@ -52,6 +54,12 @@ fn cases() -> Vec<(&'static str, Fidelity, FaultPlan)> {
             "retarget",
             Fidelity::Binomial,
             FaultPlan::with_source_retarget(7, Opinion::Zero),
+        ),
+        ("agent", Fidelity::Agent, FaultPlan::none()),
+        (
+            "noisy-agent",
+            Fidelity::Agent,
+            FaultPlan::with_noise(0.02).unwrap(),
         ),
     ]
 }

@@ -1,19 +1,29 @@
-//! The law of noisy observations, checked against exact references.
+//! The law of every observation source, checked against exact references.
 //!
-//! In the noisy PULL model every observed bit flips independently with
-//! probability `δ`. The engine realizes that law two ways, and this suite
-//! checks both in law rather than by stream bytes:
+//! In the (noisy) PULL model an agent observes `m` agents drawn uniformly
+//! with replacement, and every observed bit flips independently with
+//! probability `δ`. The engine realizes that law several ways, and this
+//! suite checks each in law rather than by stream bytes:
 //!
-//! * [`FaultPlan::corrupt_count`] (hypergeometric, graph, literal-Agent
-//!   and sleepy draws) must turn a true count `k` of `m` bits into
+//! * [`FaultPlan::corrupt_count`] (hypergeometric, index-sampled and
+//!   sleepy draws) must turn a true count `k` of `m` bits into
 //!   `k − Bin(k, δ) + Bin(m − k, δ)`. A chi-square test compares it with
 //!   that pmf, convolved exactly from [`Binomial::pmf`].
+//! * The observation sources, one draw at a time, by chi-square against
+//!   their exact pmfs: the complete-graph index source (literal Agent
+//!   fidelity) against `Binomial(m, x)` — on the byte snapshot and on
+//!   packed bit planes with a source prefix, with and without noise — the
+//!   CSR graph source against `Binomial(m, ones_in_N(v)/deg(v))` on an
+//!   irregular graph, and the without-replacement source against the
+//!   hypergeometric pmf. Each test also shows power: the same draws must
+//!   reject the pmf at a probability moved by 0.05.
 //! * Binomial rounds fold `δ` into the round's sampler,
 //!   `Binomial(m, x(1 − δ) + (1 − x)δ)`, and no round path corrupts a
 //!   binomial draw again. Two-sample KS tests compare `x_{t+1}` after one
-//!   folded round — fused on typed and on bit-plane storage, batched, and
-//!   sleepy — with `x_{t+1}` after one literal-Agent round (index sampling
-//!   plus `corrupt_count`) from the same configuration.
+//!   round — folded binomial fused on typed and on bit-plane storage,
+//!   literal Agent on bit planes and sharded three ways, and sleepy — with
+//!   `x_{t+1}` after one fused literal-Agent round (index sampling plus
+//!   `corrupt_count`) from the same configuration.
 //!
 //! Every test runs at fixed seeds, so the suite is deterministic. Its
 //! tests share one family-wise level `α = 10⁻³`, split evenly
@@ -22,9 +32,16 @@
 use fet::core::bitplane::BitPopulation;
 use fet::core::config::ProblemSpec;
 use fet::core::fet::FetState;
+use fet::core::protocol::ObservationSource;
 use fet::prelude::*;
+use fet::sim::sources::{
+    GraphSourceFactory, MeanFieldSampler, MeanFieldSourceFactory, SnapshotView,
+};
 use fet::stats::binomial::Binomial;
 use fet::stats::distance::{chi_square_statistic, chi_square_survival, ks_same_distribution};
+use fet::stats::hypergeometric::Hypergeometric;
+use fet::topology::builders::erdos_renyi;
+use rand::Rng;
 
 /// Family-wise false-rejection budget of the whole suite.
 const FAMILY_ALPHA: f64 = 1e-3;
@@ -34,9 +51,30 @@ const FLIP_PROBS: [f64; 6] = [1e-3, 0.02, 0.3, 0.5, 0.7, 0.98];
 const SAMPLE_SIZES: [u32; 2] = [20, 74];
 /// True counts per sample size: 0, 1, m/2, m − 1 and m.
 const COUNTS_PER_SIZE: usize = 5;
-/// One chi-square test per (δ, m, k), plus the KS tests of the fold:
-/// fused typed, fused bit-plane, batched and sleepy.
-const TESTS: usize = FLIP_PROBS.len() * SAMPLE_SIZES.len() * COUNTS_PER_SIZE + 4;
+/// Population sizes of the source tests: a power of two (Lemire draws
+/// never reject) and one that is not.
+const SOURCE_NS: [u32; 2] = [64, 2000];
+/// Population 1-counts per size: 1, ⌊n/3⌋ and n − 1.
+const ONES_PER_N: usize = 3;
+const SOURCE_SAMPLE_SIZES: [u32; 3] = [1, 9, 62];
+/// Snapshot views of the complete-graph source: the byte snapshot, and
+/// bit planes behind 1 and 3 source vertices.
+const VIEWS: [Option<u32>; 3] = [None, Some(1), Some(3)];
+/// Flip probability of the noisy complete-graph source tests.
+const SOURCE_FLIP: f64 = 0.05;
+/// Vertices of the irregular graph whose draws are tested.
+const GRAPH_VERTICES: usize = 3;
+/// Source-test grid points per (n, ones, m).
+const SOURCE_CELLS: usize = SOURCE_NS.len() * ONES_PER_N * SOURCE_SAMPLE_SIZES.len();
+/// One chi-square test per (δ, m, k) of `corrupt_count`; per complete-graph
+/// source cell and view, plus its noisy cell; per graph vertex and `m`;
+/// per hypergeometric cell; plus the KS tests of the fold: fused typed,
+/// fused bit-plane, Agent bit-plane, Agent fused-parallel(3) and sleepy.
+const TESTS: usize = FLIP_PROBS.len() * SAMPLE_SIZES.len() * COUNTS_PER_SIZE
+    + SOURCE_CELLS * (VIEWS.len() + 1)
+    + GRAPH_VERTICES * SOURCE_SAMPLE_SIZES.len()
+    + SOURCE_CELLS
+    + 5;
 const ALPHA: f64 = FAMILY_ALPHA / TESTS as f64;
 
 /// Draws per chi-square test.
@@ -83,6 +121,63 @@ fn pooled(observed: &[u64], pmf: &[f64]) -> (Vec<u64>, Vec<f64>) {
     (cells_o, cells_p)
 }
 
+/// The p-value of `observed` under `pmf`, after pooling.
+fn chi_square_p(observed: &[u64], pmf: &[f64]) -> f64 {
+    let (cells, probs) = pooled(observed, pmf);
+    let df = u32::try_from(cells.len() - 1).expect("at most m cells");
+    let chi2 = chi_square_statistic(&cells, &probs).expect("draws were made");
+    // A single pooled cell holds every draw: nothing to test.
+    if df == 0 {
+        1.0
+    } else {
+        chi_square_survival(df, chi2)
+    }
+}
+
+/// Asserts that `observed` follows `pmf` at level [`ALPHA`], and that the
+/// same draws reject `shifted` at that level — the test has power.
+fn assert_law(case: &str, observed: &[u64], pmf: &[f64], shifted: &[f64]) {
+    let p = chi_square_p(observed, pmf);
+    assert!(p > ALPHA, "{case}: p = {p:.2e} ≤ {ALPHA:.1e}");
+    let p_shifted = chi_square_p(observed, shifted);
+    assert!(
+        p_shifted <= ALPHA,
+        "{case}: no power, the shifted law still reads p = {p_shifted:.2e}"
+    );
+}
+
+/// `Binomial(m, p)` as a vector over `0..=m`.
+fn binomial_pmf(m: u32, p: f64) -> Vec<f64> {
+    let law = Binomial::new(u64::from(m), p).expect("p is a probability");
+    (0..=u64::from(m)).map(|k| law.pmf(k)).collect()
+}
+
+/// `p` moved by 0.05, inward when it would leave `[0, 1]`.
+fn shifted(p: f64) -> f64 {
+    if p + 0.05 <= 1.0 {
+        p + 0.05
+    } else {
+        p - 0.05
+    }
+}
+
+/// `DRAWS` observations from `source`, tallied by 1-count.
+fn tally(source: &mut dyn ObservationSource, m: u32, rng: &mut dyn rand::RngCore) -> Vec<u64> {
+    let mut observed = vec![0u64; m as usize + 1];
+    for _ in 0..DRAWS {
+        let obs = source.next_observation(rng);
+        assert_eq!(obs.sample_size(), m);
+        observed[obs.ones() as usize] += 1;
+    }
+    observed
+}
+
+/// Exactly `k` of `0..len` marked, scattered (37 is prime to every
+/// length used here).
+fn scattered(len: u32, k: u32) -> impl Iterator<Item = bool> {
+    (0..len).map(move |i| (u64::from(i) * 37 + 11) % u64::from(len) < u64::from(k))
+}
+
 #[test]
 fn corrupt_count_follows_the_flip_law() {
     let tree = SeedTree::new(0x0015_E1A7);
@@ -97,19 +192,10 @@ fn corrupt_count_follows_the_flip_law() {
                 for _ in 0..DRAWS {
                     observed[plan.corrupt_count(k, m, &mut rng) as usize] += 1;
                 }
-                let (cells, probs) = pooled(&observed, &corrupted_pmf(k, m, delta));
-                let df = u32::try_from(cells.len() - 1).expect("at most m cells");
-                let chi2 = chi_square_statistic(&cells, &probs).expect("draws were made");
-                // A single pooled cell holds every draw: nothing to test.
-                let p_value = if df == 0 {
-                    1.0
-                } else {
-                    chi_square_survival(df, chi2)
-                };
+                let p_value = chi_square_p(&observed, &corrupted_pmf(k, m, delta));
                 assert!(
                     p_value > ALPHA,
-                    "δ = {delta}, m = {m}, k = {k}: χ² = {chi2:.1} on {df} df, \
-                     p = {p_value:.2e} ≤ {ALPHA:.1e}"
+                    "δ = {delta}, m = {m}, k = {k}: p = {p_value:.2e} ≤ {ALPHA:.1e}"
                 );
             }
         }
@@ -127,6 +213,155 @@ fn full_flip_inverts_every_count() {
                 m - k,
                 "m = {m}, k = {k}"
             );
+        }
+    }
+}
+
+// --- The observation sources, one draw at a time ----------------------------
+
+/// The complete-graph index source draws `m` of all `n` vertices with
+/// replacement, so an observation is `Binomial(m, ones/n)` — through the
+/// byte snapshot and through bit planes whose source prefix is answered
+/// arithmetically, and `Binomial(m, x(1 − δ) + (1 − x)δ)` under noise.
+#[test]
+fn complete_graph_source_draws_the_binomial_law() {
+    let tree = SeedTree::new(0xA6E7_1AE7);
+    let noise = FaultPlan::with_noise(SOURCE_FLIP).expect("valid flip probability");
+    for n in SOURCE_NS {
+        for ones in [1, n / 3, n - 1] {
+            let x = f64::from(ones) / f64::from(n);
+            let bytes: Vec<Opinion> = scattered(n, ones).map(Opinion::from).collect();
+            for view_sources in VIEWS {
+                let mut words = Vec::new();
+                let view = match view_sources {
+                    None => SnapshotView::Bytes(&bytes),
+                    Some(sources) => {
+                        // The sources show One exactly when they can.
+                        let source_ones = if ones >= sources { sources } else { 0 };
+                        words.resize((n - sources).div_ceil(64) as usize, 0u64);
+                        for (i, one) in scattered(n - sources, ones - source_ones).enumerate() {
+                            words[i / 64] |= u64::from(one) << (i % 64);
+                        }
+                        SnapshotView::Bits {
+                            source_output: Opinion::from(source_ones > 0),
+                            num_sources: sources,
+                            words: &words,
+                        }
+                    }
+                };
+                for m in SOURCE_SAMPLE_SIZES {
+                    let case =
+                        format!("complete n = {n}, ones = {ones}, m = {m}, {view_sources:?}");
+                    let mut rng = tree.child(&case).rng();
+                    let factory = GraphSourceFactory::complete(n, view, None, m, 0, rng.gen(), 0);
+                    let mut source = factory.source_for(0..DRAWS);
+                    let observed = tally(&mut source, m, &mut rng);
+                    assert_law(
+                        &case,
+                        &observed,
+                        &binomial_pmf(m, x),
+                        &binomial_pmf(m, shifted(x)),
+                    );
+                }
+            }
+            for m in SOURCE_SAMPLE_SIZES {
+                let p = x * (1.0 - SOURCE_FLIP) + (1.0 - x) * SOURCE_FLIP;
+                let case = format!("noisy complete n = {n}, ones = {ones}, m = {m}");
+                let mut rng = tree.child(&case).rng();
+                let factory =
+                    GraphSourceFactory::complete(n, &bytes, Some(&noise), m, 0, rng.gen(), 0);
+                let mut source = factory.source_for(0..DRAWS);
+                let observed = tally(&mut source, m, &mut rng);
+                assert_law(
+                    &case,
+                    &observed,
+                    &binomial_pmf(m, p),
+                    &binomial_pmf(m, shifted(p)),
+                );
+            }
+        }
+    }
+}
+
+/// On an explicit graph, vertex `v` draws `m` of its `deg(v)` neighbors
+/// with replacement: `Binomial(m, ones_in_N(v)/deg(v))`. Tested on an
+/// irregular Erdős–Rényi graph, at vertices of distinct degrees, one
+/// round's index stream per draw — as the engine keys them.
+#[test]
+fn graph_source_draws_the_neighborhood_binomial_law() {
+    let n = 120u32;
+    let tree = SeedTree::new(0x6A_1A11);
+    let graph = erdos_renyi(n, 0.08, &mut tree.child("graph").rng()).expect("valid graph");
+    let snapshot: Vec<Opinion> = scattered(n, n / 3).map(Opinion::from).collect();
+    let ones_near = |v: u32| {
+        graph
+            .neighbors(v)
+            .iter()
+            .filter(|&&u| snapshot[u as usize].is_one())
+            .count() as u32
+    };
+    let mut degrees = Vec::new();
+    let vertices: Vec<u32> = (0..n)
+        .filter(|&v| {
+            let (d, k) = (graph.degree(v), ones_near(v));
+            let fresh = d >= 2 && 0 < k && k < d && !degrees.contains(&d);
+            if fresh {
+                degrees.push(d);
+            }
+            fresh
+        })
+        .take(GRAPH_VERTICES)
+        .collect();
+    assert_eq!(vertices.len(), GRAPH_VERTICES, "degrees {degrees:?}");
+    for v in vertices {
+        let x = f64::from(ones_near(v)) / f64::from(graph.degree(v));
+        for m in SOURCE_SAMPLE_SIZES {
+            let case = format!("graph v = {v}, deg = {}, m = {m}", graph.degree(v));
+            let mut rng = tree.child(&case).rng();
+            let stream = rng.gen();
+            let mut observed = vec![0u64; m as usize + 1];
+            for round in 0..DRAWS as u64 {
+                let factory = GraphSourceFactory::new(&graph, &snapshot, None, m, 0, stream, round);
+                let obs = factory
+                    .source_for(v as usize..v as usize + 1)
+                    .next_observation(&mut rng);
+                observed[obs.ones() as usize] += 1;
+            }
+            assert_law(
+                &case,
+                &observed,
+                &binomial_pmf(m, x),
+                &binomial_pmf(m, shifted(x)),
+            );
+        }
+    }
+}
+
+/// The without-replacement source draws `Hypergeometric(n, ones, m)`.
+#[test]
+fn mean_field_source_draws_the_hypergeometric_law() {
+    let tree = SeedTree::new(0x0004_E6E0);
+    for n in SOURCE_NS {
+        for ones in [1, n / 3, n - 1] {
+            for m in SOURCE_SAMPLE_SIZES {
+                let law = |ones: u32| {
+                    Hypergeometric::new(u64::from(n), u64::from(ones), u64::from(m)).expect("m ≤ n")
+                };
+                let pmf = |ones: u32| {
+                    let law = law(ones);
+                    (0..=u64::from(m)).map(|k| law.pmf(k)).collect::<Vec<f64>>()
+                };
+                let sampler = law(ones);
+                let factory = MeanFieldSourceFactory {
+                    sampler: MeanFieldSampler::Hypergeometric(&sampler, None),
+                    m,
+                };
+                let case = format!("hypergeometric n = {n}, ones = {ones}, m = {m}");
+                let mut rng = tree.child(&case).rng();
+                let observed = tally(&mut *factory.shard_source(0..DRAWS), m, &mut rng);
+                let moved = (shifted(f64::from(ones) / f64::from(n)) * f64::from(n)).round();
+                assert_law(&case, &observed, &pmf(ones), &pmf(moved as u32));
+            }
         }
     }
 }
@@ -180,9 +415,9 @@ fn typed_round(fidelity: Fidelity, mode: ExecutionMode, fault: FaultPlan, seed: 
     engine.fraction_ones()
 }
 
-fn bit_plane_round(flip: f64, seed: u64) -> f64 {
+fn bit_plane_round(fidelity: Fidelity, flip: f64, seed: u64) -> f64 {
     let container = Box::new(BitPopulation::from_states(protocol(), &configuration()));
-    let mut engine = PopulationEngine::from_population(container, spec(), Fidelity::Binomial, seed)
+    let mut engine = PopulationEngine::from_population(container, spec(), fidelity, seed)
         .expect("valid configuration");
     engine
         .set_execution_mode(ExecutionMode::Fused)
@@ -194,22 +429,25 @@ fn bit_plane_round(flip: f64, seed: u64) -> f64 {
 
 #[test]
 fn folded_binomial_rounds_match_literal_noisy_rounds() {
-    let (fused, batched) = (ExecutionMode::Fused, ExecutionMode::Batched);
+    let fused = ExecutionMode::Fused;
+    let parallel = ExecutionMode::FusedParallel { threads: 3 };
     let literal =
-        one_round_law(|seed| typed_round(Fidelity::Agent, batched, noise(ROUND_FLIP), seed));
+        one_round_law(|seed| typed_round(Fidelity::Agent, fused, noise(ROUND_FLIP), seed));
     let folded_fused =
         one_round_law(|seed| typed_round(Fidelity::Binomial, fused, noise(ROUND_FLIP), seed));
-    let folded_bits = one_round_law(|seed| bit_plane_round(ROUND_FLIP, seed));
-    let folded_batched =
-        one_round_law(|seed| typed_round(Fidelity::Binomial, batched, noise(ROUND_FLIP), seed));
-    for (path, folded) in [
-        ("fused typed", &folded_fused),
-        ("fused bit-plane", &folded_bits),
-        ("batched", &folded_batched),
+    let folded_bits = one_round_law(|seed| bit_plane_round(Fidelity::Binomial, ROUND_FLIP, seed));
+    let agent_bits = one_round_law(|seed| bit_plane_round(Fidelity::Agent, ROUND_FLIP, seed));
+    let agent_parallel =
+        one_round_law(|seed| typed_round(Fidelity::Agent, parallel, noise(ROUND_FLIP), seed));
+    for (path, other) in [
+        ("folded fused typed", &folded_fused),
+        ("folded fused bit-plane", &folded_bits),
+        ("agent fused bit-plane", &agent_bits),
+        ("agent fused-parallel(3)", &agent_parallel),
     ] {
         assert!(
-            ks_same_distribution(folded, &literal, ALPHA).expect("finite samples"),
-            "{path}: folded binomial x_t+1 differs in law from literal noisy rounds"
+            ks_same_distribution(other, &literal, ALPHA).expect("finite samples"),
+            "{path}: x_t+1 differs in law from literal noisy rounds"
         );
     }
 
@@ -229,9 +467,9 @@ fn folded_sleepy_rounds_match_literal_sleepy_rounds() {
         ..noise(ROUND_FLIP)
     };
     // Sleepy faults take the per-agent loop whatever the execution mode.
-    let batched = ExecutionMode::Batched;
-    let literal = one_round_law(|seed| typed_round(Fidelity::Agent, batched, fault, seed));
-    let folded = one_round_law(|seed| typed_round(Fidelity::Binomial, batched, fault, seed));
+    let auto = ExecutionMode::Auto;
+    let literal = one_round_law(|seed| typed_round(Fidelity::Agent, auto, fault, seed));
+    let folded = one_round_law(|seed| typed_round(Fidelity::Binomial, auto, fault, seed));
     assert!(
         ks_same_distribution(&folded, &literal, ALPHA).expect("finite samples"),
         "sleepy: folded binomial x_t+1 differs in law from literal noisy rounds"

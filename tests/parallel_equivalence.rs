@@ -11,8 +11,7 @@
 //!    every shard draws from the same round-start mean-field samplers, so
 //!    re-keying the RNG per shard changes the stream but not the law:
 //!    convergence times (FET) and trajectory marginals (3-majority) must
-//!    agree across seeds at both mean-field fidelities, and against the
-//!    batched pipeline by transitivity with `tests/fused_equivalence.rs`.
+//!    agree across seeds at both mean-field fidelities.
 //!
 //! Worker-count invariance per shard count is enforced at the kernel
 //! level in `fet-core` and across processes by the CI determinism job

@@ -41,8 +41,12 @@ fn regular_graph(n: u32, degree: u32, seed: u64) -> fet::topology::graph::Graph 
     fet::topology::builders::random_regular(n, degree, &mut rng).unwrap()
 }
 
-fn mean_field_trajectory(
+/// A complete-graph run: `Binomial` exercises the alias block kernels,
+/// `Agent` the Lemire index kernels over every vertex.
+#[allow(clippy::too_many_arguments)]
+fn complete_graph_trajectory(
     path: IsaPath,
+    fidelity: Fidelity,
     n: u64,
     seed: u64,
     mode: ExecutionMode,
@@ -53,7 +57,7 @@ fn mean_field_trajectory(
     Simulation::builder()
         .population(n)
         .seed(seed)
-        .fidelity(Fidelity::Binomial)
+        .fidelity(fidelity)
         .max_rounds(max_rounds)
         .execution_mode(mode)
         .storage(storage)
@@ -88,9 +92,9 @@ fn graph_trajectory(
         .expect("recording requested")
 }
 
-/// The pinned matrix: forced path × (mean-field, graph) × (Fused,
-/// FusedParallel) × (Typed, BitPlane) — every cell must replay the scalar
-/// reference bit for bit.
+/// The pinned matrix: forced path × (mean-field, literal Agent, graph) ×
+/// (Fused, FusedParallel) × (Typed, BitPlane) — every cell must replay
+/// the scalar reference bit for bit.
 #[test]
 fn trajectories_bit_identical_across_forced_paths() {
     let _guard = path_lock();
@@ -108,19 +112,28 @@ fn trajectories_bit_identical_across_forced_paths() {
     let storages = [("typed", Storage::Typed), ("bit-plane", Storage::BitPlane)];
     for (mode_label, mode) in modes {
         for (storage_label, storage) in storages {
-            let mf_reference =
-                mean_field_trajectory(IsaPath::Scalar, 300, SEED, mode, storage, MAX_ROUNDS);
+            // n = 300 keeps the Agent leg's draw range rejection-prone too.
+            let complete = |path, fidelity| {
+                complete_graph_trajectory(path, fidelity, 300, SEED, mode, storage, MAX_ROUNDS)
+            };
+            let mf_reference = complete(IsaPath::Scalar, Fidelity::Binomial);
+            let agent_reference = complete(IsaPath::Scalar, Fidelity::Agent);
             let graph_reference =
                 graph_trajectory(IsaPath::Scalar, &graph, SEED, mode, storage, MAX_ROUNDS);
             assert!(
-                mf_reference.len() > 3 && graph_reference.len() > 3,
+                mf_reference.len() > 3 && agent_reference.len() > 3 && graph_reference.len() > 3,
                 "degenerate run would make the matrix vacuous"
             );
             for forced in IsaPath::available() {
-                let mf = mean_field_trajectory(forced, 300, SEED, mode, storage, MAX_ROUNDS);
+                let mf = complete(forced, Fidelity::Binomial);
                 assert_eq!(
                     mf, mf_reference,
                     "mean-field {mode_label}/{storage_label}: {forced:?} diverged from scalar"
+                );
+                let agent = complete(forced, Fidelity::Agent);
+                assert_eq!(
+                    agent, agent_reference,
+                    "agent {mode_label}/{storage_label}: {forced:?} diverged from scalar"
                 );
                 let graph_traj = graph_trajectory(forced, &graph, SEED, mode, storage, MAX_ROUNDS);
                 assert_eq!(
@@ -147,8 +160,15 @@ proptest! {
         let _guard = path_lock();
         let n = 2 * half_n + 1;
         let mode = ExecutionMode::FusedParallel { threads: shards };
-        let reference =
-            mean_field_trajectory(IsaPath::Scalar, n, seed, mode, Storage::BitPlane, 30);
+        let reference = complete_graph_trajectory(
+            IsaPath::Scalar,
+            Fidelity::Binomial,
+            n,
+            seed,
+            mode,
+            Storage::BitPlane,
+            30,
+        );
         // Odd degrees keep the Lemire rejection path live (2³² mod d ≠ 0);
         // the graph population is even so n·d stays even.
         let degree = 2 * degree_bump + 9;
@@ -156,7 +176,15 @@ proptest! {
         let graph_reference =
             graph_trajectory(IsaPath::Scalar, &graph, seed, mode, Storage::Typed, 30);
         for forced in IsaPath::available() {
-            let mf = mean_field_trajectory(forced, n, seed, mode, Storage::BitPlane, 30);
+            let mf = complete_graph_trajectory(
+                forced,
+                Fidelity::Binomial,
+                n,
+                seed,
+                mode,
+                Storage::BitPlane,
+                30,
+            );
             prop_assert_eq!(&mf, &reference, "mean-field n={} {:?}", n, forced);
             let gt = graph_trajectory(forced, &graph, seed, mode, Storage::Typed, 30);
             prop_assert_eq!(&gt, &graph_reference, "graph n={} d={} {:?}", n, degree, forced);

@@ -7,10 +7,10 @@
 //! [`RoundSnapshot`] (round index plus the bit patterns of `x_t` and the
 //! fraction correct) for a matrix of
 //! {binomial, without-replacement, literal Agent, random-regular graph} ×
-//! {fused, fused-parallel with 1 and 3 shards, batched where it runs} ×
-//! {typed, bit-plane where eligible}, plus one asynchronous, one sleepy
-//! and one fault-schedule run, one noisy run per sampling rule and noisy
-//! batched and sleepy binomial runs, and compares the FNV-1a digests
+//! {fused, fused-parallel with 1 and 3 shards} × {typed, bit-plane}, plus
+//! one asynchronous, one sleepy and one fault-schedule run, one noisy run
+//! per sampling rule and a noisy sleepy binomial run, and compares the
+//! FNV-1a digests
 //! against the table below. A refactor of the round machinery must leave
 //! every digest unchanged; a deliberate stream re-key updates the table in
 //! the same change and says so in docs/DETERMINISM.md.
@@ -85,21 +85,11 @@ fn current_digests() -> Vec<(String, u64)> {
         ("fused", ExecutionMode::Fused),
         ("parallel-1", ExecutionMode::FusedParallel { threads: 1 }),
         ("parallel-3", ExecutionMode::FusedParallel { threads: 3 }),
-        ("batched", ExecutionMode::Batched),
     ];
     let mut cases = Vec::new();
     for kind in ["binomial", "without-replacement", "agent", "graph"] {
         for (mode_label, mode) in modes {
-            // The literal Agent fidelity on the complete graph runs the
-            // batched pipeline only.
-            if kind == "agent" && mode != ExecutionMode::Batched {
-                continue;
-            }
             for storage in [Storage::Typed, Storage::BitPlane] {
-                // Bit planes run the fused family only.
-                if storage == Storage::BitPlane && mode == ExecutionMode::Batched {
-                    continue;
-                }
                 let storage_label = if storage == Storage::BitPlane {
                     "bits"
                 } else {
@@ -167,13 +157,6 @@ fn current_digests() -> Vec<(String, u64)> {
             "bits",
         ),
         (
-            "binomial",
-            "batched",
-            ExecutionMode::Batched,
-            Storage::Typed,
-            "typed",
-        ),
-        (
             "without-replacement",
             "fused",
             ExecutionMode::Fused,
@@ -189,8 +172,8 @@ fn current_digests() -> Vec<(String, u64)> {
         ),
         (
             "agent",
-            "batched",
-            ExecutionMode::Batched,
+            "fused",
+            ExecutionMode::Fused,
             Storage::Typed,
             "typed",
         ),
@@ -218,8 +201,10 @@ fn current_digests() -> Vec<(String, u64)> {
 /// Digests recorded before the round pipeline was consolidated onto one
 /// fused entry point — except `fault-schedule` and the `noisy/` legs,
 /// recorded when observation noise was folded into the binomial round law
-/// and `FaultPlan::corrupt_count` became a geometric skip (both re-keys are
-/// listed in docs/DETERMINISM.md).
+/// and `FaultPlan::corrupt_count` became a geometric skip, and the `agent/`
+/// and `noisy/agent/` legs, recorded when the literal Agent fidelity moved
+/// from the batched pipeline onto fused rounds over the complete-graph
+/// index source (each re-key is listed in docs/DETERMINISM.md).
 const RECORDED: &[(&str, u64)] = &[
     ("binomial/fused/typed", 0x0FEDC72F581E9080),
     ("binomial/fused/bits", 0x0FEDC72F581E9080),
@@ -227,30 +212,31 @@ const RECORDED: &[(&str, u64)] = &[
     ("binomial/parallel-1/bits", 0x584EBE985A6175C0),
     ("binomial/parallel-3/typed", 0x9E699D8D81DB79C7),
     ("binomial/parallel-3/bits", 0x9E699D8D81DB79C7),
-    ("binomial/batched/typed", 0xA9EDC26B90B4A5FA),
     ("without-replacement/fused/typed", 0x15C0B393325FDF54),
     ("without-replacement/fused/bits", 0x15C0B393325FDF54),
     ("without-replacement/parallel-1/typed", 0xAF5B5F10B55E6543),
     ("without-replacement/parallel-1/bits", 0xAF5B5F10B55E6543),
     ("without-replacement/parallel-3/typed", 0x3DF3249E62A4A599),
     ("without-replacement/parallel-3/bits", 0x3DF3249E62A4A599),
-    ("without-replacement/batched/typed", 0x725AFB7D86347CE9),
-    ("agent/batched/typed", 0xA6743791CBBC27F1),
+    ("agent/fused/typed", 0x1C04A0B814B520ED),
+    ("agent/fused/bits", 0x1C04A0B814B520ED),
+    ("agent/parallel-1/typed", 0xAF56992BF426B023),
+    ("agent/parallel-1/bits", 0xAF56992BF426B023),
+    ("agent/parallel-3/typed", 0xF9A5AA937797B923),
+    ("agent/parallel-3/bits", 0xF9A5AA937797B923),
     ("graph/fused/typed", 0xCE97937645F368AC),
     ("graph/fused/bits", 0xCE97937645F368AC),
     ("graph/parallel-1/typed", 0x0FEECD9300F8158A),
     ("graph/parallel-1/bits", 0x0FEECD9300F8158A),
     ("graph/parallel-3/typed", 0x5BF53E1234490162),
     ("graph/parallel-3/bits", 0x5BF53E1234490162),
-    ("graph/batched/typed", 0x960556074F09AA6A),
     ("async", 0x13734C7E19126BAC),
     ("sleepy", 0x9CFB3E84758874C8),
     ("fault-schedule", 0x09627D961712269D),
     ("noisy/binomial/fused/bits", 0x48406B686CAC7D5D),
-    ("noisy/binomial/batched/typed", 0x85BA95D3946E7C37),
     ("noisy/without-replacement/fused/typed", 0x2C2285985658677F),
     ("noisy/graph/fused/typed", 0x833E6E900ACF1663),
-    ("noisy/agent/batched/typed", 0x06D292FA338FA184),
+    ("noisy/agent/fused/typed", 0xBEDEDB849F5FC6DB),
     ("noisy/sleepy", 0x6977C576F33CC7DC),
 ];
 
