@@ -17,14 +17,21 @@
 //!
 //! Default sizes 10⁴ and 10⁵ at degree 32 (≈ 4·ln n at 10⁵ — the regime
 //! where FET behaves like the complete graph); `FET_BENCH_LARGE=1` adds
-//! the opt-in 10⁷ episode. Numbers are recorded in `docs/BENCHMARKS.md`.
+//! the opt-in 10⁷ episode. At degree 32 every vertex has fewer neighbors
+//! than its `m = 2ℓ` observations (74 at 10⁴, 94 at 10⁵), so it counts its
+//! round-start 1-neighbors and draws one `Binomial(m, k/d)` variate.
+//! Numbers are recorded in `docs/BENCHMARKS.md`.
 //!
-//! Two self-describing extras:
+//! Three self-describing extras:
 //!
-//! * `graph_fused_{scalar,swar,avx2}` — the fused round with the sampling
-//!   kernel tier pinned per `fet_stats::isa` path (the SIMD acceptance
-//!   rows; paths the host can't execute are skipped). The unpinned
-//!   `graph_fused` row measures whatever `FET_SIMD`/detection selects.
+//! * `graph_fused_d128` — the fused round at degree 128, above `m`, where
+//!   every vertex draws its `m` neighbor indices through the 8-lane Lemire
+//!   kernels. Beside `graph_fused` it times both sides of the count-or-draw
+//!   rule.
+//! * `graph_fused_{scalar,swar,avx2}` — the degree-128 fused round with the
+//!   sampling kernel tier pinned per `fet_stats::isa` path (the SIMD
+//!   acceptance rows; paths the host can't execute are skipped). The
+//!   unpinned rows measure whatever `FET_SIMD`/detection selects.
 //! * `graph_fused_parallel_pinned4` — the pinned 4-thread acceptance row,
 //!   emitted automatically exactly when the host exposes ≥ 4 CPUs (the
 //!   self-closing multicore guard: every run prints
@@ -43,6 +50,8 @@ use fet_stats::rng::SeedTree;
 use fet_topology::builders;
 
 const DEGREE: u32 = 32;
+/// Above `m` at every default size, so vertices draw neighbor indices.
+const DENSE_DEGREE: u32 = 128;
 
 fn sizes() -> Vec<u32> {
     let mut sizes = vec![10_000u32, 100_000];
@@ -58,15 +67,22 @@ fn bench_graph_round(c: &mut Criterion) {
     let mut group = c.benchmark_group("graph_round");
     let parallel = ExecutionMode::FusedParallel { threads };
     for &n in &sizes() {
-        let mut rows: Vec<(String, ExecutionMode, Option<IsaPath>)> = vec![
-            ("graph_fused".into(), ExecutionMode::Fused, None),
-            ("graph_fused_parallel".into(), parallel, None),
+        let mut rows: Vec<(String, ExecutionMode, Option<IsaPath>, u32)> = vec![
+            ("graph_fused".into(), ExecutionMode::Fused, None, DEGREE),
+            (
+                "graph_fused_d128".into(),
+                ExecutionMode::Fused,
+                None,
+                DENSE_DEGREE,
+            ),
+            ("graph_fused_parallel".into(), parallel, None, DEGREE),
         ];
         for path in IsaPath::available() {
             rows.push((
                 format!("graph_fused_{}", path.name()),
                 ExecutionMode::Fused,
                 Some(path),
+                DENSE_DEGREE,
             ));
         }
         // The self-closing multicore guard: the pinned 4-thread acceptance
@@ -76,6 +92,7 @@ fn bench_graph_round(c: &mut Criterion) {
                 "graph_fused_parallel_pinned4".into(),
                 ExecutionMode::FusedParallel { threads: 4 },
                 None,
+                DEGREE,
             ));
         } else {
             eprintln!(
@@ -83,12 +100,12 @@ fn bench_graph_round(c: &mut Criterion) {
                  (the row would measure scheduling overhead, not speedup)"
             );
         }
-        for (label, mode, pin) in &rows {
+        for (label, mode, pin, degree) in &rows {
             group.bench_with_input(BenchmarkId::new(label.clone(), n), &n, |b, &n| {
                 isa::force_path(*pin);
                 let mut rng = SeedTree::new(17).child("graph-bench").rng();
                 let graph =
-                    builders::random_regular(n, DEGREE, &mut rng).expect("valid regular graph");
+                    builders::random_regular(n, *degree, &mut rng).expect("valid regular graph");
                 let mut engine = Engine::with_neighborhood(
                     FetProtocol::for_population(u64::from(n), 4.0).expect("valid ℓ"),
                     Box::new(graph),

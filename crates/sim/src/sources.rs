@@ -9,21 +9,25 @@
 //!   ([`Fidelity::Binomial`] / [`Fidelity::WithoutReplacement`]): an
 //!   observation is a pure function of the round-start global 1-count and
 //!   the RNG, so the source is just the round's sampler configuration.
-//! * [`GraphSource`] — literal index sampling over the round-start
-//!   snapshot: agent `i` samples `m` vertices uniformly **with
-//!   replacement** and counts 1-opinions. On an explicit [`Neighborhood`]
-//!   the draws range over `i`'s adjacency list; on the complete graph
-//!   ([`Fidelity::Agent`], [`GraphSourceFactory::complete`]) over every
-//!   vertex, self and sources included. The source is *positional*: it
-//!   carries a vertex cursor that advances once per draw, so it must be
+//! * [`GraphSource`] — observation over the round-start snapshot: agent
+//!   `i` observes `m` vertices drawn uniformly **with replacement** and
+//!   counts 1-opinions. On the complete graph ([`Fidelity::Agent`],
+//!   [`GraphSourceFactory::complete`]) it draws the `m` vertices from all
+//!   `n`, self and sources included. On an explicit [`Neighborhood`] the
+//!   draws range over `i`'s adjacency list, and a vertex of degree
+//!   `d ≤ m` takes the count path instead: it counts its `k` 1-neighbors
+//!   (`d` reads, no more than it would draw) and draws its count from
+//!   `Binomial(m, k/d)`, which is exactly the law of `m` with-replacement
+//!   draws over its neighbors. The source is *positional*: it carries a
+//!   vertex cursor that advances once per observation, so it must be
 //!   constructed knowing the first vertex it streams for.
 //!
-//! Both sources apply observation noise — folded into the law of binomial
-//! draws, through [`FaultPlan::corrupt_count`] on hypergeometric and index
-//! draws — and both come with a [`ShardSourceFactory`] — the one way a
-//! fused round obtains its sources — so every shard gets a private source
-//! (the single-threaded round is shard 0 over the whole population):
-//! [`MeanFieldSourceFactory`]
+//! Both sources apply observation noise — folded into the law of
+//! mean-field binomial draws, through [`FaultPlan::corrupt_count`] on
+//! hypergeometric and graph observations — and both come with a
+//! [`ShardSourceFactory`] — the one way a fused round obtains its
+//! sources — so every shard gets a private source (the single-threaded
+//! round is shard 0 over the whole population): [`MeanFieldSourceFactory`]
 //! ignores the shard range (mean-field draws are position-oblivious),
 //! [`GraphSourceFactory`] aligns the cursor with the shard's first agent.
 //! Either way a source's draws are a pure function of the round
@@ -33,9 +37,10 @@
 //!
 //! Funneling *all* on-demand draws through this one abstraction is what
 //! made the vectorized sampling tier slot in without touching any kernel:
-//! [`GraphSource`] speculates eight Lemire index lanes per step through
-//! the [`fet_stats::isa`] path kernels (replaying the speculated words
-//! through the reference loop on the rare rejection), and
+//! [`GraphSource`]'s index draws speculate eight Lemire lanes per step
+//! through the [`fet_stats::isa`] path kernels (replaying the speculated
+//! words through the reference loop on the rare rejection), its count path
+//! draws one scalar alias sample per vertex on every path, and
 //! [`MeanFieldSource`]'s block path inherits the per-path alias kernels
 //! from [`BinomialSampler::try_sample_block`]. Every path consumes the
 //! RNG streams identically — the chosen ISA never enters the stream (see
@@ -54,11 +59,15 @@ use fet_core::observation::Observation;
 use fet_core::opinion::Opinion;
 use fet_core::protocol::ObservationSource;
 use fet_core::shard::ShardSourceFactory;
+use fet_stats::binomial::BinomialSampler;
 use fet_stats::isa::{self, IsaPath};
 use fet_stats::rng::{counter_split, counter_stream_base};
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
+use std::collections::HashMap;
+use std::fmt;
 use std::ops::Range;
+use std::sync::{Mutex, OnceLock};
 
 /// The round's mean-field sampler: one of the two exact per-agent
 /// shortcuts for complete-graph sampling, each carrying the round's
@@ -223,6 +232,12 @@ impl SnapshotView<'_> {
             }
         }
     }
+
+    /// How many of `vertices` held opinion 1 at round start.
+    #[inline]
+    fn count_ones(&self, vertices: &[u32]) -> u32 {
+        vertices.iter().map(|&v| u32::from(self.is_one(v))).sum()
+    }
 }
 
 impl<'a> From<&'a [Opinion]> for SnapshotView<'a> {
@@ -243,58 +258,131 @@ impl<'a, const N: usize> From<&'a [Opinion; N]> for SnapshotView<'a> {
     }
 }
 
-/// The engine's [`ObservationSource`] for literal index sampling: for
-/// each successive agent, samples `m` vertices uniformly **with
-/// replacement** — from the agent's adjacency list on an explicit
-/// [`Neighborhood`], from all `n` vertices on the complete graph — counts
-/// 1-opinions in the round-start snapshot, and applies per-observation
-/// fault corruption, delivered one observation at a time so no
-/// observation buffer ever exists.
+/// The count path's samplers for one observation size `m`, shared by every
+/// graph source in the process, like `fet_core::fet`'s split tables. Slot
+/// `d` holds `Binomial(m, k/d)` for `k = 0..=d`. It is built the first time
+/// any source meets a vertex of degree `d ≤ m`, and kept for the life of
+/// the process. `k ∈ {0, d}` are degenerate and draw nothing; the rest are
+/// alias tables of `m + 1` entries: 31 tables, about 80 KB, at
+/// `(m, d) = (94, 32)`.
+struct CountTables {
+    /// Indexed by degree `0..=m`. Slot 0 is never built: no round reaches
+    /// an isolated vertex ([`crate::neighborhood::ensure_observable`]).
+    by_degree: Box<[OnceLock<Box<[BinomialSampler]>>]>,
+}
+
+impl fmt::Debug for CountTables {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // The samplers are derived data; printing their alias tables would
+        // drown every source's debug dump.
+        f.debug_struct("CountTables")
+            .field("m", &(self.by_degree.len() - 1))
+            .finish_non_exhaustive()
+    }
+}
+
+impl CountTables {
+    /// The process-wide tables for `m` observations per agent: one lock of
+    /// the cache, taken when a graph factory or source is built. Sources
+    /// then read their slots without locking.
+    fn shared(m: u32) -> &'static CountTables {
+        static TABLES: OnceLock<Mutex<HashMap<u32, &'static CountTables>>> = OnceLock::new();
+        let tables = TABLES.get_or_init(|| Mutex::new(HashMap::new()));
+        let mut guard = tables.lock().expect("count-table cache poisoned");
+        guard.entry(m).or_insert_with(|| {
+            let by_degree = (0..=m).map(|_| OnceLock::new()).collect();
+            Box::leak(Box::new(CountTables { by_degree }))
+        })
+    }
+
+    /// `Binomial(m, k/d)` for `k = 0..=d`, where `1 ≤ d ≤ m`.
+    #[inline]
+    fn samplers(&self, d: u32) -> &[BinomialSampler] {
+        self.by_degree[d as usize].get_or_init(|| {
+            let m = (self.by_degree.len() - 1) as u64;
+            (0..=d)
+                .map(|k| {
+                    BinomialSampler::new(m, f64::from(k) / f64::from(d))
+                        .expect("a vertex with neighbors has k/d in [0, 1]")
+                })
+                .collect()
+        })
+    }
+}
+
+/// What a [`GraphSource`] observes.
+#[derive(Debug, Clone, Copy)]
+enum Targets<'a> {
+    /// An explicit adjacency structure, with the count path's samplers for
+    /// the round's `m`.
+    Graph(&'a dyn Neighborhood, &'static CountTables),
+    /// The complete graph on this many vertices.
+    Complete(u32),
+}
+
+/// The engine's [`ObservationSource`] for graph and literal Agent rounds:
+/// for each successive agent, the number of 1-opinions among `m` vertices
+/// sampled uniformly **with replacement** from the round-start snapshot —
+/// from the agent's adjacency list on an explicit [`Neighborhood`], from
+/// all `n` vertices on the complete graph — after per-observation fault
+/// corruption, delivered one observation at a time so no observation
+/// buffer ever exists.
+///
+/// # Counting or drawing
+///
+/// A vertex of degree `d ≤ m` on an explicit [`Neighborhood`] counts its
+/// `k` round-start 1-neighbors (`d` reads) and draws its count from
+/// `Binomial(m, k/d)`: exactly the law of `m` with-replacement picks among
+/// `d` neighbors, at one alias draw instead of `m` index draws. The `d + 1`
+/// samplers of each `(m, d)` are built once per process and shared by every
+/// round, shard and engine. A vertex of degree `d > m` draws its `m`
+/// neighbor indices, and so does every agent on the complete graph — the
+/// literal Agent fidelity, which tests use as the reference. The rule is a
+/// fixed function of `(d, m)`: a vertex counts exactly when it reads no
+/// more neighbors than it would draw.
 ///
 /// The source is positional: construction fixes the first vertex it
-/// streams for, and the cursor advances once per draw. The snapshot it
-/// reads is the engine's *round-start opinion double buffer* (all `n`
+/// streams for, and the cursor advances once per observation. The snapshot
+/// it reads is the engine's *round-start opinion double buffer* (all `n`
 /// vertices, sources included), so the fused round preserves the
 /// synchronous semantics — every observation reads round-`t` outputs even
 /// though the kernel writes round-`t+1` outputs in place.
 ///
-/// # The owned index stream
+/// # The owned draw stream
 ///
 /// The kernel hands sources a `&mut dyn RngCore`, so every word drawn
 /// from it costs a truly opaque virtual call — at `m = 2ℓ` index draws
 /// per agent, that call (and the instruction-level parallelism it
 /// forfeits inside the sampling loop) would dominate an observation.
 /// A graph source therefore owns a **concrete** [`SmallRng`] for its
-/// index draws, seeded by a counter-based split of the engine's dedicated
+/// draws, seeded by a counter-based split of the engine's dedicated
 /// `graph-index` stream and the source's first agent index
 /// ([`fet_stats::rng::counter_split`]): the generator state lives in
-/// registers across the whole sampling loop, and each 64-bit word yields
-/// **two** index lanes.
-/// The kernel's `rng` is still what fault corruption draws from, so the
-/// shard-keyed update stream is untouched. Determinism is preserved
-/// exactly: the index stream is a pure function of
-/// `(engine seed, round, first agent)` — never of worker scheduling.
+/// registers across the whole sampling loop, each 64-bit word yields
+/// **two** index lanes, and a counting vertex's alias draw comes from the
+/// same generator. The kernel's `rng` is still what fault corruption draws
+/// from, so the shard-keyed update stream is untouched. Determinism is
+/// preserved exactly: the draw stream is a pure function of
+/// `(engine seed, round, first agent)` — never of worker scheduling,
+/// storage or ISA path.
 #[derive(Debug)]
 pub struct GraphSource<'a> {
-    /// The adjacency structure; `None` is the complete graph.
-    neighborhood: Option<&'a dyn Neighborhood>,
-    /// Vertex count — the complete graph's draw range.
-    population: u32,
+    targets: Targets<'a>,
     snapshot: SnapshotView<'a>,
     fault: Option<&'a FaultPlan>,
     m: u32,
-    /// The vertex the next draw streams for.
+    /// The vertex the next observation streams for.
     vertex: u32,
-    /// The owned index-draw generator (see the type-level docs).
+    /// The owned draw generator (see the type-level docs).
     index_rng: SmallRng,
 }
 
 impl<'a> GraphSource<'a> {
     /// A source streaming observations for vertices `first_vertex..`, in
-    /// order, drawing neighbor indices from the stream seeded by
-    /// `index_seed`. `snapshot` holds the round-start output of **every**
-    /// vertex (sources included, vertex-id indexed); `fault` should be
-    /// `Some` only when observation noise is active.
+    /// order, drawing from the stream seeded by `index_seed`. `snapshot`
+    /// holds the round-start output of **every** vertex (sources included,
+    /// vertex-id indexed); `fault` should be `Some` only when observation
+    /// noise is active.
     ///
     /// Every streamed vertex must have at least one neighbor (the PULL
     /// model cannot deliver an observation to an isolated vertex —
@@ -310,8 +398,7 @@ impl<'a> GraphSource<'a> {
         index_seed: u64,
     ) -> Self {
         GraphSource {
-            neighborhood: Some(neighborhood),
-            population: neighborhood.population(),
+            targets: Targets::Graph(neighborhood, CountTables::shared(m)),
             snapshot: snapshot.into(),
             fault,
             m,
@@ -323,8 +410,8 @@ impl<'a> GraphSource<'a> {
 
 impl ObservationSource for GraphSource<'_> {
     fn next_observation(&mut self, rng: &mut dyn RngCore) -> Observation {
-        let raw_ones = match self.neighborhood {
-            Some(neighborhood) => {
+        let raw_ones = match self.targets {
+            Targets::Graph(neighborhood, counts) => {
                 let neighbors = neighborhood.neighbors_of(self.vertex);
                 debug_assert!(
                     !neighbors.is_empty(),
@@ -332,10 +419,9 @@ impl ObservationSource for GraphSource<'_> {
                     self.vertex
                 );
                 let d = u32::try_from(neighbors.len()).expect("degree < n fits u32");
-                if d == 1 {
-                    // A degree-1 vertex observes its one neighbor m times:
-                    // unanimous by construction, no randomness to draw.
-                    u32::from(self.snapshot.is_one(neighbors[0])) * self.m
+                if d <= self.m {
+                    let k = self.snapshot.count_ones(neighbors);
+                    counts.samplers(d)[k as usize].sample(&mut self.index_rng) as u32
                 } else {
                     sample_neighbor_ones(
                         isa::active_path(),
@@ -347,12 +433,12 @@ impl ObservationSource for GraphSource<'_> {
                     )
                 }
             }
-            None => sample_neighbor_ones(
+            Targets::Complete(n) => sample_neighbor_ones(
                 isa::active_path(),
                 &mut self.index_rng,
                 self.snapshot,
                 EveryVertex,
-                self.population,
+                n,
                 self.m,
             ),
         };
@@ -588,30 +674,27 @@ unsafe fn vector_draws_avx2<T: DrawTargets>(
     )
 }
 
-/// The engine's [`ShardSourceFactory`] for index-sampling rounds — graph
-/// runs ([`GraphSourceFactory::new`]) and the literal Agent fidelity on
-/// the complete graph ([`GraphSourceFactory::complete`]): hands every
-/// shard a [`GraphSource`] whose cursor starts at the shard's first agent
-/// and whose index stream is seeded by
-/// [`counter_split`]`(round_base, range.start)`. The adjacency structure
-/// and the round-start snapshot
-/// are shared read-only across workers; each shard's draws depend only on
-/// its range and the round base, so these shard streams are
-/// worker-invariant exactly like the mean-field ones. The single-threaded
-/// fused round uses the same factory with the full range `0..n`.
+/// The engine's [`ShardSourceFactory`] for graph and literal Agent
+/// rounds — graph runs ([`GraphSourceFactory::new`]) and the literal Agent
+/// fidelity on the complete graph ([`GraphSourceFactory::complete`]): hands
+/// every shard a [`GraphSource`] whose cursor starts at the shard's first
+/// agent and whose draw stream is seeded by
+/// [`counter_split`]`(round_base, range.start)`. The adjacency structure,
+/// the round-start snapshot and the count path's samplers are shared
+/// read-only across workers; each shard's draws depend only on its range
+/// and the round base, so these shard streams are worker-invariant exactly
+/// like the mean-field ones. The single-threaded fused round uses the same
+/// factory with the full range `0..n`.
 #[derive(Debug)]
 pub struct GraphSourceFactory<'a> {
-    /// The adjacency structure; `None` is the complete graph.
-    neighborhood: Option<&'a dyn Neighborhood>,
-    /// Vertex count — the complete graph's draw range.
-    population: u32,
+    targets: Targets<'a>,
     snapshot: SnapshotView<'a>,
     fault: Option<&'a FaultPlan>,
     m: u32,
     /// Vertex id of agent 0 of the stepped slice (= the number of source
     /// agents, which occupy the lowest vertex ids).
     vertex_base: u32,
-    /// The round's index-stream base (see [`GraphSourceFactory::new`]).
+    /// The round's draw-stream base (see [`GraphSourceFactory::new`]).
     round_base: u64,
 }
 
@@ -620,7 +703,7 @@ impl<'a> GraphSourceFactory<'a> {
     /// vertex id of the first stepped (non-source) agent; shard ranges are
     /// offsets on top of it. `index_stream` is the engine's run-level
     /// `graph-index` seed lane and `round` the global round index:
-    /// together they form the round's counter-derived index-stream base,
+    /// together they form the round's counter-derived draw-stream base,
     /// from which each shard's seed splits purely by its range start.
     pub fn new(
         neighborhood: &'a dyn Neighborhood,
@@ -640,7 +723,7 @@ impl<'a> GraphSourceFactory<'a> {
             index_stream,
             round,
         );
-        factory.neighborhood = Some(neighborhood);
+        factory.targets = Targets::Graph(neighborhood, CountTables::shared(m));
         factory
     }
 
@@ -659,8 +742,7 @@ impl<'a> GraphSourceFactory<'a> {
         round: u64,
     ) -> Self {
         GraphSourceFactory {
-            neighborhood: None,
-            population: n,
+            targets: Targets::Complete(n),
             snapshot: snapshot.into(),
             fault,
             m,
@@ -673,8 +755,7 @@ impl<'a> GraphSourceFactory<'a> {
     /// ([`ShardSourceFactory::shard_source`] boxes the same source).
     pub fn source_for(&self, range: Range<usize>) -> GraphSource<'_> {
         GraphSource {
-            neighborhood: self.neighborhood,
-            population: self.population,
+            targets: self.targets,
             snapshot: self.snapshot,
             fault: self.fault,
             m: self.m,
@@ -888,6 +969,18 @@ mod tests {
         let factory = GraphSourceFactory::complete(70, &zeros, None, 9, 3, 5, 1);
         let mut source = factory.source_for(0..70);
         assert_eq!(source.next_observation(&mut rng).ones(), 0);
+    }
+
+    #[test]
+    fn count_tables_are_built_once_per_m_and_degree() {
+        let tables = CountTables::shared(7);
+        assert!(std::ptr::eq(tables, CountTables::shared(7)));
+        let samplers = tables.samplers(3);
+        assert!(std::ptr::eq(samplers, tables.samplers(3)));
+        assert_eq!(samplers.len(), 4);
+        for (k, sampler) in samplers.iter().enumerate() {
+            assert_eq!((sampler.n(), sampler.p()), (7, k as f64 / 3.0));
+        }
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! ISA path selection and the vectorized sampling kernels behind it.
 //!
-//! Graph rounds are sampler-bound: the per-round cost of the PULL model is
-//! dominated by uniform index draws (Lemire multiply-shift) and alias-table
-//! probes, not by protocol math. This module owns the workspace's answer —
-//! three interchangeable kernel tiers, selected once per process:
+//! Sampled rounds are sampler-bound: the per-round cost of the PULL model is
+//! dominated by uniform index draws (Lemire multiply-shift: literal Agent
+//! rounds, and graph vertices with more neighbors than observations) and
+//! alias-table probes, not by protocol math. This module owns the
+//! workspace's answer — three interchangeable kernel tiers, selected once
+//! per process:
 //!
 //! * [`IsaPath::Scalar`] — the reference loops, structured exactly like the
 //!   original per-draw code. Every other tier is defined as "bit-identical
@@ -177,7 +179,7 @@ pub fn force_path(path: Option<IsaPath>) {
 }
 
 // ---------------------------------------------------------------------------
-// Lemire index kernels (graph neighbor draws)
+// Lemire index kernels (graph neighbor and literal Agent draws)
 // ---------------------------------------------------------------------------
 //
 // The graph observation loop maps each 32-bit RNG lane into [0, d) by

@@ -258,8 +258,9 @@ impl SweepSpec {
             },
         };
         let fidelity = match doc.get("fidelity").map(|v| v.as_str()) {
-            // Graph sweeps sample neighbors literally, so an omitted
-            // fidelity means `agent` there and `binomial` elsewhere.
+            // Graph sweeps draw each agent's observation from its own
+            // neighborhood, so an omitted fidelity means `agent` there and
+            // `binomial` elsewhere.
             None if doc.get("topology").is_some() => Fidelity::Agent,
             None => Fidelity::Binomial,
             Some(Some("binomial")) => Fidelity::Binomial,
@@ -455,7 +456,8 @@ impl SweepSpec {
         }
         if self.topology.is_some() && self.fidelity != Fidelity::Agent {
             return Err(SweepError::spec(
-                "graph sweeps sample neighbors literally; omit `fidelity` or set `\"agent\"`",
+                "graph sweeps draw each agent's observation from its own neighborhood; \
+                 omit `fidelity` or set `\"agent\"`",
             ));
         }
         // Dry-build episode 0: protocol-name resolution, ℓ bounds,

@@ -20,7 +20,10 @@
 //! their streams must be exactly as worker-invariant as the mean-field
 //! ones. `graph_parallel_stream_identity_matrix` serializes
 //! random-regular-graph trajectories to `FET_DETERMINISM_DUMP_GRAPH` for
-//! the same cross-worker-count byte-diff. The literal Agent fidelity reads
+//! the same cross-worker-count byte-diff, on two graphs: degree 24, below
+//! the sample size `m = 46`, where vertices count their neighbors, and odd
+//! degree 47, above it, where they draw neighbor indices through the Lemire
+//! kernels with rejections live. The literal Agent fidelity reads
 //! the same kind of source over the complete graph, so its `agent` and
 //! `noisy-agent` cases ride the mean-field matrix and its dumps.
 
@@ -35,6 +38,8 @@ const N: u64 = 300;
 const SEED: u64 = 0xD373;
 const MAX_ROUNDS: u64 = 200;
 const SHARD_COUNTS: [u32; 5] = [1, 2, 3, 4, 7];
+/// Graph degrees below and above the sample size `m = 2ℓ`, with labels.
+const GRAPHS: [(&str, u32); 2] = [("", 24), ("dense-", 47)];
 
 /// The determinism matrix: every case must replay per (seed, shards).
 fn cases() -> Vec<(&'static str, Fidelity, FaultPlan)> {
@@ -150,18 +155,18 @@ fn parallel_stream_identity_matrix() {
 
 /// A fixed random-regular instance for the graph matrix (built from its
 /// own seed lane so the engine seed stays the run key).
-fn regular_graph() -> fet::topology::graph::Graph {
+fn regular_graph(degree: u32) -> fet::topology::graph::Graph {
     let mut rng = fet::stats::rng::SeedTree::new(0x6AF)
         .child("determinism-graph")
         .rng();
-    fet::topology::builders::random_regular(N as u32, 24, &mut rng).unwrap()
+    fet::topology::builders::random_regular(N as u32, degree, &mut rng).unwrap()
 }
 
-fn graph_typed_trajectory(shards: u32, fault: FaultPlan) -> Vec<f64> {
+fn graph_typed_trajectory(degree: u32, shards: u32, fault: FaultPlan) -> Vec<f64> {
     let ell = ell_for_population(N, 4.0);
     let mut engine = Engine::with_neighborhood(
         FetProtocol::new(ell).unwrap(),
-        Box::new(regular_graph()),
+        Box::new(regular_graph(degree)),
         1,
         Opinion::One,
         InitialCondition::AllWrong,
@@ -177,9 +182,9 @@ fn graph_typed_trajectory(shards: u32, fault: FaultPlan) -> Vec<f64> {
     rec.into_fractions()
 }
 
-fn graph_facade_trajectory(shards: u32, fault: FaultPlan) -> Vec<f64> {
+fn graph_facade_trajectory(degree: u32, shards: u32, fault: FaultPlan) -> Vec<f64> {
     Simulation::builder()
-        .topology(regular_graph())
+        .topology(regular_graph(degree))
         .seed(SEED)
         .fault(fault)
         .max_rounds(MAX_ROUNDS)
@@ -206,30 +211,41 @@ fn graph_parallel_stream_identity_matrix() {
             FaultPlan::with_source_retarget(7, Opinion::Zero),
         ),
     ];
+    let m = 2 * ell_for_population(N, 4.0);
+    let [(_, degree), (_, dense_degree)] = GRAPHS;
+    assert!(
+        degree <= m && dense_degree > m,
+        "the graphs must straddle m = {m}"
+    );
     let mut dump = String::new();
     let workers = std::env::var("FET_PARALLEL_WORKERS").unwrap_or_else(|_| "unset".into());
     for shards in SHARD_COUNTS {
-        for (label, fault) in &graph_cases {
-            let typed = graph_typed_trajectory(shards, *fault);
-            let facade = graph_facade_trajectory(shards, *fault);
-            assert_eq!(
-                typed, facade,
-                "graph shards={shards} case={label} (workers={workers}): \
-                 typed vs facade trajectories diverged"
-            );
-            let again = graph_typed_trajectory(shards, *fault);
-            assert_eq!(
-                typed, again,
-                "graph shards={shards} case={label} (workers={workers}): replay diverged"
-            );
-            dump.push_str(&render(label, shards, &typed));
+        for (prefix, degree) in GRAPHS {
+            for (case, fault) in &graph_cases {
+                let label = format!("{prefix}{case}");
+                let typed = graph_typed_trajectory(degree, shards, *fault);
+                let facade = graph_facade_trajectory(degree, shards, *fault);
+                assert_eq!(
+                    typed, facade,
+                    "graph shards={shards} case={label} (workers={workers}): \
+                     typed vs facade trajectories diverged"
+                );
+                let again = graph_typed_trajectory(degree, shards, *fault);
+                assert_eq!(
+                    typed, again,
+                    "graph shards={shards} case={label} (workers={workers}): replay diverged"
+                );
+                dump.push_str(&render(&label, shards, &typed));
+            }
         }
     }
-    assert_ne!(
-        graph_typed_trajectory(1, FaultPlan::none()),
-        graph_typed_trajectory(2, FaultPlan::none()),
-        "graph shard counts must key distinct streams"
-    );
+    for (_, degree) in GRAPHS {
+        assert_ne!(
+            graph_typed_trajectory(degree, 1, FaultPlan::none()),
+            graph_typed_trajectory(degree, 2, FaultPlan::none()),
+            "graph shard counts must key distinct streams (degree {degree})"
+        );
+    }
     if let Ok(path) = std::env::var("FET_DETERMINISM_DUMP_GRAPH") {
         std::fs::write(&path, dump).expect("write graph determinism dump");
     }
@@ -285,26 +301,33 @@ fn bitplane_parallel_stream_identity_matrix() {
             );
             dump.push_str(&render(label, shards, &bits));
         }
-        // Graph leg: the 1-bit round-start snapshot must feed the shard
-        // sources exactly as the byte double buffer does.
-        let graph_typed = graph_typed_trajectory(shards, FaultPlan::none());
-        let graph_bits = Simulation::builder()
-            .topology(regular_graph())
-            .seed(SEED)
-            .max_rounds(MAX_ROUNDS)
-            .execution_mode(ExecutionMode::FusedParallel { threads: shards })
-            .storage(Storage::BitPlane)
-            .record_trajectory(true)
-            .build()
-            .unwrap()
-            .run()
-            .trajectory
-            .expect("recording requested");
-        assert_eq!(
-            graph_typed, graph_bits,
-            "graph shards={shards} (workers={workers}): typed vs bit-plane diverged"
-        );
-        dump.push_str(&render("graph-plain", shards, &graph_bits));
+        // Graph legs: the 1-bit round-start snapshot must feed the shard
+        // sources exactly as the byte double buffer does, whether vertices
+        // count their neighbors or draw them.
+        for (prefix, degree) in GRAPHS {
+            let graph_typed = graph_typed_trajectory(degree, shards, FaultPlan::none());
+            let graph_bits = Simulation::builder()
+                .topology(regular_graph(degree))
+                .seed(SEED)
+                .max_rounds(MAX_ROUNDS)
+                .execution_mode(ExecutionMode::FusedParallel { threads: shards })
+                .storage(Storage::BitPlane)
+                .record_trajectory(true)
+                .build()
+                .unwrap()
+                .run()
+                .trajectory
+                .expect("recording requested");
+            assert_eq!(
+                graph_typed, graph_bits,
+                "{prefix}graph shards={shards} (workers={workers}): typed vs bit-plane diverged"
+            );
+            dump.push_str(&render(
+                &format!("{prefix}graph-plain"),
+                shards,
+                &graph_bits,
+            ));
+        }
     }
     if let Ok(path) = std::env::var("FET_DETERMINISM_DUMP_BITPLANE") {
         std::fs::write(&path, dump).expect("write bit-plane determinism dump");

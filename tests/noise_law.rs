@@ -14,8 +14,9 @@
 //!   fidelity) against `Binomial(m, x)` — on the byte snapshot and on
 //!   packed bit planes with a source prefix, with and without noise — the
 //!   CSR graph source against `Binomial(m, ones_in_N(v)/deg(v))` on an
-//!   irregular graph, and the without-replacement source against the
-//!   hypergeometric pmf. Each test also shows power: the same draws must
+//!   irregular graph, through both views and on both sides of its
+//!   count-or-draw rule (`deg(v) ≤ m` counts), and the without-replacement
+//!   source against the hypergeometric pmf. Each test also shows power: the same draws must
 //!   reject the pmf at a probability moved by 0.05.
 //! * Binomial rounds fold `δ` into the round's sampler,
 //!   `Binomial(m, x(1 − δ) + (1 − x)δ)`, and no round path corrupts a
@@ -38,10 +39,13 @@ use fet::sim::sources::{
     GraphSourceFactory, MeanFieldSampler, MeanFieldSourceFactory, SnapshotView,
 };
 use fet::stats::binomial::Binomial;
-use fet::stats::distance::{chi_square_statistic, chi_square_survival, ks_same_distribution};
+use fet::stats::distance::ks_same_distribution;
 use fet::stats::hypergeometric::Hypergeometric;
 use fet::topology::builders::erdos_renyi;
+use law::{assert_law, chi_square_p, shifted};
 use rand::Rng;
+
+mod law;
 
 /// Family-wise false-rejection budget of the whole suite.
 const FAMILY_ALPHA: f64 = 1e-3;
@@ -64,15 +68,18 @@ const VIEWS: [Option<u32>; 3] = [None, Some(1), Some(3)];
 const SOURCE_FLIP: f64 = 0.05;
 /// Vertices of the irregular graph whose draws are tested.
 const GRAPH_VERTICES: usize = 3;
+/// Snapshot views of the graph source: bytes, and bit planes.
+const GRAPH_VIEWS: usize = 2;
 /// Source-test grid points per (n, ones, m).
 const SOURCE_CELLS: usize = SOURCE_NS.len() * ONES_PER_N * SOURCE_SAMPLE_SIZES.len();
 /// One chi-square test per (δ, m, k) of `corrupt_count`; per complete-graph
-/// source cell and view, plus its noisy cell; per graph vertex and `m`;
-/// per hypergeometric cell; plus the KS tests of the fold: fused typed,
-/// fused bit-plane, Agent bit-plane, Agent fused-parallel(3) and sleepy.
+/// source cell and view, plus its noisy cell; per graph vertex, `m` and
+/// view; per hypergeometric cell; plus the KS tests of the fold: fused
+/// typed, fused bit-plane, Agent bit-plane, Agent fused-parallel(3) and
+/// sleepy.
 const TESTS: usize = FLIP_PROBS.len() * SAMPLE_SIZES.len() * COUNTS_PER_SIZE
     + SOURCE_CELLS * (VIEWS.len() + 1)
-    + GRAPH_VERTICES * SOURCE_SAMPLE_SIZES.len()
+    + GRAPH_VERTICES * SOURCE_SAMPLE_SIZES.len() * GRAPH_VIEWS
     + SOURCE_CELLS
     + 5;
 const ALPHA: f64 = FAMILY_ALPHA / TESTS as f64;
@@ -93,72 +100,10 @@ fn corrupted_pmf(k: u32, m: u32, delta: f64) -> Vec<f64> {
     pmf
 }
 
-/// Pools adjacent outcomes, left to right, until each pooled cell expects
-/// at least five draws; a short remainder joins the last cell.
-fn pooled(observed: &[u64], pmf: &[f64]) -> (Vec<u64>, Vec<f64>) {
-    let draws = observed.iter().sum::<u64>() as f64;
-    let (mut cells_o, mut cells_p) = (Vec::new(), Vec::new());
-    let (mut o, mut p) = (0u64, 0.0);
-    for (&count, &prob) in observed.iter().zip(pmf) {
-        o += count;
-        p += prob;
-        if p * draws >= 5.0 {
-            cells_o.push(o);
-            cells_p.push(p);
-            (o, p) = (0, 0.0);
-        }
-    }
-    match (cells_o.last_mut(), cells_p.last_mut()) {
-        (Some(last_o), Some(last_p)) => {
-            *last_o += o;
-            *last_p += p;
-        }
-        _ => {
-            cells_o.push(o);
-            cells_p.push(p);
-        }
-    }
-    (cells_o, cells_p)
-}
-
-/// The p-value of `observed` under `pmf`, after pooling.
-fn chi_square_p(observed: &[u64], pmf: &[f64]) -> f64 {
-    let (cells, probs) = pooled(observed, pmf);
-    let df = u32::try_from(cells.len() - 1).expect("at most m cells");
-    let chi2 = chi_square_statistic(&cells, &probs).expect("draws were made");
-    // A single pooled cell holds every draw: nothing to test.
-    if df == 0 {
-        1.0
-    } else {
-        chi_square_survival(df, chi2)
-    }
-}
-
-/// Asserts that `observed` follows `pmf` at level [`ALPHA`], and that the
-/// same draws reject `shifted` at that level — the test has power.
-fn assert_law(case: &str, observed: &[u64], pmf: &[f64], shifted: &[f64]) {
-    let p = chi_square_p(observed, pmf);
-    assert!(p > ALPHA, "{case}: p = {p:.2e} ≤ {ALPHA:.1e}");
-    let p_shifted = chi_square_p(observed, shifted);
-    assert!(
-        p_shifted <= ALPHA,
-        "{case}: no power, the shifted law still reads p = {p_shifted:.2e}"
-    );
-}
-
 /// `Binomial(m, p)` as a vector over `0..=m`.
 fn binomial_pmf(m: u32, p: f64) -> Vec<f64> {
     let law = Binomial::new(u64::from(m), p).expect("p is a probability");
     (0..=u64::from(m)).map(|k| law.pmf(k)).collect()
-}
-
-/// `p` moved by 0.05, inward when it would leave `[0, 1]`.
-fn shifted(p: f64) -> f64 {
-    if p + 0.05 <= 1.0 {
-        p + 0.05
-    } else {
-        p - 0.05
-    }
 }
 
 /// `DRAWS` observations from `source`, tallied by 1-count.
@@ -261,6 +206,7 @@ fn complete_graph_source_draws_the_binomial_law() {
                         &observed,
                         &binomial_pmf(m, x),
                         &binomial_pmf(m, shifted(x)),
+                        ALPHA,
                     );
                 }
             }
@@ -277,22 +223,43 @@ fn complete_graph_source_draws_the_binomial_law() {
                     &observed,
                     &binomial_pmf(m, p),
                     &binomial_pmf(m, shifted(p)),
+                    ALPHA,
                 );
             }
         }
     }
 }
 
-/// On an explicit graph, vertex `v` draws `m` of its `deg(v)` neighbors
-/// with replacement: `Binomial(m, ones_in_N(v)/deg(v))`. Tested on an
-/// irregular Erdős–Rényi graph, at vertices of distinct degrees, one
-/// round's index stream per draw — as the engine keys them.
+/// On an explicit graph, vertex `v` observes `m` of its `deg(v)` neighbors
+/// with replacement: `Binomial(m, ones_in_N(v)/deg(v))`, whether it counts
+/// its neighbors (`deg(v) ≤ m`) or draws `m` of them (`deg(v) > m`). Tested
+/// on an irregular Erdős–Rényi graph, at vertices of distinct degrees, with
+/// cells on both sides of the rule, through the byte snapshot and through
+/// bit planes behind a one-vertex source prefix, one round's draw stream per
+/// draw — as the engine keys them.
 #[test]
 fn graph_source_draws_the_neighborhood_binomial_law() {
     let n = 120u32;
     let tree = SeedTree::new(0x6A_1A11);
     let graph = erdos_renyi(n, 0.08, &mut tree.child("graph").rng()).expect("valid graph");
     let snapshot: Vec<Opinion> = scattered(n, n / 3).map(Opinion::from).collect();
+    // The same snapshot with vertex 0 as the source prefix.
+    let mut words = vec![0u64; (n - 1).div_ceil(64) as usize];
+    for (i, opinion) in snapshot[1..].iter().enumerate() {
+        words[i / 64] |= u64::from(opinion.is_one()) << (i % 64);
+    }
+    let views = [
+        ("bytes", SnapshotView::Bytes(&snapshot)),
+        (
+            "bits",
+            SnapshotView::Bits {
+                source_output: snapshot[0],
+                num_sources: 1,
+                words: &words,
+            },
+        ),
+    ];
+    assert_eq!(views.len(), GRAPH_VIEWS);
     let ones_near = |v: u32| {
         graph
             .neighbors(v)
@@ -313,26 +280,40 @@ fn graph_source_draws_the_neighborhood_binomial_law() {
         .take(GRAPH_VERTICES)
         .collect();
     assert_eq!(vertices.len(), GRAPH_VERTICES, "degrees {degrees:?}");
+    let counted = vertices
+        .iter()
+        .flat_map(|&v| SOURCE_SAMPLE_SIZES.map(|m| graph.degree(v) <= m))
+        .filter(|&counts| counts)
+        .count();
+    let cells = GRAPH_VERTICES * SOURCE_SAMPLE_SIZES.len();
+    assert!(
+        0 < counted && counted < cells,
+        "{counted} of {cells} cells count their neighbors; both sides of d ≤ m must be tested"
+    );
     for v in vertices {
-        let x = f64::from(ones_near(v)) / f64::from(graph.degree(v));
+        let d = graph.degree(v);
+        let x = f64::from(ones_near(v)) / f64::from(d);
         for m in SOURCE_SAMPLE_SIZES {
-            let case = format!("graph v = {v}, deg = {}, m = {m}", graph.degree(v));
-            let mut rng = tree.child(&case).rng();
-            let stream = rng.gen();
-            let mut observed = vec![0u64; m as usize + 1];
-            for round in 0..DRAWS as u64 {
-                let factory = GraphSourceFactory::new(&graph, &snapshot, None, m, 0, stream, round);
-                let obs = factory
-                    .source_for(v as usize..v as usize + 1)
-                    .next_observation(&mut rng);
-                observed[obs.ones() as usize] += 1;
+            for (label, view) in views {
+                let case = format!("graph v = {v}, deg = {d}, m = {m}, {label}");
+                let mut rng = tree.child(&case).rng();
+                let stream = rng.gen();
+                let mut observed = vec![0u64; m as usize + 1];
+                for round in 0..DRAWS as u64 {
+                    let factory = GraphSourceFactory::new(&graph, view, None, m, 0, stream, round);
+                    let obs = factory
+                        .source_for(v as usize..v as usize + 1)
+                        .next_observation(&mut rng);
+                    observed[obs.ones() as usize] += 1;
+                }
+                assert_law(
+                    &case,
+                    &observed,
+                    &binomial_pmf(m, x),
+                    &binomial_pmf(m, shifted(x)),
+                    ALPHA,
+                );
             }
-            assert_law(
-                &case,
-                &observed,
-                &binomial_pmf(m, x),
-                &binomial_pmf(m, shifted(x)),
-            );
         }
     }
 }
@@ -360,7 +341,7 @@ fn mean_field_source_draws_the_hypergeometric_law() {
                 let mut rng = tree.child(&case).rng();
                 let observed = tally(&mut *factory.shard_source(0..DRAWS), m, &mut rng);
                 let moved = (shifted(f64::from(ones) / f64::from(n)) * f64::from(n)).round();
-                assert_law(&case, &observed, &pmf(ones), &pmf(moved as u32));
+                assert_law(&case, &observed, &pmf(ones), &pmf(moved as u32), ALPHA);
             }
         }
     }

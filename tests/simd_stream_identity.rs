@@ -19,7 +19,9 @@
 //! one lock; the assertions themselves are safe against outside observers
 //! precisely because all paths compute identical results.
 
+use fet::core::config::ell_for_population;
 use fet::prelude::*;
+use fet::sim::simulation::DEFAULT_SAMPLE_CONSTANT;
 use fet_stats::isa::{self, IsaPath};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -32,6 +34,13 @@ fn path_lock() -> MutexGuard<'static, ()> {
     LOCK.get_or_init(|| Mutex::new(()))
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Observations per agent the facade picks for `n` agents. Graph vertices of
+/// larger degree draw neighbor indices through the Lemire kernels; the
+/// others count their neighbors and draw one binomial variate.
+fn samples_per_round(n: u32) -> u32 {
+    2 * ell_for_population(u64::from(n), DEFAULT_SAMPLE_CONSTANT)
 }
 
 fn regular_graph(n: u32, degree: u32, seed: u64) -> fet::topology::graph::Graph {
@@ -92,16 +101,20 @@ fn graph_trajectory(
         .expect("recording requested")
 }
 
-/// The pinned matrix: forced path × (mean-field, literal Agent, graph) ×
-/// (Fused, FusedParallel) × (Typed, BitPlane) — every cell must replay
-/// the scalar reference bit for bit.
+/// The pinned matrix: forced path × (mean-field, literal Agent, graph,
+/// dense graph) × (Fused, FusedParallel) × (Typed, BitPlane) — every cell
+/// must replay the scalar reference bit for bit.
 #[test]
 fn trajectories_bit_identical_across_forced_paths() {
     let _guard = path_lock();
-    // Degree 24 is non-power-of-two on purpose: the graph leg exercises
-    // Lemire rejections (2³² mod 24 ≠ 0), not just the rejection-free
-    // power-of-two shortcut.
+    // Degree 24 is below m = 46, so the graph leg counts neighbors. The
+    // dense leg's odd degree 47 is above it, so that leg draws neighbor
+    // indices through the Lemire kernels with rejections live
+    // (2³² mod 47 ≠ 0), not just the rejection-free power-of-two shortcut.
     let graph = regular_graph(300, 24, 0x6AF2);
+    let dense = regular_graph(300, 47, 0x6AF3);
+    assert!(graph.max_degree() <= samples_per_round(300));
+    assert!(dense.min_degree() > samples_per_round(300));
     let modes = [
         ("fused", ExecutionMode::Fused),
         (
@@ -120,8 +133,17 @@ fn trajectories_bit_identical_across_forced_paths() {
             let agent_reference = complete(IsaPath::Scalar, Fidelity::Agent);
             let graph_reference =
                 graph_trajectory(IsaPath::Scalar, &graph, SEED, mode, storage, MAX_ROUNDS);
+            let dense_reference =
+                graph_trajectory(IsaPath::Scalar, &dense, SEED, mode, storage, MAX_ROUNDS);
             assert!(
-                mf_reference.len() > 3 && agent_reference.len() > 3 && graph_reference.len() > 3,
+                [
+                    &mf_reference,
+                    &agent_reference,
+                    &graph_reference,
+                    &dense_reference
+                ]
+                .iter()
+                .all(|trajectory| trajectory.len() > 3),
                 "degenerate run would make the matrix vacuous"
             );
             for forced in IsaPath::available() {
@@ -140,6 +162,11 @@ fn trajectories_bit_identical_across_forced_paths() {
                     graph_traj, graph_reference,
                     "graph {mode_label}/{storage_label}: {forced:?} diverged from scalar"
                 );
+                let dense_traj = graph_trajectory(forced, &dense, SEED, mode, storage, MAX_ROUNDS);
+                assert_eq!(
+                    dense_traj, dense_reference,
+                    "dense graph {mode_label}/{storage_label}: {forced:?} diverged from scalar"
+                );
             }
         }
     }
@@ -148,7 +175,7 @@ fn trajectories_bit_identical_across_forced_paths() {
 
 proptest! {
     /// Fuzzed corner of the same contract: random populations, seeds,
-    /// shard counts, and (non-power-of-two-degree) graphs — every
+    /// shard counts, and odd-degree graphs on both sides of `m` — every
     /// available path replays the scalar reference exactly.
     #[test]
     fn fuzzed_runs_bit_identical_across_paths(
@@ -169,12 +196,21 @@ proptest! {
             Storage::BitPlane,
             30,
         );
-        // Odd degrees keep the Lemire rejection path live (2³² mod d ≠ 0);
-        // the graph population is even so n·d stays even.
+        // Degrees 9–15 sit below m (34–42 here), so those vertices count
+        // their neighbors; degrees 43–49 sit above it, so they draw neighbor
+        // indices. Odd degrees keep the Lemire rejection path live
+        // (2³² mod d ≠ 0); the graph population is even so n·d stays even.
+        let graph_n = 2 * half_n as u32;
         let degree = 2 * degree_bump + 9;
-        let graph = regular_graph(2 * half_n as u32, degree, seed ^ 0xD1CE);
+        let dense_degree = 2 * degree_bump + 43;
+        assert!(degree <= samples_per_round(graph_n));
+        assert!(dense_degree > samples_per_round(graph_n));
+        let graph = regular_graph(graph_n, degree, seed ^ 0xD1CE);
+        let dense = regular_graph(graph_n, dense_degree, seed ^ 0xDE05);
         let graph_reference =
             graph_trajectory(IsaPath::Scalar, &graph, seed, mode, Storage::Typed, 30);
+        let dense_reference =
+            graph_trajectory(IsaPath::Scalar, &dense, seed, mode, Storage::Typed, 30);
         for forced in IsaPath::available() {
             let mf = complete_graph_trajectory(
                 forced,
@@ -188,6 +224,8 @@ proptest! {
             prop_assert_eq!(&mf, &reference, "mean-field n={} {:?}", n, forced);
             let gt = graph_trajectory(forced, &graph, seed, mode, Storage::Typed, 30);
             prop_assert_eq!(&gt, &graph_reference, "graph n={} d={} {:?}", n, degree, forced);
+            let dt = graph_trajectory(forced, &dense, seed, mode, Storage::Typed, 30);
+            prop_assert_eq!(&dt, &dense_reference, "graph n={} d={} {:?}", n, dense_degree, forced);
         }
         isa::force_path(None);
     }

@@ -6,7 +6,8 @@
 //! change that moves every path at once. This suite hashes each round's
 //! [`RoundSnapshot`] (round index plus the bit patterns of `x_t` and the
 //! fraction correct) for a matrix of
-//! {binomial, without-replacement, literal Agent, random-regular graph} ×
+//! {binomial, without-replacement, literal Agent, random-regular graph of
+//! degree below and above the sample size `m`} ×
 //! {fused, fused-parallel with 1 and 3 shards} × {typed, bit-plane}, plus
 //! one asynchronous, one sleepy and one fault-schedule run, one noisy run
 //! per sampling rule and a noisy sleepy binomial run, and compares the
@@ -26,7 +27,12 @@ use rand::SeedableRng;
 const N: u64 = 640;
 const SEED: u64 = 0x5EED_D16E;
 const MAX_ROUNDS: u64 = 150;
+/// Degree of the `graph` legs: below `m = 52`, so every vertex counts its
+/// neighbors and draws `Binomial(m, k/d)`.
 const GRAPH_DEGREE: u32 = 8;
+/// Degree of the `graph-dense` legs: above `m = 52`, so every vertex draws
+/// its `m` neighbor indices; odd, so Lemire rejections occur.
+const DENSE_GRAPH_DEGREE: u32 = 63;
 /// Flip probability of the noisy legs.
 const NOISE: f64 = 0.02;
 
@@ -53,23 +59,23 @@ impl RoundObserver for SnapshotDigest {
 
 /// A run observing the population one way: a complete-graph fidelity
 /// (`binomial`, `without-replacement`, `agent`) or a random-regular
-/// `graph`.
+/// `graph` or `graph-dense`.
 fn observed(kind: &str) -> SimulationBuilder {
     let base = Simulation::builder()
         .seed(SEED)
         .max_rounds(MAX_ROUNDS)
         .stability_window(3);
-    match kind {
-        "binomial" => base.population(N).fidelity(Fidelity::Binomial),
-        "without-replacement" => base.population(N).fidelity(Fidelity::WithoutReplacement),
-        "agent" => base.population(N).fidelity(Fidelity::Agent),
-        _ => {
-            let mut rng = rand::rngs::SmallRng::seed_from_u64(SEED);
-            let graph = random_regular(N as u32, GRAPH_DEGREE, &mut rng)
-                .expect("N·degree is even and degree < N");
-            base.topology(graph)
-        }
-    }
+    let degree = match kind {
+        "binomial" => return base.population(N).fidelity(Fidelity::Binomial),
+        "without-replacement" => return base.population(N).fidelity(Fidelity::WithoutReplacement),
+        "agent" => return base.population(N).fidelity(Fidelity::Agent),
+        "graph" => GRAPH_DEGREE,
+        _ => DENSE_GRAPH_DEGREE,
+    };
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(SEED);
+    let graph =
+        random_regular(N as u32, degree, &mut rng).expect("N·degree is even and degree < N");
+    base.topology(graph)
 }
 
 fn digest(builder: SimulationBuilder) -> u64 {
@@ -87,7 +93,13 @@ fn current_digests() -> Vec<(String, u64)> {
         ("parallel-3", ExecutionMode::FusedParallel { threads: 3 }),
     ];
     let mut cases = Vec::new();
-    for kind in ["binomial", "without-replacement", "agent", "graph"] {
+    for kind in [
+        "binomial",
+        "without-replacement",
+        "agent",
+        "graph",
+        "graph-dense",
+    ] {
         for (mode_label, mode) in modes {
             for storage in [Storage::Typed, Storage::BitPlane] {
                 let storage_label = if storage == Storage::BitPlane {
@@ -201,10 +213,14 @@ fn current_digests() -> Vec<(String, u64)> {
 /// Digests recorded before the round pipeline was consolidated onto one
 /// fused entry point — except `fault-schedule` and the `noisy/` legs,
 /// recorded when observation noise was folded into the binomial round law
-/// and `FaultPlan::corrupt_count` became a geometric skip, and the `agent/`
+/// and `FaultPlan::corrupt_count` became a geometric skip; the `agent/`
 /// and `noisy/agent/` legs, recorded when the literal Agent fidelity moved
 /// from the batched pipeline onto fused rounds over the complete-graph
-/// index source (each re-key is listed in docs/DETERMINISM.md).
+/// index source; and the `graph/` and `noisy/graph/` legs, recorded when
+/// vertices of degree `d ≤ m` began drawing `Binomial(m, k/d)` from their
+/// neighbor count (each re-key is listed in docs/DETERMINISM.md). The
+/// `graph-dense/` legs, added then, match what the index draws produced
+/// before that change.
 const RECORDED: &[(&str, u64)] = &[
     ("binomial/fused/typed", 0x0FEDC72F581E9080),
     ("binomial/fused/bits", 0x0FEDC72F581E9080),
@@ -224,18 +240,24 @@ const RECORDED: &[(&str, u64)] = &[
     ("agent/parallel-1/bits", 0xAF56992BF426B023),
     ("agent/parallel-3/typed", 0xF9A5AA937797B923),
     ("agent/parallel-3/bits", 0xF9A5AA937797B923),
-    ("graph/fused/typed", 0xCE97937645F368AC),
-    ("graph/fused/bits", 0xCE97937645F368AC),
-    ("graph/parallel-1/typed", 0x0FEECD9300F8158A),
-    ("graph/parallel-1/bits", 0x0FEECD9300F8158A),
-    ("graph/parallel-3/typed", 0x5BF53E1234490162),
-    ("graph/parallel-3/bits", 0x5BF53E1234490162),
+    ("graph/fused/typed", 0xEC0067E33DFA1457),
+    ("graph/fused/bits", 0xEC0067E33DFA1457),
+    ("graph/parallel-1/typed", 0x8C159AC820B56045),
+    ("graph/parallel-1/bits", 0x8C159AC820B56045),
+    ("graph/parallel-3/typed", 0x8DD114314B8DCA1A),
+    ("graph/parallel-3/bits", 0x8DD114314B8DCA1A),
+    ("graph-dense/fused/typed", 0xECB00735B2ABB623),
+    ("graph-dense/fused/bits", 0xECB00735B2ABB623),
+    ("graph-dense/parallel-1/typed", 0x48843A5D7180900E),
+    ("graph-dense/parallel-1/bits", 0x48843A5D7180900E),
+    ("graph-dense/parallel-3/typed", 0x2E4AEDFA87E35261),
+    ("graph-dense/parallel-3/bits", 0x2E4AEDFA87E35261),
     ("async", 0x13734C7E19126BAC),
     ("sleepy", 0x9CFB3E84758874C8),
     ("fault-schedule", 0x09627D961712269D),
     ("noisy/binomial/fused/bits", 0x48406B686CAC7D5D),
     ("noisy/without-replacement/fused/typed", 0x2C2285985658677F),
-    ("noisy/graph/fused/typed", 0x833E6E900ACF1663),
+    ("noisy/graph/fused/typed", 0x52F86701BE66C097),
     ("noisy/agent/fused/typed", 0xBEDEDB849F5FC6DB),
     ("noisy/sleepy", 0x6977C576F33CC7DC),
 ];
