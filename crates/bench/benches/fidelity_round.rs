@@ -15,20 +15,21 @@ fn bench_rounds(c: &mut Criterion) {
     for &n in &[1_000u64, 10_000] {
         for fidelity in [Fidelity::Agent, Fidelity::Binomial] {
             // At n = 10⁴ each fidelity also runs under observation noise
-            // δ = 10⁻⁶, beside its noise-free row: the cost of noise.
-            let noises: &[f64] = if n == 10_000 { &[0.0, 1e-6] } else { &[0.0] };
-            for &noise in noises {
-                let label = if noise > 0.0 {
-                    format!("{fidelity:?}_noise1e-6")
-                } else {
-                    format!("{fidelity:?}")
-                };
+            // δ = 10⁻⁶ and under sleepy agents at s = 0.2, beside its
+            // fault-free row: the cost of each fault.
+            let mut faults = vec![("", FaultPlan::none())];
+            if n == 10_000 {
+                faults.push(("_noise1e-6", FaultPlan::with_noise(1e-6).unwrap()));
+                faults.push(("_sleep0.2", FaultPlan::with_sleep(0.2).unwrap()));
+            }
+            for (suffix, fault) in faults {
+                let label = format!("{fidelity:?}{suffix}");
                 group.bench_with_input(BenchmarkId::new(label, n), &n, |b, _| {
                     let mut sim = Simulation::builder()
                         .population(n)
                         .fidelity(fidelity)
                         .init(InitialCondition::Random)
-                        .fault(FaultPlan::with_noise(noise).unwrap())
+                        .fault(fault)
                         .seed(42)
                         .build()
                         .unwrap();

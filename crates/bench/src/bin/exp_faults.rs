@@ -13,9 +13,10 @@
 //!   noise grows, with the bias set by the escape-rate asymmetry the source
 //!   provides (≈ ℓ/n vs noise ≈ ℓ·p). This echoes the noise-impossibility
 //!   line of work the paper cites;
-//! * **sleepy agents are harmless**: convergence slows roughly with the
-//!   awake fraction, and the absorbing state survives (sleepers keep their
-//!   opinion, so unanimity is preserved);
+//! * **sleep has a threshold** (partial asynchrony): FET converges at 20%
+//!   sleep, rarely at 30%, and not at all at 50% or 80%, where time-average
+//!   correctness sits at 1/2 (docs/BENCHMARKS.md, "Sleepy-agent
+//!   threshold"). A reached consensus stays absorbing;
 //! * **source retargeting** is recovered from in ordinary FET time —
 //!   self-stabilization covers environment changes.
 
@@ -77,7 +78,7 @@ fn main() {
     h.banner(
         "E15 exp_faults",
         "fault extensions (noise / sleep / source retarget)",
-        "noise: strict consensus lost, time-avg → 1/2; sleep: graceful slowdown; retarget: clean recovery",
+        "noise: strict consensus lost, time-avg → 1/2; sleep: converges at 20%, not at 50%/80% (time-avg → 1/2); retarget: clean recovery",
     );
 
     let n: u64 = h.size(1_000, 300);
@@ -188,8 +189,9 @@ so persistent observation noise (even ≪ 1 flipped bit per sample) makes both
 consensi metastable and the chain oscillates — time-average correctness sinks
 toward 1/2 while strict convergence fails outright. The source's pull enters
 at strength ~1/n, so it cannot outweigh any constant noise rate; this matches
-the noise-impossibility theme of Boczkowski et al. (2018). Sleep, by
-contrast, preserves unanimity and merely rescales time."
+the noise-impossibility theme of Boczkowski et al. (2018). Sleep is a
+threshold, not a slowdown: FET converges at 20% sleep but never at 50% or 80%,
+where time-average correctness sits at 1/2."
     );
     println!("\nCSV: {}", h.csv_path("e15_faults.csv").display());
 }

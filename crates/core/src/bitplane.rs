@@ -50,10 +50,13 @@
 //! swaps, a nibble word unpacks with 16 shifts, and a byte plane is a
 //! slice copy. The tile lives on the stack, so a round allocates nothing.
 //!
-//! [`StatePlanes::OpinionOnly`] protocols whose update is a pure
-//! threshold on the observation ([`Protocol::opinion_threshold`] is
-//! `Some`) skip the tile: the fused round asks the source for one
-//! *threshold word* per 64 agents
+//! In a sleepy round each tile steps under its keep mask instead (see
+//! [`shard`](crate::shard#sleepy-rounds)).
+//!
+//! In sleep-free rounds, [`StatePlanes::OpinionOnly`] protocols whose
+//! update is a pure threshold on the observation
+//! ([`Protocol::opinion_threshold`] is `Some`) skip the tile: the fused
+//! round asks the source for one *threshold word* per 64 agents
 //! ([`ObservationSource::next_threshold_word`]) and writes it straight
 //! into the opinion plane, counting by popcount. The mean-field source
 //! overrides the word draw to hoist its per-draw virtual dispatch,
@@ -91,9 +94,10 @@ use crate::observation::Observation;
 use crate::opinion::Opinion;
 use crate::population::{DynPopulation, Population};
 use crate::protocol::{FusedCounters, ObservationSource, Protocol, RoundContext, StatePlanes};
-use crate::shard::{self, RoundStreams, ShardSlices, ShardSourceFactory};
+use crate::shard::{self, RoundStreams, ShardSlices, ShardSourceFactory, SleepLane};
 use rand::RngCore;
 use std::fmt;
+use std::ops::Range;
 
 /// Bits per plane word.
 pub const WORD_BITS: usize = 64;
@@ -765,29 +769,35 @@ fn step_threshold_words(
     counters
 }
 
-/// Steps agents `0..len` of a packed plane slice pair, drawing
-/// observations from `source`: the tile kernel behind every
-/// `BitPopulation` round (see the [module docs](self)), or the
-/// word-at-a-time kernel for opinion-only threshold protocols. `outputs`,
-/// when present, receives the new opinions index-aligned (`None` on the
-/// in-place paths — the plane itself is the output store).
+/// Steps the agents `range` of the population, held in a packed plane
+/// slice pair, drawing observations from `source`: the tile kernel behind
+/// every `BitPopulation` round (see the [module docs](self)), or the
+/// word-at-a-time kernel for opinion-only threshold protocols in sleep-free
+/// rounds. `outputs`, when present, receives the new opinions index-aligned
+/// (`None` on the in-place paths — the plane itself is the output store).
 #[allow(clippy::too_many_arguments)]
 fn step_packed_slice<P: Protocol>(
     protocol: &P,
-    words: &mut [u64],
-    mut aux: AuxSliceMut<'_>,
-    len: usize,
+    piece: PlaneSlices<'_>,
+    range: Range<usize>,
+    sleep: Option<&SleepLane>,
     source: &mut dyn ObservationSource,
     ctx: &RoundContext,
     rng: &mut dyn RngCore,
     correct: Opinion,
-    mut outputs: Option<&mut [Opinion]>,
 ) -> FusedCounters {
+    let PlaneSlices {
+        words,
+        mut aux,
+        mut outputs,
+    } = piece;
+    let (len, mut masks) = (range.len(), sleep.map(|lane| lane.masks(range.start)));
     debug_assert!(words.len() >= len.div_ceil(WORD_BITS));
     if let Some(out) = outputs.as_deref() {
         assert_eq!(out.len(), len, "one output slot per agent");
     }
-    if let (AuxSliceMut::None, Some(threshold)) = (&aux, protocol.opinion_threshold()) {
+    if let (AuxSliceMut::None, Some(threshold), None) = (&aux, protocol.opinion_threshold(), sleep)
+    {
         return step_threshold_words(words, len, source, rng, threshold, correct, outputs);
     }
     let mut states: [P::State; WORD_BITS] =
@@ -809,7 +819,12 @@ fn step_packed_slice<P: Protocol>(
             Some(out) => &mut out[start..start + in_word],
             None => &mut tile_outputs[..in_word],
         };
-        counters += protocol.step_fused(states, source, ctx, rng, correct, out);
+        counters += match masks.as_mut() {
+            None => protocol.step_fused(states, source, ctx, rng, correct, out),
+            Some(masks) => {
+                shard::step_tile_keeping(protocol, states, masks, source, ctx, rng, correct, out)
+            }
+        };
         let mut word = 0u64;
         for (bit, state) in states.iter().enumerate() {
             let (opinion, value) = protocol.pack_state(state);
@@ -1005,6 +1020,7 @@ where
         sources: &dyn ShardSourceFactory,
         ctx: &RoundContext,
         streams: RoundStreams<'_>,
+        sleep: Option<&SleepLane>,
         correct: Opinion,
         outputs: Option<&mut [Opinion]>,
     ) -> FusedCounters {
@@ -1024,18 +1040,8 @@ where
             outputs,
         };
         let protocol = &*protocol;
-        shard::run_round(planes, n, sources, streams, |piece, len, source, rng| {
-            step_packed_slice(
-                protocol,
-                piece.words,
-                piece.aux,
-                len,
-                source,
-                ctx,
-                rng,
-                correct,
-                piece.outputs,
-            )
+        shard::run_round(planes, n, sources, streams, |piece, range, source, rng| {
+            step_packed_slice(protocol, piece, range, sleep, source, ctx, rng, correct)
         })
     }
 
@@ -1284,6 +1290,7 @@ mod tests {
                 &source,
                 &ctx,
                 RoundStreams::Main(&mut rt),
+                None,
                 Opinion::One,
                 Some(&mut out_t),
             );
@@ -1291,6 +1298,7 @@ mod tests {
                 &source,
                 &ctx,
                 RoundStreams::Main(&mut rb),
+                None,
                 Opinion::One,
                 Some(&mut out_b),
             );
@@ -1303,6 +1311,7 @@ mod tests {
                 &source,
                 &ctx,
                 RoundStreams::Main(&mut r2),
+                None,
                 Opinion::One,
                 None,
             );

@@ -63,6 +63,7 @@
 //!     &TwelveOfSixteen,
 //!     &RoundContext::new(0),
 //!     RoundStreams::Main(&mut rng),
+//!     None,
 //!     Opinion::One,
 //!     Some(&mut out),
 //! );
@@ -74,7 +75,7 @@ use crate::memory::MemoryFootprint;
 use crate::observation::Observation;
 use crate::opinion::Opinion;
 use crate::protocol::{FusedCounters, Protocol, RoundContext};
-use crate::shard::{self, RoundStreams, ShardSourceFactory};
+use crate::shard::{self, RoundStreams, ShardSourceFactory, SleepLane};
 use rand::RngCore;
 use std::fmt;
 
@@ -149,6 +150,10 @@ pub trait Population: fmt::Debug + Send {
     ///   to `plan.workers()` scoped OS threads, and the per-shard
     ///   [`FusedCounters`] reduced in shard order.
     ///
+    /// `sleep`, present only in sleepy rounds, makes each sleeper keep its
+    /// round-start state and output (see
+    /// [`shard`](crate::shard#sleepy-rounds)).
+    ///
     /// `outputs`, when present, receives every agent's new public opinion
     /// (index-aligned). Byte-addressed containers need it; containers
     /// whose own opinion storage is the output store
@@ -157,8 +162,8 @@ pub trait Population: fmt::Debug + Send {
     /// # Determinism contract
     ///
     /// The resulting states, outputs, and counters are a pure function of
-    /// the agent states, the source configuration, and the streams — for a
-    /// plan, its `(stream, round, shard count)`, **never**
+    /// the agent states, the source configuration, the sleep lane and the
+    /// streams — for a plan, its `(stream, round, shard count)`, **never**
     /// `plan.workers()`, thread scheduling, or how a shard's range is
     /// sub-chunked (each shard is one sequential kernel pass). Typed and
     /// bit-plane containers of one protocol walk identical streams because
@@ -175,12 +180,13 @@ pub trait Population: fmt::Debug + Send {
         sources: &dyn ShardSourceFactory,
         ctx: &RoundContext,
         streams: RoundStreams<'_>,
+        sleep: Option<&SleepLane>,
         correct: Opinion,
         outputs: Option<&mut [Opinion]>,
     ) -> FusedCounters;
 
-    /// Executes one round for the single agent `idx` (the sleepy-agent
-    /// fallback, where some agents skip their update entirely).
+    /// Executes one round for the single agent `idx` (the asynchronous
+    /// scheduler's activation).
     ///
     /// # Panics
     ///
@@ -390,6 +396,7 @@ where
         sources: &dyn ShardSourceFactory,
         ctx: &RoundContext,
         streams: RoundStreams<'_>,
+        sleep: Option<&SleepLane>,
         correct: Opinion,
         outputs: Option<&mut [Opinion]>,
     ) -> FusedCounters {
@@ -402,8 +409,18 @@ where
             n,
             sources,
             streams,
-            |(states, out), _, source, rng| {
-                protocol.step_fused(states, source, ctx, rng, correct, out)
+            |(states, out), range, source, rng| match sleep.map(|lane| lane.masks(range.start)) {
+                None => protocol.step_fused(states, source, ctx, rng, correct, out),
+                // Sleepy rounds step the slice in 64-agent tiles.
+                Some(mut masks) => {
+                    let mut counters = FusedCounters::default();
+                    for (states, out) in states.chunks_mut(64).zip(out.chunks_mut(64)) {
+                        counters += shard::step_tile_keeping(
+                            protocol, states, &mut masks, source, ctx, rng, correct, out,
+                        );
+                    }
+                    counters
+                }
             },
         )
     }
@@ -605,6 +622,7 @@ mod tests {
                         &factory,
                         &ctx,
                         RoundStreams::Sharded(&plan),
+                        None,
                         Opinion::One,
                         Some(&mut out),
                     );

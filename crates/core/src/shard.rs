@@ -29,18 +29,32 @@
 //! engine hand each shard a private observation source without any
 //! observation buffer existing. [`RoundStreams`] picks between the plan
 //! and the engine's main RNG (the single-threaded fused round, which is
-//! shard 0 over the whole population). All three are consumed by
+//! shard 0 over the whole population). [`SleepLane`], present only in
+//! sleepy rounds, marks the agents that sleep through the round. All four
+//! are consumed by
 //! [`Population::step_round`](crate::population::Population::step_round),
 //! whose containers only carve their storage into per-shard pieces and
 //! hand them to this module's one shard runner: worker striping, scoped
 //! threads and the shard-ordered counter reduction live here, once.
 //!
+//! # Sleepy rounds
+//!
+//! Given the round-start configuration each agent's next output is an
+//! independent Bernoulli (the paper's Observation 1), and sleeping with
+//! probability `s` only mixes it with "keep". So a sleepy round is the
+//! fused round under a keep mask: `step_tile_keeping` steps a 64-agent
+//! tile through [`Protocol::step_fused`], then gives each sleeper back its
+//! round-start state and output. Sleepers draw and discard their
+//! observation, which is equal in law and keeps every stream, positional
+//! sources included, where a sleep-free round leaves it.
+//!
 //! [`Protocol::step_fused`]: crate::protocol::Protocol::step_fused
 
-use crate::protocol::{FusedCounters, ObservationSource};
+use crate::opinion::Opinion;
+use crate::protocol::{FusedCounters, ObservationSource, Protocol, RoundContext};
 use fet_stats::rng::{counter_split, counter_stream_base};
 use rand::rngs::SmallRng;
-use rand::{RngCore, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use std::ops::Range;
 
 /// Builds one shard's private observation source.
@@ -184,6 +198,68 @@ impl std::fmt::Debug for RoundStreams<'_> {
     }
 }
 
+/// One round's sleep lane (see the [module docs](self#sleepy-rounds)):
+/// every agent sleeps with probability `prob`, drawn from a run-level seed
+/// split by `(round, shard range start)` with the shard RNGs' counter
+/// split, so never by workers or scheduling.
+#[derive(Debug, Clone, Copy)]
+pub struct SleepLane {
+    prob: f64,
+    round_base: u64,
+}
+
+impl SleepLane {
+    /// The lane of round `round`, from the run-level sleep seed `stream`.
+    pub fn new(prob: f64, stream: u64, round: u64) -> Self {
+        SleepLane {
+            prob,
+            round_base: counter_stream_base(stream, round),
+        }
+    }
+
+    /// The keep masks of the shard whose range starts at agent `start`, in
+    /// agent order: each call masks the next `agents ≤ 64` agents, bit `j`
+    /// set when agent `j` sleeps.
+    pub(crate) fn masks(&self, start: usize) -> impl FnMut(usize) -> u64 {
+        let prob = self.prob;
+        let mut rng = SmallRng::seed_from_u64(counter_split(self.round_base, start as u64));
+        move |agents| {
+            (0..agents).fold(0, |mask, j| {
+                mask | (u64::from(rng.gen::<f64>() < prob) << j)
+            })
+        }
+    }
+}
+
+/// Steps a tile of at most 64 agents through [`Protocol::step_fused`],
+/// then gives every agent that sleeps under the tile's keep mask back its
+/// round-start state and output; the counters count the outputs left.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn step_tile_keeping<P: Protocol>(
+    protocol: &P,
+    states: &mut [P::State],
+    masks: &mut impl FnMut(usize) -> u64,
+    source: &mut dyn ObservationSource,
+    ctx: &RoundContext,
+    rng: &mut dyn RngCore,
+    correct: Opinion,
+    outputs: &mut [Opinion],
+) -> FusedCounters {
+    let keep = masks(states.len());
+    let kept: [Option<P::State>; 64] =
+        std::array::from_fn(|j| ((keep >> j) & 1 == 1).then(|| states[j].clone()));
+    protocol.step_fused(states, source, ctx, rng, correct, outputs);
+    for (j, state) in kept.into_iter().enumerate() {
+        if let Some(state) = state {
+            outputs[j] = protocol.output(&state);
+            states[j] = state;
+        }
+    }
+    let ones = outputs.iter().filter(|o| o.is_one()).count() as u64;
+    let correct = outputs.iter().filter(|&&o| o == correct).count() as u64;
+    FusedCounters { ones, correct }
+}
+
 /// Agent storage a fused round can carve into disjoint per-shard pieces.
 pub(crate) trait ShardSlices: Send + Sized {
     /// Splits off the first `agents` agents, returning `(head, tail)`.
@@ -209,9 +285,9 @@ impl<A: ShardSlices, B: ShardSlices> ShardSlices for (A, B) {
 /// Runs one fused round over the `n` agents held in `storage`: the shard
 /// runner behind every [`Population::step_round`](crate::population::Population::step_round).
 ///
-/// `step(piece, len, source, rng)` steps the `len` agents of one storage
-/// piece with that shard's observation source and RNG. Under
-/// [`RoundStreams::Main`] the whole storage is one piece over `0..n`
+/// `step(piece, range, source, rng)` steps one storage piece, the agents
+/// `range` of the population, with that shard's observation source and RNG.
+/// Under [`RoundStreams::Main`] the whole storage is one piece over `0..n`
 /// stepped with the main RNG. Under [`RoundStreams::Sharded`] the storage
 /// is carved along [`ShardPlan::shard_range`], every non-empty shard gets
 /// [`ShardPlan::rng_for_shard`] and a fresh
@@ -231,12 +307,12 @@ pub(crate) fn run_round<S, F>(
 ) -> FusedCounters
 where
     S: ShardSlices,
-    F: Fn(S, usize, &mut dyn ObservationSource, &mut dyn RngCore) -> FusedCounters + Sync,
+    F: Fn(S, Range<usize>, &mut dyn ObservationSource, &mut dyn RngCore) -> FusedCounters + Sync,
 {
     let plan = match streams {
         RoundStreams::Main(rng) => {
             let mut source = sources.shard_source(0..n);
-            return step(storage, n, source.as_mut(), rng);
+            return step(storage, 0..n, source.as_mut(), rng);
         }
         RoundStreams::Sharded(plan) => plan,
     };
@@ -258,7 +334,7 @@ where
     let run_shard = |(s, range, piece): (u32, Range<usize>, S)| {
         let mut rng = plan.rng_for_shard(s);
         let mut source = sources.shard_source(range.clone());
-        step(piece, range.len(), source.as_mut(), &mut rng)
+        step(piece, range, source.as_mut(), &mut rng)
     };
     // Per-shard counters are accumulated into fixed slots and reduced in
     // shard order, so the totals cannot depend on which worker finished
@@ -435,6 +511,92 @@ mod tests {
                 many.rng_for_shard(s).next_u64()
             );
         }
+    }
+
+    #[test]
+    fn keep_masks_sleep_at_the_lane_probability() {
+        let mut masks = SleepLane::new(0.3, 9, 4).masks(0);
+        let tiles = 800u32;
+        let slept: u32 = (0..tiles).map(|_| masks(64).count_ones()).sum();
+        let frac = f64::from(slept) / f64::from(tiles * 64);
+        assert!((frac - 0.3).abs() < 0.01, "sleep fraction {frac}");
+        assert_eq!(masks(5) >> 5, 0, "bits past the tile stay clear");
+        assert_eq!(SleepLane::new(1.0, 9, 4).masks(0)(64), u64::MAX);
+        assert_eq!(SleepLane::new(0.0, 9, 4).masks(0)(64), 0);
+    }
+
+    #[test]
+    fn keep_masks_are_pure_in_round_and_range_start() {
+        let draw = |lane: SleepLane, start: usize| lane.masks(start)(64);
+        let lane = SleepLane::new(0.5, 7, 3);
+        assert_eq!(draw(lane, 64), draw(lane, 64));
+        assert_ne!(draw(lane, 0), draw(lane, 64));
+        assert_ne!(draw(lane, 0), draw(SleepLane::new(0.5, 7, 4), 0));
+        assert_ne!(draw(lane, 0), draw(SleepLane::new(0.5, 8, 3), 0));
+    }
+
+    /// Observations drawn uniformly from the kernel RNG, so any difference
+    /// in what a tile draws shows up downstream.
+    struct Uniform(u32);
+
+    impl ObservationSource for Uniform {
+        fn next_observation(&mut self, rng: &mut dyn RngCore) -> crate::observation::Observation {
+            crate::observation::Observation::new(rng.next_u32() % (self.0 + 1), self.0).unwrap()
+        }
+    }
+
+    #[test]
+    fn masked_tiles_restore_sleepers_and_draw_like_unmasked_tiles() {
+        let protocol = crate::fet::FetProtocol::new(8).unwrap();
+        let ctx = RoundContext::new(0);
+        let mut init = SmallRng::seed_from_u64(1);
+        let start: Vec<_> = (0..50)
+            .map(|i| protocol.init_state(Opinion::from(i % 3 == 0), &mut init))
+            .collect();
+        let lane = SleepLane::new(0.3, 5, 0);
+        let keep = lane.masks(0)(50);
+        assert!(
+            keep != 0 && keep != (1 << 50) - 1,
+            "the tile needs both kinds"
+        );
+        let step = |lane: Option<SleepLane>| {
+            let mut states = start.clone();
+            let mut outputs = vec![Opinion::Zero; 50];
+            let mut rng = SmallRng::seed_from_u64(2);
+            let mut source = Uniform(protocol.samples_per_round());
+            let (s, r, c, o) = (&mut states, &mut rng, Opinion::One, &mut outputs);
+            let counters = match lane {
+                Some(lane) => {
+                    let masks = &mut lane.masks(0);
+                    step_tile_keeping(&protocol, s, masks, &mut source, &ctx, r, c, o)
+                }
+                None => protocol.step_fused(s, &mut source, &ctx, r, c, o),
+            };
+            (states, outputs, counters, rng.next_u64())
+        };
+        let (awake, awake_out, _, awake_next) = step(None);
+        let (masked, masked_out, counters, masked_next) = step(Some(lane));
+        assert_eq!(
+            masked_next, awake_next,
+            "sleepers must draw like awake agents"
+        );
+        for j in 0..50 {
+            if (keep >> j) & 1 == 1 {
+                assert_eq!(masked[j], start[j], "sleeper {j} moved");
+                assert_eq!(masked_out[j], protocol.output(&start[j]));
+            } else {
+                assert_eq!(masked[j], awake[j], "awake agent {j}");
+                assert_eq!(masked_out[j], awake_out[j]);
+            }
+        }
+        let ones = masked_out.iter().filter(|o| o.is_one()).count() as u64;
+        assert_eq!(
+            counters,
+            FusedCounters {
+                ones,
+                correct: ones
+            }
+        );
     }
 
     #[test]

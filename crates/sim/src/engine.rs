@@ -36,7 +36,7 @@
 //!
 //! # Round implementations: fused and parallel fused
 //!
-//! A fault-free synchronous round is one [`Population::step_round`]
+//! Every synchronous round is one [`Population::step_round`]
 //! dispatch, which draws each agent's observation from an on-demand
 //! source, applies the update, writes the output, and accumulates the
 //! round counters in **one pass** — no observation buffer, no output
@@ -66,9 +66,9 @@
 //!
 //! [`ExecutionMode::Auto`] (the default) parallelizes above
 //! [`FUSED_PARALLEL_AUTO_MIN_N`] agents when the host has more than one
-//! core, and runs single-threaded otherwise. Sleepy-fault rounds always
-//! take the per-agent loop instead (a sleeping agent must skip its update
-//! entirely).
+//! core, and runs single-threaded otherwise. Sleepy-agent faults
+//! ([`FaultPlan::sleep_prob`]) are a keep mask over the same round (see
+//! [`fet_core::shard`]), in every mode and on both storages.
 //!
 //! **Stream-compatibility caveat:** the parallel path re-keys the draws
 //! per shard, so the modes are *distinct deterministic streams* of the
@@ -95,11 +95,10 @@ use crate::observer::{RoundObserver, RoundSnapshot};
 use crate::sources::{GraphSourceFactory, MeanFieldSampler, MeanFieldSourceFactory, SnapshotView};
 use fet_core::bitplane::BitPlane;
 use fet_core::config::ProblemSpec;
-use fet_core::observation::Observation;
 use fet_core::opinion::Opinion;
 use fet_core::population::{DynPopulation, Population, TypedPopulation};
 use fet_core::protocol::{Protocol, RoundContext};
-use fet_core::shard::{RoundStreams, ShardPlan, ShardSourceFactory};
+use fet_core::shard::{RoundStreams, ShardPlan, ShardSourceFactory, SleepLane};
 use fet_core::source::Source;
 use fet_stats::binomial::BinomialSampler;
 use fet_stats::hypergeometric::Hypergeometric;
@@ -155,7 +154,6 @@ pub enum ExecutionMode {
     #[default]
     Auto,
     /// Force the single-threaded fused kernel, on the engine's main RNG.
-    /// Sleepy-fault rounds still take the per-agent loop.
     Fused,
     /// Force the work-sharded parallel fused kernel with `threads` shards
     /// (and at most that many worker threads; `FET_PARALLEL_WORKERS`
@@ -202,77 +200,6 @@ const FUSED_PARALLEL_AUTO_MAX_THREADS: u32 = 8;
 fn auto_round_impl(auto_threads: u32, n: u64, parallel_eligible: bool) -> Option<u32> {
     (parallel_eligible && auto_threads > 1 && n >= FUSED_PARALLEL_AUTO_MIN_N)
         .then_some(auto_threads)
-}
-
-/// Settles a round's decision count from the count folded out of the
-/// round's outputs: passive protocols (decision ≡ output) take the folded
-/// count directly, decoupled baselines are recounted from their states.
-/// Shared by both round paths (fused, sleepy) so the passive-count
-/// contract cannot drift between them. The debug guard
-/// catches a protocol that overrides `decision()` but forgets to override
-/// `is_passive()` — the folded count is only valid when decision ≡ output
-/// actually holds.
-fn settle_correct_decisions<A: Population + ?Sized>(
-    pop: &A,
-    correct: Opinion,
-    folded_count: u64,
-) -> u64 {
-    let passive = pop.is_passive();
-    debug_assert!(
-        !passive || folded_count == pop.count_correct_decisions(correct),
-        "protocol `{}` reports is_passive() but decision() != output()",
-        pop.protocol_name()
-    );
-    if passive {
-        folded_count
-    } else {
-        pop.count_correct_decisions(correct)
-    }
-}
-
-/// Draws one sleepy-round agent's observed 1-count: from its
-/// neighborhood when one is set, else via the fidelity's per-round
-/// sampler, else by literal index sampling — then applies the fault
-/// plan's observation noise, except to binomial draws, whose sampler law
-/// already carries it ([`EngineCore::round_samplers`]). Fused rounds draw
-/// the same laws through [`crate::sources`].
-#[allow(clippy::too_many_arguments)]
-fn draw_count(
-    neighborhood: Option<&dyn Neighborhood>,
-    binomial: Option<&BinomialSampler>,
-    hypergeometric: Option<&Hypergeometric>,
-    fault: &FaultPlan,
-    snapshot: &[Opinion],
-    vertex: usize,
-    n: usize,
-    m: u32,
-    rng: &mut SmallRng,
-) -> u32 {
-    let raw_ones = if let Some(nb) = neighborhood {
-        let neighbors = nb.neighbors_of(vertex as u32);
-        let mut c = 0u32;
-        for _ in 0..m {
-            let k = neighbors[rng.gen_range(0..neighbors.len())];
-            if snapshot[k as usize].is_one() {
-                c += 1;
-            }
-        }
-        c
-    } else if let Some(sampler) = binomial {
-        return sampler.sample(rng) as u32;
-    } else if let Some(h) = hypergeometric {
-        h.sample(rng) as u32
-    } else {
-        let mut c = 0u32;
-        for _ in 0..m {
-            let k = rng.gen_range(0..n);
-            if snapshot[k].is_one() {
-                c += 1;
-            }
-        }
-        c
-    };
-    fault.corrupt_count(raw_ones, m, rng)
 }
 
 fn checked_n(spec: &ProblemSpec) -> Result<usize, SimError> {
@@ -403,6 +330,9 @@ struct EngineCore {
     /// `(this, round, shard range start)` — again without ever consuming
     /// the main engine RNG.
     graph_index_stream: u64,
+    /// Run-level seed lane of sleepy rounds' keep masks, split like
+    /// `graph_index_stream` ([`SleepLane`]).
+    sleep_stream: u64,
     /// Host core count (capped), cached for [`ExecutionMode::Auto`]'s
     /// parallel selection.
     auto_threads: u32,
@@ -539,6 +469,7 @@ impl EngineCore {
             round: 0,
             parallel_stream: SeedTree::new(seed).child("engine-parallel").seed(),
             graph_index_stream: SeedTree::new(seed).child("graph-index").seed(),
+            sleep_stream: SeedTree::new(seed).child("sleep").seed(),
             auto_threads: std::thread::available_parallelism()
                 .map_or(1, |p| p.get() as u32)
                 .min(FUSED_PARALLEL_AUTO_MAX_THREADS),
@@ -582,8 +513,8 @@ impl EngineCore {
         self.neighborhood.is_none() && self.fidelity != Fidelity::Agent
     }
 
-    /// The shard count a fault-free round runs under the current mode
-    /// (`None` = the single-threaded fused round).
+    /// The shard count a round runs under the current mode (`None` = the
+    /// single-threaded fused round).
     fn resolve_round_impl(&self) -> Option<u32> {
         match self.mode {
             ExecutionMode::Fused => None,
@@ -741,34 +672,19 @@ impl EngineCore {
             self.source.retarget(new_correct);
             self.refresh_caches(pop);
         }
-        if self.fault.sleep_prob > 0.0 {
-            assert!(
-                !self.bit_store,
-                "sleepy-agent faults need the per-agent byte output buffer; \
-                 run them on byte storage"
-            );
-            // Synchrony: all observations read the round-t outputs.
-            // Mean-field rounds consume only the global 1-count, so the
-            // O(n) snapshot copy is skipped there.
-            if !self.mean_field() {
-                self.snapshot.clone_from(&self.outputs);
+        if !self.mean_field() {
+            // Index-sampling rounds write outputs in place while the
+            // source still reads round-start opinions: rotate the
+            // persistent double buffer instead of copying — or, on
+            // bit-plane populations, word-copy the packed opinion plane
+            // into the 1 bit/agent word snapshot.
+            if self.bit_store {
+                self.refresh_bit_snapshot(pop);
+            } else {
+                self.rotate_opinion_buffer();
             }
-            self.step_with_sleep(pop);
-        } else {
-            if !self.mean_field() {
-                // Index-sampling rounds write outputs in place while the
-                // source still reads round-start opinions: rotate the
-                // persistent double buffer instead of copying — or, on
-                // bit-plane populations, word-copy the packed opinion
-                // plane into the 1 bit/agent word snapshot.
-                if self.bit_store {
-                    self.refresh_bit_snapshot(pop);
-                } else {
-                    self.rotate_opinion_buffer();
-                }
-            }
-            self.step_fused_round(pop, self.resolve_round_impl());
         }
+        self.step_fused_round(pop, self.resolve_round_impl());
         self.round += 1;
         self.recovery.observe(self.round, self.all_correct());
     }
@@ -806,7 +722,8 @@ impl EngineCore {
         pop.write_opinion_words(self.bit_snapshot.words_mut());
     }
 
-    /// Per-round samplers for the current fidelity (`None` = literal).
+    /// The round's mean-field sampler, binomial or hypergeometric by
+    /// fidelity.
     ///
     /// The binomial sampler carries the round's observation noise: when
     /// each observed bit flips independently with probability `δ`, an
@@ -819,7 +736,6 @@ impl EngineCore {
         let n = self.spec.n() as usize;
         let x_t = self.ones_count as f64 / n as f64;
         match self.fidelity {
-            Fidelity::Agent => (None, None),
             Fidelity::Binomial => {
                 let delta = self.fault.flip_prob;
                 // At δ = 0 this is `x_t` bit for bit: `x·1 = x`,
@@ -840,7 +756,7 @@ impl EngineCore {
                         .expect("m ≤ n is validated at engine construction"),
                 ),
             ),
-            Fidelity::Aggregate => unreachable!("rejected at engine construction"),
+            Fidelity::Agent | Fidelity::Aggregate => unreachable!("mean-field fidelities only"),
         }
     }
 
@@ -863,6 +779,7 @@ impl EngineCore {
     /// [`crate::sources::GraphSource`] over the round-start opinion double
     /// buffer (the only auxiliary memory, ~1 byte/agent — or 1 bit/agent on
     /// bit-plane populations — rotated, never reallocated, each round).
+    /// Under sleepy-agent faults the round also carries a [`SleepLane`].
     fn step_fused_round<A: Population + ?Sized>(&mut self, pop: &mut A, shards: Option<u32>) {
         let num_sources = self.spec.num_sources() as usize;
         let num_sources_u32 = u32::try_from(num_sources).expect("num_sources < n fits u32");
@@ -917,50 +834,27 @@ impl EngineCore {
             }
             None => RoundStreams::Main(&mut self.rng),
         };
+        let sleep = (self.fault.sleep_prob > 0.0)
+            .then(|| SleepLane::new(self.fault.sleep_prob, self.sleep_stream, self.round));
         let outputs = (!self.bit_store).then(|| &mut self.outputs[num_sources..]);
-        let counters = pop.step_round(sources, &ctx, streams, correct, outputs);
+        let counters = pop.step_round(sources, &ctx, streams, sleep.as_ref(), correct, outputs);
         self.ones_count =
             num_sources as u64 * u64::from(self.source.output().is_one()) + counters.ones;
-        self.correct_decisions = settle_correct_decisions(pop, correct, counters.correct);
-    }
-
-    /// The per-agent round path, used when sleepy-agent faults are active.
-    fn step_with_sleep<A: Population + ?Sized>(&mut self, pop: &mut A) {
-        let n = self.spec.n() as usize;
-        let num_sources = self.spec.num_sources() as usize;
-        let m = pop.samples_per_round();
-        let ctx = RoundContext::new(self.round);
-        let (binomial, hypergeometric) = self.round_samplers(m);
-        let correct = self.source.correct();
-        let mut ones_count = num_sources as u64 * u64::from(self.source.output().is_one());
-        let mut correct_decisions = 0u64;
-        for j in 0..pop.len() {
-            let agent_index = num_sources + j;
-            let sleeping = self.fault.draws_sleep(&mut self.rng);
-            if !sleeping {
-                let seen = draw_count(
-                    self.neighborhood.as_deref(),
-                    binomial.as_ref(),
-                    hypergeometric.as_ref(),
-                    &self.fault,
-                    &self.snapshot,
-                    agent_index,
-                    n,
-                    m,
-                    &mut self.rng,
-                );
-                let obs = Observation::new(seen, m)
-                    .expect("corrupt_count preserves the sample-size bound");
-                let new_output = pop.step_agent(j, &obs, &ctx, &mut self.rng);
-                self.outputs[agent_index] = new_output;
-            }
-            ones_count += u64::from(self.outputs[agent_index].is_one());
-            // Sleeping agents kept their output, so for passive protocols
-            // (decision ≡ output, slept or not) the fold stays fused.
-            correct_decisions += u64::from(self.outputs[agent_index] == correct);
-        }
-        self.ones_count = ones_count;
-        self.correct_decisions = settle_correct_decisions(pop, correct, correct_decisions);
+        // Passive protocols (decision ≡ output) take the count folded out
+        // of the outputs; decoupled baselines are recounted from their
+        // states. The guard catches a protocol that overrides `decision()`
+        // but not `is_passive()`.
+        let passive = pop.is_passive();
+        debug_assert!(
+            !passive || counters.correct == pop.count_correct_decisions(correct),
+            "protocol `{}` reports is_passive() but decision() != output()",
+            pop.protocol_name()
+        );
+        self.correct_decisions = if passive {
+            counters.correct
+        } else {
+            pop.count_correct_decisions(correct)
+        };
     }
 
     /// Runs until convergence is confirmed or `max_rounds` have executed.
@@ -1255,12 +1149,11 @@ where
 
     /// Executes one synchronous round.
     ///
-    /// When no agent can sleep, the round is one fused pass over the
-    /// contiguous state slice ([`Protocol::step_fused`]): each agent's
-    /// observation is drawn on demand, its update applied, and the round
-    /// counters folded in the same pass. Sleepy-agent fault plans fall back
-    /// to the per-agent loop (a sleeping agent must skip its update
-    /// entirely).
+    /// The round is one fused pass over the contiguous state slice
+    /// ([`Protocol::step_fused`]): each agent's observation is drawn on
+    /// demand, its update applied, and the round counters folded in the
+    /// same pass. Under sleepy-agent faults each sleeper then keeps its
+    /// round-start state and output.
     pub fn step(&mut self) {
         self.core.step(&mut self.population);
     }
@@ -1918,9 +1811,7 @@ mod tests {
 
     /// Fused rounds replay bit for bit across the typed and
     /// population-erased front ends, for every per-agent fidelity and
-    /// the fault plans the fused path supports (noise, retargeting; sleep
-    /// rounds fall back to the per-agent loop by design and are covered
-    /// by the Auto-mode cases above).
+    /// every fault plan (noise, sleep, retargeting).
     #[test]
     fn fused_is_stream_identical_across_typed_and_population_engines() {
         let cases: Vec<(Fidelity, FaultPlan)> = vec![
@@ -1928,6 +1819,7 @@ mod tests {
             (Fidelity::WithoutReplacement, FaultPlan::none()),
             (Fidelity::Agent, FaultPlan::none()),
             (Fidelity::Agent, FaultPlan::with_noise(0.03).unwrap()),
+            (Fidelity::Agent, FaultPlan::with_sleep(0.2).unwrap()),
             (Fidelity::Binomial, FaultPlan::with_noise(0.03).unwrap()),
             (
                 Fidelity::Binomial,
@@ -2109,10 +2001,8 @@ mod tests {
         );
     }
 
-    /// Sleep faults on graphs fall back to the per-agent loop and still
-    /// read round-start opinions; noise and retargeting compose with the
-    /// graph source. The graph-fused family must satisfy the absorbing
-    /// guarantee end to end.
+    /// The graph-fused family must satisfy the absorbing guarantee end to
+    /// end.
     #[test]
     fn graph_fused_converges_and_absorbs_on_the_complete_ring() {
         // A dense ring (every vertex sees half the ring) behaves like the
@@ -2181,8 +2071,7 @@ mod tests {
 
     /// Parallel fused rounds replay bit for bit across the typed and
     /// population-erased front ends for a fixed (seed, thread count), for
-    /// every per-agent fidelity and the fault plans the fused paths
-    /// support.
+    /// every per-agent fidelity and every fault plan.
     #[test]
     fn fused_parallel_is_stream_identical_across_typed_and_population_engines() {
         let cases: Vec<(Fidelity, FaultPlan)> = vec![
@@ -2190,6 +2079,10 @@ mod tests {
             (Fidelity::WithoutReplacement, FaultPlan::none()),
             (Fidelity::Agent, FaultPlan::none()),
             (Fidelity::Binomial, FaultPlan::with_noise(0.03).unwrap()),
+            (
+                Fidelity::WithoutReplacement,
+                FaultPlan::with_sleep(0.2).unwrap(),
+            ),
             (
                 Fidelity::Binomial,
                 FaultPlan::with_source_retarget(5, Opinion::Zero),
@@ -2365,7 +2258,7 @@ mod tests {
 
     /// Bit-plane engines replay the typed engine's fused trajectories bit
     /// for bit — binomial and literal Agent rounds, both fused modes, with
-    /// and without noise and retargeting.
+    /// and without noise, sleep and retargeting.
     #[test]
     fn bit_population_engine_is_stream_identical_in_every_fused_mode() {
         let cases: Vec<(Fidelity, ExecutionMode, FaultPlan)> = vec![
@@ -2394,6 +2287,16 @@ mod tests {
                 Fidelity::Agent,
                 ExecutionMode::FusedParallel { threads: 3 },
                 FaultPlan::none(),
+            ),
+            (
+                Fidelity::Binomial,
+                ExecutionMode::Fused,
+                FaultPlan::with_sleep(0.3).unwrap(),
+            ),
+            (
+                Fidelity::Agent,
+                ExecutionMode::FusedParallel { threads: 3 },
+                FaultPlan::with_sleep(0.3).unwrap(),
             ),
         ];
         for (fidelity, mode, fault) in cases {
@@ -2429,6 +2332,48 @@ mod tests {
                 "{fidelity:?}/{mode:?}/{fault:?} trajectories diverged"
             );
             assert_eq!(typed.outputs(), bits.collect_outputs().as_slice());
+        }
+    }
+
+    /// When every agent sleeps, a round changes nothing, in every mode and
+    /// on both storages, although each agent still draws and updates.
+    #[test]
+    fn rounds_where_every_agent_sleeps_keep_every_state() {
+        for mode in [
+            ExecutionMode::Fused,
+            ExecutionMode::FusedParallel { threads: 3 },
+        ] {
+            for fidelity in [Fidelity::Agent, Fidelity::Binomial] {
+                let mut typed = Engine::new(
+                    FetProtocol::new(8).unwrap(),
+                    spec(150),
+                    fidelity,
+                    InitialCondition::Random,
+                    77,
+                )
+                .unwrap();
+                typed.set_execution_mode(mode).unwrap();
+                typed.set_fault_plan(FaultPlan::with_sleep(1.0).unwrap());
+                let (states, outputs) = (typed.states().to_vec(), typed.outputs().to_vec());
+                let mut bits = PopulationEngine::new(
+                    fet_bit_population(8),
+                    spec(150),
+                    fidelity,
+                    InitialCondition::Random,
+                    77,
+                )
+                .unwrap();
+                bits.set_execution_mode(mode).unwrap();
+                bits.set_fault_plan(FaultPlan::with_sleep(1.0).unwrap());
+                for _ in 0..5 {
+                    typed.step();
+                    bits.step();
+                }
+                assert_eq!(typed.states(), states, "{mode:?}/{fidelity:?}");
+                assert_eq!(typed.outputs(), outputs, "{mode:?}/{fidelity:?}");
+                assert_eq!(bits.collect_outputs(), outputs, "{mode:?}/{fidelity:?}");
+                assert_eq!(typed.fraction_correct(), bits.fraction_correct());
+            }
         }
     }
 

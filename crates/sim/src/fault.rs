@@ -9,9 +9,12 @@
 //! * [`FaultPlan`] — the *ambient* fault environment of a run:
 //!   - **observation noise** — each sampled opinion bit flips independently
 //!     with probability `flip_prob` before being counted;
-//!   - **sleepy agents** — each non-source agent independently skips its
-//!     update with probability `sleep_prob` each round (keeping its
-//!     output);
+//!   - **sleepy agents** — each non-source agent independently sleeps
+//!     through a round with probability `sleep_prob`, keeping its state and
+//!     output. A sleepy round is the ordinary fused round under a keep mask
+//!     drawn from its own `SeedTree` lane (`"sleep"`; see
+//!     [`fet_core::shard`]), so it runs in every execution mode and on
+//!     every storage representation;
 //!   - **source retargeting** — at a chosen round the correct bit flips,
 //!     modelling an environment change after (possible) convergence.
 //! * [`FaultSchedule`] — a round-indexed *adversary script*: an ordered
@@ -25,7 +28,7 @@
 
 use crate::error::SimError;
 use fet_core::opinion::Opinion;
-use rand::{Rng, RngCore};
+use rand::RngCore;
 use std::fmt;
 
 /// Ambient fault environment for one run. The default plan is fault-free.
@@ -162,11 +165,6 @@ impl FaultPlan {
             }
             pos = flipped + 1;
         }
-    }
-
-    /// Draws whether an agent sleeps this round.
-    pub fn draws_sleep(&self, rng: &mut dyn RngCore) -> bool {
-        self.sleep_prob > 0.0 && (*rng).gen::<f64>() < self.sleep_prob
     }
 
     /// The retargeted correct opinion if this round triggers it.
@@ -430,7 +428,6 @@ mod tests {
         assert!(plan.is_none());
         let mut rng = SeedTree::new(5).child("none").rng();
         assert_eq!(plan.corrupt_count(7, 16, &mut rng), 7);
-        assert!(!plan.draws_sleep(&mut rng));
         assert_eq!(plan.retarget_at(3), None);
     }
 
@@ -464,16 +461,6 @@ mod tests {
         let plan = FaultPlan::with_noise(1.0).unwrap();
         let mut rng = SeedTree::new(8).child("invert").rng();
         assert_eq!(plan.corrupt_count(3, 10, &mut rng), 7);
-    }
-
-    #[test]
-    fn sleep_probability_respected() {
-        let plan = FaultPlan::with_sleep(0.3).unwrap();
-        let mut rng = SeedTree::new(9).child("sleep").rng();
-        let n = 50_000;
-        let slept = (0..n).filter(|_| plan.draws_sleep(&mut rng)).count();
-        let frac = slept as f64 / n as f64;
-        assert!((frac - 0.3).abs() < 0.01, "sleep fraction {frac}");
     }
 
     #[test]

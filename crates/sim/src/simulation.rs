@@ -120,9 +120,9 @@ pub const BIT_PLANE_AUTO_MIN_N: u64 = 10_000_000;
 /// kernels; opinion-only threshold protocols (voter, 3-majority)
 /// additionally take the word-at-a-time kernel, 64 agents per plane
 /// write. It requires a *packable, passive* protocol
-/// ([`fet_core::protocol::Protocol::state_planes`]), the synchronous
-/// scheduler with a per-agent fidelity, and no sleepy-agent faults;
-/// [`SimulationBuilder::build`] validates all of that. Trajectories are
+/// ([`fet_core::protocol::Protocol::state_planes`]) and the synchronous
+/// scheduler with a per-agent fidelity; [`SimulationBuilder::build`]
+/// validates both. Trajectories are
 /// **bit-identical** to the typed representation for the same `(seed,
 /// execution mode, shard count)` — storage never perturbs the stream.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
@@ -668,9 +668,8 @@ impl SimulationBuilder {
     /// the same `(seed, mode, shard count)`. Forcing
     /// [`Storage::BitPlane`] is validated in
     /// [`SimulationBuilder::build`]: it requires a packable passive
-    /// protocol ([`fet_core::protocol::Protocol::state_planes`]), the
-    /// synchronous scheduler with a per-agent fidelity, and no
-    /// sleepy-agent faults.
+    /// protocol ([`fet_core::protocol::Protocol::state_planes`]) and the
+    /// synchronous scheduler with a per-agent fidelity.
     pub fn storage(mut self, s: Storage) -> Self {
         self.storage = s;
         self
@@ -911,12 +910,6 @@ impl SimulationBuilder {
             Some(
                 "offending axis: fidelity — the aggregate chain keeps no per-agent states \
                  to pack"
-                    .into(),
-            )
-        } else if effective_fault.sleep_prob > 0.0 {
-            Some(
-                "offending axis: fault — sleepy-agent faults need the per-agent byte output \
-                 buffer; run them on typed storage"
                     .into(),
             )
         } else if protocol.bit_population().is_none() {
@@ -1334,10 +1327,6 @@ mod tests {
                 base()
                     .scheduler(Scheduler::Asynchronous)
                     .fidelity(Fidelity::Agent),
-            ),
-            (
-                "sleep faults",
-                base().fault(FaultPlan::with_sleep(0.1).unwrap()),
             ),
         ] {
             let err = builder.build().unwrap_err();

@@ -208,6 +208,7 @@ proptest! {
             &UniformFactory { m },
             &ctx,
             RoundStreams::Main(&mut rng_a),
+            None,
             Opinion::One,
             Some(&mut out_a),
         );
@@ -215,6 +216,7 @@ proptest! {
             &UniformFactory { m },
             &ctx,
             RoundStreams::Main(&mut rng_b),
+            None,
             Opinion::One,
             Some(&mut out_b),
         );
@@ -260,9 +262,9 @@ proptest! {
             let factory = UniformFactory { m };
             let mut out_a = vec![Opinion::Zero; n];
             let mut out_b = vec![Opinion::Zero; n];
-            let ca = typed.step_round(&factory, &ctx, RoundStreams::Sharded(&plan), Opinion::One, Some(&mut out_a));
-            let cb = bits.step_round(&factory, &ctx, RoundStreams::Sharded(&plan), Opinion::One, Some(&mut out_b));
-            let ci = bits_inplace.step_round(&factory, &ctx, RoundStreams::Sharded(&plan), Opinion::One, None);
+            let ca = typed.step_round(&factory, &ctx, RoundStreams::Sharded(&plan), None, Opinion::One, Some(&mut out_a));
+            let cb = bits.step_round(&factory, &ctx, RoundStreams::Sharded(&plan), None, Opinion::One, Some(&mut out_b));
+            let ci = bits_inplace.step_round(&factory, &ctx, RoundStreams::Sharded(&plan), None, Opinion::One, None);
             prop_assert_eq!(&out_a, &out_b, "n={} shards={}", n, shards);
             prop_assert_eq!(ca, cb);
             prop_assert_eq!(cb, ci, "the in-place round must reduce the same counters");
@@ -360,6 +362,7 @@ where
             &UniformFactory { m },
             &ctx,
             RoundStreams::Main(&mut rng_a),
+            None,
             Opinion::One,
             Some(&mut out_a),
         );
@@ -367,6 +370,7 @@ where
             &UniformFactory { m },
             &ctx,
             RoundStreams::Main(&mut rng_b),
+            None,
             Opinion::One,
             Some(&mut out_b),
         );
@@ -385,6 +389,7 @@ where
         &factory,
         &ctx,
         RoundStreams::Sharded(&plan),
+        None,
         Opinion::One,
         None,
     );
@@ -392,6 +397,7 @@ where
         &factory,
         &ctx,
         RoundStreams::Sharded(&plan),
+        None,
         Opinion::One,
         None,
     );
@@ -507,6 +513,7 @@ fn pinned_word_boundary_sizes_step_correctly() {
             &UniformFactory { m },
             &ctx,
             RoundStreams::Main(&mut rng_a),
+            None,
             Opinion::One,
             Some(&mut out_a),
         );
@@ -514,6 +521,7 @@ fn pinned_word_boundary_sizes_step_correctly() {
             &UniformFactory { m },
             &ctx,
             RoundStreams::Main(&mut rng_b),
+            None,
             Opinion::One,
             Some(&mut out_b),
         );

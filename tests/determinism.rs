@@ -25,7 +25,10 @@
 //! degree 47, above it, where they draw neighbor indices through the Lemire
 //! kernels with rejections live. The literal Agent fidelity reads
 //! the same kind of source over the complete graph, so its `agent` and
-//! `noisy-agent` cases ride the mean-field matrix and its dumps.
+//! `noisy-agent` cases ride the mean-field matrix and its dumps. Sleepy
+//! rounds draw their keep masks from a lane split by shard range, like the
+//! graph draws, so a `sleepy` case rides the mean-field, bit-plane and
+//! graph matrices.
 
 use fet::prelude::*;
 use fet::sim::observer::TrajectoryRecorder;
@@ -65,6 +68,11 @@ fn cases() -> Vec<(&'static str, Fidelity, FaultPlan)> {
             "noisy-agent",
             Fidelity::Agent,
             FaultPlan::with_noise(0.02).unwrap(),
+        ),
+        (
+            "sleepy",
+            Fidelity::Binomial,
+            FaultPlan::with_sleep(0.2).unwrap(),
         ),
     ]
 }
@@ -210,6 +218,7 @@ fn graph_parallel_stream_identity_matrix() {
             "retarget",
             FaultPlan::with_source_retarget(7, Opinion::Zero),
         ),
+        ("sleepy", FaultPlan::with_sleep(0.2).unwrap()),
     ];
     let m = 2 * ell_for_population(N, 4.0);
     let [(_, degree), (_, dense_degree)] = GRAPHS;

@@ -110,3 +110,62 @@ fn every_registry_protocol_executes_through_the_facade() {
         "registry shrank below the advertised surface: {ran}"
     );
 }
+
+/// A bit-plane population engine steps sleepy rounds. The sleepy-agent
+/// round used to be a per-agent loop over the byte output buffer, and this
+/// probe hit its assertion on the first step.
+#[test]
+fn bit_plane_population_engines_step_sleepy_rounds() {
+    let spec = fet::core::config::ProblemSpec::single_source(200, Opinion::One).unwrap();
+    let population = ErasedProtocol::new(FetProtocol::new(6).unwrap())
+        .bit_population()
+        .expect("small-ℓ FET packs");
+    let mut engine = PopulationEngine::new(
+        population,
+        spec,
+        Fidelity::Binomial,
+        fet::sim::init::InitialCondition::AllWrong,
+        3,
+    )
+    .unwrap();
+    engine.set_fault_plan(FaultPlan::with_sleep(0.3).unwrap());
+    for _ in 0..5 {
+        engine.step();
+    }
+    assert!(engine.uses_bit_storage());
+    assert_eq!(engine.round(), 5);
+}
+
+/// Sleepy runs accept bit-plane storage and report it.
+#[test]
+fn sleepy_runs_accept_bit_plane_storage() {
+    let sim = Simulation::builder()
+        .population(200)
+        .storage(Storage::BitPlane)
+        .fault(FaultPlan::with_sleep(0.2).unwrap())
+        .build()
+        .expect("sleepy runs accept bit planes");
+    assert_eq!(sim.storage(), Storage::BitPlane);
+}
+
+/// A sleepy run under `FusedParallel { threads: 3 }` runs the three-shard
+/// stream, not the single-threaded one it once replayed bit for bit.
+#[test]
+fn sleepy_parallel_runs_draw_the_sharded_stream() {
+    let run = |mode: ExecutionMode| {
+        Simulation::builder()
+            .population(300)
+            .seed(11)
+            .fault(FaultPlan::with_sleep(0.2).unwrap())
+            .execution_mode(mode)
+            .max_rounds(60)
+            .record_trajectory(true)
+            .build()
+            .unwrap()
+            .run()
+    };
+    let fused = run(ExecutionMode::Fused);
+    let parallel = run(ExecutionMode::FusedParallel { threads: 3 });
+    assert_eq!(parallel.mode, ExecutionMode::FusedParallel { threads: 3 });
+    assert_ne!(fused.trajectory, parallel.trajectory);
+}

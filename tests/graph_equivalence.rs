@@ -201,9 +201,8 @@ fn fet_graph_fused_vs_parallel_convergence_times_agree() {
 }
 
 /// Faults compose with the graph source exactly as with the mean-field
-/// one: noisy graph-fused runs replay and match the facade; sleepy rounds
-/// fall back to the per-agent loop mid-run without breaking the stream
-/// key.
+/// one: noisy, retargeted and sleepy graph-fused runs replay and match the
+/// facade.
 #[test]
 fn graph_fused_fault_plans_replay_and_match_facade() {
     let ell = ell_for_population(u64::from(N), 4.0);

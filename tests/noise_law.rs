@@ -5,8 +5,8 @@
 //! probability `δ`. The engine realizes that law several ways, and this
 //! suite checks each in law rather than by stream bytes:
 //!
-//! * [`FaultPlan::corrupt_count`] (hypergeometric, index-sampled and
-//!   sleepy draws) must turn a true count `k` of `m` bits into
+//! * [`FaultPlan::corrupt_count`] (hypergeometric and index-sampled
+//!   draws) must turn a true count `k` of `m` bits into
 //!   `k − Bin(k, δ) + Bin(m − k, δ)`. A chi-square test compares it with
 //!   that pmf, convolved exactly from [`Binomial::pmf`].
 //! * The observation sources, one draw at a time, by chi-square against
@@ -21,10 +21,11 @@
 //! * Binomial rounds fold `δ` into the round's sampler,
 //!   `Binomial(m, x(1 − δ) + (1 − x)δ)`, and no round path corrupts a
 //!   binomial draw again. Two-sample KS tests compare `x_{t+1}` after one
-//!   round — folded binomial fused on typed and on bit-plane storage,
-//!   literal Agent on bit planes and sharded three ways, and sleepy — with
-//!   `x_{t+1}` after one fused literal-Agent round (index sampling plus
-//!   `corrupt_count`) from the same configuration.
+//!   round — folded binomial fused on typed and on bit-plane storage, and
+//!   literal Agent on bit planes and sharded three ways — with `x_{t+1}`
+//!   after one fused literal-Agent round (index sampling plus
+//!   `corrupt_count`) from the same configuration. Sleepy rounds are
+//!   checked against their exact law in `tests/round_law.rs`.
 //!
 //! Every test runs at fixed seeds, so the suite is deterministic. Its
 //! tests share one family-wise level `α = 10⁻³`, split evenly
@@ -75,13 +76,12 @@ const SOURCE_CELLS: usize = SOURCE_NS.len() * ONES_PER_N * SOURCE_SAMPLE_SIZES.l
 /// One chi-square test per (δ, m, k) of `corrupt_count`; per complete-graph
 /// source cell and view, plus its noisy cell; per graph vertex, `m` and
 /// view; per hypergeometric cell; plus the KS tests of the fold: fused
-/// typed, fused bit-plane, Agent bit-plane, Agent fused-parallel(3) and
-/// sleepy.
+/// typed, fused bit-plane, Agent bit-plane and Agent fused-parallel(3).
 const TESTS: usize = FLIP_PROBS.len() * SAMPLE_SIZES.len() * COUNTS_PER_SIZE
     + SOURCE_CELLS * (VIEWS.len() + 1)
     + GRAPH_VERTICES * SOURCE_SAMPLE_SIZES.len() * GRAPH_VIEWS
     + SOURCE_CELLS
-    + 5;
+    + 4;
 const ALPHA: f64 = FAMILY_ALPHA / TESTS as f64;
 
 /// Draws per chi-square test.
@@ -352,8 +352,6 @@ fn mean_field_source_draws_the_hypergeometric_law() {
 const N: u64 = 1_000;
 const ELL: u32 = 10;
 const ROUND_FLIP: f64 = 0.05;
-/// Sleep probability of the sleepy-round comparison.
-const ROUND_SLEEP: f64 = 0.3;
 /// Independent one-round replays per side.
 const REPLAYS: u64 = 300;
 
@@ -438,21 +436,5 @@ fn folded_binomial_rounds_match_literal_noisy_rounds() {
     assert!(
         !ks_same_distribution(&noise_free, &literal, ALPHA).expect("finite samples"),
         "the KS comparison cannot tell δ = {ROUND_FLIP} from δ = 0"
-    );
-}
-
-#[test]
-fn folded_sleepy_rounds_match_literal_sleepy_rounds() {
-    let fault = FaultPlan {
-        sleep_prob: ROUND_SLEEP,
-        ..noise(ROUND_FLIP)
-    };
-    // Sleepy faults take the per-agent loop whatever the execution mode.
-    let auto = ExecutionMode::Auto;
-    let literal = one_round_law(|seed| typed_round(Fidelity::Agent, auto, fault, seed));
-    let folded = one_round_law(|seed| typed_round(Fidelity::Binomial, auto, fault, seed));
-    assert!(
-        ks_same_distribution(&folded, &literal, ALPHA).expect("finite samples"),
-        "sleepy: folded binomial x_t+1 differs in law from literal noisy rounds"
     );
 }

@@ -131,6 +131,7 @@ proptest! {
                 &factory,
                 &ctx,
                 RoundStreams::Sharded(&plan),
+                None,
                 Opinion::One,
                 Some(&mut out),
             );
@@ -245,6 +246,7 @@ proptest! {
             &factory,
             &ctx,
             RoundStreams::Sharded(&plan),
+            None,
             Opinion::One,
             Some(&mut out),
         );
@@ -259,7 +261,7 @@ proptest! {
 
     /// Engine level, graph leg: full graph-fused-parallel runs over
     /// irregular layouts replay per (seed, shards) and match the facade —
-    /// including sleepy fallbacks and `n < threads`.
+    /// including `n < threads`.
     #[test]
     fn graph_parallel_engines_replay_over_irregular_layouts(
         half_n in 3usize..25,

@@ -9,9 +9,10 @@
 //! {binomial, without-replacement, literal Agent, random-regular graph of
 //! degree below and above the sample size `m`} ×
 //! {fused, fused-parallel with 1 and 3 shards} × {typed, bit-plane}, plus
-//! one asynchronous, one sleepy and one fault-schedule run, one noisy run
-//! per sampling rule and a noisy sleepy binomial run, and compares the
-//! FNV-1a digests
+//! one asynchronous run, sleepy binomial runs (default mode, and
+//! {fused, fused-parallel with 3 shards} × {typed, bit-plane}), one
+//! fault-schedule run, one noisy run per sampling rule and a noisy sleepy
+//! binomial run, and compares the FNV-1a digests
 //! against the table below. A refactor of the round machinery must leave
 //! every digest unchanged; a deliberate stream re-key updates the table in
 //! the same change and says so in docs/DETERMINISM.md.
@@ -85,6 +86,14 @@ fn digest(builder: SimulationBuilder) -> u64 {
     digest.0
 }
 
+fn storage_label(storage: Storage) -> &'static str {
+    if storage == Storage::BitPlane {
+        "bits"
+    } else {
+        "typed"
+    }
+}
+
 /// Every case of the matrix, labelled, with its current digest.
 fn current_digests() -> Vec<(String, u64)> {
     let modes = [
@@ -92,6 +101,8 @@ fn current_digests() -> Vec<(String, u64)> {
         ("parallel-1", ExecutionMode::FusedParallel { threads: 1 }),
         ("parallel-3", ExecutionMode::FusedParallel { threads: 3 }),
     ];
+    let sleepy =
+        || observed("binomial").fault(FaultPlan::with_sleep(0.2).expect("valid sleep probability"));
     let mut cases = Vec::new();
     for kind in [
         "binomial",
@@ -102,13 +113,8 @@ fn current_digests() -> Vec<(String, u64)> {
     ] {
         for (mode_label, mode) in modes {
             for storage in [Storage::Typed, Storage::BitPlane] {
-                let storage_label = if storage == Storage::BitPlane {
-                    "bits"
-                } else {
-                    "typed"
-                };
                 cases.push((
-                    format!("{kind}/{mode_label}/{storage_label}"),
+                    format!("{kind}/{mode_label}/{}", storage_label(storage)),
                     digest(observed(kind).execution_mode(mode).storage(storage)),
                 ));
             }
@@ -124,13 +130,15 @@ fn current_digests() -> Vec<(String, u64)> {
                 .max_rounds(40),
         ),
     ));
-    cases.push((
-        "sleepy".into(),
-        digest(
-            observed("binomial")
-                .fault(FaultPlan::with_sleep(0.2).expect("valid sleep probability")),
-        ),
-    ));
+    cases.push(("sleepy".into(), digest(sleepy())));
+    for (mode_label, mode) in [modes[0], modes[2]] {
+        for storage in [Storage::Typed, Storage::BitPlane] {
+            cases.push((
+                format!("sleepy/{mode_label}/{}", storage_label(storage)),
+                digest(sleepy().execution_mode(mode).storage(storage)),
+            ));
+        }
+    }
     let schedule = FaultSchedule::new(
         FaultPlan::with_noise(0.002).expect("valid flip probability"),
         vec![
@@ -160,38 +168,19 @@ fn current_digests() -> Vec<(String, u64)> {
     ));
     // Observation noise reaches each sampling rule its own way: folded
     // into the binomial law, through `corrupt_count` everywhere else.
-    for (kind, mode_label, mode, storage, storage_label) in [
-        (
-            "binomial",
-            "fused",
-            ExecutionMode::Fused,
-            Storage::BitPlane,
-            "bits",
-        ),
+    for (kind, mode_label, mode, storage) in [
+        ("binomial", "fused", ExecutionMode::Fused, Storage::BitPlane),
         (
             "without-replacement",
             "fused",
             ExecutionMode::Fused,
             Storage::Typed,
-            "typed",
         ),
-        (
-            "graph",
-            "fused",
-            ExecutionMode::Fused,
-            Storage::Typed,
-            "typed",
-        ),
-        (
-            "agent",
-            "fused",
-            ExecutionMode::Fused,
-            Storage::Typed,
-            "typed",
-        ),
+        ("graph", "fused", ExecutionMode::Fused, Storage::Typed),
+        ("agent", "fused", ExecutionMode::Fused, Storage::Typed),
     ] {
         cases.push((
-            format!("noisy/{kind}/{mode_label}/{storage_label}"),
+            format!("noisy/{kind}/{mode_label}/{}", storage_label(storage)),
             digest(
                 observed(kind)
                     .execution_mode(mode)
@@ -218,9 +207,11 @@ fn current_digests() -> Vec<(String, u64)> {
 /// from the batched pipeline onto fused rounds over the complete-graph
 /// index source; and the `graph/` and `noisy/graph/` legs, recorded when
 /// vertices of degree `d ≤ m` began drawing `Binomial(m, k/d)` from their
-/// neighbor count (each re-key is listed in docs/DETERMINISM.md). The
-/// `graph-dense/` legs, added then, match what the index draws produced
-/// before that change.
+/// neighbor count; and the `sleepy` legs, recorded when sleepy rounds moved
+/// from the per-agent loop onto fused rounds under a keep mask (each re-key
+/// is listed in docs/DETERMINISM.md). The `graph-dense/` legs, added with
+/// the neighbor-count change, match what the index draws produced before
+/// it.
 const RECORDED: &[(&str, u64)] = &[
     ("binomial/fused/typed", 0x0FEDC72F581E9080),
     ("binomial/fused/bits", 0x0FEDC72F581E9080),
@@ -253,13 +244,17 @@ const RECORDED: &[(&str, u64)] = &[
     ("graph-dense/parallel-3/typed", 0x2E4AEDFA87E35261),
     ("graph-dense/parallel-3/bits", 0x2E4AEDFA87E35261),
     ("async", 0x13734C7E19126BAC),
-    ("sleepy", 0x9CFB3E84758874C8),
+    ("sleepy", 0x60EDF5B90125675A),
+    ("sleepy/fused/typed", 0x60EDF5B90125675A),
+    ("sleepy/fused/bits", 0x60EDF5B90125675A),
+    ("sleepy/parallel-3/typed", 0x12241826CCA30131),
+    ("sleepy/parallel-3/bits", 0x12241826CCA30131),
     ("fault-schedule", 0x09627D961712269D),
     ("noisy/binomial/fused/bits", 0x48406B686CAC7D5D),
     ("noisy/without-replacement/fused/typed", 0x2C2285985658677F),
     ("noisy/graph/fused/typed", 0x52F86701BE66C097),
     ("noisy/agent/fused/typed", 0xBEDEDB849F5FC6DB),
-    ("noisy/sleepy", 0x6977C576F33CC7DC),
+    ("noisy/sleepy", 0xF69D039153C8693E),
 ];
 
 #[test]
