@@ -26,6 +26,7 @@
 use fet_core::config::ProblemSpec;
 use fet_core::fet::{FetProtocol, FetState};
 use fet_core::opinion::Opinion;
+use fet_core::population::TypedPopulation;
 use fet_sim::convergence::ConvergenceCriterion;
 use fet_sim::engine::{Engine, Fidelity};
 use fet_sim::observer::NullObserver;
@@ -91,7 +92,7 @@ impl ImpossibilityScenario {
             ProblemSpec::new(self.n, k1, Opinion::One).expect("n/2 sources leave non-sources");
         let protocol = FetProtocol::new(self.ell).expect("ell ≥ 1");
         let mut engine1 = Engine::new(
-            protocol.clone(),
+            Box::new(TypedPopulation::new(protocol.clone())),
             spec1,
             Fidelity::Binomial,
             fet_sim::init::InitialCondition::Random,
@@ -139,11 +140,10 @@ impl ImpossibilityScenario {
         // dissemination would demand).
         let spec_frozen = ProblemSpec::new(self.n, 1, Opinion::One).expect("valid population");
         let states2 = vec![trap_state; (self.n - 1) as usize];
-        let mut engine2 = Engine::from_states(
-            protocol.clone(),
+        let mut engine2 = Engine::from_population(
+            Box::new(TypedPopulation::from_states(protocol.clone(), states2)),
             spec_frozen,
             Fidelity::Binomial,
-            states2,
             tree.child("scenario2").seed(),
         )
         .expect("states match spec");
@@ -164,11 +164,10 @@ impl ImpossibilityScenario {
         // trap state. FET must escape and converge to 0 — the source's
         // constant 0 breaks unanimity.
         let states3 = vec![trap_state; (self.n - 1) as usize];
-        let mut engine3 = Engine::from_states(
-            protocol,
+        let mut engine3 = Engine::from_population(
+            Box::new(TypedPopulation::from_states(protocol, states3)),
             spec2,
             Fidelity::Binomial,
-            states3,
             tree.child("contrast").seed(),
         )
         .expect("states match spec");

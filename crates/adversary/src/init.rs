@@ -22,7 +22,9 @@ use fet_core::fet::{FetProtocol, FetState};
 use fet_core::opinion::Opinion;
 use rand::Rng;
 
-/// Builder of explicit FET state vectors for [`fet_sim::engine::Engine::from_states`].
+/// Builder of explicit FET state vectors for
+/// [`fet_sim::engine::Engine::from_population`] (through
+/// [`TypedPopulation::from_states`](fet_core::population::TypedPopulation::from_states)).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FetConfigurator {
     protocol: FetProtocol,
@@ -253,6 +255,7 @@ mod tests {
         // Integration sanity: from both traps, FET still converges (that is
         // Theorem 1), but the bounce suppressor costs at least as much as a
         // benign random start in the median.
+        use fet_core::population::TypedPopulation;
         use fet_sim::convergence::ConvergenceCriterion;
         use fet_sim::engine::{Engine, Fidelity};
         use fet_sim::observer::NullObserver;
@@ -261,8 +264,13 @@ mod tests {
         let protocol = FetProtocol::for_population(300, 4.0).unwrap();
         let c = FetConfigurator::new(protocol.clone(), spec);
         for states in [c.tie_trap(), c.bounce_suppressor(), c.oscillation_primer()] {
-            let mut e = Engine::from_states(protocol.clone(), spec, Fidelity::Binomial, states, 99)
-                .unwrap();
+            let mut e = Engine::from_population(
+                Box::new(TypedPopulation::from_states(protocol.clone(), states)),
+                spec,
+                Fidelity::Binomial,
+                99,
+            )
+            .unwrap();
             let report = e.run(30_000, ConvergenceCriterion::new(3), &mut NullObserver);
             assert!(report.converged(), "trap defeated FET: {report:?}");
         }

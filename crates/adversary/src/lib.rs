@@ -32,6 +32,7 @@
 //! use fet_core::config::ProblemSpec;
 //! use fet_core::fet::FetProtocol;
 //! use fet_core::opinion::Opinion;
+//! use fet_core::population::TypedPopulation;
 //! use fet_sim::convergence::ConvergenceCriterion;
 //! use fet_sim::engine::{Engine, Fidelity};
 //! use fet_sim::observer::NullObserver;
@@ -39,7 +40,8 @@
 //! let spec = ProblemSpec::single_source(300, Opinion::One)?;
 //! let protocol = FetProtocol::for_population(300, 4.0)?;
 //! let hostile = FetConfigurator::new(protocol.clone(), spec).tie_trap();
-//! let mut engine = Engine::from_states(protocol, spec, Fidelity::Binomial, hostile, 7)?;
+//! let hostile = Box::new(TypedPopulation::from_states(protocol, hostile));
+//! let mut engine = Engine::from_population(hostile, spec, Fidelity::Binomial, 7)?;
 //! let report = engine.run(20_000, ConvergenceCriterion::new(3), &mut NullObserver);
 //! assert!(report.converged(), "self-stabilization beats the tie trap");
 //! # Ok::<(), Box<dyn std::error::Error>>(())

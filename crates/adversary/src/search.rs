@@ -12,6 +12,7 @@
 use crate::init::FetConfigurator;
 use fet_core::config::ProblemSpec;
 use fet_core::fet::FetProtocol;
+use fet_core::population::TypedPopulation;
 use fet_sim::batch::parallel_map;
 use fet_sim::convergence::ConvergenceCriterion;
 use fet_sim::engine::{Engine, Fidelity};
@@ -89,11 +90,10 @@ impl WorstCaseSearch {
                 .child_indexed("rep", rep);
             let mut rng = tree.child("states").rng();
             let states = conf.mixed(point.frac_ones, point.frac_stale_high, &mut rng);
-            let mut engine = Engine::from_states(
-                self.protocol.clone(),
+            let mut engine = Engine::from_population(
+                Box::new(TypedPopulation::from_states(self.protocol.clone(), states)),
                 self.spec,
                 Fidelity::Binomial,
-                states,
                 tree.child("engine").seed(),
             )
             .expect("states generated to match the spec");

@@ -5,13 +5,14 @@
 //! downstream user of the library actually feels. The `typed_vs_registry`
 //! pair at `n = 10^5` is the acceptance gauge for the population-erased
 //! facade path: a registry-name run must stay within a few percent of the
-//! hand-typed `Engine<FetProtocol>` run it is stream-identical to.
+//! typed `Engine<TypedPopulation<FetProtocol>>` run it is stream-identical to.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, SamplingMode};
 use fet_bench::{announced_bench_threads, vm_rss_bytes};
 use fet_core::config::{ell_for_population, ProblemSpec};
 use fet_core::fet::FetProtocol;
 use fet_core::opinion::Opinion;
+use fet_core::population::TypedPopulation;
 use fet_sim::convergence::ConvergenceCriterion;
 use fet_sim::engine::{Engine, ExecutionMode, Fidelity};
 use fet_sim::init::InitialCondition;
@@ -73,7 +74,7 @@ fn bench_typed_vs_registry(c: &mut Criterion) {
             let protocol = FetProtocol::new(ell_for_population(n, 4.0)).unwrap();
             let spec = ProblemSpec::single_source(n, Opinion::One).unwrap();
             let mut engine = Engine::new(
-                protocol,
+                Box::new(TypedPopulation::new(protocol)),
                 spec,
                 Fidelity::Binomial,
                 InitialCondition::AllWrong,

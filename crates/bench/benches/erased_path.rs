@@ -4,8 +4,8 @@
 //! the protocol dispatch plus counter folds — through each representation
 //! and execution mode the workspace can run a protocol in:
 //!
-//! * `typed_fused` / `population_fused` — `Engine<FetProtocol>` and
-//!   `PopulationEngine` over `Box<dyn DynPopulation>` (one virtual
+//! * `typed_fused` / `population_fused` — `Engine<TypedPopulation<_>>`
+//!   and `Engine` over `Box<dyn DynPopulation>` (one virtual
 //!   dispatch per round into the typed kernel) through the fused
 //!   single-pass kernel: observations drawn on demand, outputs written in
 //!   place, counters accumulated in the kernel, `O(1)` auxiliary memory.
@@ -32,56 +32,38 @@ use fet_core::config::{ell_for_population, ProblemSpec};
 use fet_core::erased::ErasedProtocol;
 use fet_core::fet::FetProtocol;
 use fet_core::opinion::Opinion;
-use fet_sim::engine::{Engine, ExecutionMode, Fidelity, PopulationEngine};
+use fet_core::population::{Population, TypedPopulation};
+use fet_sim::engine::{Engine, ExecutionMode, Fidelity};
 use fet_sim::init::InitialCondition;
 
 const SIZES: [u64; 3] = [1_024, 10_000, 100_000];
 
-fn typed_engine(n: u64, mode: ExecutionMode) -> Engine<FetProtocol> {
-    let ell = ell_for_population(n, 4.0);
+fn fet(n: u64) -> FetProtocol {
+    FetProtocol::new(ell_for_population(n, 4.0)).unwrap()
+}
+
+/// A random-start binomial engine over `population` in `mode`.
+fn engine<A: Population + ?Sized>(population: Box<A>, n: u64, mode: ExecutionMode) -> Engine<A> {
     let spec = ProblemSpec::single_source(n, Opinion::One).unwrap();
-    let mut engine = Engine::new(
-        FetProtocol::new(ell).unwrap(),
-        spec,
-        Fidelity::Binomial,
-        InitialCondition::Random,
-        42,
-    )
-    .unwrap();
+    let init = InitialCondition::Random;
+    let mut engine = Engine::new(population, spec, Fidelity::Binomial, init, 42).unwrap();
     engine.set_execution_mode(mode).unwrap();
     engine
 }
 
-fn population_engine(n: u64, mode: ExecutionMode) -> PopulationEngine {
-    let ell = ell_for_population(n, 4.0);
-    let spec = ProblemSpec::single_source(n, Opinion::One).unwrap();
-    let mut engine = PopulationEngine::new(
-        ErasedProtocol::new(FetProtocol::new(ell).unwrap()).population(),
-        spec,
-        Fidelity::Binomial,
-        InitialCondition::Random,
-        42,
-    )
-    .unwrap();
-    engine.set_execution_mode(mode).unwrap();
-    engine
+fn typed_engine(n: u64, mode: ExecutionMode) -> Engine<TypedPopulation<FetProtocol>> {
+    engine(Box::new(TypedPopulation::new(fet(n))), n, mode)
 }
 
-fn bitplane_engine(n: u64, mode: ExecutionMode) -> PopulationEngine {
-    let ell = ell_for_population(n, 4.0);
-    let spec = ProblemSpec::single_source(n, Opinion::One).unwrap();
-    let mut engine = PopulationEngine::new(
-        ErasedProtocol::new(FetProtocol::new(ell).unwrap())
-            .bit_population()
-            .expect("FET's clock fits the byte plane at bench sizes"),
-        spec,
-        Fidelity::Binomial,
-        InitialCondition::Random,
-        42,
-    )
-    .unwrap();
-    engine.set_execution_mode(mode).unwrap();
-    engine
+fn population_engine(n: u64, mode: ExecutionMode) -> Engine {
+    engine(ErasedProtocol::new(fet(n)).population(), n, mode)
+}
+
+fn bitplane_engine(n: u64, mode: ExecutionMode) -> Engine {
+    let population = ErasedProtocol::new(fet(n))
+        .bit_population()
+        .expect("FET's clock fits the byte plane at bench sizes");
+    engine(population, n, mode)
 }
 
 fn bench_round(c: &mut Criterion) {

@@ -40,18 +40,37 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fet_bench::{announced_bench_threads, report_host_parallelism};
+use fet_core::config::ProblemSpec;
 use fet_core::erased::ErasedProtocol;
 use fet_core::fet::FetProtocol;
 use fet_core::opinion::Opinion;
-use fet_sim::engine::{Engine, ExecutionMode, PopulationEngine};
+use fet_core::population::{Population, TypedPopulation};
+use fet_sim::engine::{Engine, ExecutionMode, Fidelity};
 use fet_sim::init::InitialCondition;
 use fet_stats::isa::{self, IsaPath};
 use fet_stats::rng::SeedTree;
 use fet_topology::builders;
+use fet_topology::graph::Graph;
 
 const DEGREE: u32 = 32;
 /// Above `m` at every default size, so vertices draw neighbor indices.
 const DENSE_DEGREE: u32 = 128;
+
+/// A random-start engine over `population` on `graph`, one source at
+/// vertex 0.
+fn graph_engine<A: Population + ?Sized>(population: Box<A>, graph: Graph) -> Engine<A> {
+    let spec = ProblemSpec::single_source(u64::from(graph.n()), Opinion::One).expect("valid spec");
+    Engine::new(
+        population,
+        spec,
+        Fidelity::Agent,
+        InitialCondition::Random,
+        42,
+    )
+    .expect("valid engine")
+    .with_neighborhood(Box::new(graph))
+    .expect("an observable graph")
+}
 
 fn sizes() -> Vec<u32> {
     let mut sizes = vec![10_000u32, 100_000];
@@ -106,15 +125,8 @@ fn bench_graph_round(c: &mut Criterion) {
                 let mut rng = SeedTree::new(17).child("graph-bench").rng();
                 let graph =
                     builders::random_regular(n, *degree, &mut rng).expect("valid regular graph");
-                let mut engine = Engine::with_neighborhood(
-                    FetProtocol::for_population(u64::from(n), 4.0).expect("valid ℓ"),
-                    Box::new(graph),
-                    1,
-                    Opinion::One,
-                    InitialCondition::Random,
-                    42,
-                )
-                .expect("valid engine");
+                let protocol = FetProtocol::for_population(u64::from(n), 4.0).expect("valid ℓ");
+                let mut engine = graph_engine(Box::new(TypedPopulation::new(protocol)), graph);
                 engine
                     .set_execution_mode(*mode)
                     .expect("graph-capable mode");
@@ -134,17 +146,10 @@ fn bench_graph_round(c: &mut Criterion) {
                 let graph =
                     builders::random_regular(n, DEGREE, &mut rng).expect("valid regular graph");
                 let protocol = FetProtocol::for_population(u64::from(n), 4.0).expect("valid ℓ");
-                let mut engine = PopulationEngine::with_neighborhood(
-                    ErasedProtocol::new(protocol)
-                        .bit_population()
-                        .expect("FET's clock fits the byte plane at bench sizes"),
-                    Box::new(graph),
-                    1,
-                    Opinion::One,
-                    InitialCondition::Random,
-                    42,
-                )
-                .expect("valid engine");
+                let population = ErasedProtocol::new(protocol)
+                    .bit_population()
+                    .expect("FET's clock fits the byte plane at bench sizes");
+                let mut engine = graph_engine(population, graph);
                 engine.set_execution_mode(mode).expect("graph-capable mode");
                 b.iter(|| engine.step());
             });

@@ -42,7 +42,7 @@ use fet_core::opinion::Opinion;
 use fet_core::protocol::{Protocol, RoundContext, StatePlanes};
 use fet_protocols::three_majority::ThreeMajorityProtocol;
 use fet_protocols::voter::VoterProtocol;
-use fet_sim::engine::{ExecutionMode, Fidelity, PopulationEngine};
+use fet_sim::engine::{Engine, ExecutionMode, Fidelity};
 use fet_sim::init::InitialCondition;
 use rand::RngCore;
 
@@ -102,13 +102,13 @@ impl<P: Protocol> Protocol for PerAgent<P> {
     }
 }
 
-fn bitplane_engine<P>(protocol: P, n: u64) -> PopulationEngine
+fn bitplane_engine<P>(protocol: P, n: u64) -> Engine
 where
     P: Protocol + Clone + std::fmt::Debug + Send + Sync + 'static,
     P::State: 'static,
 {
     let spec = ProblemSpec::single_source(n, Opinion::One).unwrap();
-    let mut engine = PopulationEngine::new(
+    let mut engine = Engine::new(
         ErasedProtocol::new(protocol)
             .bit_population()
             .expect("OpinionOnly protocols always pack"),

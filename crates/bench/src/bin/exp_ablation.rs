@@ -16,16 +16,19 @@
 //!   (the paper keeps it conjectural because its *proof* breaks).
 
 use fet_bench::{fmt_opt_time, Harness, ROOT_SEED};
+use fet_core::config::ell_for_population;
 use fet_core::opinion::Opinion;
 use fet_core::protocol::Protocol;
 use fet_core::simple_trend::SimpleTrendProtocol;
 use fet_core::variants::{FetVariant, Memory, TieBreak};
 use fet_plot::csv::CsvWriter;
 use fet_plot::table::Table;
-use fet_sim::engine::Fidelity;
-use fet_sim::experiment::{run_protocol_once, ExperimentSpec};
 use fet_sim::init::InitialCondition;
+use fet_sim::simulation::{RunReport, Simulation, DEFAULT_SAMPLE_CONSTANT};
 use fet_stats::rng::SeedTree;
+
+/// The experiment's root seed.
+const SEED: u64 = ROOT_SEED ^ 0xAB;
 
 struct Row {
     variant: String,
@@ -35,31 +38,40 @@ struct Row {
     holds_consensus: bool,
 }
 
-fn measure<P>(label: String, proto: P, base: &ExperimentSpec, correct: Opinion, reps: u64) -> Row
+/// Measures one variant on `n` agents (binomial fidelity): convergence
+/// from the all-wrong start over `reps` replicates, and whether it holds an
+/// all-correct start.
+fn measure<P>(label: String, proto: P, n: u64, max_rounds: u64, correct: Opinion, reps: u64) -> Row
 where
     P: Protocol + Clone + std::fmt::Debug + Send + Sync + 'static,
     P::State: 'static,
 {
+    let run = |init, seed, max_rounds, window| -> RunReport {
+        Simulation::builder()
+            .population(n)
+            .correct(correct)
+            .protocol(proto.clone())
+            .init(init)
+            .seed(seed)
+            .max_rounds(max_rounds)
+            .stability_window(window)
+            .build()
+            .expect("valid")
+            .run()
+    };
     let mut successes = 0u64;
     let mut times = Vec::new();
     for rep in 0..reps {
-        let mut spec = *base;
-        spec.correct = correct;
-        spec.seed = SeedTree::new(base.seed).child_indexed("rep", rep).seed();
-        let out = run_protocol_once(proto.clone(), &spec, InitialCondition::AllWrong);
-        if let Some(t) = out.report.converged_at {
+        let seed = SeedTree::new(SEED).child_indexed("rep", rep).seed();
+        if let Some(t) = run(InitialCondition::AllWrong, seed, max_rounds, 5).converged_at() {
             successes += 1;
             times.push(t as f64);
         }
     }
     // Stability probe: from the all-correct configuration, does the
     // population stay? (The absorbing-state ablation.)
-    let mut spec = *base;
-    spec.correct = correct;
-    spec.seed = SeedTree::new(base.seed).child("stability").seed();
-    spec.max_rounds = 300;
-    spec.stability_window = 250;
-    let stay = run_protocol_once(proto, &spec, InitialCondition::AllCorrect);
+    let seed = SeedTree::new(SEED).child("stability").seed();
+    let stay = run(InitialCondition::AllCorrect, seed, 300, 250);
     Row {
         variant: label,
         correct,
@@ -69,7 +81,7 @@ where
         } else {
             Some(times.iter().sum::<f64>() / times.len() as f64)
         },
-        holds_consensus: stay.report.converged(),
+        holds_consensus: stay.converged(),
     }
 }
 
@@ -83,14 +95,8 @@ fn main() {
 
     let n: u64 = h.size(1_000, 300);
     let reps: u64 = h.size(30, 8);
-    let base = ExperimentSpec::builder(n)
-        .seed(ROOT_SEED ^ 0xAB)
-        .fidelity(Fidelity::Binomial)
-        .max_rounds(h.size(40_000, 10_000))
-        .stability_window(5)
-        .build()
-        .expect("valid");
-    let ell = base.ell();
+    let max_rounds: u64 = h.size(40_000, 10_000);
+    let ell = ell_for_population(n, DEFAULT_SAMPLE_CONSTANT);
 
     let mut rows: Vec<Row> = Vec::new();
     for correct in [Opinion::One, Opinion::Zero] {
@@ -101,18 +107,14 @@ fn main() {
             TieBreak::AdoptZero,
         ] {
             let v = FetVariant::new(ell, tie, Memory::StaleHalf).expect("valid");
-            rows.push(measure(v.variant_label(), v, &base, correct, reps));
+            rows.push(measure(v.variant_label(), v, n, max_rounds, correct, reps));
         }
         let fresh = FetVariant::new(ell, TieBreak::Keep, Memory::FreshHalf).expect("valid");
-        rows.push(measure(fresh.variant_label(), fresh, &base, correct, reps));
+        let label = fresh.variant_label();
+        rows.push(measure(label, fresh, n, max_rounds, correct, reps));
         let st = SimpleTrendProtocol::new(ell).expect("valid");
-        rows.push(measure(
-            "simple-trend (no split)".into(),
-            st,
-            &base,
-            correct,
-            reps,
-        ));
+        let label = "simple-trend (no split)".to_string();
+        rows.push(measure(label, st, n, max_rounds, correct, reps));
     }
 
     let mut table = Table::new(

@@ -16,16 +16,19 @@
 //!   majority*, so from the all-wrong start they lock the wrong consensus.
 
 use fet_bench::{fmt_opt_time, Harness, ROOT_SEED};
+use fet_core::config::ell_for_population;
+use fet_core::erased::ErasedProtocol;
 use fet_core::fet::FetProtocol;
-use fet_core::protocol::Protocol;
 use fet_core::simple_trend::SimpleTrendProtocol;
 use fet_plot::csv::CsvWriter;
 use fet_plot::table::Table;
 use fet_protocols::prelude::*;
-use fet_sim::engine::Fidelity;
-use fet_sim::experiment::{run_protocol_once, ExperimentSpec};
 use fet_sim::init::InitialCondition;
+use fet_sim::simulation::{Simulation, DEFAULT_SAMPLE_CONSTANT};
 use fet_stats::rng::SeedTree;
+
+/// The experiment's root seed.
+const SEED: u64 = ROOT_SEED ^ 0xE7;
 
 struct Row {
     protocol: String,
@@ -36,24 +39,31 @@ struct Row {
     mean_time: Option<f64>,
 }
 
-fn run_case<P>(
-    protocol: P,
-    spec: &ExperimentSpec,
+/// Runs `protocol` `reps` times on `n` agents from `init` (binomial
+/// fidelity; the stability window is `⌈log₂ n⌉`, at least 3).
+fn run_case(
+    protocol: &ErasedProtocol,
+    n: u64,
+    max_rounds: u64,
     init: InitialCondition,
     reps: u64,
     clockless: bool,
-) -> Row
-where
-    P: Protocol + Clone + std::fmt::Debug + Send + Sync + 'static,
-    P::State: 'static,
-{
+) -> Row {
+    let window = ((n as f64).log2().ceil() as u64).max(3);
     let mut times = Vec::new();
     let mut successes = 0u64;
     for rep in 0..reps {
-        let mut s = *spec;
-        s.seed = SeedTree::new(spec.seed).child_indexed("rep", rep).seed();
-        let outcome = run_protocol_once(protocol.clone(), &s, init);
-        if let Some(t) = outcome.report.converged_at {
+        let report = Simulation::builder()
+            .population(n)
+            .protocol_erased(protocol.clone())
+            .init(init)
+            .seed(SeedTree::new(SEED).child_indexed("rep", rep).seed())
+            .max_rounds(max_rounds)
+            .stability_window(window)
+            .build()
+            .expect("valid configuration")
+            .run();
+        if let Some(t) = report.converged_at() {
             times.push(t as f64);
             successes += 1;
         }
@@ -83,54 +93,39 @@ fn main() {
     let n: u64 = h.size(2_000, 400);
     let reps: u64 = h.size(30, 8);
     let max_rounds: u64 = h.size(60_000, 20_000);
-    let base = ExperimentSpec::builder(n)
-        .seed(ROOT_SEED ^ 0xE7)
-        .fidelity(Fidelity::Binomial)
-        .max_rounds(max_rounds)
-        .stability_window(((n as f64).log2().ceil() as u64).max(3))
-        .build()
-        .expect("valid spec");
-    let ell = base.ell();
+    let ell = ell_for_population(n, DEFAULT_SAMPLE_CONSTANT);
 
-    let inits = [InitialCondition::AllWrong, InitialCondition::Random];
+    // Samples per round differ by protocol; runs share everything else.
+    // The flag is `clockless`: only the oracle-clock sketch needs the round
+    // oracle.
+    let protocols = [
+        (
+            ErasedProtocol::new(FetProtocol::new(ell).expect("ℓ ≥ 1")),
+            true,
+        ),
+        (
+            ErasedProtocol::new(SimpleTrendProtocol::new(ell).expect("ℓ ≥ 1")),
+            true,
+        ),
+        (
+            ErasedProtocol::new(OracleClockProtocol::for_population(n).expect("n ≥ 2")),
+            false,
+        ),
+        (ErasedProtocol::new(VoterProtocol::new()), true),
+        (
+            ErasedProtocol::new(MajorityProtocol::new(ell).expect("ℓ ≥ 1")),
+            true,
+        ),
+        (ErasedProtocol::new(ThreeMajorityProtocol::new()), true),
+        (ErasedProtocol::new(UndecidedProtocol::new()), true),
+        (ErasedProtocol::new(RumorProtocol::clean()), true),
+        (ErasedProtocol::new(RumorProtocol::corrupted()), true),
+    ];
     let mut rows: Vec<Row> = Vec::new();
-    for &init in &inits {
-        // Samples per round differ by protocol; specs share everything else.
-        let fet = FetProtocol::new(ell).expect("ℓ ≥ 1");
-        rows.push(run_case(fet, &base, init, reps, true));
-        let st = SimpleTrendProtocol::new(ell).expect("ℓ ≥ 1");
-        rows.push(run_case(st, &base, init, reps, true));
-        rows.push(run_case(
-            OracleClockProtocol::for_population(n).expect("n ≥ 2"),
-            &base,
-            init,
-            reps,
-            false, // needs the round oracle
-        ));
-        rows.push(run_case(VoterProtocol::new(), &base, init, reps, true));
-        rows.push(run_case(
-            MajorityProtocol::new(ell).expect("ℓ ≥ 1"),
-            &base,
-            init,
-            reps,
-            true,
-        ));
-        rows.push(run_case(
-            ThreeMajorityProtocol::new(),
-            &base,
-            init,
-            reps,
-            true,
-        ));
-        rows.push(run_case(UndecidedProtocol::new(), &base, init, reps, true));
-        rows.push(run_case(RumorProtocol::clean(), &base, init, reps, true));
-        rows.push(run_case(
-            RumorProtocol::corrupted(),
-            &base,
-            init,
-            reps,
-            true,
-        ));
+    for init in [InitialCondition::AllWrong, InitialCondition::Random] {
+        for (protocol, clockless) in &protocols {
+            rows.push(run_case(protocol, n, max_rounds, init, reps, *clockless));
+        }
     }
 
     let mut table = Table::new(

@@ -17,6 +17,7 @@ use fet_bench::{Harness, ROOT_SEED};
 use fet_core::config::ProblemSpec;
 use fet_core::fet::{FetProtocol, FetState};
 use fet_core::opinion::Opinion;
+use fet_core::population::TypedPopulation;
 use fet_plot::csv::CsvWriter;
 use fet_plot::table::Table;
 use fet_sim::aggregate::AggregateFetChain;
@@ -113,11 +114,10 @@ fn main() {
                     prev_count_second_half: sample_binomial(u64::from(ell), x0, &mut rng) as u32,
                 })
                 .collect();
-            let mut engine = Engine::from_states(
-                protocol,
+            let mut engine = Engine::from_population(
+                Box::new(TypedPopulation::from_states(protocol, states_vec)),
                 spec,
                 Fidelity::Agent,
-                states_vec,
                 tree.child("engine").seed(),
             )
             .expect("valid");
@@ -146,11 +146,10 @@ fn main() {
                     prev_count_second_half: sample_binomial(u64::from(ell), x0, &mut rng) as u32,
                 })
                 .collect();
-            let mut engine = Engine::from_states(
-                protocol,
+            let mut engine = Engine::from_population(
+                Box::new(TypedPopulation::from_states(protocol, states_vec)),
                 spec,
                 Fidelity::WithoutReplacement,
-                states_vec,
                 tree.child("engine").seed(),
             )
             .expect("valid");

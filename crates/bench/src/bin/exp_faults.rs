@@ -24,24 +24,32 @@ use fet_bench::{fmt_opt_time, Harness, ROOT_SEED};
 use fet_core::opinion::Opinion;
 use fet_plot::csv::CsvWriter;
 use fet_plot::table::Table;
-use fet_sim::engine::Fidelity;
-use fet_sim::experiment::{run_fet_once, ExperimentSpec};
 use fet_sim::fault::FaultPlan;
-use fet_sim::init::InitialCondition;
 use fet_sim::simulation::Simulation;
 use fet_stats::rng::SeedTree;
 use fet_stats::summary::WelfordAccumulator;
 
-/// Strict-criterion convergence statistics under a fault plan.
-fn measure_strict(base: &ExperimentSpec, fault: FaultPlan, reps: u64) -> (f64, Option<f64>) {
+/// The experiment's root seed.
+const SEED: u64 = ROOT_SEED ^ 0xF0;
+/// Consecutive all-correct rounds that confirm convergence.
+const WINDOW: u64 = 5;
+
+/// Strict-criterion convergence statistics under a fault plan: FET at the
+/// default `ℓ`, binomial fidelity, all-wrong start.
+fn measure_strict(n: u64, max_rounds: u64, fault: FaultPlan, reps: u64) -> (f64, Option<f64>) {
     let mut acc = WelfordAccumulator::new();
     let mut successes = 0u64;
     for rep in 0..reps {
-        let mut spec = *base;
-        spec.fault = fault;
-        spec.seed = SeedTree::new(base.seed).child_indexed("rep", rep).seed();
-        let out = run_fet_once(&spec, InitialCondition::AllWrong);
-        if let Some(t) = out.report.converged_at {
+        let report = Simulation::builder()
+            .population(n)
+            .fault(fault)
+            .seed(SeedTree::new(SEED).child_indexed("rep", rep).seed())
+            .max_rounds(max_rounds)
+            .stability_window(WINDOW)
+            .build()
+            .expect("valid")
+            .run();
+        if let Some(t) = report.converged_at() {
             successes += 1;
             acc.push(t as f64);
         }
@@ -55,11 +63,11 @@ fn measure_strict(base: &ExperimentSpec, fault: FaultPlan, reps: u64) -> (f64, O
 }
 
 /// Long-run time-average fraction-correct under a fault plan.
-fn measure_time_average(base: &ExperimentSpec, fault: FaultPlan, rounds: u64) -> f64 {
+fn measure_time_average(n: u64, fault: FaultPlan, rounds: u64) -> f64 {
     let mut sim = Simulation::builder()
-        .population(base.n)
+        .population(n)
         .fault(fault)
-        .seed(SeedTree::new(base.seed).child("avg").seed())
+        .seed(SeedTree::new(SEED).child("avg").seed())
         .build()
         .expect("valid");
     for _ in 0..rounds / 4 {
@@ -84,13 +92,7 @@ fn main() {
     let n: u64 = h.size(1_000, 300);
     let reps: u64 = h.size(40, 10);
     let avg_rounds: u64 = h.size(30_000, 5_000);
-    let base = ExperimentSpec::builder(n)
-        .seed(ROOT_SEED ^ 0xF0)
-        .fidelity(Fidelity::Binomial)
-        .max_rounds(h.size(60_000, 20_000))
-        .stability_window(5)
-        .build()
-        .expect("valid");
+    let max_rounds: u64 = h.size(60_000, 20_000);
 
     let mut table = Table::new(
         ["fault", "strict success", "mean t_con", "time-avg correct"]
@@ -108,21 +110,21 @@ fn main() {
     // strength) to expose the escape-rate competition.
     let mut rows: Vec<(String, f64, Option<f64>, f64)> = Vec::new();
     {
-        let (s, m) = measure_strict(&base, FaultPlan::none(), reps);
-        let avg = measure_time_average(&base, FaultPlan::none(), avg_rounds);
+        let (s, m) = measure_strict(n, max_rounds, FaultPlan::none(), reps);
+        let avg = measure_time_average(n, FaultPlan::none(), avg_rounds);
         rows.push(("none".into(), s, m, avg));
     }
     for mult in [0.1, 0.5, 1.0, 4.0, 20.0] {
         let p = mult / n as f64;
         let plan = FaultPlan::with_noise(p).expect("grid noise levels are valid");
-        let (s, m) = measure_strict(&base, plan, reps.min(10));
-        let avg = measure_time_average(&base, plan, avg_rounds);
+        let (s, m) = measure_strict(n, max_rounds, plan, reps.min(10));
+        let avg = measure_time_average(n, plan, avg_rounds);
         rows.push((format!("noise p = {mult}·(1/n) = {p:.5}"), s, m, avg));
     }
     for sp in [0.2, 0.5, 0.8] {
         let plan = FaultPlan::with_sleep(sp).expect("grid sleep levels are valid");
-        let (s, m) = measure_strict(&base, plan, reps);
-        let avg = measure_time_average(&base, plan, avg_rounds);
+        let (s, m) = measure_strict(n, max_rounds, plan, reps);
+        let avg = measure_time_average(n, plan, avg_rounds);
         rows.push((format!("sleep p = {sp}"), s, m, avg));
     }
     for (label, success, mean, avg) in &rows {
@@ -145,10 +147,10 @@ fn main() {
     // the recovery time to consensus on the new correct bit.
     {
         let mut sim = Simulation::builder()
-            .population(base.n)
-            .seed(SeedTree::new(base.seed).child("retarget").seed())
-            .stability_window(5)
-            .max_rounds(base.max_rounds)
+            .population(n)
+            .seed(SeedTree::new(SEED).child("retarget").seed())
+            .stability_window(WINDOW)
+            .max_rounds(max_rounds)
             .build()
             .expect("valid");
         let first = sim.run();
@@ -157,7 +159,7 @@ fn main() {
         sim.set_fault_plan(FaultPlan::with_source_retarget(flip_round, Opinion::Zero))
             .expect("sync runner accepts fault plans");
         let mut recovery: Option<u64> = None;
-        for extra in 0..base.max_rounds {
+        for extra in 0..max_rounds {
             sim.step();
             if sim.correct() == Opinion::Zero && sim.all_correct() {
                 recovery = Some(extra + 1);

@@ -12,6 +12,7 @@ use fet_bench::{Harness, ROOT_SEED};
 use fet_core::config::ProblemSpec;
 use fet_core::fet::{FetProtocol, FetState};
 use fet_core::opinion::Opinion;
+use fet_core::population::TypedPopulation;
 use fet_plot::csv::CsvWriter;
 use fet_plot::table::{fmt_float, Table};
 use fet_sim::aggregate::AggregateFetChain;
@@ -105,11 +106,10 @@ fn main() {
                     prev_count_second_half: sample_binomial(ell, 1.0 / n as f64, &mut rng) as u32,
                 })
                 .collect();
-            let mut engine = Engine::from_states(
-                protocol,
+            let mut engine = Engine::from_population(
+                Box::new(TypedPopulation::from_states(protocol, states)),
                 spec,
                 Fidelity::Agent,
-                states,
                 tree.child("engine").seed(),
             )
             .expect("valid");

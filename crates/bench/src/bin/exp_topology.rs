@@ -21,18 +21,38 @@
 //!   but slower, and the slowdown grows as bridges shrink.
 
 use fet_bench::{Harness, ROOT_SEED};
+use fet_core::config::ProblemSpec;
 use fet_core::fet::FetProtocol;
 use fet_core::opinion::Opinion;
+use fet_core::population::TypedPopulation;
 use fet_plot::csv::CsvWriter;
 use fet_plot::table::{fmt_float, Table};
 use fet_sim::batch::{parallel_map, BatchSummary};
 use fet_sim::convergence::{ConvergenceCriterion, ConvergenceReport};
-use fet_sim::engine::Engine;
+use fet_sim::engine::{Engine, Fidelity};
 use fet_sim::init::InitialCondition;
 use fet_sim::observer::NullObserver;
 use fet_stats::rng::SeedTree;
 use fet_topology::builders;
 use fet_topology::graph::{Diameter, Graph, GraphStats};
+
+/// FET on `graph` from the all-wrong start, with the source at vertex 0.
+fn graph_engine(graph: &Graph, seed: u64) -> Engine<TypedPopulation<FetProtocol>> {
+    let n = u64::from(graph.n());
+    let protocol = FetProtocol::for_population(n, 4.0).expect("valid ℓ");
+    let spec = ProblemSpec::single_source(n, Opinion::One).expect("valid spec");
+    let population = Box::new(TypedPopulation::new(protocol));
+    Engine::new(
+        population,
+        spec,
+        Fidelity::Agent,
+        InitialCondition::AllWrong,
+        seed,
+    )
+    .expect("valid engine")
+    .with_neighborhood(Box::new(graph.clone()))
+    .expect("an observable graph")
+}
 
 /// One topology under test.
 struct Case {
@@ -163,16 +183,7 @@ fn main() {
                 .child(case.label)
                 .child_indexed("rep", rep)
                 .seed();
-            let protocol = FetProtocol::for_population(u64::from(n), 4.0).expect("valid");
-            let mut engine = Engine::with_neighborhood(
-                protocol,
-                Box::new(case.graph.clone()),
-                1,
-                Opinion::One,
-                InitialCondition::AllWrong,
-                seed,
-            )
-            .expect("valid engine");
+            let mut engine = graph_engine(&case.graph, seed);
             let report = engine.run(budget, ConvergenceCriterion::new(5), &mut NullObserver);
             let frozen = engine.fraction_correct();
             (report, frozen)
@@ -266,17 +277,7 @@ fn main() {
             let indices: Vec<u64> = (0..reps_thr).collect();
             let oks: Vec<bool> = parallel_map(&indices, 8, |&rep| {
                 let seed = gen.child_indexed("rep", rep).seed();
-                let protocol = FetProtocol::for_population(u64::from(n), 4.0).expect("valid");
-                let mut engine = Engine::with_neighborhood(
-                    protocol,
-                    Box::new(graph.clone()),
-                    1,
-                    Opinion::One,
-                    InitialCondition::AllWrong,
-                    seed,
-                )
-                .expect("valid");
-                engine
+                graph_engine(&graph, seed)
                     .run(budget_thr, ConvergenceCriterion::new(5), &mut NullObserver)
                     .converged()
             });

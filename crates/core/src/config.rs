@@ -115,9 +115,8 @@ impl ProblemSpec {
 /// every input (`n` floored at 2, result floored at 1).
 ///
 /// This is **the** canonical implementation — the protocol constructors,
-/// the registry's `ProtocolParams`, the `Simulation` facade, and
-/// `ExperimentSpec` all resolve `ℓ` through it, so the rule cannot drift
-/// between entry points.
+/// the registry's `ProtocolParams` and the `Simulation` facade all resolve
+/// `ℓ` through it, so the rule cannot drift between entry points.
 pub fn ell_for_population(n: u64, c: f64) -> u32 {
     ((c * (n.max(2) as f64).ln()).ceil() as u32).max(1)
 }

@@ -13,26 +13,30 @@
 //! 1-fraction `x` contains `Binomial(m, x)` ones. The `O(ℓ)`-per-round
 //! aggregate chain lives in [`crate::aggregate`].
 //!
-//! # One round loop, two front ends
+//! # One engine type, two instantiations
 //!
 //! The round mechanics — snapshotting, observation generation, fault
 //! injection, the protocol dispatch, counter folding — are written once,
 //! generically over [`Population`] (the object-safe contiguous-state
-//! container from `fet-core`). Two front ends instantiate them:
+//! container from `fet-core`), and [`Engine<A>`] owns the container as a
+//! `Box<A>`. Two instantiations matter:
 //!
-//! * [`Engine<P>`] — the typed engine. Owns a
-//!   [`TypedPopulation<P>`](fet_core::population::TypedPopulation), so
-//!   every population call monomorphizes away: this is the fastest path
-//!   and the one with typed state access for adversarial surgery.
-//! * [`PopulationEngine`] — the runtime-selected engine. Owns a
-//!   `Box<dyn DynPopulation>` (built by
+//! * `Engine<TypedPopulation<P>>` — the typed engine. Every population
+//!   call monomorphizes away, and typed state access
+//!   ([`Engine::states`], [`Engine::set_state`], …) serves adversarial
+//!   surgery.
+//! * `Engine` (the default, `Engine<dyn DynPopulation>`) — the
+//!   runtime-selected engine. The container is built by
 //!   [`ErasedProtocol::population`](fet_core::erased::ErasedProtocol::population)
-//!   or the `fet-protocols` registry), paying exactly one virtual dispatch
-//!   per round.
+//!   or the `fet-protocols` registry (typed states or packed bit planes),
+//!   and each round pays exactly one virtual dispatch.
 //!
-//! Both front ends share every line of round code, so their random streams
-//! are identical by construction: a facade run selected by registry name
-//! reproduces a typed `Engine<P>` run bit for bit given the same seed.
+//! Both share every line of round code, so their random streams are
+//! identical by construction: a facade run selected by registry name
+//! reproduces a typed run bit for bit given the same seed. Every
+//! constructor ([`Engine::new`] fills an empty container,
+//! [`Engine::from_population`] takes a filled one) composes with
+//! [`Engine::with_neighborhood`].
 //!
 //! # Round implementations: fused and parallel fused
 //!
@@ -274,10 +278,9 @@ fn parse_parallel_workers(raw: Option<&str>) -> Result<Option<u32>, SimError> {
 /// instance, the sampling machinery, the fault plan, the cached output
 /// bits and counters, and the round loop itself.
 ///
-/// All round methods are generic over [`Population`]; `Engine<P>` calls
-/// them with a monomorphized [`TypedPopulation<P>`], `PopulationEngine`
-/// with a `dyn DynPopulation`. Keeping one implementation guarantees the
-/// two paths consume identical random streams.
+/// All round methods are generic over [`Population`], so every
+/// instantiation of [`Engine`] — a monomorphized [`TypedPopulation<P>`] or
+/// a `dyn DynPopulation` — consumes identical random streams.
 #[derive(Debug, Clone)]
 struct EngineCore {
     spec: ProblemSpec,
@@ -894,145 +897,181 @@ impl EngineCore {
     }
 }
 
-/// Validates a communication structure and its source placement, returning
-/// the implied problem specification. Shared by both engine front ends.
-fn neighborhood_spec(
-    neighborhood: &dyn Neighborhood,
-    num_sources: u32,
-    correct: Opinion,
-) -> Result<ProblemSpec, SimError> {
-    ensure_observable(neighborhood)?;
-    let n = neighborhood.population();
-    if num_sources == 0 || num_sources >= n {
-        return Err(SimError::InvalidParameter {
-            name: "num_sources",
-            detail: format!("need 1 ≤ num_sources < n = {n}, got {num_sources}"),
-        });
-    }
-    Ok(ProblemSpec::new(
-        u64::from(n),
-        u64::from(num_sources),
-        correct,
-    )?)
-}
-
 /// A population of agents running one protocol, plus the round loop.
 ///
-/// Agent indices `[0, num_sources)` are sources; the rest run the protocol.
+/// Agent indices `[0, num_sources)` are sources; the rest run the protocol
+/// and live in the owned container `A`: a [`TypedPopulation<P>`] for the
+/// typed engine, or `dyn DynPopulation` (the default, and what the
+/// `Simulation` facade runs) for a runtime-selected one. See the
+/// [module docs](self).
 ///
 /// # Example
 ///
 /// ```
-/// use fet_core::fet::FetProtocol;
 /// use fet_core::config::ProblemSpec;
+/// use fet_core::erased::ErasedProtocol;
+/// use fet_core::fet::FetProtocol;
 /// use fet_core::opinion::Opinion;
+/// use fet_core::population::TypedPopulation;
+/// use fet_sim::convergence::ConvergenceCriterion;
 /// use fet_sim::engine::{Engine, Fidelity};
 /// use fet_sim::init::InitialCondition;
-/// use fet_sim::convergence::ConvergenceCriterion;
 /// use fet_sim::observer::NullObserver;
 ///
 /// let spec = ProblemSpec::single_source(300, Opinion::One)?;
 /// let proto = FetProtocol::for_population(300, 4.0)?;
-/// let mut engine = Engine::new(proto, spec, Fidelity::Binomial, InitialCondition::AllWrong, 7)?;
+/// let typed = Box::new(TypedPopulation::new(proto.clone()));
+/// let mut engine = Engine::new(typed, spec, Fidelity::Binomial, InitialCondition::AllWrong, 7)?;
 /// let report = engine.run(5_000, ConvergenceCriterion::default(), &mut NullObserver);
 /// assert!(report.converged());
+///
+/// // The same run on a runtime-selected container replays it bit for bit.
+/// let erased = ErasedProtocol::new(proto).population();
+/// let mut engine = Engine::new(erased, spec, Fidelity::Binomial, InitialCondition::AllWrong, 7)?;
+/// assert_eq!(engine.run(5_000, ConvergenceCriterion::default(), &mut NullObserver), report);
+/// assert_eq!(engine.protocol_name(), "fet");
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone)]
-pub struct Engine<P: Protocol> {
-    population: TypedPopulation<P>,
+#[derive(Debug)]
+pub struct Engine<A: Population + ?Sized = dyn DynPopulation> {
+    population: Box<A>,
     core: EngineCore,
 }
 
-impl<P> Engine<P>
+impl<A: Population + ?Sized> Clone for Engine<A>
 where
-    P: Protocol + fmt::Debug + Send + Sync,
+    Box<A>: Clone,
 {
-    /// Creates an engine with non-source opinions drawn from `init` and
-    /// internal variables randomized by the protocol.
+    fn clone(&self) -> Self {
+        Engine {
+            population: self.population.clone(),
+            core: self.core.clone(),
+        }
+    }
+}
+
+impl<A: Population + ?Sized> Engine<A> {
+    /// Creates an engine over an empty container, filling it with
+    /// non-source agents whose opinions are drawn from `init` and whose
+    /// internal variables the protocol randomizes (one opinion draw then
+    /// one state init per agent, in agent order — the same random stream
+    /// for every container).
     ///
     /// # Errors
     ///
     /// Returns [`SimError::UnsupportedPopulation`] when `n` does not fit in
     /// addressable memory for per-agent simulation, and
-    /// [`SimError::InvalidParameter`] when [`Fidelity::WithoutReplacement`]
-    /// is requested with a sample size exceeding the population, when
-    /// `FET_SIMD` names no usable kernel tier, or when
-    /// `FET_PARALLEL_WORKERS` is malformed and the default mode resolves to
-    /// a parallel round (see [`Engine::set_execution_mode`]).
+    /// [`SimError::InvalidParameter`] when the container already holds
+    /// agents, when [`Fidelity::WithoutReplacement`] is requested with a
+    /// sample size exceeding the population, when `FET_SIMD` names no
+    /// usable kernel tier, or when `FET_PARALLEL_WORKERS` is malformed and
+    /// the default mode resolves to a parallel round (see
+    /// [`Engine::set_execution_mode`]).
     pub fn new(
-        protocol: P,
+        mut population: Box<A>,
         spec: ProblemSpec,
         fidelity: Fidelity,
         init: InitialCondition,
         seed: u64,
     ) -> Result<Self, SimError> {
-        let mut population = TypedPopulation::new(protocol);
-        let core = EngineCore::construct(&mut population, spec, fidelity, init, seed)?;
+        if !population.is_empty() {
+            return Err(SimError::InvalidParameter {
+                name: "population",
+                detail: format!(
+                    "expected an empty container, got {} pre-filled agents",
+                    population.len()
+                ),
+            });
+        }
+        let core = EngineCore::construct(population.as_mut(), spec, fidelity, init, seed)?;
         core.check_parallel_workers()?;
         Ok(Engine { population, core })
     }
 
-    /// Creates an engine from explicitly provided non-source states — the
-    /// entry point for adversarial configurations.
+    /// Creates an engine over a container already filled with the
+    /// non-source states — the entry point for adversarial configurations
+    /// (see [`TypedPopulation::from_states`]) and for replaying explicit
+    /// states on bit-plane storage (see
+    /// [`fet_core::bitplane::BitPopulation::from_states`]).
     ///
     /// # Errors
     ///
-    /// As [`Engine::new`]; additionally returns
-    /// [`SimError::InvalidParameter`] when `states.len()` does not equal the
-    /// number of non-source agents.
-    pub fn from_states(
-        protocol: P,
+    /// As [`Engine::new`], except that the container must hold exactly the
+    /// `n − num_sources` non-source agents.
+    pub fn from_population(
+        mut population: Box<A>,
         spec: ProblemSpec,
         fidelity: Fidelity,
-        states: Vec<P::State>,
         seed: u64,
     ) -> Result<Self, SimError> {
-        let mut population = TypedPopulation::from_states(protocol, states);
-        let core = EngineCore::construct_filled(&mut population, spec, fidelity, seed)?;
+        let core = EngineCore::construct_filled(population.as_mut(), spec, fidelity, seed)?;
         core.check_parallel_workers()?;
         Ok(Engine { population, core })
     }
 
-    /// Creates an engine where each agent samples from an explicit
-    /// communication structure instead of the whole population — the
-    /// `fet-topology` engine's mechanics, available behind the unified
-    /// facade. Sources occupy vertices `[0, num_sources)`; sampling is
-    /// literal ([`Fidelity::Agent`] semantics) since neighbor counts do
-    /// not follow a global binomial law.
+    /// Restricts each agent's observations to an explicit communication
+    /// structure instead of the whole population. Sources occupy vertices
+    /// `[0, num_sources)`; sampling is literal, so the engine must have
+    /// been built with [`Fidelity::Agent`]. On bit-plane containers the
+    /// round-start double buffer is the packed 1 bit/agent word snapshot.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidParameter`] when some vertex has no
-    /// neighbors, or when `num_sources` is zero or not smaller than the
-    /// vertex count; propagates `ProblemSpec` validation as
-    /// [`SimError::Core`].
+    /// neighbors, when the vertex count differs from the spec's `n`, or
+    /// when the fidelity is not [`Fidelity::Agent`].
     pub fn with_neighborhood(
-        protocol: P,
+        mut self,
         neighborhood: Box<dyn Neighborhood>,
-        num_sources: u32,
-        correct: Opinion,
-        init: InitialCondition,
-        seed: u64,
     ) -> Result<Self, SimError> {
-        let spec = neighborhood_spec(neighborhood.as_ref(), num_sources, correct)?;
-        let mut engine = Engine::new(protocol, spec, Fidelity::Agent, init, seed)?;
-        engine.core.neighborhood = Some(neighborhood);
-        engine.core.check_parallel_workers()?;
-        Ok(engine)
+        ensure_observable(neighborhood.as_ref())?;
+        let (vertices, n) = (neighborhood.population(), self.core.spec.n());
+        if u64::from(vertices) != n {
+            return Err(SimError::InvalidParameter {
+                name: "topology",
+                detail: format!("the structure has {vertices} vertices but the spec has n = {n}"),
+            });
+        }
+        if self.core.fidelity != Fidelity::Agent {
+            return Err(SimError::InvalidParameter {
+                name: "fidelity",
+                detail: format!(
+                    "neighbor sampling is literal; {:?} fidelity applies to the complete graph \
+                     only",
+                    self.core.fidelity
+                ),
+            });
+        }
+        self.core.neighborhood = Some(neighborhood);
+        Ok(self)
     }
 
     /// Installs a fault plan (replacing any previous plan).
-    pub fn set_fault_plan(&mut self, fault: FaultPlan) {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidParameter`] (name `fault`) when a
+    /// probability knob lies outside `[0, 1]` ([`FaultPlan::validate`]);
+    /// the previous plan then stays installed.
+    pub fn set_fault_plan(&mut self, fault: FaultPlan) -> Result<(), SimError> {
+        fault.validate()?;
         self.core.fault = fault;
+        Ok(())
     }
 
     /// Installs a round-indexed fault schedule: its base plan replaces
     /// the current [`FaultPlan`], and its events fire at the start of
     /// their rounds during [`Engine::step`] / [`Engine::run`]. Replaces
     /// any previous schedule and clears its recovery records.
-    pub fn set_fault_schedule(&mut self, schedule: &FaultSchedule) {
+    ///
+    /// # Errors
+    ///
+    /// As [`Engine::set_fault_plan`], for the schedule's base plan (a
+    /// [`FaultSchedule::from_plan`] schedule carries it unchecked).
+    pub fn set_fault_schedule(&mut self, schedule: &FaultSchedule) -> Result<(), SimError> {
+        schedule.base().validate()?;
         self.core.set_schedule(schedule);
+        Ok(())
     }
 
     /// Per-event recovery records accumulated so far (one per fired
@@ -1068,15 +1107,25 @@ where
     /// round-start opinion snapshot). `0` for as long as every executed
     /// round has gone through the mean-field fused path — the measurable
     /// form of its `O(1)`-auxiliary-memory guarantee; Agent-fidelity and
-    /// graph runs report exactly the persistent ~1 byte/agent opinion
-    /// double buffer.
+    /// graph runs report exactly the persistent opinion double buffer
+    /// (~1 byte/agent, or ~1 bit/agent on bit-plane containers).
     pub fn round_scratch_bytes(&self) -> usize {
         self.core.scratch_bytes()
     }
 
-    /// The protocol configuration.
-    pub fn protocol(&self) -> &P {
-        self.population.protocol()
+    /// The running protocol's name.
+    pub fn protocol_name(&self) -> &str {
+        self.population.protocol_name()
+    }
+
+    /// Agents sampled per agent per round.
+    pub fn samples_per_round(&self) -> u32 {
+        self.population.samples_per_round()
+    }
+
+    /// The population container (for memory accounting and inspection).
+    pub fn population(&self) -> &A {
+        &self.population
     }
 
     /// The problem specification this engine was built with.
@@ -1114,9 +1163,72 @@ where
         self.core.all_correct()
     }
 
+    /// `true` when the engine drives a bit-plane population through the
+    /// in-place fused kernels (no byte output buffer exists; see
+    /// [`Engine::collect_outputs`]).
+    pub fn uses_bit_storage(&self) -> bool {
+        self.core.bit_store
+    }
+
     /// Public outputs of all agents (index `< num_sources` are sources).
+    ///
+    /// # Panics
+    ///
+    /// Panics on bit-plane storage, which keeps no byte output buffer —
+    /// use [`Engine::collect_outputs`] (allocating) or read the population
+    /// directly.
     pub fn outputs(&self) -> &[Opinion] {
+        assert!(
+            !self.core.bit_store,
+            "bit-plane runs keep no byte output buffer; use collect_outputs()"
+        );
         &self.core.outputs
+    }
+
+    /// The current outputs of all agents, materialized into a fresh
+    /// `Vec` — works on every storage representation (sources occupy
+    /// indices `< num_sources`). Allocates; meant for inspection and
+    /// equivalence tests, not hot paths.
+    pub fn collect_outputs(&self) -> Vec<Opinion> {
+        let num_sources = self.core.spec.num_sources() as usize;
+        let mut out = vec![self.core.source.output(); self.core.spec.n() as usize];
+        self.population.write_outputs(&mut out[num_sources..]);
+        out
+    }
+
+    /// Executes one synchronous round.
+    ///
+    /// The round is one fused pass over the container
+    /// ([`Protocol::step_fused`]): each agent's observation is drawn on
+    /// demand, its update applied, and the round counters folded in the
+    /// same pass. Under sleepy-agent faults each sleeper then keeps its
+    /// round-start state and output.
+    pub fn step(&mut self) {
+        self.core.step(self.population.as_mut());
+    }
+
+    /// Runs until convergence is confirmed or `max_rounds` have executed.
+    ///
+    /// The observer receives round 0 (the initial configuration) and every
+    /// round thereafter.
+    pub fn run<O: RoundObserver + ?Sized>(
+        &mut self,
+        max_rounds: u64,
+        criterion: ConvergenceCriterion,
+        observer: &mut O,
+    ) -> ConvergenceReport {
+        self.core
+            .run(self.population.as_mut(), max_rounds, criterion, observer)
+    }
+}
+
+impl<P> Engine<TypedPopulation<P>>
+where
+    P: Protocol + fmt::Debug + Send + Sync,
+{
+    /// The protocol configuration.
+    pub fn protocol(&self) -> &P {
+        self.population.protocol()
     }
 
     /// Non-source agent states (read-only).
@@ -1138,7 +1250,7 @@ where
     /// Re-derives outputs and counters from the states — call after bulk
     /// state surgery through [`Engine::states_mut`].
     pub fn refresh_caches(&mut self) {
-        self.core.refresh_caches(&self.population);
+        self.core.refresh_caches(self.population.as_ref());
     }
 
     /// Mutable access to non-source states for adversarial surgery.
@@ -1146,307 +1258,15 @@ where
     pub fn states_mut(&mut self) -> &mut [P::State] {
         self.population.states_mut()
     }
-
-    /// Executes one synchronous round.
-    ///
-    /// The round is one fused pass over the contiguous state slice
-    /// ([`Protocol::step_fused`]): each agent's observation is drawn on
-    /// demand, its update applied, and the round counters folded in the
-    /// same pass. Under sleepy-agent faults each sleeper then keeps its
-    /// round-start state and output.
-    pub fn step(&mut self) {
-        self.core.step(&mut self.population);
-    }
-
-    /// Runs until convergence is confirmed or `max_rounds` have executed.
-    ///
-    /// The observer receives round 0 (the initial configuration) and every
-    /// round thereafter.
-    pub fn run<O: RoundObserver + ?Sized>(
-        &mut self,
-        max_rounds: u64,
-        criterion: ConvergenceCriterion,
-        observer: &mut O,
-    ) -> ConvergenceReport {
-        self.core
-            .run(&mut self.population, max_rounds, criterion, observer)
-    }
-}
-
-/// The runtime-selected synchronous engine: [`Engine`] mechanics over a
-/// type-erased contiguous population container.
-///
-/// This engine owns a `Box<dyn DynPopulation>` — one contiguous `Vec` of
-/// concrete states (or packed bit planes) behind an object-safe interface
-/// — so each round costs a single virtual dispatch into the typed kernel
-/// with **zero per-round cloning**. Runs selected by registry name through
-/// `Simulation::builder()` execute here and are stream-identical to the
-/// corresponding typed [`Engine<P>`] run.
-///
-/// # Example
-///
-/// ```
-/// use fet_core::config::ProblemSpec;
-/// use fet_core::erased::ErasedProtocol;
-/// use fet_core::fet::FetProtocol;
-/// use fet_core::opinion::Opinion;
-/// use fet_sim::convergence::ConvergenceCriterion;
-/// use fet_sim::engine::{Fidelity, PopulationEngine};
-/// use fet_sim::init::InitialCondition;
-/// use fet_sim::observer::NullObserver;
-///
-/// let spec = ProblemSpec::single_source(300, Opinion::One)?;
-/// let erased = ErasedProtocol::new(FetProtocol::for_population(300, 4.0)?);
-/// let mut engine = PopulationEngine::new(
-///     erased.population(),
-///     spec,
-///     Fidelity::Binomial,
-///     InitialCondition::AllWrong,
-///     7,
-/// )?;
-/// let report = engine.run(5_000, ConvergenceCriterion::default(), &mut NullObserver);
-/// assert!(report.converged());
-/// assert_eq!(engine.protocol_name(), "fet");
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct PopulationEngine {
-    population: Box<dyn DynPopulation>,
-    core: EngineCore,
-}
-
-impl PopulationEngine {
-    /// Creates an engine over an (empty) erased population container,
-    /// filling it with non-source agents exactly as [`Engine::new`] does —
-    /// same seed derivation, same draw/init interleaving, hence identical
-    /// random streams.
-    ///
-    /// # Errors
-    ///
-    /// As [`Engine::new`]. Additionally returns
-    /// [`SimError::InvalidParameter`] when the container already holds
-    /// agents (populations are filled by the engine).
-    pub fn new(
-        population: Box<dyn DynPopulation>,
-        spec: ProblemSpec,
-        fidelity: Fidelity,
-        init: InitialCondition,
-        seed: u64,
-    ) -> Result<Self, SimError> {
-        PopulationEngine::build(population, spec, fidelity, init, seed, None)
-    }
-
-    /// Topology variant of [`PopulationEngine::new`]; see
-    /// [`Engine::with_neighborhood`]. On bit-plane containers the
-    /// round-start double buffer is the packed 1 bit/agent word snapshot.
-    ///
-    /// # Errors
-    ///
-    /// As [`Engine::with_neighborhood`].
-    pub fn with_neighborhood(
-        population: Box<dyn DynPopulation>,
-        neighborhood: Box<dyn Neighborhood>,
-        num_sources: u32,
-        correct: Opinion,
-        init: InitialCondition,
-        seed: u64,
-    ) -> Result<Self, SimError> {
-        let spec = neighborhood_spec(neighborhood.as_ref(), num_sources, correct)?;
-        PopulationEngine::build(
-            population,
-            spec,
-            Fidelity::Agent,
-            init,
-            seed,
-            Some(neighborhood),
-        )
-    }
-
-    /// Creates an engine over an already-filled container — the erased
-    /// analogue of [`Engine::from_states`], and the entry point for
-    /// replaying an explicit state vector on bit-plane storage (see
-    /// [`fet_core::bitplane::BitPopulation::from_states`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`Engine::from_states`].
-    pub fn from_population(
-        mut population: Box<dyn DynPopulation>,
-        spec: ProblemSpec,
-        fidelity: Fidelity,
-        seed: u64,
-    ) -> Result<Self, SimError> {
-        let core = EngineCore::construct_filled(population.as_mut(), spec, fidelity, seed)?;
-        core.check_parallel_workers()?;
-        Ok(PopulationEngine { population, core })
-    }
-
-    /// Shared constructor body: fills the container and installs the
-    /// neighborhood (when any).
-    fn build(
-        mut population: Box<dyn DynPopulation>,
-        spec: ProblemSpec,
-        fidelity: Fidelity,
-        init: InitialCondition,
-        seed: u64,
-        neighborhood: Option<Box<dyn Neighborhood>>,
-    ) -> Result<Self, SimError> {
-        if !population.is_empty() {
-            return Err(SimError::InvalidParameter {
-                name: "population",
-                detail: format!(
-                    "expected an empty container, got {} pre-filled agents",
-                    population.len()
-                ),
-            });
-        }
-        let mut core = EngineCore::construct(population.as_mut(), spec, fidelity, init, seed)?;
-        core.neighborhood = neighborhood;
-        core.check_parallel_workers()?;
-        Ok(PopulationEngine { population, core })
-    }
-
-    /// Installs a fault plan (replacing any previous plan).
-    pub fn set_fault_plan(&mut self, fault: FaultPlan) {
-        self.core.fault = fault;
-    }
-
-    /// Installs a round-indexed fault schedule (see
-    /// [`Engine::set_fault_schedule`]).
-    pub fn set_fault_schedule(&mut self, schedule: &FaultSchedule) {
-        self.core.set_schedule(schedule);
-    }
-
-    /// Per-event recovery records accumulated so far (see
-    /// [`Engine::recovery_records`]).
-    pub fn recovery_records(&self) -> &[RecoveryRecord] {
-        self.core.recovery.records()
-    }
-
-    /// Selects which round implementation executes (see
-    /// [`Engine::set_execution_mode`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`Engine::set_execution_mode`].
-    pub fn set_execution_mode(&mut self, mode: ExecutionMode) -> Result<(), SimError> {
-        self.core.set_mode(mode)
-    }
-
-    /// The configured execution mode.
-    pub fn execution_mode(&self) -> ExecutionMode {
-        self.core.mode
-    }
-
-    /// Bytes of per-round auxiliary buffers currently allocated (see
-    /// [`Engine::round_scratch_bytes`]).
-    pub fn round_scratch_bytes(&self) -> usize {
-        self.core.scratch_bytes()
-    }
-
-    /// The running protocol's name.
-    pub fn protocol_name(&self) -> &str {
-        self.population.protocol_name()
-    }
-
-    /// Agents sampled per agent per round.
-    pub fn samples_per_round(&self) -> u32 {
-        self.population.samples_per_round()
-    }
-
-    /// The erased population container (for memory accounting and
-    /// inspection).
-    pub fn population(&self) -> &dyn DynPopulation {
-        self.population.as_ref()
-    }
-
-    /// The problem specification this engine was built with (see
-    /// [`Engine::spec`] for the retargeting caveat).
-    pub fn spec(&self) -> &ProblemSpec {
-        &self.core.spec
-    }
-
-    /// The current correct opinion (tracks mid-run retargeting).
-    pub fn correct(&self) -> Opinion {
-        self.core.source.correct()
-    }
-
-    /// Current round index (0 before any [`PopulationEngine::step`]).
-    pub fn round(&self) -> u64 {
-        self.core.round
-    }
-
-    /// The paper's `x_t`: fraction of all agents currently outputting 1.
-    pub fn fraction_ones(&self) -> f64 {
-        self.core.fraction_ones()
-    }
-
-    /// Fraction of non-source agents deciding correctly.
-    pub fn fraction_correct(&self) -> f64 {
-        self.core.fraction_correct()
-    }
-
-    /// `true` when every non-source agent decides correctly.
-    pub fn all_correct(&self) -> bool {
-        self.core.all_correct()
-    }
-
-    /// `true` when the engine drives a bit-plane population through the
-    /// in-place fused kernels (no byte output buffer exists; see
-    /// [`PopulationEngine::collect_outputs`]).
-    pub fn uses_bit_storage(&self) -> bool {
-        self.core.bit_store
-    }
-
-    /// Public outputs of all agents (index `< num_sources` are sources).
-    ///
-    /// # Panics
-    ///
-    /// Panics on bit-plane storage, which keeps no byte output buffer —
-    /// use [`PopulationEngine::collect_outputs`] (allocating) or read the
-    /// population directly.
-    pub fn outputs(&self) -> &[Opinion] {
-        assert!(
-            !self.core.bit_store,
-            "bit-plane runs keep no byte output buffer; use collect_outputs()"
-        );
-        &self.core.outputs
-    }
-
-    /// The current outputs of all agents, materialized into a fresh
-    /// `Vec` — works on every storage representation (sources occupy
-    /// indices `< num_sources`). Allocates; meant for inspection and
-    /// equivalence tests, not hot paths.
-    pub fn collect_outputs(&self) -> Vec<Opinion> {
-        let num_sources = self.core.spec.num_sources() as usize;
-        let mut out = vec![self.core.source.output(); self.core.spec.n() as usize];
-        self.population.write_outputs(&mut out[num_sources..]);
-        out
-    }
-
-    /// Executes one synchronous round (see [`Engine::step`]).
-    pub fn step(&mut self) {
-        self.core.step(self.population.as_mut());
-    }
-
-    /// Runs until convergence is confirmed or `max_rounds` have executed
-    /// (see [`Engine::run`]).
-    pub fn run<O: RoundObserver + ?Sized>(
-        &mut self,
-        max_rounds: u64,
-        criterion: ConvergenceCriterion,
-        observer: &mut O,
-    ) -> ConvergenceReport {
-        self.core
-            .run(self.population.as_mut(), max_rounds, criterion, observer)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault::FaultEventKind;
+    use crate::neighborhood::tests::Ring;
     use crate::observer::{NullObserver, TrajectoryRecorder};
+    use fet_core::bitplane::BitPopulation;
     use fet_core::erased::ErasedProtocol;
     use fet_core::fet::{FetProtocol, FetState};
 
@@ -1454,17 +1274,49 @@ mod tests {
         ProblemSpec::single_source(n, Opinion::One).unwrap()
     }
 
+    fn typed(ell: u32) -> Box<TypedPopulation<FetProtocol>> {
+        Box::new(TypedPopulation::new(FetProtocol::new(ell).unwrap()))
+    }
+
+    /// An engine on `neighborhood` with `num_sources` sources of opinion 1,
+    /// built the way the facade builds graph runs.
+    fn graph_engine<A: Population + ?Sized>(
+        population: Box<A>,
+        neighborhood: Box<dyn Neighborhood>,
+        num_sources: u64,
+        init: InitialCondition,
+        seed: u64,
+    ) -> Engine<A> {
+        let n = u64::from(neighborhood.population());
+        let spec = ProblemSpec::new(n, num_sources, Opinion::One).unwrap();
+        Engine::new(population, spec, Fidelity::Agent, init, seed)
+            .unwrap()
+            .with_neighborhood(neighborhood)
+            .unwrap()
+    }
+
     #[test]
     fn engine_rejects_mismatched_states() {
         let p = FetProtocol::new(4).unwrap();
-        let err = Engine::from_states(p, spec(10), Fidelity::Agent, vec![], 1);
+        let err = Engine::from_population(
+            Box::new(TypedPopulation::from_states(p, vec![])),
+            spec(10),
+            Fidelity::Agent,
+            1,
+        );
         assert!(matches!(err, Err(SimError::InvalidParameter { .. })));
     }
 
     #[test]
     fn initial_condition_all_wrong_sets_x0() {
-        let p = FetProtocol::new(4).unwrap();
-        let e = Engine::new(p, spec(100), Fidelity::Agent, InitialCondition::AllWrong, 3).unwrap();
+        let e = Engine::new(
+            typed(4),
+            spec(100),
+            Fidelity::Agent,
+            InitialCondition::AllWrong,
+            3,
+        )
+        .unwrap();
         // Only the source holds 1.
         assert!((e.fraction_ones() - 0.01).abs() < 1e-12);
         assert_eq!(e.fraction_correct(), 0.0);
@@ -1473,9 +1325,8 @@ mod tests {
 
     #[test]
     fn initial_condition_all_correct_is_absorbing_for_fet() {
-        let p = FetProtocol::new(8).unwrap();
         let mut e = Engine::new(
-            p,
+            typed(8),
             spec(200),
             Fidelity::Agent,
             InitialCondition::AllCorrect,
@@ -1509,8 +1360,14 @@ mod tests {
             Fidelity::WithoutReplacement,
         ] {
             let p = FetProtocol::for_population(300, 4.0).unwrap();
-            let mut e =
-                Engine::new(p, spec(300), fidelity, InitialCondition::AllWrong, 11).unwrap();
+            let mut e = Engine::new(
+                Box::new(TypedPopulation::new(p)),
+                spec(300),
+                fidelity,
+                InitialCondition::AllWrong,
+                11,
+            )
+            .unwrap();
             let report = e.run(20_000, ConvergenceCriterion::new(5), &mut NullObserver);
             assert!(report.converged(), "{fidelity:?} failed: {report:?}");
             assert_eq!(report.final_fraction_correct, 1.0);
@@ -1520,9 +1377,8 @@ mod tests {
     #[test]
     fn without_replacement_rejects_oversized_samples() {
         // 2ℓ = 64 samples from a population of 20 cannot be distinct.
-        let p = FetProtocol::new(32).unwrap();
         let err = Engine::new(
-            p,
+            typed(32),
             spec(20),
             Fidelity::WithoutReplacement,
             InitialCondition::AllWrong,
@@ -1543,7 +1399,7 @@ mod tests {
         // not indices repeat, so the absorbing argument carries over.
         let p = FetProtocol::for_population(200, 4.0).unwrap();
         let mut e = Engine::new(
-            p,
+            Box::new(TypedPopulation::new(p)),
             spec(200),
             Fidelity::WithoutReplacement,
             InitialCondition::AllWrong,
@@ -1566,7 +1422,7 @@ mod tests {
     fn converged_state_is_absorbing() {
         let p = FetProtocol::for_population(200, 4.0).unwrap();
         let mut e = Engine::new(
-            p,
+            Box::new(TypedPopulation::new(p)),
             spec(200),
             Fidelity::Binomial,
             InitialCondition::AllWrong,
@@ -1588,9 +1444,14 @@ mod tests {
 
     #[test]
     fn observer_sees_initial_round_and_monotone_round_numbers() {
-        let p = FetProtocol::new(6).unwrap();
-        let mut e =
-            Engine::new(p, spec(50), Fidelity::Agent, InitialCondition::Random, 17).unwrap();
+        let mut e = Engine::new(
+            typed(6),
+            spec(50),
+            Fidelity::Agent,
+            InitialCondition::Random,
+            17,
+        )
+        .unwrap();
         let mut rec = TrajectoryRecorder::new();
         let report = e.run(50, ConvergenceCriterion::new(2), &mut rec);
         assert_eq!(rec.fractions().len() as u64, report.rounds_run + 1);
@@ -1599,9 +1460,8 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let run = |seed: u64| {
-            let p = FetProtocol::new(8).unwrap();
             let mut e = Engine::new(
-                p,
+                typed(8),
                 spec(120),
                 Fidelity::Agent,
                 InitialCondition::Random,
@@ -1620,8 +1480,14 @@ mod tests {
     fn correct_zero_instance_converges_to_zero() {
         let spec0 = ProblemSpec::single_source(300, Opinion::Zero).unwrap();
         let p = FetProtocol::for_population(300, 4.0).unwrap();
-        let mut e =
-            Engine::new(p, spec0, Fidelity::Binomial, InitialCondition::AllWrong, 23).unwrap();
+        let mut e = Engine::new(
+            Box::new(TypedPopulation::new(p)),
+            spec0,
+            Fidelity::Binomial,
+            InitialCondition::AllWrong,
+            23,
+        )
+        .unwrap();
         let report = e.run(20_000, ConvergenceCriterion::new(5), &mut NullObserver);
         assert!(report.converged(), "{report:?}");
         assert!((e.fraction_ones() - 0.0).abs() < 1e-12);
@@ -1629,9 +1495,8 @@ mod tests {
 
     #[test]
     fn set_state_refreshes_counters() {
-        let p = FetProtocol::new(4).unwrap();
         let mut e = Engine::new(
-            p,
+            typed(4),
             spec(10),
             Fidelity::Agent,
             InitialCondition::AllCorrect,
@@ -1654,14 +1519,15 @@ mod tests {
     fn source_retarget_mid_run_restabilizes() {
         let p = FetProtocol::for_population(300, 4.0).unwrap();
         let mut e = Engine::new(
-            p,
+            Box::new(TypedPopulation::new(p)),
             spec(300),
             Fidelity::Binomial,
             InitialCondition::AllCorrect,
             31,
         )
         .unwrap();
-        e.set_fault_plan(FaultPlan::with_source_retarget(10, Opinion::Zero));
+        e.set_fault_plan(FaultPlan::with_source_retarget(10, Opinion::Zero))
+            .unwrap();
         // After round 10 the correct bit is Zero; the population must
         // re-converge to all-zero despite starting all-one.
         let mut converged_to_zero = false;
@@ -1679,7 +1545,7 @@ mod tests {
         assert_eq!(e.fraction_ones(), 0.0);
     }
 
-    // ---- PopulationEngine: the erased hot path ----
+    // ---- the erased instantiation: the facade's hot path ----
 
     fn fet_population(ell: u32) -> Box<dyn fet_core::population::DynPopulation> {
         ErasedProtocol::new(FetProtocol::new(ell).unwrap()).population()
@@ -1701,16 +1567,10 @@ mod tests {
             ),
         ];
         for (fidelity, fault) in cases {
-            let mut typed = Engine::new(
-                FetProtocol::new(8).unwrap(),
-                spec(150),
-                fidelity,
-                InitialCondition::Random,
-                77,
-            )
-            .unwrap();
-            typed.set_fault_plan(fault);
-            let mut erased = PopulationEngine::new(
+            let mut typed =
+                Engine::new(typed(8), spec(150), fidelity, InitialCondition::Random, 77).unwrap();
+            typed.set_fault_plan(fault).unwrap();
+            let mut erased = Engine::new(
                 fet_population(8),
                 spec(150),
                 fidelity,
@@ -1718,7 +1578,7 @@ mod tests {
                 77,
             )
             .unwrap();
-            erased.set_fault_plan(fault);
+            erased.set_fault_plan(fault).unwrap();
             let mut rec_t = TrajectoryRecorder::new();
             let mut rec_e = TrajectoryRecorder::new();
             let rt = typed.run(120, ConvergenceCriterion::new(3), &mut rec_t);
@@ -1733,51 +1593,22 @@ mod tests {
         }
     }
 
-    /// A ring, directly on the trait (no `fet-topology` available here).
-    #[derive(Debug, Clone)]
-    struct Ring {
-        links: Vec<Vec<u32>>,
-    }
-
-    impl Ring {
-        fn new(n: u32) -> Ring {
-            let links = (0..n).map(|v| vec![(v + n - 1) % n, (v + 1) % n]).collect();
-            Ring { links }
-        }
-    }
-
-    impl Neighborhood for Ring {
-        fn population(&self) -> u32 {
-            self.links.len() as u32
-        }
-        fn neighbors_of(&self, vertex: u32) -> &[u32] {
-            &self.links[vertex as usize]
-        }
-        fn clone_box(&self) -> Box<dyn Neighborhood> {
-            Box::new(self.clone())
-        }
-    }
-
     #[test]
     fn population_engine_on_a_ring_matches_typed() {
-        let mut typed = Engine::with_neighborhood(
-            FetProtocol::new(3).unwrap(),
+        let mut typed = graph_engine(
+            typed(3),
             Box::new(Ring::new(60)),
             2,
-            Opinion::One,
             InitialCondition::AllWrong,
             19,
-        )
-        .unwrap();
-        let mut erased = PopulationEngine::with_neighborhood(
+        );
+        let mut erased = graph_engine(
             fet_population(3),
             Box::new(Ring::new(60)),
             2,
-            Opinion::One,
             InitialCondition::AllWrong,
             19,
-        )
-        .unwrap();
+        );
         for _ in 0..40 {
             typed.step();
             erased.step();
@@ -1787,30 +1618,116 @@ mod tests {
     }
 
     #[test]
-    fn population_engine_rejects_prefilled_containers() {
-        let mut pop = fet_population(4);
+    fn new_rejects_prefilled_containers() {
         let mut rng = SeedTree::new(1).child("prefill").rng();
-        pop.push_agent(Opinion::Zero, &mut rng);
-        let err = PopulationEngine::new(
-            pop,
-            spec(10),
+        let mut erased = fet_population(4);
+        erased.push_agent(Opinion::Zero, &mut rng);
+        let mut typed = typed(4);
+        typed.push_agent(Opinion::Zero, &mut rng);
+        let errors = [
+            Engine::new(
+                erased,
+                spec(10),
+                Fidelity::Agent,
+                InitialCondition::AllWrong,
+                1,
+            )
+            .err(),
+            Engine::new(
+                typed,
+                spec(10),
+                Fidelity::Agent,
+                InitialCondition::AllWrong,
+                1,
+            )
+            .err(),
+        ];
+        for err in errors {
+            assert!(
+                matches!(
+                    err,
+                    Some(SimError::InvalidParameter {
+                        name: "population",
+                        ..
+                    })
+                ),
+                "{err:?}"
+            );
+        }
+    }
+
+    /// `with_neighborhood` checks the structure against the engine it
+    /// joins: every vertex observable, one vertex per agent, literal
+    /// sampling.
+    #[test]
+    fn with_neighborhood_rejects_mismatched_structures() {
+        let engine = |fidelity| {
+            Engine::new(typed(3), spec(60), fidelity, InitialCondition::AllWrong, 1).unwrap()
+        };
+        let mut isolated = Ring::new(60);
+        isolated.links[7].clear();
+        let cases: [(Fidelity, Box<dyn Neighborhood>, &str); 3] = [
+            (Fidelity::Agent, Box::new(isolated), "topology"),
+            (Fidelity::Agent, Box::new(Ring::new(61)), "topology"),
+            (Fidelity::Binomial, Box::new(Ring::new(60)), "fidelity"),
+        ];
+        for (fidelity, neighborhood, axis) in cases {
+            match engine(fidelity).with_neighborhood(neighborhood) {
+                Err(SimError::InvalidParameter { name, .. }) => assert_eq!(name, axis),
+                other => panic!("expected a `{axis}` error, got {other:?}"),
+            }
+        }
+    }
+
+    /// Out-of-range fault plans are rejected on both instantiations, and
+    /// the previous plan stays installed.
+    #[test]
+    fn fault_setters_reject_out_of_range_plans() {
+        let mut typed = Engine::new(
+            typed(4),
+            spec(60),
             Fidelity::Agent,
             InitialCondition::AllWrong,
             1,
-        );
-        assert!(matches!(
-            err,
-            Err(SimError::InvalidParameter {
-                name: "population",
-                ..
-            })
-        ));
+        )
+        .unwrap();
+        let mut erased = Engine::new(
+            fet_population(4),
+            spec(60),
+            Fidelity::Binomial,
+            InitialCondition::AllWrong,
+            1,
+        )
+        .unwrap();
+        let bad = [
+            FaultPlan {
+                flip_prob: 1.5,
+                ..FaultPlan::none()
+            },
+            FaultPlan {
+                flip_prob: f64::NAN,
+                ..FaultPlan::none()
+            },
+            FaultPlan {
+                sleep_prob: -1.0,
+                ..FaultPlan::none()
+            },
+        ];
+        for plan in bad {
+            assert!(typed.set_fault_plan(plan).is_err(), "{plan:?}");
+            assert!(erased.set_fault_plan(plan).is_err(), "{plan:?}");
+            let schedule = FaultSchedule::from_plan(plan);
+            assert!(typed.set_fault_schedule(&schedule).is_err(), "{plan:?}");
+        }
+        typed.step();
+        erased.step();
+        assert_eq!(typed.round(), 1);
     }
 
     // ---- the fused execution mode ----
 
     /// Fused rounds replay bit for bit across the typed and
-    /// population-erased front ends, for every per-agent fidelity and
+    /// population-erased instantiations, for every per-agent fidelity and
     /// every fault plan (noise, sleep, retargeting).
     #[test]
     fn fused_is_stream_identical_across_typed_and_population_engines() {
@@ -1827,17 +1744,11 @@ mod tests {
             ),
         ];
         for (fidelity, fault) in cases {
-            let mut typed = Engine::new(
-                FetProtocol::new(8).unwrap(),
-                spec(150),
-                fidelity,
-                InitialCondition::Random,
-                77,
-            )
-            .unwrap();
-            typed.set_fault_plan(fault);
+            let mut typed =
+                Engine::new(typed(8), spec(150), fidelity, InitialCondition::Random, 77).unwrap();
+            typed.set_fault_plan(fault).unwrap();
             typed.set_execution_mode(ExecutionMode::Fused).unwrap();
-            let mut erased = PopulationEngine::new(
+            let mut erased = Engine::new(
                 fet_population(8),
                 spec(150),
                 fidelity,
@@ -1845,7 +1756,7 @@ mod tests {
                 77,
             )
             .unwrap();
-            erased.set_fault_plan(fault);
+            erased.set_fault_plan(fault).unwrap();
             erased.set_execution_mode(ExecutionMode::Fused).unwrap();
             let mut rec_t = TrajectoryRecorder::new();
             let mut rec_e = TrajectoryRecorder::new();
@@ -1866,7 +1777,7 @@ mod tests {
     #[test]
     fn auto_mode_runs_mean_field_rounds_with_zero_scratch() {
         let mut auto = Engine::new(
-            FetProtocol::new(6).unwrap(),
+            typed(6),
             spec(300),
             Fidelity::Binomial,
             InitialCondition::AllWrong,
@@ -1894,7 +1805,7 @@ mod tests {
             ExecutionMode::FusedParallel { threads: 3 },
         ] {
             let mut literal = Engine::new(
-                FetProtocol::new(4).unwrap(),
+                typed(4),
                 spec(100),
                 Fidelity::Agent,
                 InitialCondition::AllWrong,
@@ -1912,7 +1823,7 @@ mod tests {
     // ---- graph-fused execution ----
 
     /// Graph rounds replay bit for bit across the typed and
-    /// population-erased front ends in every fused mode, and `Auto` now
+    /// population-erased instantiations in every fused mode, and `Auto` now
     /// resolves graph rounds to the fused single pass (same stream as
     /// forcing `Fused`).
     #[test]
@@ -1922,25 +1833,21 @@ mod tests {
             ExecutionMode::Fused,
             ExecutionMode::FusedParallel { threads: 3 },
         ] {
-            let mut typed = Engine::with_neighborhood(
-                FetProtocol::new(3).unwrap(),
+            let mut typed = graph_engine(
+                typed(3),
                 Box::new(Ring::new(61)),
                 2,
-                Opinion::One,
                 InitialCondition::AllWrong,
                 19,
-            )
-            .unwrap();
+            );
             typed.set_execution_mode(mode).unwrap();
-            let mut erased = PopulationEngine::with_neighborhood(
+            let mut erased = graph_engine(
                 fet_population(3),
                 Box::new(Ring::new(61)),
                 2,
-                Opinion::One,
                 InitialCondition::AllWrong,
                 19,
-            )
-            .unwrap();
+            );
             erased.set_execution_mode(mode).unwrap();
             for _ in 0..40 {
                 typed.step();
@@ -1955,15 +1862,13 @@ mod tests {
     #[test]
     fn graph_auto_resolves_to_fused() {
         let run = |mode: ExecutionMode| {
-            let mut e = Engine::with_neighborhood(
-                FetProtocol::new(3).unwrap(),
+            let mut e = graph_engine(
+                typed(3),
                 Box::new(Ring::new(60)),
                 2,
-                Opinion::One,
                 InitialCondition::Random,
                 23,
-            )
-            .unwrap();
+            );
             e.set_execution_mode(mode).unwrap();
             let mut rec = TrajectoryRecorder::new();
             e.run(60, ConvergenceCriterion::new(3), &mut rec);
@@ -1981,15 +1886,13 @@ mod tests {
     #[test]
     fn graph_fused_scratch_is_exactly_the_double_buffer() {
         let n = 80usize;
-        let mut fused = Engine::with_neighborhood(
-            FetProtocol::new(3).unwrap(),
+        let mut fused = graph_engine(
+            typed(3),
             Box::new(Ring::new(n as u32)),
             2,
-            Opinion::One,
             InitialCondition::AllWrong,
             7,
-        )
-        .unwrap();
+        );
         fused.set_execution_mode(ExecutionMode::Fused).unwrap();
         for _ in 0..20 {
             fused.step();
@@ -2026,15 +1929,15 @@ mod tests {
                 Box::new(self.clone())
             }
         }
-        let mut e = Engine::with_neighborhood(
-            FetProtocol::for_population(u64::from(n), 4.0).unwrap(),
+        let mut e = graph_engine(
+            Box::new(TypedPopulation::new(
+                FetProtocol::for_population(u64::from(n), 4.0).unwrap(),
+            )),
             Box::new(Dense { links }),
             1,
-            Opinion::One,
             InitialCondition::AllWrong,
             13,
-        )
-        .unwrap();
+        );
         e.set_execution_mode(ExecutionMode::Fused).unwrap();
         let report = e.run(20_000, ConvergenceCriterion::new(3), &mut NullObserver);
         assert!(report.converged(), "{report:?}");
@@ -2050,7 +1953,7 @@ mod tests {
     fn fused_converged_state_is_absorbing() {
         let p = FetProtocol::for_population(200, 4.0).unwrap();
         let mut e = Engine::new(
-            p,
+            Box::new(TypedPopulation::new(p)),
             spec(200),
             Fidelity::Binomial,
             InitialCondition::AllWrong,
@@ -2070,7 +1973,7 @@ mod tests {
     // ---- the parallel fused execution mode ----
 
     /// Parallel fused rounds replay bit for bit across the typed and
-    /// population-erased front ends for a fixed (seed, thread count), for
+    /// population-erased instantiations for a fixed (seed, thread count), for
     /// every per-agent fidelity and every fault plan.
     #[test]
     fn fused_parallel_is_stream_identical_across_typed_and_population_engines() {
@@ -2090,17 +1993,11 @@ mod tests {
         ];
         let mode = ExecutionMode::FusedParallel { threads: 3 };
         for (fidelity, fault) in cases {
-            let mut typed = Engine::new(
-                FetProtocol::new(8).unwrap(),
-                spec(151),
-                fidelity,
-                InitialCondition::Random,
-                77,
-            )
-            .unwrap();
-            typed.set_fault_plan(fault);
+            let mut typed =
+                Engine::new(typed(8), spec(151), fidelity, InitialCondition::Random, 77).unwrap();
+            typed.set_fault_plan(fault).unwrap();
             typed.set_execution_mode(mode).unwrap();
-            let mut erased = PopulationEngine::new(
+            let mut erased = Engine::new(
                 fet_population(8),
                 spec(151),
                 fidelity,
@@ -2108,7 +2005,7 @@ mod tests {
                 77,
             )
             .unwrap();
-            erased.set_fault_plan(fault);
+            erased.set_fault_plan(fault).unwrap();
             erased.set_execution_mode(mode).unwrap();
             let mut rec_t = TrajectoryRecorder::new();
             let mut rec_e = TrajectoryRecorder::new();
@@ -2131,7 +2028,7 @@ mod tests {
     fn fused_parallel_stream_is_keyed_by_shard_count() {
         let run = |threads: u32| {
             let mut e = Engine::new(
-                FetProtocol::new(8).unwrap(),
+                typed(8),
                 spec(150),
                 Fidelity::Binomial,
                 InitialCondition::Random,
@@ -2153,7 +2050,7 @@ mod tests {
         // threads = 1 is still the *sharded* stream (counter-derived shard
         // RNG), not the sequential fused stream.
         let mut fused = Engine::new(
-            FetProtocol::new(8).unwrap(),
+            typed(8),
             spec(150),
             Fidelity::Binomial,
             InitialCondition::Random,
@@ -2169,14 +2066,8 @@ mod tests {
     #[test]
     fn fused_parallel_mode_rejects_only_zero_threads() {
         for fidelity in [Fidelity::Agent, Fidelity::Binomial] {
-            let mut e = Engine::new(
-                FetProtocol::new(4).unwrap(),
-                spec(60),
-                fidelity,
-                InitialCondition::AllWrong,
-                1,
-            )
-            .unwrap();
+            let mut e =
+                Engine::new(typed(4), spec(60), fidelity, InitialCondition::AllWrong, 1).unwrap();
             assert!(matches!(
                 e.set_execution_mode(ExecutionMode::FusedParallel { threads: 0 }),
                 Err(SimError::InvalidParameter { name: "mode", .. })
@@ -2194,7 +2085,7 @@ mod tests {
     fn fused_parallel_converges_with_zero_scratch() {
         let p = FetProtocol::for_population(200, 4.0).unwrap();
         let mut e = Engine::new(
-            p,
+            Box::new(TypedPopulation::new(p)),
             spec(200),
             Fidelity::Binomial,
             InitialCondition::AllWrong,
@@ -2213,7 +2104,7 @@ mod tests {
 
         // n = 6 agents over 16 shards: trailing shards are empty.
         let mut tiny = Engine::new(
-            FetProtocol::new(2).unwrap(),
+            typed(2),
             spec(6),
             Fidelity::Binomial,
             InitialCondition::AllWrong,
@@ -2300,17 +2191,11 @@ mod tests {
             ),
         ];
         for (fidelity, mode, fault) in cases {
-            let mut typed = Engine::new(
-                FetProtocol::new(8).unwrap(),
-                spec(150),
-                fidelity,
-                InitialCondition::Random,
-                77,
-            )
-            .unwrap();
-            typed.set_fault_plan(fault);
+            let mut typed =
+                Engine::new(typed(8), spec(150), fidelity, InitialCondition::Random, 77).unwrap();
+            typed.set_fault_plan(fault).unwrap();
             typed.set_execution_mode(mode).unwrap();
-            let mut bits = PopulationEngine::new(
+            let mut bits = Engine::new(
                 fet_bit_population(8),
                 spec(150),
                 fidelity,
@@ -2319,7 +2204,7 @@ mod tests {
             )
             .unwrap();
             assert!(bits.uses_bit_storage());
-            bits.set_fault_plan(fault);
+            bits.set_fault_plan(fault).unwrap();
             bits.set_execution_mode(mode).unwrap();
             let mut rec_t = TrajectoryRecorder::new();
             let mut rec_b = TrajectoryRecorder::new();
@@ -2344,18 +2229,15 @@ mod tests {
             ExecutionMode::FusedParallel { threads: 3 },
         ] {
             for fidelity in [Fidelity::Agent, Fidelity::Binomial] {
-                let mut typed = Engine::new(
-                    FetProtocol::new(8).unwrap(),
-                    spec(150),
-                    fidelity,
-                    InitialCondition::Random,
-                    77,
-                )
-                .unwrap();
+                let mut typed =
+                    Engine::new(typed(8), spec(150), fidelity, InitialCondition::Random, 77)
+                        .unwrap();
                 typed.set_execution_mode(mode).unwrap();
-                typed.set_fault_plan(FaultPlan::with_sleep(1.0).unwrap());
+                typed
+                    .set_fault_plan(FaultPlan::with_sleep(1.0).unwrap())
+                    .unwrap();
                 let (states, outputs) = (typed.states().to_vec(), typed.outputs().to_vec());
-                let mut bits = PopulationEngine::new(
+                let mut bits = Engine::new(
                     fet_bit_population(8),
                     spec(150),
                     fidelity,
@@ -2364,7 +2246,8 @@ mod tests {
                 )
                 .unwrap();
                 bits.set_execution_mode(mode).unwrap();
-                bits.set_fault_plan(FaultPlan::with_sleep(1.0).unwrap());
+                bits.set_fault_plan(FaultPlan::with_sleep(1.0).unwrap())
+                    .unwrap();
                 for _ in 0..5 {
                     typed.step();
                     bits.step();
@@ -2386,25 +2269,21 @@ mod tests {
             ExecutionMode::Fused,
             ExecutionMode::FusedParallel { threads: 3 },
         ] {
-            let mut typed = Engine::with_neighborhood(
-                FetProtocol::new(3).unwrap(),
+            let mut typed = graph_engine(
+                typed(3),
                 Box::new(Ring::new(151)),
                 2,
-                Opinion::One,
                 InitialCondition::AllWrong,
                 19,
-            )
-            .unwrap();
+            );
             typed.set_execution_mode(mode).unwrap();
-            let mut bits = PopulationEngine::with_neighborhood(
+            let mut bits = graph_engine(
                 fet_bit_population(3),
                 Box::new(Ring::new(151)),
                 2,
-                Opinion::One,
                 InitialCondition::AllWrong,
                 19,
-            )
-            .unwrap();
+            );
             bits.set_execution_mode(mode).unwrap();
             for _ in 0..40 {
                 typed.step();
@@ -2423,7 +2302,7 @@ mod tests {
     /// accessor panics.
     #[test]
     fn bit_storage_outputs_accessor_panics() {
-        let e = PopulationEngine::new(
+        let e = Engine::new(
             fet_bit_population(4),
             spec(60),
             Fidelity::Agent,
@@ -2442,7 +2321,7 @@ mod tests {
     /// — 1 bit/agent where the byte engine keeps 1 byte/agent.
     #[test]
     fn bit_storage_scratch_is_the_word_snapshot() {
-        let mut mean_field = PopulationEngine::new(
+        let mut mean_field = Engine::new(
             fet_bit_population(6),
             spec(300),
             Fidelity::Binomial,
@@ -2455,7 +2334,7 @@ mod tests {
         }
         assert_eq!(mean_field.round_scratch_bytes(), 0);
 
-        let mut literal = PopulationEngine::new(
+        let mut literal = Engine::new(
             fet_bit_population(6),
             spec(300),
             Fidelity::Agent,
@@ -2471,15 +2350,13 @@ mod tests {
             299usize.div_ceil(64) * std::mem::size_of::<u64>()
         );
 
-        let mut ring = PopulationEngine::with_neighborhood(
+        let mut ring = graph_engine(
             fet_bit_population(3),
             Box::new(Ring::new(640)),
             2,
-            Opinion::One,
             InitialCondition::AllWrong,
             7,
-        )
-        .unwrap();
+        );
         ring.set_execution_mode(ExecutionMode::Fused).unwrap();
         for _ in 0..10 {
             ring.step();
@@ -2493,7 +2370,7 @@ mod tests {
 
     #[test]
     fn population_engine_clones_run_independently() {
-        let mut a = PopulationEngine::new(
+        let mut a = Engine::new(
             fet_population(6),
             spec(80),
             Fidelity::Binomial,
@@ -2513,23 +2390,25 @@ mod tests {
     fn event_free_schedule_is_stream_identical_to_plan() {
         let base = FaultPlan::with_noise(0.02).unwrap();
         let mut plain = Engine::new(
-            FetProtocol::new(8).unwrap(),
+            typed(8),
             spec(150),
             Fidelity::Binomial,
             InitialCondition::Random,
             99,
         )
         .unwrap();
-        plain.set_fault_plan(base);
+        plain.set_fault_plan(base).unwrap();
         let mut scheduled = Engine::new(
-            FetProtocol::new(8).unwrap(),
+            typed(8),
             spec(150),
             Fidelity::Binomial,
             InitialCondition::Random,
             99,
         )
         .unwrap();
-        scheduled.set_fault_schedule(&FaultSchedule::from_plan(base));
+        scheduled
+            .set_fault_schedule(&FaultSchedule::from_plan(base))
+            .unwrap();
         let mut rec_p = TrajectoryRecorder::new();
         let mut rec_s = TrajectoryRecorder::new();
         let rp = plain.run(200, ConvergenceCriterion::new(3), &mut rec_p);
@@ -2545,7 +2424,9 @@ mod tests {
     #[test]
     fn trend_switches_yield_per_switch_recovery_records() {
         let mut e = Engine::new(
-            FetProtocol::for_population(300, 4.0).unwrap(),
+            Box::new(TypedPopulation::new(
+                FetProtocol::for_population(300, 4.0).unwrap(),
+            )),
             spec(300),
             Fidelity::Binomial,
             InitialCondition::AllCorrect,
@@ -2566,7 +2447,7 @@ mod tests {
             ],
         )
         .unwrap();
-        e.set_fault_schedule(&schedule);
+        e.set_fault_schedule(&schedule).unwrap();
         let report = e.run(40_000, ConvergenceCriterion::new(5), &mut NullObserver);
         let records = e.recovery_records();
         assert_eq!(records.len(), 2, "{records:?}");
@@ -2622,7 +2503,7 @@ mod tests {
             ExecutionMode::FusedParallel { threads: 3 },
         ] {
             let mut typed = Engine::new(
-                FetProtocol::new(8).unwrap(),
+                typed(8),
                 spec(150),
                 Fidelity::Binomial,
                 InitialCondition::Random,
@@ -2630,8 +2511,8 @@ mod tests {
             )
             .unwrap();
             typed.set_execution_mode(mode).unwrap();
-            typed.set_fault_schedule(&schedule);
-            let mut bits = PopulationEngine::new(
+            typed.set_fault_schedule(&schedule).unwrap();
+            let mut bits = Engine::new(
                 fet_bit_population(8),
                 spec(150),
                 Fidelity::Binomial,
@@ -2640,7 +2521,7 @@ mod tests {
             )
             .unwrap();
             bits.set_execution_mode(mode).unwrap();
-            bits.set_fault_schedule(&schedule);
+            bits.set_fault_schedule(&schedule).unwrap();
             let mut rec_t = TrajectoryRecorder::new();
             let mut rec_b = TrajectoryRecorder::new();
             let rt = typed.run(120, ConvergenceCriterion::new(3), &mut rec_t);
@@ -2662,7 +2543,9 @@ mod tests {
     #[test]
     fn noise_burst_window_restores_base_level() {
         let mut e = Engine::new(
-            FetProtocol::for_population(300, 4.0).unwrap(),
+            Box::new(TypedPopulation::new(
+                FetProtocol::for_population(300, 4.0).unwrap(),
+            )),
             spec(300),
             Fidelity::Binomial,
             InitialCondition::AllCorrect,
@@ -2678,7 +2561,7 @@ mod tests {
             }],
         )
         .unwrap();
-        e.set_fault_schedule(&schedule);
+        e.set_fault_schedule(&schedule).unwrap();
         for _ in 0..5 {
             e.step();
         }
@@ -2700,8 +2583,6 @@ mod tests {
         assert!(records[0].restabilized_at.is_some());
     }
 
-    /// `PopulationEngine::from_population` replays `Engine::from_states`
-    /// for byte containers and accepts pre-filled bit-plane containers.
     #[test]
     fn malformed_worker_override_fails_only_runs_that_shard() {
         assert_eq!(parse_parallel_workers(None), Ok(None));
@@ -2710,7 +2591,7 @@ mod tests {
             assert!(parse_parallel_workers(Some(bad)).is_err(), "`{bad}`");
         }
         let mut engine = Engine::new(
-            FetProtocol::new(6).unwrap(),
+            typed(6),
             spec(200),
             Fidelity::Binomial,
             InitialCondition::AllWrong,
@@ -2731,8 +2612,11 @@ mod tests {
         engine.step();
     }
 
+    /// `Engine::from_population` replays the same explicit states on typed
+    /// and bit-plane containers bit for bit: on the complete graph, and —
+    /// through `with_neighborhood` — on a ring in both fused modes.
     #[test]
-    fn population_engine_from_population_replays_from_states() {
+    fn from_population_replays_explicit_states_on_every_container() {
         let protocol = FetProtocol::new(4).unwrap();
         let states: Vec<FetState> = (0..149)
             .map(|i| {
@@ -2747,26 +2631,45 @@ mod tests {
                 }
             })
             .collect();
-        let mut typed = Engine::from_states(
-            protocol.clone(),
-            spec(150),
-            Fidelity::Binomial,
-            states.clone(),
-            31,
-        )
-        .unwrap();
-        let container = Box::new(fet_core::bitplane::BitPopulation::from_states(
-            protocol, &states,
-        ));
-        let mut bits =
-            PopulationEngine::from_population(container, spec(150), Fidelity::Binomial, 31)
-                .unwrap();
+        let typed = |fidelity| {
+            let container = TypedPopulation::from_states(protocol.clone(), states.clone());
+            Engine::from_population(Box::new(container), spec(150), fidelity, 31).unwrap()
+        };
+        let bits = |fidelity| {
+            let container = BitPopulation::from_states(protocol.clone(), &states);
+            Engine::from_population(Box::new(container), spec(150), fidelity, 31).unwrap()
+        };
+        let (mut t, mut b) = (typed(Fidelity::Binomial), bits(Fidelity::Binomial));
         let mut rec_t = TrajectoryRecorder::new();
         let mut rec_b = TrajectoryRecorder::new();
-        let rt = typed.run(120, ConvergenceCriterion::new(3), &mut rec_t);
-        let rb = bits.run(120, ConvergenceCriterion::new(3), &mut rec_b);
+        let rt = t.run(120, ConvergenceCriterion::new(3), &mut rec_t);
+        let rb = b.run(120, ConvergenceCriterion::new(3), &mut rec_b);
         assert_eq!(rt, rb);
         assert_eq!(rec_t.into_fractions(), rec_b.into_fractions());
-        assert_eq!(typed.outputs(), bits.collect_outputs().as_slice());
+        assert_eq!(t.outputs(), b.collect_outputs().as_slice());
+
+        for mode in [
+            ExecutionMode::Fused,
+            ExecutionMode::FusedParallel { threads: 3 },
+        ] {
+            let ring = || Box::new(Ring::new(150));
+            let mut t = typed(Fidelity::Agent).with_neighborhood(ring()).unwrap();
+            let mut b = bits(Fidelity::Agent).with_neighborhood(ring()).unwrap();
+            assert!(b.uses_bit_storage());
+            t.set_execution_mode(mode).unwrap();
+            b.set_execution_mode(mode).unwrap();
+            let mut rec_t = TrajectoryRecorder::new();
+            let mut rec_b = TrajectoryRecorder::new();
+            let rt = t.run(40, ConvergenceCriterion::new(3), &mut rec_t);
+            let rb = b.run(40, ConvergenceCriterion::new(3), &mut rec_b);
+            assert_eq!(rt, rb, "{mode:?}");
+            assert_eq!(rec_t.into_fractions(), rec_b.into_fractions(), "{mode:?}");
+            assert_eq!(t.outputs(), b.collect_outputs().as_slice(), "{mode:?}");
+            assert_eq!(
+                t.round(),
+                40,
+                "{mode:?}: a ring run must not converge this fast"
+            );
+        }
     }
 }

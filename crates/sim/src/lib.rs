@@ -33,14 +33,12 @@
 //! * [`fault`] — extension features: observation noise, sleepy agents,
 //!   mid-run source retargeting.
 //! * [`batch`] — deterministic multi-threaded replication.
-//! * [`experiment`] — one-call experiment entry points used by the examples
-//!   and the bench harness.
 //!
 //! # Example
 //!
 //! The one-stop entry point is the [`simulation::Simulation`] builder;
-//! synchronous runs execute on the zero-copy population-erased path (see
-//! [`engine::PopulationEngine`]):
+//! synchronous runs execute on the one synchronous engine,
+//! [`engine::Engine`], over a zero-copy type-erased population container:
 //!
 //! ```
 //! use fet_sim::simulation::Simulation;
@@ -64,7 +62,6 @@ pub mod batch;
 pub mod convergence;
 pub mod engine;
 pub mod error;
-pub mod experiment;
 pub mod fault;
 pub mod init;
 pub mod neighborhood;
@@ -80,9 +77,8 @@ pub mod prelude {
     pub use crate::asynchronous::AsyncEngine;
     pub use crate::batch::{parallel_map, BatchSummary};
     pub use crate::convergence::{ConvergenceCriterion, ConvergenceReport};
-    pub use crate::engine::{Engine, ExecutionMode, Fidelity, PopulationEngine};
+    pub use crate::engine::{Engine, ExecutionMode, Fidelity};
     pub use crate::error::SimError;
-    pub use crate::experiment::{run_fet_once, ExperimentSpec, RunOutcome};
     pub use crate::fault::FaultPlan;
     pub use crate::init::InitialCondition;
     pub use crate::neighborhood::Neighborhood;

@@ -1,11 +1,11 @@
 //! The unified `Simulation` facade: one validated builder over every way
 //! this workspace can run a protocol.
 //!
-//! The workspace grew five bespoke entry points — `Engine::<P>::new`, the
-//! neighbor-sampling engine, `AsyncEngine`, `AggregateFetChain`, and the
-//! `ExperimentSpec` helpers — each re-wired by hand in the CLI, every
-//! example, and every experiment binary. [`Simulation::builder`] replaces
-//! that wiring with one fluent, validated configuration surface:
+//! The workspace runs a protocol three ways — the synchronous [`Engine`]
+//! (on the complete graph or any [`Neighborhood`]), [`AsyncEngine`] and
+//! [`AggregateFetChain`]. [`Simulation::builder`] puts them behind one
+//! fluent, validated configuration surface, used by the CLI, the
+//! examples and the experiment binaries:
 //!
 //! * **protocol** — a typed instance, an [`ErasedProtocol`], or a registry
 //!   name (`"fet"`, `"voter"`, `"3-majority"`, … — see
@@ -33,11 +33,13 @@
 //! strategy chosen underneath.
 //!
 //! Synchronous runs — however the protocol was chosen — execute on the
-//! [`PopulationEngine`]: the protocol handle builds a type-erased
-//! *population container* (one contiguous buffer of concrete states, see
+//! default [`Engine`] instantiation, `Engine<dyn DynPopulation>`: the
+//! protocol handle builds a type-erased *population container* (one
+//! contiguous buffer of concrete states or packed bit planes, see
 //! [`fet_core::population`]) and every round dispatches once into the typed
 //! fused kernel. A registry-name run is therefore stream-identical to, and
-//! within a few percent of, the equivalent typed `Engine<P>` run.
+//! within a few percent of, the equivalent `Engine<TypedPopulation<P>>`
+//! run.
 //! Asynchronous runs step the same kind of container, one agent per
 //! activation.
 //!
@@ -70,7 +72,7 @@ use crate::asynchronous::AsyncEngine;
 use crate::convergence::{
     ConvergenceCriterion, ConvergenceDetector, ConvergenceReport, RecoveryRecord,
 };
-use crate::engine::{ExecutionMode, Fidelity, PopulationEngine};
+use crate::engine::{Engine, ExecutionMode, Fidelity};
 use crate::error::SimError;
 use crate::fault::{FaultPlan, FaultSchedule};
 use crate::init::InitialCondition;
@@ -217,11 +219,11 @@ impl RunReport {
 }
 
 enum Runner {
-    /// The synchronous hot path: the generic round loop over a type-erased
-    /// *population container* (one contiguous typed state buffer — no
-    /// per-round state buffer or clone), stream-identical to the typed
-    /// `Engine<P>` for the same seed.
-    Sync(Box<PopulationEngine>),
+    /// The synchronous hot path: the [`Engine`] over a type-erased
+    /// *population container* (contiguous typed states or packed bit
+    /// planes — no per-round state buffer or clone), stream-identical to
+    /// the typed `Engine<TypedPopulation<P>>` for the same seed.
+    Sync(Box<Engine>),
     /// The per-activation scheduler: one agent of the same population
     /// container steps per tick.
     Async(Box<AsyncEngine>),
@@ -333,14 +335,12 @@ impl Simulation {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidParameter`] for the aggregate and
+    /// Returns [`SimError::InvalidParameter`] (name `fault`) for a plan
+    /// that fails [`FaultPlan::validate`], and for the aggregate and
     /// asynchronous runners, which do not execute fault plans.
     pub fn set_fault_plan(&mut self, fault: FaultPlan) -> Result<(), SimError> {
         match &mut self.runner {
-            Runner::Sync(e) => {
-                e.set_fault_plan(fault);
-                Ok(())
-            }
+            Runner::Sync(e) => e.set_fault_plan(fault),
             Runner::Async(_) | Runner::Aggregate(_) => Err(SimError::InvalidParameter {
                 name: "fault",
                 detail: "fault plans are a synchronous per-agent engine feature".into(),
@@ -349,7 +349,7 @@ impl Simulation {
     }
 
     /// Installs a round-indexed fault schedule mid-run (see
-    /// [`PopulationEngine::set_fault_schedule`]); event rounds are
+    /// [`Engine::set_fault_schedule`]); event rounds are
     /// absolute, so events scheduled before the current round never fire.
     ///
     /// # Errors
@@ -357,10 +357,7 @@ impl Simulation {
     /// As [`Simulation::set_fault_plan`].
     pub fn set_fault_schedule(&mut self, schedule: &FaultSchedule) -> Result<(), SimError> {
         match &mut self.runner {
-            Runner::Sync(e) => {
-                e.set_fault_schedule(schedule);
-                Ok(())
-            }
+            Runner::Sync(e) => e.set_fault_schedule(schedule),
             Runner::Async(_) | Runner::Aggregate(_) => Err(SimError::InvalidParameter {
                 name: "fault",
                 detail: "fault schedules are a synchronous per-agent engine feature".into(),
@@ -740,7 +737,8 @@ impl SimulationBuilder {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidParameter`] for incompatible selections
-    /// — topology with a non-agent fidelity or the async scheduler,
+    /// — a fault plan (or schedule base plan) with a probability outside
+    /// `[0, 1]`, topology with a non-agent fidelity or the async scheduler,
     /// aggregate fidelity with a protocol lacking the Observation 1
     /// structure / with faults / with the async scheduler,
     /// without-replacement sampling with `m > n`, an unknown registry name,
@@ -812,6 +810,7 @@ impl SimulationBuilder {
             .schedule
             .as_ref()
             .map_or(self.fault, FaultSchedule::base);
+        effective_fault.validate()?;
         let faulty =
             !effective_fault.is_none() || self.schedule.as_ref().is_some_and(|s| !s.is_trivial());
         if self.scheduler == Scheduler::Asynchronous {
@@ -972,24 +971,13 @@ impl SimulationBuilder {
                         .expect("packability validated by the storage axis above"),
                     _ => protocol.population(),
                 };
-                let mut engine = match self.topology {
-                    Some(topology) => PopulationEngine::with_neighborhood(
-                        population,
-                        topology,
-                        u32::try_from(self.num_sources).map_err(|_| {
-                            Self::invalid("sources", "topology engines index sources as u32")
-                        })?,
-                        self.correct,
-                        self.init,
-                        self.seed,
-                    )?,
-                    None => {
-                        PopulationEngine::new(population, spec, per_agent, self.init, self.seed)?
-                    }
-                };
+                let mut engine = Engine::new(population, spec, per_agent, self.init, self.seed)?;
+                if let Some(topology) = self.topology {
+                    engine = engine.with_neighborhood(topology)?;
+                }
                 match &self.schedule {
-                    Some(schedule) => engine.set_fault_schedule(schedule),
-                    None => engine.set_fault_plan(self.fault),
+                    Some(schedule) => engine.set_fault_schedule(schedule)?,
+                    None => engine.set_fault_plan(self.fault)?,
                 }
                 // Mode compatibility is validated above; what is left is
                 // a malformed `FET_PARALLEL_WORKERS` on a run that shards.

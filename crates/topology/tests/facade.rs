@@ -1,7 +1,9 @@
 //! Graphs through the unified `Simulation` facade.
 
+use fet_core::config::ProblemSpec;
 use fet_core::fet::FetProtocol;
 use fet_core::opinion::Opinion;
+use fet_core::population::TypedPopulation;
 use fet_sim::convergence::ConvergenceCriterion;
 use fet_sim::engine::{Engine, Fidelity};
 use fet_sim::init::InitialCondition;
@@ -39,14 +41,17 @@ fn facade_agrees_with_the_typed_neighborhood_engine() {
     let mut rng = SeedTree::new(2).child("facade-vs-legacy").rng();
     let graph = builders::erdos_renyi(250, 0.2, &mut rng).unwrap();
     let protocol = FetProtocol::for_population(250, 4.0).unwrap();
-    let mut typed = Engine::with_neighborhood(
-        protocol,
-        Box::new(graph.clone()),
-        1,
-        Opinion::One,
+    let spec = ProblemSpec::single_source(250, Opinion::One).unwrap();
+    let population = Box::new(TypedPopulation::new(protocol));
+    let mut typed = Engine::new(
+        population,
+        spec,
+        Fidelity::Agent,
         InitialCondition::AllWrong,
         13,
     )
+    .unwrap()
+    .with_neighborhood(Box::new(graph.clone()))
     .unwrap();
     let typed_report = typed.run(20_000, ConvergenceCriterion::new(5), &mut NullObserver);
     let mut facade = Simulation::builder()

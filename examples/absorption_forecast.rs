@@ -17,6 +17,7 @@ use fet::analysis::markov::ExactChain;
 use fet::core::config::ProblemSpec;
 use fet::core::fet::{FetProtocol, FetState};
 use fet::core::opinion::Opinion;
+use fet::core::population::TypedPopulation;
 use fet::sim::convergence::ConvergenceCriterion;
 use fet::sim::engine::{Engine, Fidelity};
 use fet::sim::observer::NullObserver;
@@ -62,7 +63,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 prev_count_second_half: sample_binomial(ell, 1.0 / n as f64, &mut rng) as u32,
             })
             .collect();
-        let mut engine = Engine::from_states(protocol, spec, Fidelity::Agent, states, rep)?;
+        let states = Box::new(TypedPopulation::from_states(protocol, states));
+        let mut engine = Engine::from_population(states, spec, Fidelity::Agent, rep)?;
         let report = engine.run(100_000, ConvergenceCriterion::new(1), &mut NullObserver);
         let t = report.converged_at.expect("FET converges");
         if t <= t_star + 1 {

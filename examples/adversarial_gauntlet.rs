@@ -15,6 +15,7 @@ use fet::adversary::search::{AdversaryPoint, WorstCaseSearch};
 use fet::core::config::ProblemSpec;
 use fet::core::fet::FetProtocol;
 use fet::core::opinion::Opinion;
+use fet::core::population::TypedPopulation;
 use fet::sim::convergence::ConvergenceCriterion;
 use fet::sim::engine::{Engine, Fidelity};
 use fet::sim::observer::NullObserver;
@@ -38,8 +39,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ),
     ];
     for (name, states) in traps {
-        let mut engine =
-            Engine::from_states(protocol.clone(), spec, Fidelity::Binomial, states, 4242)?;
+        let states = Box::new(TypedPopulation::from_states(protocol.clone(), states));
+        let mut engine = Engine::from_population(states, spec, Fidelity::Binomial, 4242)?;
         let report = engine.run(200_000, ConvergenceCriterion::new(3), &mut NullObserver);
         println!(
             "  {name:<48} t_con = {}",

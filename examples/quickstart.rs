@@ -10,28 +10,34 @@
 //! on the source's opinion in a few dozen rounds — despite each agent
 //! seeing nothing but opinion counts of random peers.
 
+use fet::core::config::ell_for_population;
 use fet::prelude::*;
+use fet::sim::simulation::DEFAULT_SAMPLE_CONSTANT;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 10_000;
-    let spec = ExperimentSpec::builder(n).seed(2022).build()?;
+    let report = Simulation::builder()
+        .population(n)
+        .init(InitialCondition::AllWrong)
+        .seed(2022)
+        .record_trajectory(true)
+        .build()?
+        .run();
     println!(
         "population n = {n}, sample size ℓ = {} (= ⌈4·ln n⌉), one source knowing the truth",
-        spec.ell()
+        ell_for_population(n, DEFAULT_SAMPLE_CONSTANT)
     );
     println!("initial condition: every non-source agent holds the WRONG opinion\n");
-
-    let outcome = run_fet_once(&spec, InitialCondition::AllWrong);
 
     // Print the trajectory of x_t = fraction of agents holding the correct
     // opinion (here the correct opinion is 1, so x_t is fraction-of-ones).
     println!("round   x_t      visual");
-    for (t, x) in outcome.trajectory.iter().enumerate() {
+    for (t, x) in report.trajectory.iter().flatten().enumerate() {
         let bar = "#".repeat((x * 50.0).round() as usize);
         println!("{t:>5}   {x:<7.4}  {bar}");
     }
 
-    match outcome.report.converged_at {
+    match report.converged_at() {
         Some(t) => println!(
             "\nconverged at round {t}; the paper's yardstick log^2.5 n = {:.1}",
             (n as f64).ln().powf(2.5)

@@ -39,17 +39,19 @@
 //! ```
 //! use fet::prelude::*;
 //!
-//! let spec = ExperimentSpec::builder(1_000)
+//! let report = Simulation::builder()
+//!     .population(1_000)
+//!     .init(InitialCondition::AllWrong)
 //!     .seed(42)
 //!     .build()
-//!     .expect("valid spec");
-//! let outcome = run_fet_once(&spec, InitialCondition::AllWrong);
-//! assert!(outcome.converged());
+//!     .expect("valid configuration")
+//!     .run();
+//! assert!(report.converged());
 //! ```
 //!
-//! The same run through the unified builder facade — the entry point for
-//! everything beyond a plain single run (other protocols, fidelities,
-//! topologies, schedulers, fault plans):
+//! The same builder is the entry point for everything beyond a plain
+//! single run (other protocols, fidelities, topologies, schedulers, fault
+//! plans):
 //!
 //! ```
 //! use fet::prelude::*;
@@ -87,8 +89,7 @@ pub mod prelude {
     pub use fet_gauntlet::{run_gauntlet, GauntletOptions, GauntletSpec};
     pub use fet_protocols::registry::{ProtocolParams, ProtocolRegistry};
     pub use fet_sim::convergence::{ConvergenceCriterion, ConvergenceReport};
-    pub use fet_sim::engine::{Engine, ExecutionMode, Fidelity, PopulationEngine};
-    pub use fet_sim::experiment::{run_fet_once, run_protocol_once, ExperimentSpec, RunOutcome};
+    pub use fet_sim::engine::{Engine, ExecutionMode, Fidelity};
     pub use fet_sim::fault::{FaultEvent, FaultPlan, FaultSchedule};
     pub use fet_sim::neighborhood::Neighborhood;
     pub use fet_sim::simulation::{RunReport, Scheduler, Simulation, SimulationBuilder, Storage};

@@ -462,7 +462,7 @@ fn word_kernel_engines_track_typed_engines() {
     {
         let spec = ProblemSpec::single_source(500, Opinion::One).unwrap();
         let erased = ErasedProtocol::new(protocol);
-        let mut typed = PopulationEngine::new(
+        let mut typed = Engine::new(
             erased.population(),
             spec,
             Fidelity::Binomial,
@@ -470,7 +470,7 @@ fn word_kernel_engines_track_typed_engines() {
             77,
         )
         .unwrap();
-        let mut bits = PopulationEngine::new(
+        let mut bits = Engine::new(
             erased.bit_population().expect("OpinionOnly packs"),
             spec,
             Fidelity::Binomial,

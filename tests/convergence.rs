@@ -3,9 +3,27 @@
 
 use fet::core::opinion::Opinion;
 use fet::sim::engine::Fidelity;
-use fet::sim::experiment::{run_fet_once, ExperimentSpec};
 use fet::sim::init::InitialCondition;
-use fet::sim::simulation::Simulation;
+use fet::sim::simulation::{RunReport, Simulation};
+
+/// FET on `n` agents (binomial fidelity, the paper's `ℓ`) from `init`,
+/// with the `x_t` trajectory recorded.
+fn run_fet(n: u64, correct: Opinion, init: InitialCondition, seed: u64, window: u64) -> RunReport {
+    Simulation::builder()
+        .population(n)
+        .correct(correct)
+        .init(init)
+        .seed(seed)
+        .stability_window(window)
+        .record_trajectory(true)
+        .build()
+        .expect("valid")
+        .run()
+}
+
+fn trajectory(report: &RunReport) -> &[f64] {
+    report.trajectory.as_deref().expect("trajectory recorded")
+}
 
 #[test]
 fn converges_from_every_basic_initial_condition() {
@@ -15,11 +33,7 @@ fn converges_from_every_basic_initial_condition() {
         InitialCondition::Random,
         InitialCondition::FractionCorrect(0.25),
     ] {
-        let spec = ExperimentSpec::builder(500)
-            .seed(11)
-            .build()
-            .expect("valid");
-        let out = run_fet_once(&spec, init);
+        let out = run_fet(500, Opinion::One, init, 11, 3);
         assert!(out.converged(), "init {init:?} failed: {:?}", out.report);
         assert_eq!(out.report.final_fraction_correct, 1.0);
     }
@@ -50,21 +64,11 @@ fn both_fidelities_converge_and_stay() {
 fn correct_zero_is_mirror_of_correct_one() {
     // The protocol is symmetric w.r.t. the source's opinion (§2): both
     // instances converge, and the final fractions mirror.
-    let one = ExperimentSpec::builder(300)
-        .seed(21)
-        .correct(Opinion::One)
-        .build()
-        .expect("valid");
-    let zero = ExperimentSpec::builder(300)
-        .seed(21)
-        .correct(Opinion::Zero)
-        .build()
-        .expect("valid");
-    let out1 = run_fet_once(&one, InitialCondition::AllWrong);
-    let out0 = run_fet_once(&zero, InitialCondition::AllWrong);
+    let out1 = run_fet(300, Opinion::One, InitialCondition::AllWrong, 21, 3);
+    let out0 = run_fet(300, Opinion::Zero, InitialCondition::AllWrong, 21, 3);
     assert!(out1.converged() && out0.converged());
-    assert_eq!(*out1.trajectory.last().expect("nonempty"), 1.0);
-    assert_eq!(*out0.trajectory.last().expect("nonempty"), 0.0);
+    assert_eq!(trajectory(&out1).last(), Some(&1.0));
+    assert_eq!(trajectory(&out0).last(), Some(&0.0));
 }
 
 #[test]
@@ -106,28 +110,21 @@ fn multi_source_instances_converge() {
 
 #[test]
 fn experiment_runs_are_deterministic() {
-    let spec = ExperimentSpec::builder(300)
-        .seed(777)
-        .build()
-        .expect("valid");
-    let a = run_fet_once(&spec, InitialCondition::Random);
-    let b = run_fet_once(&spec, InitialCondition::Random);
-    assert_eq!(a, b);
+    let a = run_fet(300, Opinion::One, InitialCondition::Random, 777, 3);
+    let b = run_fet(300, Opinion::One, InitialCondition::Random, 777, 3);
+    assert_eq!(a.report, b.report);
+    assert_eq!(trajectory(&a), trajectory(&b));
 }
 
 #[test]
 fn convergence_time_is_reported_at_streak_start() {
-    let spec = ExperimentSpec::builder(300)
-        .seed(13)
-        .stability_window(8)
-        .build()
-        .expect("valid");
-    let out = run_fet_once(&spec, InitialCondition::AllWrong);
-    let t = out.report.converged_at.expect("converged") as usize;
+    let out = run_fet(300, Opinion::One, InitialCondition::AllWrong, 13, 8);
+    let t = out.converged_at().expect("converged") as usize;
+    let trajectory = trajectory(&out);
     // From t onward the trajectory must be pinned at 1.
-    for (i, &x) in out.trajectory.iter().enumerate().skip(t) {
+    for (i, &x) in trajectory.iter().enumerate().skip(t) {
         assert_eq!(x, 1.0, "round {i} regressed after t_con = {t}");
     }
     // And at t−1 it was not yet 1.
-    assert!(out.trajectory[t - 1] < 1.0);
+    assert!(trajectory[t - 1] < 1.0);
 }

@@ -81,14 +81,14 @@ fn typed_trajectory(shards: u32, fidelity: Fidelity, fault: FaultPlan) -> Vec<f6
     let ell = ell_for_population(N, 4.0);
     let spec = ProblemSpec::single_source(N, Opinion::One).unwrap();
     let mut engine = Engine::new(
-        FetProtocol::new(ell).unwrap(),
+        Box::new(TypedPopulation::new(FetProtocol::new(ell).unwrap())),
         spec,
         fidelity,
         InitialCondition::AllWrong,
         SEED,
     )
     .unwrap();
-    engine.set_fault_plan(fault);
+    engine.set_fault_plan(fault).unwrap();
     engine
         .set_execution_mode(ExecutionMode::FusedParallel { threads: shards })
         .unwrap();
@@ -172,16 +172,19 @@ fn regular_graph(degree: u32) -> fet::topology::graph::Graph {
 
 fn graph_typed_trajectory(degree: u32, shards: u32, fault: FaultPlan) -> Vec<f64> {
     let ell = ell_for_population(N, 4.0);
-    let mut engine = Engine::with_neighborhood(
-        FetProtocol::new(ell).unwrap(),
-        Box::new(regular_graph(degree)),
-        1,
-        Opinion::One,
+    let spec = ProblemSpec::single_source(N, Opinion::One).unwrap();
+    let population = Box::new(TypedPopulation::new(FetProtocol::new(ell).unwrap()));
+    let mut engine = Engine::new(
+        population,
+        spec,
+        Fidelity::Agent,
         InitialCondition::AllWrong,
         SEED,
     )
+    .unwrap()
+    .with_neighborhood(Box::new(regular_graph(degree)))
     .unwrap();
-    engine.set_fault_plan(fault);
+    engine.set_fault_plan(fault).unwrap();
     engine
         .set_execution_mode(ExecutionMode::FusedParallel { threads: shards })
         .unwrap();

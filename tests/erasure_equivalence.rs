@@ -1,6 +1,6 @@
 //! The erased-execution guarantees, checked from the outside:
 //!
-//! 1. Typed `Engine<P>`, the population-erased facade path
+//! 1. The typed engine, the population-erased facade path
 //!    (`Simulation::builder().protocol_name(..)`), and the **bit-plane**
 //!    facade path (`.storage(Storage::BitPlane)`) replay **identical**
 //!    trajectories for the same seed — representation (erasure *and*
@@ -69,7 +69,7 @@ where
 {
     let spec = ProblemSpec::single_source(N, Opinion::One).unwrap();
     let mut engine = Engine::new(
-        protocol,
+        Box::new(TypedPopulation::new(protocol)),
         spec,
         Fidelity::Binomial,
         InitialCondition::AllWrong,

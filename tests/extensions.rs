@@ -9,6 +9,7 @@ use fet::analysis::markov::ExactChain;
 use fet::core::config::ProblemSpec;
 use fet::core::fet::FetProtocol;
 use fet::core::opinion::Opinion;
+use fet::core::population::TypedPopulation;
 use fet::sim::convergence::ConvergenceCriterion;
 use fet::sim::engine::{Engine, Fidelity};
 use fet::sim::observer::NullObserver;
@@ -183,8 +184,13 @@ fn exact_absorption_cdf_brackets_monte_carlo() {
             };
             (n - 1) as usize
         ];
-        let mut engine = Engine::from_states(protocol, spec, Fidelity::Agent, states, 3_000 + rep)
-            .expect("valid");
+        let mut engine = Engine::from_population(
+            Box::new(TypedPopulation::from_states(protocol, states)),
+            spec,
+            Fidelity::Agent,
+            3_000 + rep,
+        )
+        .expect("valid");
         let report = engine.run(100_000, ConvergenceCriterion::new(1), &mut NullObserver);
         times.push(report.converged_at.expect("must converge"));
     }

@@ -76,7 +76,7 @@ fn builder_misuse_is_rejected_with_specific_errors() {
     let p = FetProtocol::new(8).unwrap();
     let spec = fet::core::config::ProblemSpec::single_source(100, Opinion::One).unwrap();
     let err = Engine::new(
-        p,
+        Box::new(TypedPopulation::new(p)),
         spec,
         Fidelity::Aggregate,
         fet::sim::init::InitialCondition::AllWrong,
@@ -84,6 +84,64 @@ fn builder_misuse_is_rejected_with_specific_errors() {
     )
     .unwrap_err();
     assert!(err.to_string().contains("Simulation::builder"), "{err}");
+}
+
+/// Fault plans have public fields, so the facade validates them: an
+/// out-of-range probability is a typed `fault` error at build time and
+/// mid-run, never a panic in a later round.
+#[test]
+fn out_of_range_fault_plans_are_rejected_at_build_time_and_mid_run() {
+    let plans = [
+        FaultPlan {
+            flip_prob: 1.5,
+            ..FaultPlan::none()
+        },
+        FaultPlan {
+            flip_prob: f64::NAN,
+            ..FaultPlan::none()
+        },
+        FaultPlan {
+            sleep_prob: 2.0,
+            ..FaultPlan::none()
+        },
+        FaultPlan {
+            sleep_prob: -1.0,
+            ..FaultPlan::none()
+        },
+    ];
+    let is_fault_error = |err: &fet::sim::SimError| {
+        matches!(
+            err,
+            fet::sim::SimError::InvalidParameter { name: "fault", .. }
+        )
+    };
+    for plan in plans {
+        let built = Simulation::builder().population(200).fault(plan).build();
+        let err = built.expect_err("an out-of-range plan must not build");
+        assert!(is_fault_error(&err), "{plan:?}: {err}");
+        let scheduled = Simulation::builder()
+            .population(200)
+            .fault_schedule(FaultSchedule::from_plan(plan))
+            .build();
+        let err = scheduled.expect_err("an out-of-range base plan must not build");
+        assert!(is_fault_error(&err), "{plan:?} as a schedule base: {err}");
+
+        let mut sim = Simulation::builder()
+            .population(200)
+            .seed(5)
+            .build()
+            .expect("valid");
+        sim.step();
+        let err = sim.set_fault_plan(plan).expect_err("rejected mid-run");
+        assert!(is_fault_error(&err), "{plan:?} mid-run: {err}");
+        let schedule = FaultSchedule::from_plan(plan);
+        let err = sim
+            .set_fault_schedule(&schedule)
+            .expect_err("rejected mid-run");
+        assert!(is_fault_error(&err), "{plan:?} mid-run schedule: {err}");
+        sim.step();
+        assert_eq!(sim.round(), 2);
+    }
 }
 
 /// Every registered protocol runs end-to-end through the facade — the
@@ -120,7 +178,7 @@ fn bit_plane_population_engines_step_sleepy_rounds() {
     let population = ErasedProtocol::new(FetProtocol::new(6).unwrap())
         .bit_population()
         .expect("small-ℓ FET packs");
-    let mut engine = PopulationEngine::new(
+    let mut engine = Engine::new(
         population,
         spec,
         Fidelity::Binomial,
@@ -128,7 +186,9 @@ fn bit_plane_population_engines_step_sleepy_rounds() {
         3,
     )
     .unwrap();
-    engine.set_fault_plan(FaultPlan::with_sleep(0.3).unwrap());
+    engine
+        .set_fault_plan(FaultPlan::with_sleep(0.3).unwrap())
+        .unwrap();
     for _ in 0..5 {
         engine.step();
     }

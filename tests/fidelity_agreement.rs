@@ -7,6 +7,7 @@ use fet::analysis::markov::ExactChain;
 use fet::core::config::ProblemSpec;
 use fet::core::fet::{FetProtocol, FetState};
 use fet::core::opinion::Opinion;
+use fet::core::population::TypedPopulation;
 use fet::sim::aggregate::AggregateFetChain;
 use fet::sim::convergence::ConvergenceCriterion;
 use fet::sim::engine::{Engine, Fidelity};
@@ -34,9 +35,13 @@ fn engine_one_step_mean(n: u64, ell: u32, x0: f64, x1: f64, fidelity: Fidelity, 
                 prev_count_second_half: sample_binomial(u64::from(ell), x0, &mut rng) as u32,
             })
             .collect();
-        let mut engine =
-            Engine::from_states(protocol, spec, fidelity, states, tree.child("e").seed())
-                .expect("valid");
+        let mut engine = Engine::from_population(
+            Box::new(TypedPopulation::from_states(protocol, states)),
+            spec,
+            fidelity,
+            tree.child("e").seed(),
+        )
+        .expect("valid");
         engine.step();
         acc.push(engine.fraction_ones());
     }
@@ -121,11 +126,10 @@ fn exact_chain_agrees_with_agent_level_monte_carlo() {
                     as u32,
             })
             .collect();
-        let mut engine = Engine::from_states(
-            protocol,
+        let mut engine = Engine::from_population(
+            Box::new(TypedPopulation::from_states(protocol, states)),
             spec,
             Fidelity::Agent,
-            states,
             tree.child("e").seed(),
         )
         .expect("valid");

@@ -1,7 +1,7 @@
 //! The fused execution path's two guarantees, checked from the outside:
 //!
 //! 1. **Determinism / representation-independence** — a fused run is its
-//!    own deterministic stream: for one seed, the typed `Engine<P>` and
+//!    own deterministic stream: for one seed, the typed engine and
 //!    the facade's population-erased path replay **identical** fused
 //!    trajectories, and none of them allocates a per-round buffer beyond
 //!    what its sampling rule reads (nothing on mean-field rounds, exactly
@@ -42,8 +42,14 @@ where
     P::State: 'static,
 {
     let spec = ProblemSpec::single_source(N, Opinion::One).unwrap();
-    let mut engine =
-        Engine::new(protocol, spec, fidelity, InitialCondition::AllWrong, SEED).unwrap();
+    let mut engine = Engine::new(
+        Box::new(TypedPopulation::new(protocol)),
+        spec,
+        fidelity,
+        InitialCondition::AllWrong,
+        SEED,
+    )
+    .unwrap();
     engine.set_execution_mode(mode).unwrap();
     let mut rec = TrajectoryRecorder::new();
     let report = engine.run(MAX_ROUNDS, ConvergenceCriterion::new(WINDOW), &mut rec);
@@ -115,7 +121,7 @@ fn fet_fused_agent_vs_binomial_convergence_times_agree() {
     let run = |fidelity: Fidelity, seed: u64| -> f64 {
         let spec = ProblemSpec::single_source(n, Opinion::One).unwrap();
         let mut engine = Engine::new(
-            FetProtocol::new(ell).unwrap(),
+            Box::new(TypedPopulation::new(FetProtocol::new(ell).unwrap())),
             spec,
             fidelity,
             InitialCondition::AllWrong,
@@ -166,7 +172,7 @@ fn three_majority_fused_agent_vs_binomial_trajectory_marginals_agree() {
     let run = |fidelity: Fidelity, seed: u64| -> f64 {
         let spec = ProblemSpec::single_source(n, Opinion::One).unwrap();
         let mut engine = Engine::new(
-            ThreeMajorityProtocol::new(),
+            Box::new(TypedPopulation::new(ThreeMajorityProtocol::new())),
             spec,
             fidelity,
             InitialCondition::Random,

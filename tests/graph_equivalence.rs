@@ -4,7 +4,7 @@
 //!
 //! 1. **Determinism / representation-independence** — a graph-fused run
 //!    is its own deterministic stream: for one seed (and, for the
-//!    parallel mode, one shard count), the typed `Engine<P>`, the facade's
+//!    parallel mode, one shard count), the typed engine, the facade's
 //!    population-erased path, and the facade's bit-plane path
 //!    (`.storage(Storage::BitPlane)`) replay **identical** trajectories,
 //!    and the only auxiliary memory any of them keeps is the persistent
@@ -25,7 +25,7 @@ use fet::stats::distance::ks_two_sample;
 use fet::stats::summary::WelfordAccumulator;
 use fet::topology::builders;
 use fet::topology::graph::Graph;
-use fet_core::config::ell_for_population;
+use fet_core::config::{ell_for_population, ProblemSpec};
 use fet_sim::convergence::ConvergenceReport;
 use fet_sim::init::InitialCondition;
 use fet_sim::observer::NullObserver;
@@ -43,6 +43,26 @@ fn expander(n: u32) -> Graph {
     builders::random_regular(n, DEGREE, &mut rng).unwrap()
 }
 
+/// A typed engine on `expander(n)` from the all-wrong start, with the
+/// source at vertex 0.
+fn graph_engine<P>(protocol: P, n: u32, seed: u64) -> Engine<TypedPopulation<P>>
+where
+    P: Protocol + std::fmt::Debug + Send + Sync,
+{
+    let spec = ProblemSpec::single_source(u64::from(n), Opinion::One).unwrap();
+    let population = Box::new(TypedPopulation::new(protocol));
+    Engine::new(
+        population,
+        spec,
+        Fidelity::Agent,
+        InitialCondition::AllWrong,
+        seed,
+    )
+    .unwrap()
+    .with_neighborhood(Box::new(expander(n)))
+    .unwrap()
+}
+
 /// Runs a typed graph engine in the given mode, recording the trajectory
 /// and asserting the fused path's double-buffer-only memory guarantee.
 fn typed_trajectory<P>(protocol: P, mode: ExecutionMode) -> (ConvergenceReport, Vec<f64>)
@@ -50,15 +70,7 @@ where
     P: Protocol + Clone + std::fmt::Debug + Send + Sync + 'static,
     P::State: 'static,
 {
-    let mut engine = Engine::with_neighborhood(
-        protocol,
-        Box::new(expander(N)),
-        1,
-        Opinion::One,
-        InitialCondition::AllWrong,
-        SEED,
-    )
-    .unwrap();
+    let mut engine = graph_engine(protocol, N, SEED);
     engine.set_execution_mode(mode).unwrap();
     let mut rec = TrajectoryRecorder::new();
     let report = engine.run(MAX_ROUNDS, ConvergenceCriterion::new(WINDOW), &mut rec);
@@ -157,15 +169,8 @@ fn fet_graph_fused_vs_parallel_convergence_times_agree() {
     let n = 300u32;
     let reps = 40u64;
     let run = |mode: ExecutionMode, seed: u64| -> f64 {
-        let mut engine = Engine::with_neighborhood(
-            FetProtocol::for_population(u64::from(n), 4.0).unwrap(),
-            Box::new(expander(n)),
-            1,
-            Opinion::One,
-            InitialCondition::AllWrong,
-            seed,
-        )
-        .unwrap();
+        let protocol = FetProtocol::for_population(u64::from(n), 4.0).unwrap();
+        let mut engine = graph_engine(protocol, n, seed);
         engine.set_execution_mode(mode).unwrap();
         let report = engine.run(20_000, ConvergenceCriterion::new(WINDOW), &mut NullObserver);
         report
@@ -212,16 +217,8 @@ fn graph_fused_fault_plans_replay_and_match_facade() {
         FaultPlan::with_sleep(0.2).unwrap(),
     ] {
         let typed = || {
-            let mut engine = Engine::with_neighborhood(
-                FetProtocol::new(ell).unwrap(),
-                Box::new(expander(N)),
-                1,
-                Opinion::One,
-                InitialCondition::AllWrong,
-                SEED,
-            )
-            .unwrap();
-            engine.set_fault_plan(fault);
+            let mut engine = graph_engine(FetProtocol::new(ell).unwrap(), N, SEED);
+            engine.set_fault_plan(fault).unwrap();
             engine.set_execution_mode(ExecutionMode::Fused).unwrap();
             let mut rec = TrajectoryRecorder::new();
             engine.run(80, ConvergenceCriterion::new(WINDOW), &mut rec);

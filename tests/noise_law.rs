@@ -384,24 +384,31 @@ fn noise(flip: f64) -> FaultPlan {
 }
 
 fn typed_round(fidelity: Fidelity, mode: ExecutionMode, fault: FaultPlan, seed: u64) -> f64 {
-    let mut engine = Engine::from_states(protocol(), spec(), fidelity, configuration(), seed)
-        .expect("valid configuration");
+    let mut engine = Engine::from_population(
+        Box::new(TypedPopulation::from_states(protocol(), configuration())),
+        spec(),
+        fidelity,
+        seed,
+    )
+    .expect("valid configuration");
     engine
         .set_execution_mode(mode)
         .expect("mode fits the fidelity");
-    engine.set_fault_plan(fault);
+    engine.set_fault_plan(fault).expect("valid fault plan");
     engine.step();
     engine.fraction_ones()
 }
 
 fn bit_plane_round(fidelity: Fidelity, flip: f64, seed: u64) -> f64 {
     let container = Box::new(BitPopulation::from_states(protocol(), &configuration()));
-    let mut engine = PopulationEngine::from_population(container, spec(), fidelity, seed)
-        .expect("valid configuration");
+    let mut engine =
+        Engine::from_population(container, spec(), fidelity, seed).expect("valid configuration");
     engine
         .set_execution_mode(ExecutionMode::Fused)
         .expect("bit planes run fused");
-    engine.set_fault_plan(noise(flip));
+    engine
+        .set_fault_plan(noise(flip))
+        .expect("valid fault plan");
     engine.step();
     engine.fraction_ones()
 }

@@ -3,7 +3,7 @@
 //!
 //! 1. **Determinism / representation-independence** — a parallel fused
 //!    run is keyed by `(seed, thread count)`: for one such pair, the typed
-//!    `Engine<P>`, the facade's population-erased path, and the facade's
+//!    engine, the facade's population-erased path, and the facade's
 //!    **bit-plane** path (`.storage(Storage::BitPlane)`) replay
 //!    **identical** trajectories, and none of them allocates per-round
 //!    snapshot/observation/output buffers.
@@ -45,8 +45,14 @@ where
     P::State: 'static,
 {
     let spec = ProblemSpec::single_source(N, Opinion::One).unwrap();
-    let mut engine =
-        Engine::new(protocol, spec, fidelity, InitialCondition::AllWrong, SEED).unwrap();
+    let mut engine = Engine::new(
+        Box::new(TypedPopulation::new(protocol)),
+        spec,
+        fidelity,
+        InitialCondition::AllWrong,
+        SEED,
+    )
+    .unwrap();
     engine.set_execution_mode(mode).unwrap();
     let mut rec = TrajectoryRecorder::new();
     let report = engine.run(MAX_ROUNDS, ConvergenceCriterion::new(WINDOW), &mut rec);
@@ -162,7 +168,7 @@ fn fet_parallel_vs_fused_convergence_times_agree() {
         let run = |mode: ExecutionMode, seed: u64| -> f64 {
             let spec = ProblemSpec::single_source(n, Opinion::One).unwrap();
             let mut engine = Engine::new(
-                FetProtocol::new(ell).unwrap(),
+                Box::new(TypedPopulation::new(FetProtocol::new(ell).unwrap())),
                 spec,
                 fidelity,
                 InitialCondition::AllWrong,
@@ -214,7 +220,7 @@ fn three_majority_parallel_vs_fused_trajectory_marginals_agree() {
         let run = |mode: ExecutionMode, seed: u64| -> f64 {
             let spec = ProblemSpec::single_source(n, Opinion::One).unwrap();
             let mut engine = Engine::new(
-                ThreeMajorityProtocol::new(),
+                Box::new(TypedPopulation::new(ThreeMajorityProtocol::new())),
                 spec,
                 fidelity,
                 InitialCondition::Random,

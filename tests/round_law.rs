@@ -29,11 +29,9 @@
 //!   and Binomial and literal Agent rounds on the complete graph, typed
 //!   fused and bit-plane fused.
 //!
-//! No engine constructor takes explicit states on bit planes together with
-//! a neighborhood, so the bit-plane graph legs step a `BitPopulation`
-//! through `Population::step_round` over the packed snapshot view and the
-//! graph factory, as the engine's bit-plane round does. The complete-graph
-//! bit-plane legs go through `PopulationEngine::from_population`. Every leg
+//! Every leg builds its engine from the configuration with
+//! `Engine::from_population`, on typed or bit-plane storage, and the graph
+//! legs add the graph with `Engine::with_neighborhood`. Every leg
 //! also shows power: the same tally must reject the pmf with every observed
 //! fraction moved by 0.05. Every sleepy leg must also reject the pmf at
 //! `s = 0`, which is what sleepers that update anyway would produce.
@@ -45,11 +43,7 @@
 use fet::core::bitplane::BitPopulation;
 use fet::core::config::ProblemSpec;
 use fet::core::fet::FetState;
-use fet::core::protocol::RoundContext;
-use fet::core::shard::SleepLane;
 use fet::prelude::*;
-use fet::sim::init::InitialCondition;
-use fet::sim::sources::{GraphSourceFactory, SnapshotView};
 use fet::stats::binomial::Binomial;
 use fet::topology::builders::erdos_renyi;
 use fet::topology::graph::SharedGraph;
@@ -77,6 +71,10 @@ const FAMILY_ALPHA: f64 = 1e-3;
 /// complete-graph legs.
 const TESTS: usize = 3 * FLIPS.len() + 3 + 4;
 const ALPHA: f64 = FAMILY_ALPHA / TESTS as f64;
+/// The leg axes: literal sampling, and the two fused modes.
+const AGENT: Fidelity = Fidelity::Agent;
+const FUSED: ExecutionMode = ExecutionMode::Fused;
+const SHARDED: ExecutionMode = ExecutionMode::FusedParallel { threads: 3 };
 
 /// A small irregular graph whose degrees straddle `m`.
 fn graph() -> Arc<Graph> {
@@ -162,105 +160,44 @@ fn ones(fraction_ones: f64) -> u64 {
     (fraction_ones * f64::from(N)).round() as u64
 }
 
-/// Ones after one typed engine round on the graph from the configuration.
-fn typed_graph_round(
-    graph: &Arc<Graph>,
-    config: &[FetState],
-    mode: ExecutionMode,
-    fault: FaultPlan,
-    seed: u64,
-) -> u64 {
-    let mut engine = Engine::with_neighborhood(
-        FetProtocol::new(ELL).expect("valid ℓ"),
-        Box::new(SharedGraph::new(Arc::clone(graph))),
-        1,
-        CORRECT,
-        InitialCondition::AllWrong,
-        seed,
-    )
-    .expect("valid engine");
-    engine.states_mut().copy_from_slice(config);
-    engine.refresh_caches();
-    engine.set_execution_mode(mode).expect("graph-capable mode");
-    engine.set_fault_plan(fault);
-    engine.step();
-    ones(engine.fraction_ones())
-}
-
-/// Ones after one bit-plane round on the graph from the configuration: the
-/// engine's bit-plane graph round, with the snapshot words and streams
-/// made here.
-fn bit_plane_graph_round(graph: &Graph, config: &[FetState], fault: FaultPlan, seed: u64) -> u64 {
-    let protocol = FetProtocol::new(ELL).expect("valid ℓ");
-    let mut population = BitPopulation::from_states(protocol, config);
-    let mut words = vec![0u64; config.len().div_ceil(64)];
-    population.write_opinion_words(&mut words);
-    let view = SnapshotView::Bits {
-        source_output: CORRECT,
-        num_sources: 1,
-        words: &words,
-    };
-    let lanes = SeedTree::new(seed);
-    let factory = GraphSourceFactory::new(
-        graph,
-        view,
-        (fault.flip_prob > 0.0).then_some(&fault),
-        M,
-        1,
-        lanes.child("graph-index").seed(),
-        0,
-    );
-    let sleep = (fault.sleep_prob > 0.0)
-        .then(|| SleepLane::new(fault.sleep_prob, lanes.child("sleep").seed(), 0));
-    let mut rng = lanes.child("engine").rng();
-    let counters = population.step_round(
-        &factory,
-        &RoundContext::new(0),
-        RoundStreams::Main(&mut rng),
-        sleep.as_ref(),
-        CORRECT,
-        None,
-    );
-    1 + counters.ones
-}
-
 fn spec() -> ProblemSpec {
     ProblemSpec::new(u64::from(N), 1, CORRECT).expect("valid spec")
 }
 
-/// Ones after one typed fused engine round on the complete graph.
-fn typed_complete_round(
-    config: &[FetState],
-    fidelity: Fidelity,
-    fault: FaultPlan,
-    seed: u64,
-) -> u64 {
+/// The configuration on typed storage.
+fn typed(config: &[FetState]) -> Box<TypedPopulation<FetProtocol>> {
     let protocol = FetProtocol::new(ELL).expect("valid ℓ");
-    let mut engine = Engine::from_states(protocol, spec(), fidelity, config.to_vec(), seed)
-        .expect("valid configuration");
-    engine
-        .set_execution_mode(ExecutionMode::Fused)
-        .expect("every fidelity runs fused");
-    engine.set_fault_plan(fault);
-    engine.step();
-    ones(engine.fraction_ones())
+    Box::new(TypedPopulation::from_states(protocol, config.to_vec()))
 }
 
-/// Ones after one bit-plane fused engine round on the complete graph.
-fn bit_plane_complete_round(
-    config: &[FetState],
+/// The configuration on bit planes.
+fn bit_planes(config: &[FetState]) -> Box<BitPopulation<FetProtocol>> {
+    let protocol = FetProtocol::new(ELL).expect("valid ℓ");
+    Box::new(BitPopulation::from_states(protocol, config))
+}
+
+/// Ones after one engine round from `container`, on the graph when one is
+/// given and on the complete graph otherwise.
+fn round<A: Population + ?Sized>(
+    container: Box<A>,
+    graph: Option<&Arc<Graph>>,
     fidelity: Fidelity,
+    mode: ExecutionMode,
     fault: FaultPlan,
     seed: u64,
 ) -> u64 {
-    let protocol = FetProtocol::new(ELL).expect("valid ℓ");
-    let container = Box::new(BitPopulation::from_states(protocol, config));
-    let mut engine = PopulationEngine::from_population(container, spec(), fidelity, seed)
-        .expect("valid configuration");
+    let mut engine =
+        Engine::from_population(container, spec(), fidelity, seed).expect("valid configuration");
+    if let Some(graph) = graph {
+        let neighborhood = Box::new(SharedGraph::new(Arc::clone(graph)));
+        engine = engine
+            .with_neighborhood(neighborhood)
+            .expect("an observable graph on N vertices");
+    }
     engine
-        .set_execution_mode(ExecutionMode::Fused)
-        .expect("bit planes run fused");
-    engine.set_fault_plan(fault);
+        .set_execution_mode(mode)
+        .expect("every leg's mode runs");
+    engine.set_fault_plan(fault).expect("valid fault plan");
     engine.step();
     ones(engine.fraction_ones())
 }
@@ -297,14 +234,13 @@ fn graph_rounds_follow_the_exact_round_law() {
         let fault = faults(delta, 0.0);
         let legs: [(&str, &dyn Fn(u64) -> u64); 3] = [
             ("typed fused", &|seed| {
-                typed_graph_round(&graph, &config, ExecutionMode::Fused, fault, seed)
+                round(typed(&config), Some(&graph), AGENT, FUSED, fault, seed)
             }),
             ("typed fused-parallel(3)", &|seed| {
-                let mode = ExecutionMode::FusedParallel { threads: 3 };
-                typed_graph_round(&graph, &config, mode, fault, seed)
+                round(typed(&config), Some(&graph), AGENT, SHARDED, fault, seed)
             }),
             ("bit-plane fused", &|seed| {
-                bit_plane_graph_round(&graph, &config, fault, seed)
+                round(bit_planes(&config), Some(&graph), AGENT, FUSED, fault, seed)
             }),
         ];
         for (leg, round) in legs {
@@ -327,14 +263,13 @@ fn sleepy_graph_rounds_follow_the_exact_round_law() {
     let fault = faults(SLEEPY_FLIP, SLEEP);
     let legs: [(&str, &dyn Fn(u64) -> u64); 3] = [
         ("sleepy graph typed fused", &|seed| {
-            typed_graph_round(&graph, &config, ExecutionMode::Fused, fault, seed)
+            round(typed(&config), Some(&graph), AGENT, FUSED, fault, seed)
         }),
         ("sleepy graph typed fused-parallel(3)", &|seed| {
-            let mode = ExecutionMode::FusedParallel { threads: 3 };
-            typed_graph_round(&graph, &config, mode, fault, seed)
+            round(typed(&config), Some(&graph), AGENT, SHARDED, fault, seed)
         }),
         ("sleepy graph bit-plane fused", &|seed| {
-            bit_plane_graph_round(&graph, &config, fault, seed)
+            round(bit_planes(&config), Some(&graph), AGENT, FUSED, fault, seed)
         }),
     ];
     for (case, round) in legs {
@@ -353,18 +288,19 @@ fn sleepy_complete_graph_rounds_follow_the_exact_round_law() {
     let moved = round_pmf(&config, &fractions, SLEEPY_FLIP, SLEEP, shifted);
     let awake = round_pmf(&config, &fractions, SLEEPY_FLIP, 0.0, |f| f);
     let fault = faults(SLEEPY_FLIP, SLEEP);
+    let binomial = Fidelity::Binomial;
     let legs: [(&str, &dyn Fn(u64) -> u64); 4] = [
         ("sleepy binomial typed fused", &|seed| {
-            typed_complete_round(&config, Fidelity::Binomial, fault, seed)
+            round(typed(&config), None, binomial, FUSED, fault, seed)
         }),
         ("sleepy binomial bit-plane fused", &|seed| {
-            bit_plane_complete_round(&config, Fidelity::Binomial, fault, seed)
+            round(bit_planes(&config), None, binomial, FUSED, fault, seed)
         }),
         ("sleepy agent typed fused", &|seed| {
-            typed_complete_round(&config, Fidelity::Agent, fault, seed)
+            round(typed(&config), None, AGENT, FUSED, fault, seed)
         }),
         ("sleepy agent bit-plane fused", &|seed| {
-            bit_plane_complete_round(&config, Fidelity::Agent, fault, seed)
+            round(bit_planes(&config), None, AGENT, FUSED, fault, seed)
         }),
     ];
     for (case, round) in legs {

@@ -8,8 +8,9 @@ use fet::core::bitplane::BitPopulation;
 use fet::core::config::ProblemSpec;
 use fet::core::fet::FetProtocol;
 use fet::core::opinion::Opinion;
+use fet::core::population::TypedPopulation;
 use fet::sim::convergence::ConvergenceCriterion;
-use fet::sim::engine::{Engine, ExecutionMode, Fidelity, PopulationEngine};
+use fet::sim::engine::{Engine, ExecutionMode, Fidelity};
 use fet::sim::fault::FaultPlan;
 use fet::sim::observer::NullObserver;
 use fet::sim::simulation::Simulation;
@@ -28,9 +29,13 @@ fn all_named_traps_are_defeated() {
         ("bounce_suppressor", conf.bounce_suppressor()),
         ("oscillation_primer", conf.oscillation_primer()),
     ] {
-        let mut engine =
-            Engine::from_states(protocol.clone(), spec, Fidelity::Binomial, states, 17)
-                .expect("valid");
+        let mut engine = Engine::from_population(
+            Box::new(TypedPopulation::from_states(protocol.clone(), states)),
+            spec,
+            Fidelity::Binomial,
+            17,
+        )
+        .expect("valid");
         let report = engine.run(100_000, ConvergenceCriterion::new(3), &mut NullObserver);
         assert!(report.converged(), "trap {name} defeated FET: {report:?}");
     }
@@ -49,11 +54,13 @@ fn named_traps_are_defeated_on_bitplane_and_parallel_engines() {
         ("bounce_suppressor", conf.bounce_suppressor()),
         ("oscillation_primer", conf.oscillation_primer()),
     ] {
-        let mut typed = Engine::from_states(
-            protocol.clone(),
+        let mut typed = Engine::from_population(
+            Box::new(TypedPopulation::from_states(
+                protocol.clone(),
+                states.clone(),
+            )),
             spec,
             Fidelity::Binomial,
-            states.clone(),
             17,
         )
         .expect("valid");
@@ -65,8 +72,8 @@ fn named_traps_are_defeated_on_bitplane_and_parallel_engines() {
         );
 
         let container = Box::new(BitPopulation::from_states(protocol.clone(), &states));
-        let mut bits = PopulationEngine::from_population(container, spec, Fidelity::Binomial, 17)
-            .expect("valid");
+        let mut bits =
+            Engine::from_population(container, spec, Fidelity::Binomial, 17).expect("valid");
         bits.set_execution_mode(mode).expect("parallel mode");
         let bit_report = bits.run(100_000, ConvergenceCriterion::new(3), &mut NullObserver);
         assert_eq!(

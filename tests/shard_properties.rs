@@ -163,13 +163,7 @@ proptest! {
     ) {
         let run = || {
             let spec = ProblemSpec::single_source(n, Opinion::One).unwrap();
-            let mut engine = Engine::new(
-                FetProtocol::new(2).unwrap(),
-                spec,
-                Fidelity::Binomial,
-                InitialCondition::Random,
-                seed,
-            )
+            let mut engine = Engine::new(Box::new(TypedPopulation::new(FetProtocol::new(2).unwrap())), spec, Fidelity::Binomial, InitialCondition::Random, seed)
             .unwrap();
             engine
                 .set_execution_mode(ExecutionMode::FusedParallel { threads })
@@ -271,15 +265,13 @@ proptest! {
     ) {
         let n = (2 * half_n + 1) as u32;
         let run = || {
-            let mut engine = Engine::with_neighborhood(
-                FetProtocol::new(2).unwrap(),
-                Box::new(irregular_graph(kind, n)),
-                1,
-                Opinion::One,
-                InitialCondition::Random,
-                seed,
-            )
-            .unwrap();
+            let spec = ProblemSpec::single_source(u64::from(n), Opinion::One).unwrap();
+            let population = Box::new(TypedPopulation::new(FetProtocol::new(2).unwrap()));
+            let mut engine =
+                Engine::new(population, spec, Fidelity::Agent, InitialCondition::Random, seed)
+                    .unwrap()
+                    .with_neighborhood(Box::new(irregular_graph(kind, n)))
+                    .unwrap();
             engine
                 .set_execution_mode(ExecutionMode::FusedParallel { threads })
                 .unwrap();
