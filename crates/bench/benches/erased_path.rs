@@ -62,7 +62,7 @@ fn population_engine(n: u64, mode: ExecutionMode) -> Engine {
 fn bitplane_engine(n: u64, mode: ExecutionMode) -> Engine {
     let population = ErasedProtocol::new(fet(n))
         .bit_population()
-        .expect("FET's clock fits the byte plane at bench sizes");
+        .expect("FET's clock fits the packed aux plane at bench sizes");
     engine(population, n, mode)
 }
 

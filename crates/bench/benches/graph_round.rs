@@ -148,7 +148,7 @@ fn bench_graph_round(c: &mut Criterion) {
                 let protocol = FetProtocol::for_population(u64::from(n), 4.0).expect("valid ℓ");
                 let population = ErasedProtocol::new(protocol)
                     .bit_population()
-                    .expect("FET's clock fits the byte plane at bench sizes");
+                    .expect("FET's clock fits the packed aux plane at bench sizes");
                 let mut engine = graph_engine(population, graph);
                 engine.set_execution_mode(mode).expect("graph-capable mode");
                 b.iter(|| engine.step());

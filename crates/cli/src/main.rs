@@ -320,7 +320,6 @@ fn cmd_protocols() -> Result<(), String> {
             "passive",
             "aggregate-exact",
             "fused-kernel",
-            "parallel",
             "bits/agent",
             "packed-planes",
         ]
@@ -350,16 +349,6 @@ fn cmd_protocols() -> Result<(), String> {
                 "default"
             }
             .to_string(),
-            // Whether `--mode fused-parallel` may shard this protocol
-            // across threads (all built-ins qualify; a protocol whose
-            // update depended on the round-global draw order would opt
-            // out).
-            if p.parallel_eligible() {
-                "eligible"
-            } else {
-                "opt-out"
-            }
-            .to_string(),
             // Per-agent cost of the contiguous state buffer that
             // `run --protocol` executes on.
             p.memory_footprint().peak_bits().to_string(),
@@ -373,7 +362,7 @@ fn cmd_protocols() -> Result<(), String> {
     println!("registered protocols (samples/round shown for n = 10000, c = 4):");
     print!("{table}");
     println!(
-        "fused-kernel/parallel columns apply to every per-agent fidelity and to graph \
+        "the fused-kernel column applies to every per-agent fidelity and to graph \
          runs (`fet topology --mode fused|fused-parallel`) alike."
     );
     Ok(())

@@ -272,16 +272,6 @@ fn protocols_table_reports_fused_kernels() {
 }
 
 #[test]
-fn protocols_table_reports_parallel_eligibility() {
-    let text = run_ok(&["protocols"]);
-    assert!(text.contains("parallel"), "missing column: {text}");
-    assert!(
-        text.contains("eligible"),
-        "built-ins shard across threads: {text}"
-    );
-}
-
-#[test]
 fn protocols_table_reports_packed_planes() {
     let text = run_ok(&["protocols"]);
     assert!(text.contains("packed-planes"), "missing column: {text}");

@@ -6,24 +6,16 @@
 //! memory-bandwidth bottleneck (see `docs/BENCHMARKS.md`). This module
 //! packs the public opinion plane 64 agents per `u64` word
 //! ([`BitPlane`]), with a protocol's remaining per-agent state — FET's
-//! stored `count″ ∈ [0, ℓ]` — in a parallel auxiliary plane whose width
-//! tracks the protocol's declared layout ([`StatePlanes`]):
+//! stored `count″ ∈ [0, ℓ]` — in a parallel auxiliary plane
+//! ([`AuxPlane`]) of exactly the width the protocol declares
+//! ([`StatePlanes`]):
 //!
-//! * [`StatePlanes::OpinionOnly`] — no aux plane at all (voter,
-//!   3-majority);
-//! * [`StatePlanes::OpinionPlusPacked`]`{ bits }` — exactly `bits` bits
-//!   per agent: a [`NibblePlane`] (16 agents/word) when `bits = 4`, an
-//!   interleaved [`BitSlicedPlane`] otherwise. For FET with `ℓ = 5` this
-//!   is 3 bits/agent — ~375 MB at `n = 10⁹` instead of the byte plane's
-//!   1 GB;
-//! * [`StatePlanes::OpinionPlusByte`] — one byte per agent, the 8-bit
-//!   fast path (direct byte addressing, same memory as an 8-bit sliced
-//!   plane).
-//!
-//! When `bits < 4` the bit-sliced plane is strictly smaller than a
-//! nibble plane, so the nibble fast path is taken only when it is free
-//! (`bits = 4`, FET's `ℓ ∈ [8, 15]`): exact width wins whenever the two
-//! layouts differ in memory.
+//! * [`StatePlanes::OpinionOnly`] — width 0: the aux plane holds no words
+//!   (voter, 3-majority);
+//! * [`StatePlanes::OpinionPlusPacked`]`{ bits }` — exactly `bits ∈ [1, 8]`
+//!   bits per agent in interleaved bit-sliced words. For FET with `ℓ = 5`
+//!   this is 3 bits/agent — ~375 MB at `n = 10⁹` instead of a byte
+//!   plane's 1 GB.
 //!
 //! # Packability contract
 //!
@@ -45,10 +37,9 @@
 //! [`Protocol::step_fused`] on the tile — the kernel
 //! [`TypedPopulation`](crate::population::TypedPopulation) runs over its
 //! state slice — and stores the tile back. The aux load and store move a
-//! whole word at a time: a bit-sliced word group is gathered one byte per
-//! slice word into 8×8 bit matrices and transposed with three delta
-//! swaps, a nibble word unpacks with 16 shifts, and a byte plane is a
-//! slice copy. The tile lives on the stack, so a round allocates nothing.
+//! whole word group at a time: the group's slice words are gathered one
+//! byte per slice word into 8×8 bit matrices and transposed with three
+//! delta swaps. The tile lives on the stack, so a round allocates nothing.
 //!
 //! In a sleepy round each tile steps under its keep mask instead (see
 //! [`shard`](crate::shard#sleepy-rounds)).
@@ -75,8 +66,8 @@
 //! [`ObservationSource::next_threshold_word`]). A bit-plane run is
 //! therefore **bit-identical** to the typed and population-erased runs
 //! of the same `(seed, shard count)` — the property
-//! `tests/erasure_equivalence.rs` checks — and the
-//! aux-plane layout (byte, nibble, bit-sliced) never enters the stream.
+//! `tests/erasure_equivalence.rs` checks — and the aux-plane width never
+//! enters the stream.
 //!
 //! # Word-aligned sharding
 //!
@@ -85,8 +76,8 @@
 //! [`ShardPlan::shard_range`](crate::shard::ShardPlan::shard_range)
 //! guarantees range starts that are multiples of 64 agents for every
 //! population size and shard count, which is word-aligned for **every**
-//! plane width at once: 64 agents are 1 opinion word, 4 nibble words,
-//! and exactly `bits` interleaved sliced words.
+//! plane width at once: 64 agents are 1 opinion word and exactly `bits`
+//! interleaved aux words.
 //! [`Population::step_round`] relies on it.
 
 use crate::memory::MemoryFootprint;
@@ -101,9 +92,6 @@ use std::ops::Range;
 
 /// Bits per plane word.
 pub const WORD_BITS: usize = 64;
-
-/// Nibbles (4-bit values) per [`NibblePlane`] word.
-pub const NIBBLES_PER_WORD: usize = 16;
 
 /// A dense bit vector packed 64 bits per `u64` word — the opinion plane.
 ///
@@ -203,99 +191,10 @@ impl BitPlane {
     }
 }
 
-/// A dense vector of 4-bit values packed 16 per `u64` word — the
-/// `bits = 4` fast path of the packed aux plane (FET's clock for
-/// `ℓ ∈ [8, 15]`).
-///
-/// Nibble `i` occupies bits `4·(i mod 16) .. 4·(i mod 16)+4` of word
-/// `i / 16`: one shift-and-mask per access, against the bit-sliced
-/// layout's one access per bit. Invariant: nibbles at positions
-/// `len()..` of the trailing word are zero.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct NibblePlane {
-    words: Vec<u64>,
-    len: usize,
-}
-
-impl NibblePlane {
-    /// An empty plane.
-    pub fn new() -> Self {
-        NibblePlane::default()
-    }
-
-    /// Number of nibbles stored.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when no nibbles are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Pre-allocates room for `additional` more nibbles.
-    pub fn reserve(&mut self, additional: usize) {
-        let want = (self.len + additional).div_ceil(NIBBLES_PER_WORD);
-        self.words.reserve(want.saturating_sub(self.words.len()));
-    }
-
-    /// Appends one value.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `value ≥ 16` (debug builds assert; release builds
-    /// store the low nibble).
-    pub fn push(&mut self, value: u8) {
-        debug_assert!(value < 16, "nibble value {value} out of range");
-        if self.len.is_multiple_of(NIBBLES_PER_WORD) {
-            self.words.push(0);
-        }
-        let shift = (self.len % NIBBLES_PER_WORD) * 4;
-        let word = self.words.last_mut().expect("word pushed above");
-        *word |= u64::from(value & 0xF) << shift;
-        self.len += 1;
-    }
-
-    /// The value at `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `idx ≥ len()`.
-    #[inline]
-    pub fn get(&self, idx: usize) -> u8 {
-        assert!(idx < self.len, "nibble index {idx} out of {}", self.len);
-        ((self.words[idx / NIBBLES_PER_WORD] >> ((idx % NIBBLES_PER_WORD) * 4)) & 0xF) as u8
-    }
-
-    /// Sets the value at `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `idx ≥ len()` (and, in debug builds, when
-    /// `value ≥ 16`).
-    #[inline]
-    pub fn set(&mut self, idx: usize, value: u8) {
-        assert!(idx < self.len, "nibble index {idx} out of {}", self.len);
-        debug_assert!(value < 16, "nibble value {value} out of range");
-        let shift = (idx % NIBBLES_PER_WORD) * 4;
-        let word = &mut self.words[idx / NIBBLES_PER_WORD];
-        *word = (*word & !(0xFu64 << shift)) | (u64::from(value & 0xF) << shift);
-    }
-
-    /// The packed words, read-only.
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
-    /// Heap bytes the word storage holds (capacity, not length).
-    pub fn resident_bytes(&self) -> usize {
-        self.words.capacity() * std::mem::size_of::<u64>()
-    }
-}
-
-/// A dense vector of `bits`-bit values (`1 ≤ bits ≤ 8`) in an
-/// **interleaved bit-sliced** layout — the exact-width packed aux plane
-/// (FET's clock at `⌈log₂(ℓ+1)⌉` bits).
+/// The auxiliary plane of a [`BitPopulation`]: a dense vector of
+/// `bits`-bit values, at the width the protocol's [`StatePlanes`]
+/// declares (`0 ≤ bits ≤ 8`; FET's clock at `⌈log₂(ℓ+1)⌉` bits), in an
+/// **interleaved bit-sliced** layout.
 ///
 /// Agents are grouped 64 per word-group; group `g` occupies words
 /// `g·bits .. (g+1)·bits`, and word `g·bits + j` holds **bit `j`** of
@@ -304,30 +203,41 @@ impl NibblePlane {
 /// keeps a group's words adjacent in memory — sequential kernel walks
 /// touch one cache line pair per group — and makes the plane carve at
 /// any 64-agent boundary with a single `split_at_mut`, exactly like the
-/// opinion plane.
+/// opinion plane. A zero-width plane ([`StatePlanes::OpinionOnly`])
+/// holds no words and reads 0.
 ///
 /// Invariant: bit positions for agents `len()..` of the trailing group
 /// are zero in every slice word.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BitSlicedPlane {
+pub struct AuxPlane {
     bits: u8,
     words: Vec<u64>,
     len: usize,
 }
 
-impl BitSlicedPlane {
-    /// An empty plane of `bits`-bit values.
+impl AuxPlane {
+    /// An empty plane at the aux width a protocol's [`StatePlanes`]
+    /// declares: 0 bits for [`StatePlanes::OpinionOnly`], `bits` for
+    /// [`StatePlanes::OpinionPlusPacked`].
     ///
     /// # Panics
     ///
-    /// Panics unless `1 ≤ bits ≤ 8` (wider aux values do not fit
+    /// Panics for [`StatePlanes::Unpacked`] (no packed layout exists) and
+    /// for packed widths outside `1..=8` (wider aux values do not fit
     /// [`Protocol::pack_state`]'s byte).
-    pub fn new(bits: u8) -> Self {
-        assert!(
-            (1..=8).contains(&bits),
-            "bit-sliced plane width {bits} out of 1..=8"
-        );
-        BitSlicedPlane {
+    pub fn for_planes(planes: StatePlanes) -> AuxPlane {
+        let bits = match planes {
+            StatePlanes::Unpacked => panic!("Unpacked states have no aux plane"),
+            StatePlanes::OpinionOnly => 0,
+            StatePlanes::OpinionPlusPacked { bits } => {
+                assert!(
+                    (1..=8).contains(&bits),
+                    "packed aux width {bits} out of 1..=8"
+                );
+                bits
+            }
+        };
+        AuxPlane {
             bits,
             words: Vec::new(),
             len: 0,
@@ -362,11 +272,6 @@ impl BitSlicedPlane {
     /// Panics in debug builds when `value ≥ 2^bits`; release builds
     /// store the low `bits` bits.
     pub fn push(&mut self, value: u8) {
-        debug_assert!(
-            u32::from(value) < (1u32 << self.bits),
-            "value {value} out of {} bits",
-            self.bits
-        );
         if self.len.is_multiple_of(WORD_BITS) {
             self.words
                 .extend(std::iter::repeat_n(0, self.bits as usize));
@@ -383,7 +288,7 @@ impl BitSlicedPlane {
     /// Panics when `idx ≥ len()`.
     #[inline]
     pub fn get(&self, idx: usize) -> u8 {
-        assert!(idx < self.len, "sliced index {idx} out of {}", self.len);
+        assert!(idx < self.len, "aux index {idx} out of {}", self.len);
         let base = (idx / WORD_BITS) * self.bits as usize;
         let bit = idx % WORD_BITS;
         let mut value = 0u8;
@@ -401,7 +306,7 @@ impl BitSlicedPlane {
     /// `value ≥ 2^bits`).
     #[inline]
     pub fn set(&mut self, idx: usize, value: u8) {
-        assert!(idx < self.len, "sliced index {idx} out of {}", self.len);
+        assert!(idx < self.len, "aux index {idx} out of {}", self.len);
         debug_assert!(
             u32::from(value) < (1u32 << self.bits),
             "value {value} out of {} bits",
@@ -425,119 +330,22 @@ impl BitSlicedPlane {
     pub fn resident_bytes(&self) -> usize {
         self.words.capacity() * std::mem::size_of::<u64>()
     }
-}
-
-/// The auxiliary plane of a [`BitPopulation`]: whichever packed layout
-/// the protocol's [`StatePlanes`] descriptor selects.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AuxPlane {
-    /// No auxiliary state ([`StatePlanes::OpinionOnly`]).
-    None,
-    /// One byte per agent ([`StatePlanes::OpinionPlusByte`]).
-    Bytes(Vec<u8>),
-    /// Four bits per agent
-    /// ([`StatePlanes::OpinionPlusPacked`]` { bits: 4 }`).
-    Nibbles(NibblePlane),
-    /// Exactly `bits ≠ 4` bits per agent
-    /// ([`StatePlanes::OpinionPlusPacked`]).
-    Sliced(BitSlicedPlane),
-}
-
-impl AuxPlane {
-    /// The plane layout for a protocol's declared [`StatePlanes`].
-    ///
-    /// # Panics
-    ///
-    /// Panics for [`StatePlanes::Unpacked`] (no packed layout exists) and
-    /// for packed widths outside `1..=8`.
-    pub fn for_planes(planes: StatePlanes) -> AuxPlane {
-        match planes {
-            StatePlanes::Unpacked => panic!("Unpacked states have no aux plane"),
-            StatePlanes::OpinionOnly => AuxPlane::None,
-            StatePlanes::OpinionPlusByte => AuxPlane::Bytes(Vec::new()),
-            StatePlanes::OpinionPlusPacked { bits: 4 } => AuxPlane::Nibbles(NibblePlane::new()),
-            StatePlanes::OpinionPlusPacked { bits } => AuxPlane::Sliced(BitSlicedPlane::new(bits)),
-        }
-    }
-
-    /// The value at `idx` (0 when there is no aux plane).
-    #[inline]
-    pub fn get(&self, idx: usize) -> u8 {
-        match self {
-            AuxPlane::None => 0,
-            AuxPlane::Bytes(b) => b[idx],
-            AuxPlane::Nibbles(p) => p.get(idx),
-            AuxPlane::Sliced(p) => p.get(idx),
-        }
-    }
-
-    /// Sets the value at `idx` (no-op when there is no aux plane).
-    #[inline]
-    pub fn set(&mut self, idx: usize, value: u8) {
-        match self {
-            AuxPlane::None => {}
-            AuxPlane::Bytes(b) => b[idx] = value,
-            AuxPlane::Nibbles(p) => p.set(idx, value),
-            AuxPlane::Sliced(p) => p.set(idx, value),
-        }
-    }
-
-    /// Appends one value (no-op when there is no aux plane).
-    pub fn push(&mut self, value: u8) {
-        match self {
-            AuxPlane::None => {}
-            AuxPlane::Bytes(b) => b.push(value),
-            AuxPlane::Nibbles(p) => p.push(value),
-            AuxPlane::Sliced(p) => p.push(value),
-        }
-    }
-
-    /// Pre-allocates room for `additional` more values.
-    pub fn reserve(&mut self, additional: usize) {
-        match self {
-            AuxPlane::None => {}
-            AuxPlane::Bytes(b) => b.reserve(additional),
-            AuxPlane::Nibbles(p) => p.reserve(additional),
-            AuxPlane::Sliced(p) => p.reserve(additional),
-        }
-    }
-
-    /// Heap bytes the plane holds (capacity, not length).
-    pub fn resident_bytes(&self) -> usize {
-        match self {
-            AuxPlane::None => 0,
-            AuxPlane::Bytes(b) => b.capacity(),
-            AuxPlane::Nibbles(p) => p.resident_bytes(),
-            AuxPlane::Sliced(p) => p.resident_bytes(),
-        }
-    }
 
     /// A mutable whole-plane view for the round kernels.
     fn slice_mut(&mut self) -> AuxSliceMut<'_> {
-        match self {
-            AuxPlane::None => AuxSliceMut::None,
-            AuxPlane::Bytes(b) => AuxSliceMut::Bytes(b),
-            AuxPlane::Nibbles(p) => AuxSliceMut::Nibbles(&mut p.words),
-            AuxPlane::Sliced(p) => AuxSliceMut::Sliced {
-                bits: p.bits,
-                words: &mut p.words,
-            },
+        AuxSliceMut {
+            bits: usize::from(self.bits),
+            words: &mut self.words,
         }
     }
 }
 
-/// A mutable view of (part of) an aux plane, indexed relative to the
-/// view's first agent — the per-shard unit the parallel round hands each
-/// worker.
-enum AuxSliceMut<'a> {
-    /// No aux plane.
-    None,
-    /// Byte plane slice.
-    Bytes(&'a mut [u8]),
-    /// Nibble plane words (16 agents per word).
-    Nibbles(&'a mut [u64]),
-    /// Interleaved bit-sliced plane words (64 agents per `bits` words).
-    Sliced { bits: u8, words: &'a mut [u64] },
+/// A mutable view of (part of) an aux plane's slice words, indexed
+/// relative to the view's first agent — the per-shard unit the parallel
+/// round hands each worker.
+struct AuxSliceMut<'a> {
+    bits: usize,
+    words: &'a mut [u64],
 }
 
 impl<'a> AuxSliceMut<'a> {
@@ -549,66 +357,35 @@ impl<'a> AuxSliceMut<'a> {
     /// [`ShardPlan::shard_range`](crate::shard::ShardPlan::shard_range)
     /// guarantees for shard boundaries.
     fn split_for_agents(self, agents: usize) -> (AuxSliceMut<'a>, AuxSliceMut<'a>) {
-        match self {
-            AuxSliceMut::None => (AuxSliceMut::None, AuxSliceMut::None),
-            AuxSliceMut::Bytes(b) => {
-                let (head, tail) = b.split_at_mut(agents);
-                (AuxSliceMut::Bytes(head), AuxSliceMut::Bytes(tail))
-            }
-            AuxSliceMut::Nibbles(w) => {
-                let at = agents.div_ceil(NIBBLES_PER_WORD);
-                debug_assert!(at == w.len() || agents.is_multiple_of(WORD_BITS));
-                let (head, tail) = w.split_at_mut(at);
-                (AuxSliceMut::Nibbles(head), AuxSliceMut::Nibbles(tail))
-            }
-            AuxSliceMut::Sliced { bits, words } => {
-                let at = agents.div_ceil(WORD_BITS) * bits as usize;
-                debug_assert!(at == words.len() || agents.is_multiple_of(WORD_BITS));
-                let (head, tail) = words.split_at_mut(at);
-                (
-                    AuxSliceMut::Sliced { bits, words: head },
-                    AuxSliceMut::Sliced { bits, words: tail },
-                )
-            }
-        }
+        let AuxSliceMut { bits, words } = self;
+        let at = agents.div_ceil(WORD_BITS) * bits;
+        debug_assert!(at == words.len() || agents.is_multiple_of(WORD_BITS));
+        let (head, tail) = words.split_at_mut(at);
+        (
+            AuxSliceMut { bits, words: head },
+            AuxSliceMut { bits, words: tail },
+        )
     }
 
     /// Loads the packed values of plane word `w`'s agents — agents
-    /// `64·w .. 64·w + in_word` of this view — into `tile[..in_word]`.
-    /// Slots past `in_word` hold the plane's zero padding or stale values;
-    /// callers step only `..in_word`.
+    /// `64·w .. 64·w + 64` of this view — into `tile`. Slots past the
+    /// plane's length read its zero padding.
     #[inline]
-    fn load_tile(&self, w: usize, in_word: usize, tile: &mut [u8; WORD_BITS]) {
-        match self {
-            AuxSliceMut::None => tile[..in_word].fill(0),
-            AuxSliceMut::Bytes(b) => {
-                let start = w * WORD_BITS;
-                tile[..in_word].copy_from_slice(&b[start..start + in_word]);
+    fn load_tile(&self, w: usize, tile: &mut [u8; WORD_BITS]) {
+        // Row j of column k's 8×8 bit matrix is byte k of slice word j:
+        // bit j of agents 8k..8k+8. Transposed, byte i is agent 8k+i's
+        // whole value.
+        let mut columns = [0u64; 8];
+        for (j, &word) in self.words[w * self.bits..(w + 1) * self.bits]
+            .iter()
+            .enumerate()
+        {
+            for (k, column) in columns.iter_mut().enumerate() {
+                *column |= ((word >> (8 * k)) & 0xFF) << (8 * j);
             }
-            AuxSliceMut::Nibbles(words) => {
-                // A tile spans four nibble words; the trailing one may hold fewer.
-                let group = &words[w * 4..words.len().min(w * 4 + 4)];
-                for (&word, values) in group.iter().zip(tile.chunks_exact_mut(NIBBLES_PER_WORD)) {
-                    for (i, value) in values.iter_mut().enumerate() {
-                        *value = ((word >> (4 * i)) & 0xF) as u8;
-                    }
-                }
-            }
-            AuxSliceMut::Sliced { bits, words } => {
-                let bits = usize::from(*bits);
-                // Row j of column k's 8×8 bit matrix is byte k of slice
-                // word j: bit j of agents 8k..8k+8. Transposed, byte i is
-                // agent 8k+i's whole value.
-                let mut columns = [0u64; 8];
-                for (j, &word) in words[w * bits..(w + 1) * bits].iter().enumerate() {
-                    for (k, column) in columns.iter_mut().enumerate() {
-                        *column |= ((word >> (8 * k)) & 0xFF) << (8 * j);
-                    }
-                }
-                for (column, values) in columns.iter().zip(tile.chunks_exact_mut(8)) {
-                    values.copy_from_slice(&transpose_8x8(*column).to_le_bytes());
-                }
-            }
+        }
+        for (column, values) in columns.iter().zip(tile.chunks_exact_mut(8)) {
+            values.copy_from_slice(&transpose_8x8(*column).to_le_bytes());
         }
     }
 
@@ -622,38 +399,16 @@ impl<'a> AuxSliceMut<'a> {
             tile[in_word..].iter().all(|&v| v == 0),
             "tile padding not zero"
         );
-        match self {
-            AuxSliceMut::None => {}
-            AuxSliceMut::Bytes(b) => {
-                let start = w * WORD_BITS;
-                b[start..start + in_word].copy_from_slice(&tile[..in_word]);
-            }
-            AuxSliceMut::Nibbles(words) => {
-                let end = words.len().min(w * 4 + 4);
-                for (word, values) in words[w * 4..end]
-                    .iter_mut()
-                    .zip(tile.chunks_exact(NIBBLES_PER_WORD))
-                {
-                    *word = values
-                        .iter()
-                        .enumerate()
-                        .fold(0, |acc, (i, &v)| acc | (u64::from(v & 0xF) << (4 * i)));
-                }
-            }
-            AuxSliceMut::Sliced { bits, words } => {
-                let bits = usize::from(*bits);
-                let mut slices = [0u64; 8];
-                for (k, values) in tile.chunks_exact(8).enumerate() {
-                    let column = transpose_8x8(u64::from_le_bytes(
-                        values.try_into().expect("8-agent column"),
-                    ));
-                    for (j, slice) in slices.iter_mut().enumerate() {
-                        *slice |= ((column >> (8 * j)) & 0xFF) << (8 * k);
-                    }
-                }
-                words[w * bits..(w + 1) * bits].copy_from_slice(&slices[..bits]);
+        let mut slices = [0u64; 8];
+        for (k, values) in tile.chunks_exact(8).enumerate() {
+            let column = transpose_8x8(u64::from_le_bytes(
+                values.try_into().expect("8-agent column"),
+            ));
+            for (j, slice) in slices.iter_mut().enumerate() {
+                *slice |= ((column >> (8 * j)) & 0xFF) << (8 * k);
             }
         }
+        self.words[w * self.bits..(w + 1) * self.bits].copy_from_slice(&slices[..self.bits]);
     }
 }
 
@@ -681,9 +436,8 @@ struct PlaneSlices<'a> {
 
 impl ShardSlices for PlaneSlices<'_> {
     /// Shard ranges start on 64-agent boundaries, which is a whole-word
-    /// boundary for every plane width — opinion words, nibble words and
-    /// interleaved slice groups alike — so the splits land exactly between
-    /// shards.
+    /// boundary for every plane width — opinion words and interleaved
+    /// slice groups alike — so the splits land exactly between shards.
     fn split_at_agent(self, agents: usize) -> (Self, Self) {
         let at = agents.div_ceil(WORD_BITS);
         debug_assert!(
@@ -796,8 +550,7 @@ fn step_packed_slice<P: Protocol>(
     if let Some(out) = outputs.as_deref() {
         assert_eq!(out.len(), len, "one output slot per agent");
     }
-    if let (AuxSliceMut::None, Some(threshold), None) = (&aux, protocol.opinion_threshold(), sleep)
-    {
+    if let (0, Some(threshold), None) = (aux.bits, protocol.opinion_threshold(), sleep) {
         return step_threshold_words(words, len, source, rng, threshold, correct, outputs);
     }
     let mut states: [P::State; WORD_BITS] =
@@ -809,7 +562,7 @@ fn step_packed_slice<P: Protocol>(
         let start = w * WORD_BITS;
         let in_word = (len - start).min(WORD_BITS);
         let states = &mut states[..in_word];
-        aux.load_tile(w, in_word, &mut values);
+        aux.load_tile(w, &mut values);
         let opinions = *word_slot;
         for (bit, state) in states.iter_mut().enumerate() {
             let opinion = Opinion::from(((opinions >> bit) & 1) == 1);
@@ -844,8 +597,8 @@ fn step_packed_slice<P: Protocol>(
 
 /// A [`Population`] storing its agents as packed planes: one opinion bit
 /// per agent in a [`BitPlane`] plus the protocol's auxiliary plane
-/// ([`AuxPlane`] — none, byte, nibble, or bit-sliced, per the declared
-/// [`StatePlanes`] layout).
+/// ([`AuxPlane`], bit-sliced at the width the protocol's [`StatePlanes`]
+/// declares).
 ///
 /// Construction requires a packable protocol — see the
 /// [module docs](self) for the contract. Every [`Population`] entry
@@ -941,7 +694,7 @@ impl<P: Protocol> BitPopulation<P> {
         &self.opinions
     }
 
-    /// The auxiliary plane, read-only ([`AuxPlane::None`] for
+    /// The auxiliary plane, read-only (zero-width for
     /// [`StatePlanes::OpinionOnly`] protocols).
     pub fn aux_plane(&self) -> &AuxPlane {
         &self.aux
@@ -979,10 +732,6 @@ where
 
     fn is_passive(&self) -> bool {
         self.protocol.is_passive()
-    }
-
-    fn parallel_eligible(&self) -> bool {
-        self.protocol.parallel_eligible()
     }
 
     fn memory_footprint(&self) -> MemoryFootprint {
@@ -1170,31 +919,20 @@ mod tests {
         let _ = plane.get(64);
     }
 
-    #[test]
-    fn nibble_plane_push_get_set() {
-        let mut plane = NibblePlane::new();
-        for i in 0..45 {
-            plane.push((i % 16) as u8);
+    /// The planes descriptor of a `bits`-wide aux plane: opinion-only at
+    /// width 0, packed otherwise.
+    fn planes_of_width(bits: u8) -> StatePlanes {
+        match bits {
+            0 => StatePlanes::OpinionOnly,
+            bits => StatePlanes::OpinionPlusPacked { bits },
         }
-        assert_eq!(plane.len(), 45);
-        assert_eq!(plane.words().len(), 3);
-        for i in 0..45 {
-            assert_eq!(plane.get(i), (i % 16) as u8, "nibble {i}");
-        }
-        plane.set(44, 9);
-        plane.set(0, 15);
-        assert_eq!(plane.get(44), 9);
-        assert_eq!(plane.get(0), 15);
-        // Neighbors survive a set.
-        assert_eq!(plane.get(1), 1);
-        assert_eq!(plane.get(43), 11);
     }
 
     #[test]
     fn sliced_plane_push_get_set_all_widths() {
-        for bits in 1..=8u8 {
+        for bits in 0..=8u8 {
             let max = (1u32 << bits) as usize;
-            let mut plane = BitSlicedPlane::new(bits);
+            let mut plane = AuxPlane::for_planes(planes_of_width(bits));
             for i in 0..131 {
                 plane.push((i % max) as u8);
             }
@@ -1214,35 +952,26 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of 1..=8")]
     fn sliced_plane_rejects_wide_values() {
-        let _ = BitSlicedPlane::new(9);
+        let _ = AuxPlane::for_planes(StatePlanes::OpinionPlusPacked { bits: 9 });
     }
 
     #[test]
-    fn aux_plane_layout_selection() {
-        assert!(matches!(
-            AuxPlane::for_planes(StatePlanes::OpinionOnly),
-            AuxPlane::None
-        ));
-        assert!(matches!(
-            AuxPlane::for_planes(StatePlanes::OpinionPlusByte),
-            AuxPlane::Bytes(_)
-        ));
-        assert!(matches!(
-            AuxPlane::for_planes(StatePlanes::OpinionPlusPacked { bits: 4 }),
-            AuxPlane::Nibbles(_)
-        ));
-        for bits in [1, 2, 3, 5, 6, 7, 8] {
-            assert!(matches!(
-                AuxPlane::for_planes(StatePlanes::OpinionPlusPacked { bits }),
-                AuxPlane::Sliced(_)
-            ));
+    fn aux_plane_width_is_the_declared_width() {
+        for bits in 0..=8 {
+            assert_eq!(AuxPlane::for_planes(planes_of_width(bits)).bits(), bits);
+        }
+        // FET packs its clock at ⌈log₂(ℓ+1)⌉ bits for every byte-sized ℓ.
+        for ell in 1..=255u32 {
+            let planes = FetProtocol::new(ell).unwrap().state_planes();
+            let want = (u32::BITS - ell.leading_zeros()) as u8;
+            assert_eq!(AuxPlane::for_planes(planes).bits(), want, "ell={ell}");
         }
     }
 
     #[test]
     fn push_agent_matches_typed_stream() {
-        // ℓ = 8 → 4-bit clock → nibble plane; ℓ = 5 → 3-bit sliced
-        // plane; ℓ = 200 → byte plane. All three walk the typed stream.
+        // ℓ = 5, 8 and 200 pack 3-, 4- and 8-bit clocks. All three walk
+        // the typed stream.
         for ell in [5, 8, 200] {
             let (typed, bits) = filled_pair(ell, 97);
             for i in 0..97 {
@@ -1358,9 +1087,9 @@ mod tests {
         // pushed agent by agent (whose padding is zero), so a wrong
         // transpose, a dropped bit or dirty padding all fail here.
         let mut r = rng();
-        let layouts = (1..=8).map(|bits| StatePlanes::OpinionPlusPacked { bits });
-        for planes in layouts.chain([StatePlanes::OpinionPlusByte]) {
-            let max = 1u64 << planes.aux_bits().unwrap();
+        for bits in 0..=8 {
+            let planes = planes_of_width(bits);
+            let max = 1u64 << bits;
             for len in [1usize, 63, 64, 65, 130] {
                 let pushed = |values: &[u8]| {
                     let mut plane = AuxPlane::for_planes(planes);
@@ -1374,12 +1103,16 @@ mod tests {
                 };
                 let (old, new) = (draw(), draw());
                 let mut plane = pushed(&old);
+                assert_eq!(plane.words().len(), len.div_ceil(WORD_BITS) * bits as usize);
                 let mut tile = [0u8; WORD_BITS];
                 let mut view = plane.slice_mut();
                 for (w, old) in old.chunks(WORD_BITS).enumerate() {
-                    view.load_tile(w, old.len(), &mut tile);
+                    view.load_tile(w, &mut tile);
                     assert_eq!(&tile[..old.len()], old, "{planes} len={len} word {w}");
-                    tile[old.len()..].fill(0);
+                    assert!(
+                        tile[old.len()..].iter().all(|&v| v == 0),
+                        "{planes} len={len} word {w}: padding reads zero"
+                    );
                     view.store_tile(w, old.len(), &tile);
                 }
                 assert_eq!(plane, pushed(&old), "{planes} len={len}: store∘load");

@@ -45,8 +45,6 @@ pub trait DynProtocol: fmt::Debug + Send + Sync {
     fn is_passive_erased(&self) -> bool;
     /// See [`Protocol::has_fused_kernel`].
     fn has_fused_kernel_erased(&self) -> bool;
-    /// See [`Protocol::parallel_eligible`].
-    fn parallel_eligible_erased(&self) -> bool;
     /// See [`Protocol::aggregate_ell`].
     fn aggregate_ell_erased(&self) -> Option<u32>;
     /// See [`Protocol::memory_footprint`].
@@ -85,10 +83,6 @@ where
 
     fn has_fused_kernel_erased(&self) -> bool {
         Protocol::has_fused_kernel(self)
-    }
-
-    fn parallel_eligible_erased(&self) -> bool {
-        Protocol::parallel_eligible(self)
     }
 
     fn aggregate_ell_erased(&self) -> Option<u32> {
@@ -174,11 +168,6 @@ impl ErasedProtocol {
         self.inner.has_fused_kernel_erased()
     }
 
-    /// See [`Protocol::parallel_eligible`].
-    pub fn parallel_eligible(&self) -> bool {
-        self.inner.parallel_eligible_erased()
-    }
-
     /// See [`Protocol::aggregate_ell`].
     pub fn aggregate_ell(&self) -> Option<u32> {
         self.inner.aggregate_ell_erased()
@@ -229,7 +218,6 @@ mod tests {
         assert_eq!(erased.samples_per_round(), typed.samples_per_round());
         assert!(erased.is_passive());
         assert_eq!(erased.has_fused_kernel(), typed.has_fused_kernel());
-        assert_eq!(erased.parallel_eligible(), typed.parallel_eligible());
         assert_eq!(erased.aggregate_ell(), Some(8));
         assert_eq!(erased.memory_footprint(), typed.memory_footprint());
         assert_eq!(erased.packed_planes(), typed.state_planes());

@@ -280,15 +280,12 @@ impl Protocol for FetProtocol {
     }
 
     fn state_planes(&self) -> StatePlanes {
-        // The stored count″ ∈ [0, ℓ] packs to ⌈log₂(ℓ+1)⌉ bits per agent.
-        // At exactly 8 bits (ℓ ∈ [128, 255]) the direct byte plane is the
-        // same memory with cheaper addressing, so it stays the 8-bit fast
-        // path; clocks past a byte fall back to typed storage.
-        let bits = bits_for_count(self.ell);
-        if bits < 8 {
-            StatePlanes::OpinionPlusPacked { bits: bits as u8 }
-        } else if self.ell <= u32::from(u8::MAX) {
-            StatePlanes::OpinionPlusByte
+        // The stored count″ ∈ [0, ℓ] packs to ⌈log₂(ℓ+1)⌉ bits per agent;
+        // clocks past a byte fall back to typed storage.
+        if self.ell <= u32::from(u8::MAX) {
+            StatePlanes::OpinionPlusPacked {
+                bits: bits_for_count(self.ell) as u8,
+            }
         } else {
             StatePlanes::Unpacked
         }
@@ -297,7 +294,7 @@ impl Protocol for FetProtocol {
     fn pack_state(&self, state: &FetState) -> (Opinion, u8) {
         debug_assert!(
             self.ell <= u32::from(u8::MAX) && state.prev_count_second_half <= self.ell,
-            "FET state {state:?} does not fit the byte plane (ell = {})",
+            "FET state {state:?} does not fit the packed aux byte (ell = {})",
             self.ell
         );
         (state.opinion, state.prev_count_second_half as u8)

@@ -107,10 +107,6 @@ pub trait Population: fmt::Debug + Send {
     /// [`Protocol::is_passive`]).
     fn is_passive(&self) -> bool;
 
-    /// `true` when the protocol may run the work-sharded parallel fused
-    /// round (see [`Protocol::parallel_eligible`]).
-    fn parallel_eligible(&self) -> bool;
-
     /// Per-agent memory accounting (see [`Protocol::memory_footprint`]).
     fn memory_footprint(&self) -> MemoryFootprint;
 
@@ -362,10 +358,6 @@ where
 
     fn is_passive(&self) -> bool {
         self.protocol.is_passive()
-    }
-
-    fn parallel_eligible(&self) -> bool {
-        self.protocol.parallel_eligible()
     }
 
     fn memory_footprint(&self) -> MemoryFootprint {

@@ -123,8 +123,8 @@ impl std::ops::AddAssign for FusedCounters {
     }
 }
 
-/// How a protocol's per-agent state can be packed into bit/byte planes
-/// for the bit-plane population representation
+/// How a protocol's per-agent state can be packed into bit planes for
+/// the bit-plane population representation
 /// ([`BitPopulation`](crate::bitplane::BitPopulation)).
 ///
 /// A protocol that declares a packed layout promises that its whole
@@ -143,48 +143,26 @@ pub enum StatePlanes {
     /// The state is exactly the public opinion (voter, 3-majority): one
     /// bit per agent, no auxiliary plane.
     OpinionOnly,
-    /// The state is the public opinion plus one auxiliary value that fits
-    /// a byte (FET with `ℓ ≥ 128`: the stored `count″ ∈ [0, ℓ]`): one bit
-    /// plane plus one parallel byte plane. This is the 8-bit fast path of
-    /// [`StatePlanes::OpinionPlusPacked`] — direct byte addressing, same
-    /// memory.
-    OpinionPlusByte,
     /// The state is the public opinion plus one auxiliary value occupying
-    /// exactly `bits ∈ [1, 8]` bits per agent (FET with `ℓ ≤ 127`: the
+    /// exactly `bits ∈ [1, 8]` bits per agent (FET with `ℓ ≤ 255`: the
     /// clock `count″ ∈ [0, ℓ]` at `⌈log₂(ℓ+1)⌉` bits): one bit plane plus
-    /// one *packed* aux plane — a nibble plane when `bits = 4`, an
-    /// interleaved bit-sliced plane otherwise (see
-    /// `fet-core::bitplane`). `pack_state`/`unpack_state` keep their
-    /// byte-valued signatures; the container stores only the low `bits`
-    /// bits, so packed aux values must satisfy `aux < 2^bits`.
+    /// one interleaved bit-sliced aux plane (see
+    /// [`AuxPlane`](crate::bitplane::AuxPlane)). `pack_state`/`unpack_state`
+    /// keep their byte-valued signatures; the container stores only the
+    /// low `bits` bits, so packed aux values must satisfy `aux < 2^bits`.
     OpinionPlusPacked {
         /// Bits per agent in the packed aux plane (`1..=8`).
         bits: u8,
     },
 }
 
-impl StatePlanes {
-    /// Bits of auxiliary state stored per agent alongside the opinion
-    /// bit: `None` for [`StatePlanes::Unpacked`] (no packed layout at
-    /// all), `Some(0)` for opinion-only protocols.
-    pub fn aux_bits(&self) -> Option<u8> {
-        match self {
-            StatePlanes::Unpacked => None,
-            StatePlanes::OpinionOnly => Some(0),
-            StatePlanes::OpinionPlusByte => Some(8),
-            StatePlanes::OpinionPlusPacked { bits } => Some(*bits),
-        }
-    }
-}
-
 impl fmt::Display for StatePlanes {
     /// Compact layout label (`fet protocols` prints it): `unpacked`,
-    /// `1b`, `1b+byte`, `1b+{bits}b`.
+    /// `1b`, `1b+{bits}b`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StatePlanes::Unpacked => write!(f, "unpacked"),
             StatePlanes::OpinionOnly => write!(f, "1b"),
-            StatePlanes::OpinionPlusByte => write!(f, "1b+byte"),
             StatePlanes::OpinionPlusPacked { bits } => write!(f, "1b+{bits}b"),
         }
     }
@@ -319,23 +297,6 @@ pub trait Protocol {
         false
     }
 
-    /// `true` when this protocol may run the work-sharded **parallel**
-    /// fused round (`--mode fused-parallel`): agents partitioned into
-    /// contiguous shards, each stepped by [`Protocol::step_fused`] with an
-    /// independent counter-derived RNG stream.
-    ///
-    /// Every per-agent state machine qualifies — agent `i`'s update reads
-    /// only its own state, its observation, and fresh randomness, so the
-    /// kernel is free to regroup agents under different generators.
-    /// Defaults to `true`; a protocol whose update semantics depend on the
-    /// *round-global* draw order (none of the built-ins do) must override
-    /// this to opt out, which engines honor by rejecting the parallel
-    /// mode. Surfaced by `fet protocols` alongside the fused-kernel
-    /// column.
-    fn parallel_eligible(&self) -> bool {
-        true
-    }
-
     /// The public opinion currently output by this state — the bit other
     /// agents see when they sample this agent.
     fn output(&self, state: &Self::State) -> Opinion;
@@ -374,7 +335,7 @@ pub trait Protocol {
     fn memory_footprint(&self) -> MemoryFootprint;
 
     /// Declares whether (and how) this protocol's state packs into
-    /// bit/byte planes — the descriptor the bit-plane population
+    /// bit planes — the descriptor the bit-plane population
     /// representation keys off. Defaults to [`StatePlanes::Unpacked`]
     /// (typed storage only, API unchanged).
     ///

@@ -151,11 +151,10 @@ impl ShardPlan {
     /// populations carve their packed planes with
     /// `split_at_mut` — no shard boundary ever splits a plane word, for
     /// **any** plane width at once: a 64-agent boundary is 1 opinion-plane
-    /// word, 4 nibble-plane words (16 agents each), exactly `bits`
-    /// interleaved bit-sliced words (one 64-agent slice group), and 64
-    /// aux-plane bytes. Byte-addressed containers accept any consecutive
-    /// partition unchanged. Trailing shards are empty when there are
-    /// fewer words than shards.
+    /// word and exactly `bits` interleaved bit-sliced aux words (one
+    /// 64-agent slice group). Byte-addressed containers accept any
+    /// consecutive partition unchanged. Trailing shards are empty when
+    /// there are fewer words than shards.
     ///
     /// Like the shard count itself, the exact partition is part of the
     /// trajectory's keyed determinism contract: a pure function of
@@ -422,12 +421,11 @@ mod tests {
     #[test]
     fn boundaries_align_for_every_plane_width() {
         // A shard boundary at a multiple of 64 agents falls on a whole
-        // number of plane words for every packed layout the bit-plane
-        // container uses: opinion words (64 agents), nibble words (16
-        // agents), and interleaved bit-sliced groups (64 agents spread
-        // over `bits` consecutive words). The split arithmetic each
-        // layout applies must therefore be exact at every non-final
-        // boundary.
+        // number of plane words for every plane the bit-plane container
+        // uses: opinion words (64 agents) and interleaved bit-sliced aux
+        // groups (64 agents spread over `bits` consecutive words). The
+        // split arithmetic each plane applies must therefore be exact at
+        // every non-final boundary.
         for n in [64usize, 65, 129, 1000, 4099] {
             for shards in [2u32, 3, 7] {
                 let plan = ShardPlan::new(shards, 1, 42, 0);
@@ -437,12 +435,10 @@ mod tests {
                         continue; // the final range may end mid-word
                     }
                     assert!(r.start.is_multiple_of(64) && r.end.is_multiple_of(64));
-                    // Nibble plane: 16 values/word.
-                    assert!(r.len().is_multiple_of(16), "n={n} shards={shards} s={s}");
                     // Bit-sliced plane: group = 64 agents = `bits` words,
                     // so the word split `len/64 · bits` is exact for all
                     // widths.
-                    for bits in 1usize..=8 {
+                    for bits in 0usize..=8 {
                         assert_eq!(
                             (r.len() / 64) * bits,
                             r.len() * bits / 64,

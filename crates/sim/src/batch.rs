@@ -9,14 +9,13 @@
 //! work-stealing runner ([`fet_core::pool`]) — the same injector +
 //! per-worker-deque scheduler the episode-parallel sweep engine
 //! (`fet-sweep`) saturates cores with. This module keeps only the
-//! replicate-shaped API (`parallel_map`, [`run_replicated`]) and the
-//! summary statistics; its former bespoke chunked thread loop is gone.
+//! order-preserving [`parallel_map`] and the summary statistics
+//! ([`BatchSummary`]); its former bespoke chunked thread loop is gone.
 //!
 //! [`SeedTree`]: fet_stats::rng::SeedTree
 
 use crate::convergence::ConvergenceReport;
-use fet_stats::summary::{wilson_interval, Summary, WelfordAccumulator};
-use std::sync::Mutex;
+use fet_stats::summary::{wilson_interval, Summary};
 
 /// Maps `f` over `items` on up to `threads` worker threads, preserving
 /// input order in the output.
@@ -120,51 +119,6 @@ impl BatchSummary {
     }
 }
 
-/// Runs `replicates` convergence experiments in parallel and summarizes.
-///
-/// `run` receives the replicate index and must be deterministic in it
-/// (derive seeds from it).
-pub fn run_replicated<F>(
-    replicates: u64,
-    threads: usize,
-    run: F,
-) -> (Vec<ConvergenceReport>, BatchSummary)
-where
-    F: Fn(u64) -> ConvergenceReport + Sync,
-{
-    let indices: Vec<u64> = (0..replicates).collect();
-    let reports = parallel_map(&indices, threads, |&i| run(i));
-    let summary = BatchSummary::from_reports(&reports);
-    (reports, summary)
-}
-
-/// A thread-safe streaming accumulator for scalar metrics collected during
-/// batches (shared via reference across workers).
-#[derive(Debug, Default)]
-pub struct SharedAccumulator {
-    inner: Mutex<WelfordAccumulator>,
-}
-
-impl SharedAccumulator {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        SharedAccumulator::default()
-    }
-
-    /// Records one observation.
-    pub fn push(&self, x: f64) {
-        self.inner
-            .lock()
-            .expect("accumulator lock poisoned")
-            .push(x);
-    }
-
-    /// Snapshot of the current statistics.
-    pub fn snapshot(&self) -> WelfordAccumulator {
-        *self.inner.lock().expect("accumulator lock poisoned")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,28 +180,5 @@ mod tests {
         let s = BatchSummary::from_reports(&[fail, fail]);
         assert_eq!(s.successes, 0);
         assert!(s.time.is_none());
-    }
-
-    #[test]
-    fn run_replicated_is_deterministic() {
-        let run = |i: u64| ConvergenceReport {
-            converged_at: Some(i * 3 % 17),
-            rounds_run: 100,
-            final_fraction_correct: 1.0,
-        };
-        let (r1, s1) = run_replicated(50, 4, run);
-        let (r2, s2) = run_replicated(50, 2, run);
-        assert_eq!(r1, r2);
-        assert_eq!(s1, s2);
-    }
-
-    #[test]
-    fn shared_accumulator_collects_across_threads() {
-        let acc = SharedAccumulator::new();
-        let items: Vec<u64> = (1..=100).collect();
-        parallel_map(&items, 8, |&x| acc.push(x as f64));
-        let snap = acc.snapshot();
-        assert_eq!(snap.count(), 100);
-        assert!((snap.mean() - 50.5).abs() < 1e-9);
     }
 }

@@ -162,8 +162,7 @@ pub enum ExecutionMode {
     /// Force the work-sharded parallel fused kernel with `threads` shards
     /// (and at most that many worker threads; `FET_PARALLEL_WORKERS`
     /// overrides the worker count without touching the stream). Rejected
-    /// for `threads == 0` and for protocols that opt out of
-    /// [`parallel_eligible`](fet_core::protocol::Protocol::parallel_eligible).
+    /// for `threads == 0`.
     /// The trajectory is keyed by `(seed, threads)`: same thread count ⇒
     /// bit-identical replay on any host.
     FusedParallel {
@@ -198,12 +197,10 @@ const FUSED_PARALLEL_AUTO_MAX_THREADS: u32 = 8;
 /// [`ExecutionMode::Auto`]'s selection rule, as a pure function of the
 /// round's shard count (`None` = the single-threaded fused round): the
 /// parallel fused round once the population clears
-/// [`FUSED_PARALLEL_AUTO_MIN_N`] on a multi-core host (unless the protocol
-/// opts out of parallel sharding), and the single-threaded fused kernel
-/// otherwise.
-fn auto_round_impl(auto_threads: u32, n: u64, parallel_eligible: bool) -> Option<u32> {
-    (parallel_eligible && auto_threads > 1 && n >= FUSED_PARALLEL_AUTO_MIN_N)
-        .then_some(auto_threads)
+/// [`FUSED_PARALLEL_AUTO_MIN_N`] on a multi-core host, and the
+/// single-threaded fused kernel otherwise.
+fn auto_round_impl(auto_threads: u32, n: u64) -> Option<u32> {
+    (auto_threads > 1 && n >= FUSED_PARALLEL_AUTO_MIN_N).then_some(auto_threads)
 }
 
 fn checked_n(spec: &ProblemSpec) -> Result<usize, SimError> {
@@ -349,12 +346,6 @@ struct EngineCore {
     /// parallel run never silently ignores it (CI's determinism job
     /// depends on the two worker counts differing).
     parallel_workers: Result<Option<u32>, SimError>,
-    /// Whether the population's protocol admits parallel sharding
-    /// ([`Protocol::parallel_eligible`]); cached at construction since a
-    /// population never changes protocol. Consulted by explicit
-    /// [`ExecutionMode::FusedParallel`] selection *and* by
-    /// [`ExecutionMode::Auto`]'s parallel pick.
-    parallel_eligible: bool,
 }
 
 impl EngineCore {
@@ -479,7 +470,6 @@ impl EngineCore {
             parallel_workers: parse_parallel_workers(
                 std::env::var("FET_PARALLEL_WORKERS").ok().as_deref(),
             ),
-            parallel_eligible: pop.parallel_eligible(),
         }
     }
 
@@ -522,28 +512,18 @@ impl EngineCore {
         match self.mode {
             ExecutionMode::Fused => None,
             ExecutionMode::FusedParallel { threads } => Some(threads),
-            ExecutionMode::Auto => {
-                auto_round_impl(self.auto_threads, self.spec.n(), self.parallel_eligible)
-            }
+            ExecutionMode::Auto => auto_round_impl(self.auto_threads, self.spec.n()),
         }
     }
 
     /// Installs an execution mode, rejecting the parallel mode for zero
-    /// threads and for protocols that opted out of parallel sharding.
+    /// threads.
     fn set_mode(&mut self, mode: ExecutionMode) -> Result<(), SimError> {
         if let ExecutionMode::FusedParallel { threads } = mode {
             if threads == 0 {
                 return Err(SimError::InvalidParameter {
                     name: "mode",
                     detail: "offending axis: threads — fused-parallel needs at least one thread"
-                        .into(),
-                });
-            }
-            if !self.parallel_eligible {
-                return Err(SimError::InvalidParameter {
-                    name: "mode",
-                    detail: "offending axis: protocol — this protocol opts out of parallel \
-                             sharding (Protocol::parallel_eligible() is false)"
                         .into(),
                 });
             }
@@ -2122,21 +2102,13 @@ mod tests {
     #[test]
     fn auto_selection_parallelizes_only_large_rounds() {
         use super::auto_round_impl;
+        assert_eq!(auto_round_impl(8, FUSED_PARALLEL_AUTO_MIN_N - 1), None);
         assert_eq!(
-            auto_round_impl(8, FUSED_PARALLEL_AUTO_MIN_N - 1, true),
-            None
-        );
-        assert_eq!(
-            auto_round_impl(1, FUSED_PARALLEL_AUTO_MIN_N, true),
+            auto_round_impl(1, FUSED_PARALLEL_AUTO_MIN_N),
             None,
             "single-core hosts never pay thread-spawn overhead"
         );
-        assert_eq!(
-            auto_round_impl(4, FUSED_PARALLEL_AUTO_MIN_N, false),
-            None,
-            "Auto must honor a protocol's parallel opt-out"
-        );
-        assert_eq!(auto_round_impl(4, FUSED_PARALLEL_AUTO_MIN_N, true), Some(4));
+        assert_eq!(auto_round_impl(4, FUSED_PARALLEL_AUTO_MIN_N), Some(4));
     }
 
     // ---- bit-plane storage ----

@@ -115,9 +115,8 @@ pub const BIT_PLANE_AUTO_MIN_N: u64 = 10_000_000;
 ///
 /// Bit-plane storage packs opinions 64 agents per `u64` word, plus a
 /// packed auxiliary plane for protocols like FET that carry a small
-/// counter: exactly `⌈log₂(ℓ+1)⌉` bits per agent (a nibble or
-/// interleaved bit-sliced plane — 3 bits/agent at `ℓ = 5`), or one byte
-/// per agent when the counter needs all 8 bits — see
+/// counter: exactly `⌈log₂(ℓ+1)⌉ ≤ 8` bits per agent in an interleaved
+/// bit-sliced plane (3 bits/agent at `ℓ = 5`) — see
 /// [`fet_core::bitplane`]. Rounds run through the in-place fused
 /// kernels; opinion-only threshold protocols (voter, 3-majority)
 /// additionally take the word-at-a-time kernel, 64 agents per plane
@@ -139,10 +138,9 @@ pub enum Storage {
     Typed,
     /// Packed bit planes: 1 bit/agent opinion plus the protocol's packed
     /// auxiliary plane
-    /// ([`fet_core::protocol::StatePlanes::OpinionPlusPacked`] bits,
-    /// [`StatePlanes::OpinionPlusByte`](fet_core::protocol::StatePlanes::OpinionPlusByte)
-    /// bytes, or nothing for opinion-only protocols). Rejected at build
-    /// time when the protocol or configuration cannot support it.
+    /// ([`fet_core::protocol::StatePlanes::OpinionPlusPacked`] bits, or
+    /// nothing for opinion-only protocols). Rejected at build time when
+    /// the protocol or configuration cannot support it.
     BitPlane,
 }
 
@@ -636,10 +634,8 @@ impl SimulationBuilder {
     /// multi-core hosts). Forcing [`ExecutionMode::Fused`] or
     /// [`ExecutionMode::FusedParallel`] is validated in
     /// [`SimulationBuilder::build`]: both require a synchronous per-agent
-    /// run, and the parallel mode additionally a non-zero thread count
-    /// and a
-    /// [`parallel_eligible`](fet_core::protocol::Protocol::parallel_eligible)
-    /// protocol. Note the stream caveat in [`crate::engine`]'s docs: each
+    /// run, and the parallel mode additionally a non-zero thread count.
+    /// Note the stream caveat in [`crate::engine`]'s docs: each
     /// mode (and each parallel shard count) is its own deterministic
     /// stream per seed.
     pub fn execution_mode(mut self, mode: ExecutionMode) -> Self {
@@ -881,17 +877,6 @@ impl SimulationBuilder {
                 return Err(Self::invalid(
                     "mode",
                     "offending axis: threads — fused-parallel needs at least one thread",
-                ));
-            }
-            if matches!(self.mode, ExecutionMode::FusedParallel { .. })
-                && !protocol.parallel_eligible()
-            {
-                return Err(Self::invalid(
-                    "mode",
-                    format!(
-                        "offending axis: protocol — `{}` opts out of parallel sharding",
-                        protocol.name()
-                    ),
                 ));
             }
         }

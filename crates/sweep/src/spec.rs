@@ -138,9 +138,8 @@ pub struct SweepSpec {
 
 impl SweepSpec {
     /// A single-cell spec: one `(n, noise, ℓ)` point swept over `seeds`
-    /// consecutive seeds from `seed_base` — the shape
-    /// `fet_sim::batch::run_replicated` covers, expressed as a degenerate
-    /// grid.
+    /// consecutive seeds from `seed_base` — a batch of replicates,
+    /// expressed as a degenerate grid.
     pub fn single_cell(n: u64, seed_base: u64, seeds: u64) -> SweepSpec {
         SweepSpec {
             protocol: "fet".to_string(),

@@ -92,11 +92,12 @@ proptest! {
 }
 
 /// Stream identity with the replicate tier: a single-cell sweep runs the
-/// exact per-seed simulations `fet_sim::batch::run_replicated` dispatches
+/// exact per-seed simulations `fet_sim::batch::parallel_map` dispatches
 /// when both sit on the shared pool — same seeds, same reports, for any
 /// thread count.
 #[test]
-fn single_cell_sweep_matches_run_replicated_streams() {
+fn single_cell_sweep_matches_parallel_map_streams() {
+    use fet_sim::batch::parallel_map;
     use fet_sim::engine::ExecutionMode;
     use fet_sim::simulation::Simulation;
 
@@ -106,7 +107,7 @@ fn single_cell_sweep_matches_run_replicated_streams() {
     let outcome = run_sweep(&spec, &opts(3, None, None)).unwrap();
     assert!(outcome.complete);
 
-    let simulate = |i: u64| {
+    let simulate = |&i: &u64| {
         Simulation::builder()
             .population(90)
             .seed(base + i)
@@ -116,8 +117,9 @@ fn single_cell_sweep_matches_run_replicated_streams() {
             .run()
             .report
     };
+    let indices: Vec<u64> = (0..replicates).collect();
     for threads in [1usize, 4] {
-        let (reports, _) = fet_sim::batch::run_replicated(replicates, threads, simulate);
+        let reports = parallel_map(&indices, threads, simulate);
         assert_eq!(reports.len(), outcome.records.len());
         for (record, report) in outcome.records.iter().zip(&reports) {
             assert_eq!(

@@ -11,17 +11,17 @@
 //!   (sequential, parallel, and the in-place variants) writes the same
 //!   outputs, counters, and final decisions as a `TypedPopulation`
 //!   driven by the identical streams, for every `ℓ ≤ 255` — so every
-//!   clock-plane width (bit-sliced 1–3 and 5–7 bits, nibble, byte) goes
-//!   through the tile kernel's load and store;
+//!   bit-sliced clock-plane width from 1 to 8 bits goes through the tile
+//!   kernel's load and store;
 //! * **popcount invariant** — after *every* round,
 //!   `count_output_ones()` equals the scalar `output_of` recount;
 //! * **clock-plane round trip** — FET's `pack_state`/`unpack_state` are
 //!   mutually inverse over the whole `(opinion, count ∈ [0, ℓ])` domain
 //!   for every byte-sized `ℓ`;
-//! * **packed-aux round trip** — the tier-2 aux layouts (bit-sliced,
-//!   nibble, byte) store and return every clock value for every
-//!   `ℓ ≤ 255` at word-boundary lengths, and a `BitPopulation` over any
-//!   such `ℓ` stays stream-identical to the typed container;
+//! * **packed-aux round trip** — the bit-sliced aux plane stores and
+//!   returns every clock value at every width, for every `ℓ ≤ 255` at
+//!   word-boundary lengths, and a `BitPopulation` over any such `ℓ`
+//!   stays stream-identical to the typed container;
 //! * **word-kernel equivalence** — the word-at-a-time threshold kernel
 //!   (voter, 3-majority) produces the same trajectory, counters, and
 //!   popcounts as the tile kernel (the protocol's fused kernel over 64
@@ -295,9 +295,8 @@ proptest! {
 
     /// Container level, full `ℓ` range: a `BitPopulation` built from the
     /// same init stream as a `TypedPopulation` holds bit-identical
-    /// opinions and packed clocks, whichever aux layout `ℓ` selects
-    /// (bit-sliced for `bits < 4` and `4 < bits < 8`, nibble at
-    /// `bits = 4`, byte at `bits = 8`).
+    /// opinions and packed clocks, whichever aux width `ℓ` selects
+    /// (`⌈log₂(ℓ+1)⌉` bits, from 1 to 8).
     #[test]
     fn bit_population_matches_typed_for_any_ell(
         ell in 1u32..=255,
@@ -407,10 +406,10 @@ where
     }
 }
 
-/// The packed aux layouts, exhaustively: every `ℓ ≤ 255` (covering every
-/// sliced width, the nibble plane, and the byte plane) stores and
-/// returns every clock value in `[0, ℓ]` at the word-boundary lengths
-/// `n ∈ {63, 64, 65}`, through both `push` and `set`. Pinned outside the
+/// The packed aux plane, exhaustively: every `ℓ ≤ 255` (covering every
+/// sliced width from 1 to 8 bits) stores and returns every clock value
+/// in `[0, ℓ]` at the word-boundary lengths `n ∈ {63, 64, 65}`, through
+/// both `push` and `set`. Pinned outside the
 /// fuzzer so no width can rotate out of coverage.
 #[test]
 fn packed_aux_planes_roundtrip_every_ell() {

@@ -364,23 +364,25 @@ fn packed_clock_trajectory(shards: u32, ell: u32, storage: Storage) -> Vec<f64> 
         .expect("recording requested")
 }
 
-/// The packed-aux determinism matrix: each tier-2 clock-plane layout —
-/// bit-sliced (`ℓ = 5` → 3 bits; `ℓ = 47` → 6 bits, the benchmark's
-/// layout at n = 10⁵; `ℓ = 65` → 7 bits, what `fet run --n 10000000`
-/// packs), nibble (`ℓ = 12` → 4 bits), and the byte fast path
-/// (`ℓ = 200` → 8 bits) — must replay the typed-storage
-/// trajectory bit for bit per `(seed, shard count)`. The plane width is
-/// pure representation; it must never enter the stream. Serialized to
+/// The packed-aux determinism matrix: every bit-sliced clock-plane
+/// width from 1 to 8 bits (`ℓ = 47` → 6 bits is the benchmark's layout
+/// at n = 10⁵; `ℓ = 65` → 7 bits is what `fet run --n 10000000` packs)
+/// must replay the typed-storage trajectory bit for bit per
+/// `(seed, shard count)`. The plane width is pure representation; it
+/// must never enter the stream. Serialized to
 /// `FET_DETERMINISM_DUMP_PACKED` for CI's cross-worker-count byte-diff.
 #[test]
 fn packed_clock_stream_identity_matrix() {
-    // (label, ell) → aux layout exercised; see `FetProtocol::state_planes`.
+    // (label, ell) → aux width exercised; see `FetProtocol::state_planes`.
     let ells = [
         ("sliced-3b", 5u32),
         ("sliced-6b", 47),
         ("sliced-7b", 65),
-        ("nibble-4b", 12),
-        ("byte-8b", 200),
+        ("sliced-4b", 12),
+        ("sliced-8b", 200),
+        ("sliced-1b", 1),
+        ("sliced-2b", 2),
+        ("sliced-5b", 20),
     ];
     let mut dump = String::new();
     let workers = std::env::var("FET_PARALLEL_WORKERS").unwrap_or_else(|_| "unset".into());
