@@ -133,6 +133,19 @@ impl BitPlane {
         self.words.reserve(want.saturating_sub(self.words.len()));
     }
 
+    /// Appends the low `count ≤ 64` bits of `word` as one new word. The
+    /// plane must end on a word boundary, and the bits of `word` past
+    /// `count` must be zero.
+    fn push_word(&mut self, word: u64, count: usize) {
+        debug_assert!(self.len.is_multiple_of(WORD_BITS), "plane ends mid-word");
+        debug_assert!(
+            count == WORD_BITS || word >> count == 0,
+            "bits past the count"
+        );
+        self.words.push(word);
+        self.len += count;
+    }
+
     /// Appends one bit.
     pub fn push(&mut self, opinion: Opinion) {
         let bit = self.len % WORD_BITS;
@@ -279,6 +292,20 @@ impl AuxPlane {
         let idx = self.len;
         self.len += 1;
         self.set(idx, value);
+    }
+
+    /// Appends the first `count ≤ 64` values of `tile` as one new word
+    /// group, written whole by the tile store — the bulk counterpart of
+    /// [`AuxPlane::push`], which costs one read-modify-write per slice
+    /// word per value. The plane must end on a group boundary, and the
+    /// slots past `count` must be zero.
+    fn push_tile(&mut self, tile: &[u8; WORD_BITS], count: usize) {
+        debug_assert!(self.len.is_multiple_of(WORD_BITS), "plane ends mid-group");
+        let group = self.len / WORD_BITS;
+        self.words
+            .resize(self.words.len() + usize::from(self.bits), 0);
+        self.len += count;
+        self.slice_mut().store_tile(group, count, tile);
     }
 
     /// The value at `idx`, gathered one bit per slice word.
@@ -671,12 +698,39 @@ impl<P: Protocol> BitPopulation<P> {
         let mut pop = BitPopulation::new(protocol);
         pop.opinions.reserve(states.len());
         pop.aux.reserve(states.len());
-        for state in states {
-            let (opinion, aux) = pop.protocol.pack_state(state);
-            pop.opinions.push(opinion);
-            pop.aux.push(aux);
-        }
+        let mut states = states.iter();
+        pop.extend_packed(states.len(), |protocol| {
+            protocol.pack_state(states.next().expect("one state per agent"))
+        });
         pop
+    }
+
+    /// Appends `count` agents, each packed by `next`, in agent order. Whole
+    /// 64-agent groups are staged on the stack and written as one opinion
+    /// word and one aux tile; a partial trailing group left by earlier
+    /// pushes is finished agent by agent first.
+    fn extend_packed(&mut self, count: usize, mut next: impl FnMut(&P) -> (Opinion, u8)) {
+        let mut left = count;
+        while left > 0 && !self.opinions.len().is_multiple_of(WORD_BITS) {
+            let (opinion, aux) = next(&self.protocol);
+            self.opinions.push(opinion);
+            self.aux.push(aux);
+            left -= 1;
+        }
+        let mut values = [0u8; WORD_BITS];
+        while left > 0 {
+            let in_word = left.min(WORD_BITS);
+            let mut word = 0u64;
+            for (bit, value) in values[..in_word].iter_mut().enumerate() {
+                let (opinion, aux) = next(&self.protocol);
+                word |= u64::from(opinion.is_one()) << bit;
+                *value = aux;
+            }
+            values[in_word..].fill(0);
+            self.opinions.push_word(word, in_word);
+            self.aux.push_tile(&values, in_word);
+            left -= in_word;
+        }
     }
 
     /// The protocol configuration.
@@ -755,6 +809,20 @@ where
         self.opinions.push(packed_opinion);
         self.aux.push(packed_aux);
         output
+    }
+
+    fn push_agents(
+        &mut self,
+        count: usize,
+        opinion: &mut dyn FnMut(&mut dyn RngCore) -> Opinion,
+        rng: &mut dyn RngCore,
+    ) {
+        self.extend_packed(count, |protocol| {
+            let state = protocol.init_state(opinion(rng), rng);
+            let packed = protocol.pack_state(&state);
+            debug_assert_eq!(packed.0, protocol.output(&state));
+            packed
+        });
     }
 
     fn corrupt_agent(&mut self, idx: usize, opinion: Opinion, rng: &mut dyn RngCore) {
@@ -984,6 +1052,37 @@ mod tests {
                 );
             }
             assert_eq!(typed.count_output_ones(), bits.count_output_ones());
+        }
+    }
+
+    /// The staged bulk fill writes the planes and draws the stream that as
+    /// many single pushes would, after a prefix that ends mid-group or on
+    /// a group boundary.
+    #[test]
+    fn push_agents_matches_single_pushes() {
+        let opinion = |rng: &mut dyn RngCore| Opinion::from(rng.next_u32().is_multiple_of(3));
+        for ell in [5, 8, 200] {
+            let proto = FetProtocol::new(ell).unwrap();
+            for prefix in [0, 1, 37, 64] {
+                for count in [0, 1, 63, 64, 65, 200] {
+                    let mut single = BitPopulation::new(proto.clone());
+                    let mut bulk = BitPopulation::new(proto.clone());
+                    let (mut rs, mut rb) = (rng(), rng());
+                    for _ in 0..prefix + count {
+                        let o = opinion(&mut rs);
+                        single.push_agent(o, &mut rs);
+                    }
+                    for _ in 0..prefix {
+                        let o = opinion(&mut rb);
+                        bulk.push_agent(o, &mut rb);
+                    }
+                    bulk.push_agents(count, &mut |r: &mut dyn RngCore| opinion(r), &mut rb);
+                    let case = format!("ell={ell} prefix={prefix} count={count}");
+                    assert_eq!(bulk.opinion_plane(), single.opinion_plane(), "{case}");
+                    assert_eq!(bulk.aux_plane(), single.aux_plane(), "{case}");
+                    assert_eq!(rb.next_u64(), rs.next_u64(), "{case}");
+                }
+            }
         }
     }
 

@@ -164,6 +164,22 @@ impl FetProtocol {
     }
 }
 
+/// FET's update from the round's split `(count′_t, count″_t)`: compare
+/// `count′_t` with the stored `count″_{t−1}`, keep the opinion on a tie,
+/// and store `count″_t` for the next round. Returns the new opinion.
+#[inline(always)]
+fn follow_trend(state: &mut FetState, (count_prime, count_second): (u64, u64)) -> Opinion {
+    let stale = u64::from(state.prev_count_second_half);
+    let new_opinion = match count_prime.cmp(&stale) {
+        std::cmp::Ordering::Greater => Opinion::One,
+        std::cmp::Ordering::Less => Opinion::Zero,
+        std::cmp::Ordering::Equal => state.opinion,
+    };
+    state.opinion = new_opinion;
+    state.prev_count_second_half = count_second as u32;
+    new_opinion
+}
+
 impl Protocol for FetProtocol {
     type State = FetState;
 
@@ -205,16 +221,7 @@ impl Protocol for FetProtocol {
         // split of the observed count; see module docs). The cached table
         // is stream-compatible with `split_sample`, so this draws exactly
         // what the sequential sampler would.
-        let (count_prime, count_second) = self.table.split(u64::from(obs.ones()), rng);
-        let stale = u64::from(state.prev_count_second_half);
-        let new_opinion = match count_prime.cmp(&stale) {
-            std::cmp::Ordering::Greater => Opinion::One,
-            std::cmp::Ordering::Less => Opinion::Zero,
-            std::cmp::Ordering::Equal => state.opinion,
-        };
-        state.opinion = new_opinion;
-        state.prev_count_second_half = count_second as u32;
-        new_opinion
+        follow_trend(state, self.table.split(u64::from(obs.ones()), rng))
     }
 
     fn step_fused(
@@ -234,7 +241,14 @@ impl Protocol for FetProtocol {
         // default per-`step` loop because `step` draws through the same
         // table with the same per-agent interleaving.
         let mut counters = FusedCounters::default();
-        for (state, out) in states.iter_mut().zip(outputs.iter_mut()) {
+        let mut update = |state: &mut FetState, out: &mut Opinion, split: (u64, u64)| {
+            let new_opinion = follow_trend(state, split);
+            *out = new_opinion;
+            counters.ones += u64::from(new_opinion.is_one());
+            counters.correct += u64::from(new_opinion == correct);
+        };
+        let mut agents = states.iter_mut().zip(outputs.iter_mut());
+        while let Some((state, out)) = agents.next() {
             let obs = source.next_observation(rng);
             assert_eq!(
                 obs.sample_size(),
@@ -244,18 +258,19 @@ impl Protocol for FetProtocol {
                 m,
                 obs.sample_size()
             );
-            let (count_prime, count_second) = self.table.split(u64::from(obs.ones()), rng);
-            let stale = u64::from(state.prev_count_second_half);
-            let new_opinion = match count_prime.cmp(&stale) {
-                std::cmp::Ordering::Greater => Opinion::One,
-                std::cmp::Ordering::Less => Opinion::Zero,
-                std::cmp::Ordering::Equal => state.opinion,
-            };
-            state.opinion = new_opinion;
-            state.prev_count_second_half = count_second as u32;
-            *out = new_opinion;
-            counters.ones += u64::from(new_opinion.is_one());
-            counters.correct += u64::from(new_opinion == correct);
+            let ones = obs.ones();
+            let split = self.table.split(u64::from(ones), rng);
+            update(state, out, split);
+            // A unanimous count splits without a draw, so the agents the
+            // source reports seeing it again step with no draw and no call
+            // at all. Asking only here keeps mixed rounds at one call per
+            // agent.
+            if ones == 0 || ones == m {
+                let repeats = source.repeats(agents.len());
+                for (state, out) in agents.by_ref().take(repeats) {
+                    update(state, out, split);
+                }
+            }
         }
         counters
     }
@@ -456,14 +471,45 @@ mod tests {
         assert_eq!(FetProtocol::new(12).unwrap().aggregate_ell(), Some(12));
     }
 
-    /// Replays a fixed observation sequence, consuming no RNG itself.
+    /// Replays a fixed observation sequence, consuming no RNG itself. With
+    /// `report_repeats`, it also reports every run of equal observations
+    /// through `repeats`, as a near-consensus source does.
     struct SliceSource<'a> {
-        obs: std::slice::Iter<'a, Observation>,
+        obs: std::iter::Peekable<std::slice::Iter<'a, Observation>>,
+        last: Option<Observation>,
+        report_repeats: bool,
+        reported: usize,
+    }
+
+    impl<'a> SliceSource<'a> {
+        fn new(obs: &'a [Observation], report_repeats: bool) -> Self {
+            SliceSource {
+                obs: obs.iter().peekable(),
+                last: None,
+                report_repeats,
+                reported: 0,
+            }
+        }
     }
 
     impl ObservationSource for SliceSource<'_> {
         fn next_observation(&mut self, _rng: &mut dyn RngCore) -> Observation {
-            *self.obs.next().expect("one observation per agent")
+            let obs = *self.obs.next().expect("one observation per agent");
+            self.last = Some(obs);
+            obs
+        }
+
+        fn repeats(&mut self, max: usize) -> usize {
+            let mut repeats = 0;
+            while self.report_repeats
+                && repeats < max
+                && self.obs.peek().copied() == self.last.as_ref()
+            {
+                self.obs.next();
+                repeats += 1;
+            }
+            self.reported += repeats;
+            repeats
         }
     }
 
@@ -471,12 +517,15 @@ mod tests {
     fn step_fused_matches_sequential_steps_bit_for_bit() {
         // The specialized fused kernel must stay stream-identical to the
         // default per-`step` loop: same states, same outputs, same RNG
-        // consumption, and counters that match a recount.
+        // consumption, and counters that match a recount — also when the
+        // source reports runs of unanimous counts, which the kernel steps
+        // without asking for their observations.
         let p = FetProtocol::new(8).unwrap();
         let m = p.samples_per_round();
         let ctx = ctx();
+        let agents = 96;
         let mut init_rng = rng("fused-init");
-        let mut states_loop: Vec<FetState> = (0..48)
+        let states: Vec<FetState> = (0..agents)
             .map(|i| {
                 p.init_state(
                     if i % 3 == 0 {
@@ -488,37 +537,49 @@ mod tests {
                 )
             })
             .collect();
-        let mut states_fused = states_loop.clone();
-        let observations: Vec<Observation> = (0..48)
-            .map(|i| Observation::new((i * 5) % (m + 1), m).unwrap())
+        // Runs of 0 and of m, of lengths 1 to 11, between mixed counts.
+        let observations: Vec<Observation> = (0..agents)
+            .map(|i| {
+                let ones = match (i / 6) % 4 {
+                    0 => 0,
+                    2 if i % 12 != 11 => m,
+                    _ => (i * 5) % (m + 1),
+                };
+                Observation::new(ones, m).unwrap()
+            })
             .collect();
+        let mut states_loop = states.clone();
         let mut rng_loop = rng("fused-stream");
-        let mut rng_fused = rng("fused-stream");
         let outputs_loop: Vec<Opinion> = states_loop
             .iter_mut()
             .zip(&observations)
             .map(|(s, o)| p.step(s, o, &ctx, &mut rng_loop))
             .collect();
-        let mut outputs_fused = vec![Opinion::Zero; 48];
-        let counters = p.step_fused(
-            &mut states_fused,
-            &mut SliceSource {
-                obs: observations.iter(),
-            },
-            &ctx,
-            &mut rng_fused,
-            Opinion::One,
-            &mut outputs_fused,
-        );
-        assert_eq!(states_loop, states_fused);
-        assert_eq!(outputs_loop, outputs_fused);
-        assert_eq!(
-            counters.ones,
-            outputs_loop.iter().filter(|o| o.is_one()).count() as u64
-        );
-        assert_eq!(counters.correct, counters.ones, "correct is One here");
-        // Both paths must have consumed the same stream.
-        assert_eq!(rng_loop.next_u64(), rng_fused.next_u64());
+        for report_repeats in [false, true] {
+            let mut states_fused = states.clone();
+            let mut rng_fused = rng("fused-stream");
+            let mut outputs_fused = vec![Opinion::Zero; agents as usize];
+            let mut source = SliceSource::new(&observations, report_repeats);
+            let counters = p.step_fused(
+                &mut states_fused,
+                &mut source,
+                &ctx,
+                &mut rng_fused,
+                Opinion::One,
+                &mut outputs_fused,
+            );
+            assert_eq!(states_loop, states_fused);
+            assert_eq!(outputs_loop, outputs_fused);
+            assert_eq!(
+                counters.ones,
+                outputs_loop.iter().filter(|o| o.is_one()).count() as u64
+            );
+            assert_eq!(counters.correct, counters.ones, "correct is One here");
+            // Both paths must have consumed the same stream.
+            assert_eq!(rng_loop.clone().next_u64(), rng_fused.next_u64());
+            assert_eq!(source.obs.len(), 0, "one observation per agent");
+            assert_eq!(source.reported > 0, report_repeats, "the run loop ran");
+        }
         assert!(p.has_fused_kernel());
     }
 

@@ -126,6 +126,23 @@ pub trait Population: fmt::Debug + Send {
     /// new agent's public output.
     fn push_agent(&mut self, opinion: Opinion, rng: &mut dyn RngCore) -> Opinion;
 
+    /// Appends `count` agents, drawing each one's opinion with `opinion`
+    /// and then its internals from the same `rng`: exactly `count`
+    /// [`Population::push_agent`] calls in a loop, which is the default.
+    /// Bit-plane containers override it to write whole 64-agent plane
+    /// words at a time.
+    fn push_agents(
+        &mut self,
+        count: usize,
+        opinion: &mut dyn FnMut(&mut dyn RngCore) -> Opinion,
+        rng: &mut dyn RngCore,
+    ) {
+        for _ in 0..count {
+            let opinion = opinion(rng);
+            self.push_agent(opinion, rng);
+        }
+    }
+
     /// Executes one *fused* round for every agent: each agent's
     /// observation is drawn on demand from a shard source, its update
     /// applied, and the round counters accumulated in one pass —

@@ -47,8 +47,9 @@ impl RoundContext {
 /// A source *draws* observation `i` on demand instead of materializing an
 /// `O(n)` observation buffer: it encapsulates the sampling rule plus any
 /// per-observation fault corruption, while the protocol stays in charge of
-/// the state update. One virtual call per agent, zero auxiliary memory.
-/// Two families exist:
+/// the state update. One virtual call per agent, zero auxiliary memory —
+/// or fewer calls, when a kernel steps the agent runs a source reports
+/// through [`ObservationSource::repeats`]. Two families exist:
 ///
 /// * **mean-field** sources (binomial / without-replacement sampling on
 ///   the complete graph): an observation is a pure function of the round's
@@ -94,6 +95,24 @@ pub trait ObservationSource {
             word |= u64::from(obs.ones() >= threshold) << j;
         }
         word
+    }
+
+    /// How many of the next agents, at most `max`, see the observation the
+    /// last [`next_observation`](ObservationSource::next_observation) call
+    /// returned again, without the source drawing anything for them. The
+    /// source counts them as delivered: the caller steps them with that
+    /// observation and does not call `next_observation` for them.
+    ///
+    /// # Contract
+    ///
+    /// Reporting `k` must be **stream-identical** to `k` further
+    /// `next_observation` calls that each return the same observation and
+    /// draw nothing. The default reports 0. The mean-field source reports
+    /// the rest of a unanimous run in near-consensus binomial rounds
+    /// (see `fet-sim`'s `MeanFieldSource`).
+    fn repeats(&mut self, max: usize) -> usize {
+        let _ = max;
+        0
     }
 }
 
@@ -259,8 +278,10 @@ pub trait Protocol {
     /// stay stream-identical to the default (same per-agent draw
     /// interleaving — observation, then update — and the same results for
     /// a given RNG state), so every representation of one protocol walks
-    /// one fused stream. See `fet-sim`'s engine docs for the
-    /// execution-mode story.
+    /// one fused stream. An override may step the agents a source reports
+    /// through [`ObservationSource::repeats`] without asking for their
+    /// observations, as long as their updates draw exactly what `step`
+    /// would. See `fet-sim`'s engine docs for the execution-mode story.
     ///
     /// # Panics
     ///

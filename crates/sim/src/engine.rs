@@ -96,7 +96,9 @@ use crate::fault::{FaultEvent, FaultPlan, FaultSchedule};
 use crate::init::InitialCondition;
 use crate::neighborhood::{ensure_observable, Neighborhood};
 use crate::observer::{RoundObserver, RoundSnapshot};
-use crate::sources::{GraphSourceFactory, MeanFieldSampler, MeanFieldSourceFactory, SnapshotView};
+use crate::sources::{
+    BinomialRound, GraphSourceFactory, MeanFieldSampler, MeanFieldSourceFactory, SnapshotView,
+};
 use fet_core::bitplane::BitPlane;
 use fet_core::config::ProblemSpec;
 use fet_core::opinion::Opinion;
@@ -104,11 +106,10 @@ use fet_core::population::{DynPopulation, Population, TypedPopulation};
 use fet_core::protocol::{Protocol, RoundContext};
 use fet_core::shard::{RoundStreams, ShardPlan, ShardSourceFactory, SleepLane};
 use fet_core::source::Source;
-use fet_stats::binomial::BinomialSampler;
 use fet_stats::hypergeometric::Hypergeometric;
 use fet_stats::rng::{counter_split, counter_stream_base, SeedTree};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use std::fmt;
 
 /// How per-agent observations are generated.
@@ -368,21 +369,17 @@ impl EngineCore {
         // Bit-plane populations keep no byte output buffer: the opinion
         // plane itself is the output store. The construction RNG stream
         // (one draw + one init per agent, in order) is shared either way.
-        let bits = pop.supports_inplace_rounds();
-        let mut outputs = Vec::new();
-        if !bits {
-            outputs.reserve(n);
-            for _ in 0..num_sources {
-                outputs.push(source.output());
-            }
-        }
         pop.reserve(n - num_sources);
-        for _ in num_sources..n {
-            let opinion = init.draw(spec.correct(), &mut rng);
-            let out = pop.push_agent(opinion, &mut rng);
-            if !bits {
-                outputs.push(out);
-            }
+        let correct = spec.correct();
+        pop.push_agents(
+            n - num_sources,
+            &mut |rng: &mut dyn RngCore| init.draw(correct, rng),
+            &mut rng,
+        );
+        let mut outputs = Vec::new();
+        if !pop.supports_inplace_rounds() {
+            outputs.resize(n, source.output());
+            pop.write_outputs(&mut outputs[num_sources..]);
         }
         Ok(Self::assemble(
             pop, spec, source, fidelity, outputs, rng, seed,
@@ -706,14 +703,15 @@ impl EngineCore {
     }
 
     /// The round's mean-field sampler, binomial or hypergeometric by
-    /// fidelity.
+    /// fidelity: one `O(m)` table per round, shared by every shard.
     ///
-    /// The binomial sampler carries the round's observation noise: when
+    /// The binomial law carries the round's observation noise: when
     /// each observed bit flips independently with probability `δ`, an
     /// observed bit is a 1 with probability `x_t(1 − δ) + (1 − x_t)δ`, so
     /// a noisy observation is *exactly* `Binomial(m, x_t(1 − δ) +
     /// (1 − x_t)δ)` and no round path corrupts binomial draws afterwards.
-    fn round_samplers(&self, m: u32) -> (Option<BinomialSampler>, Option<Hypergeometric>) {
+    /// Near consensus the law hands out unanimous runs ([`BinomialRound`]).
+    fn round_samplers(&self, m: u32) -> (Option<BinomialRound>, Option<Hypergeometric>) {
         // Sized from the spec, not the byte output buffer — bit-plane
         // populations keep no such buffer.
         let n = self.spec.n() as usize;
@@ -726,7 +724,7 @@ impl EngineCore {
                 let p = x_t * (1.0 - delta) + (1.0 - x_t) * delta;
                 (
                     Some(
-                        BinomialSampler::new(u64::from(m), p)
+                        BinomialRound::new(m, p)
                             .expect("a convex combination of probabilities lies in [0, 1]"),
                     ),
                     None,

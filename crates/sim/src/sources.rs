@@ -59,7 +59,8 @@ use fet_core::observation::Observation;
 use fet_core::opinion::Opinion;
 use fet_core::protocol::ObservationSource;
 use fet_core::shard::ShardSourceFactory;
-use fet_stats::binomial::BinomialSampler;
+use fet_stats::binomial::{AliasTable, BinomialSampler};
+use fet_stats::error::{check_probability, StatsError};
 use fet_stats::isa::{self, IsaPath};
 use fet_stats::rng::{counter_split, counter_stream_base};
 use rand::rngs::SmallRng;
@@ -69,6 +70,151 @@ use std::fmt;
 use std::ops::Range;
 use std::sync::{Mutex, OnceLock};
 
+/// The unanimity probability `u` at and above which a binomial round
+/// hands out unanimous runs instead of drawing every agent's count (see
+/// [`BinomialRound`]).
+///
+/// Break-even, measured: one FET round at `n = 10⁵`, `ℓ = 47`, built with
+/// the rule forced on and forced off, at `u` from 0.05 to 0.99 (2-vCPU
+/// x86-64 host, typed and bit-plane storage), costs the same both ways
+/// near `u = 0.5` (35–42 ns/agent). Below it the run and conditioned draws
+/// cost more than the per-agent draws they replace (1.1–1.5× at
+/// `u ≤ 0.3`); at `u = 0.9` the runs cost 0.3–0.6× (typed 8–10 against
+/// 18–27 ns/agent). The threshold keeps a wide margin above the break-even,
+/// so no round where the rule could lose takes it, and only rounds at or
+/// next to consensus re-key (docs/DETERMINISM.md).
+pub const UNANIMOUS_RUN_THRESHOLD: f64 = 0.9;
+
+/// One round's `Binomial(m, p′)` observation law, in the form the
+/// mean-field source draws it.
+///
+/// Let `u = max((1 − p′)^m, p′^m)` be the probability that an agent's `m`
+/// observed bits are unanimous. Below [`UNANIMOUS_RUN_THRESHOLD`] every
+/// observation is one draw from the `Binomial(m, p′)` sampler. At or above
+/// it the agents come in runs: a geometric number of agents, with
+/// `P(run ≥ k) = u^k`, see the likelier unanimous count (0 when `p′ ≤ ½`,
+/// `m` above), and the agent after the run draws its count from
+/// `Binomial(m, p′)` conditioned on not being that one. Each agent then
+/// still sees an independent `Binomial(m, p′)` count, while a run costs
+/// one draw, however long it is, and its agents cost none. A degenerate
+/// law (`p′ ∈ {0, 1}`) is one run that never ends and draws nothing,
+/// exactly as its sampler always did.
+///
+/// The rule is a fixed function of `(m, p′)`, so it never depends on
+/// storage, shard count or ISA path.
+#[derive(Debug, Clone)]
+pub struct BinomialRound {
+    draw: BinomialDraw,
+}
+
+#[derive(Debug, Clone)]
+enum BinomialDraw {
+    /// `u` below the threshold: one sampler draw per agent.
+    EachAgent(BinomialSampler),
+    /// `u` at or above it: unanimous runs.
+    Runs(UnanimousRuns),
+}
+
+/// The near-consensus form of a [`BinomialRound`].
+#[derive(Debug, Clone)]
+struct UnanimousRuns {
+    /// The count every run repeats: 0 when `p′ ≤ ½`, `m` above.
+    count: u32,
+    /// `ln u`; exactly 0 for a degenerate law, whose one run never ends.
+    ln_u: f64,
+    /// The smallest count of the conditioned law.
+    first: u32,
+    /// The conditioned law over the counts `first..first + m`; `None`
+    /// when it is a single count (`m = 1`) or never drawn (a degenerate
+    /// law).
+    rest: Option<AliasTable>,
+}
+
+impl BinomialRound {
+    /// The law `Binomial(m, p)` of one round.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StatsError::InvalidProbability`] when `p ∉ [0, 1]`.
+    pub fn new(m: u32, p: f64) -> Result<Self, StatsError> {
+        check_probability("p", p)?;
+        // u through its logarithm, so a tiny p′ does not round u up to 1.
+        let (count, ln_u) = if p <= 0.5 {
+            (0, f64::from(m) * (-p).ln_1p())
+        } else {
+            (m, f64::from(m) * p.ln())
+        };
+        let draw = if ln_u < UNANIMOUS_RUN_THRESHOLD.ln() {
+            BinomialDraw::EachAgent(BinomialSampler::new(u64::from(m), p)?)
+        } else {
+            let first = if count == 0 { 1 } else { 0 };
+            let rest = (ln_u < 0.0 && m > 1).then(|| conditioned_table(m, p, count));
+            BinomialDraw::Runs(UnanimousRuns {
+                count,
+                ln_u,
+                first,
+                rest,
+            })
+        };
+        Ok(BinomialRound { draw })
+    }
+
+    /// `true` when this round hands out unanimous runs (`u` at or above
+    /// [`UNANIMOUS_RUN_THRESHOLD`]).
+    pub fn draws_runs(&self) -> bool {
+        matches!(self.draw, BinomialDraw::Runs(_))
+    }
+}
+
+/// `Binomial(m, p)` conditioned on not being the unanimous `count`, as an
+/// alias table over the other `m` counts in ascending order. The weights
+/// run outward from the count next to `count` by the pmf's ratio
+/// recurrence, relative to that count's mass, so they neither overflow nor
+/// lose the whole law to underflow however small `min(p, 1 − p)` is: in
+/// the run regime every step away from `count` shrinks the mass.
+fn conditioned_table(m: u32, p: f64, count: u32) -> AliasTable {
+    // Steps away from `count`: weight of distance k + 1 from weight of k.
+    let odds = if count == 0 {
+        p / (1.0 - p)
+    } else {
+        (1.0 - p) / p
+    };
+    let mut weights = Vec::with_capacity(m as usize);
+    let mut weight = 1.0;
+    for k in 1..=m {
+        weights.push(weight);
+        weight *= f64::from(m - k) / f64::from(k + 1) * odds;
+    }
+    if count == m {
+        weights.reverse();
+    }
+    AliasTable::new(&weights).expect("the count next to the unanimous one has weight 1")
+}
+
+impl UnanimousRuns {
+    /// The length of the next run: geometric with `P(run ≥ k) = u^k`, from
+    /// one 53-bit uniform on `(0, 1]`. Kept out of line, like
+    /// [`FaultPlan::corrupt_count`]'s skip loop: it runs once per run, not
+    /// once per agent.
+    #[inline(never)]
+    fn run_length(&self, rng: &mut dyn RngCore) -> u64 {
+        if self.ln_u == 0.0 {
+            return u64::MAX;
+        }
+        let uniform = ((rng.next_u64() >> 11) + 1) as f64 * (1.0 / (1u64 << 53) as f64);
+        // Saturates at u64::MAX for runs past any population.
+        (uniform.ln() / self.ln_u) as u64
+    }
+
+    /// The count of the agent that ends a run.
+    fn rest(&self, rng: &mut dyn RngCore) -> u32 {
+        match &self.rest {
+            Some(table) => self.first + table.sample(rng) as u32,
+            None => self.first,
+        }
+    }
+}
+
 /// The round's mean-field sampler: one of the two exact per-agent
 /// shortcuts for complete-graph sampling, each carrying the round's
 /// observation noise in the one way its law allows.
@@ -77,9 +223,9 @@ pub enum MeanFieldSampler<'a> {
     /// `Binomial(m, p)` — with-replacement sampling. Noise is part of the
     /// law: when every observed bit flips independently with probability
     /// `δ`, an observed bit is a 1 with probability
-    /// `p = x_t(1 − δ) + (1 − x_t)δ`, and the engine builds the sampler at
-    /// that `p` (at `x_t` itself when `δ = 0`).
-    Binomial(&'a fet_stats::binomial::BinomialSampler),
+    /// `p = x_t(1 − δ) + (1 − x_t)δ`, and the engine builds the round's
+    /// law at that `p` (at `x_t` itself when `δ = 0`).
+    Binomial(&'a BinomialRound),
     /// `Hypergeometric(n, ones_t, m)` — without-replacement sampling,
     /// followed by per-observation corruption
     /// ([`FaultPlan::corrupt_count`]) when observation noise is active.
@@ -91,18 +237,54 @@ pub enum MeanFieldSampler<'a> {
 
 /// The engine's [`ObservationSource`] for mean-field fused rounds: the
 /// fidelity's per-round sampler, noise included, delivered one
-/// observation at a time so no buffer ever exists. A binomial observation
-/// costs one sampler draw whatever the noise level.
+/// observation at a time so no buffer ever exists. Whatever the noise
+/// level, a binomial observation costs one sampler draw, except in
+/// near-consensus rounds, where an agent inside a unanimous run costs
+/// none and [`ObservationSource::repeats`] reports the rest of the run
+/// (see [`BinomialRound`]).
 #[derive(Debug)]
 pub struct MeanFieldSource<'a> {
     pub(crate) sampler: MeanFieldSampler<'a>,
     pub(crate) m: u32,
+    /// In a run round: how many more agents see the run's count before
+    /// the next conditioned draw; `None` when the next agent starts a new
+    /// run.
+    run: Option<u64>,
+}
+
+impl<'a> MeanFieldSource<'a> {
+    /// A source drawing `m`-observation counts from `sampler`.
+    pub(crate) fn new(sampler: MeanFieldSampler<'a>, m: u32) -> Self {
+        MeanFieldSource {
+            sampler,
+            m,
+            run: None,
+        }
+    }
+
+    /// The next agent's count in a run round.
+    #[inline]
+    fn next_in_runs(&mut self, runs: &UnanimousRuns, rng: &mut dyn RngCore) -> u32 {
+        let left = match self.run.take() {
+            Some(left) => left,
+            None => runs.run_length(rng),
+        };
+        if left > 0 {
+            self.run = Some(left - 1);
+            runs.count
+        } else {
+            runs.rest(rng)
+        }
+    }
 }
 
 impl ObservationSource for MeanFieldSource<'_> {
     fn next_observation(&mut self, rng: &mut dyn RngCore) -> Observation {
         let seen = match self.sampler {
-            MeanFieldSampler::Binomial(sampler) => sampler.sample(rng) as u32,
+            MeanFieldSampler::Binomial(round) => match &round.draw {
+                BinomialDraw::EachAgent(sampler) => sampler.sample(rng) as u32,
+                BinomialDraw::Runs(runs) => self.next_in_runs(runs, rng),
+            },
             MeanFieldSampler::Hypergeometric(h, noise) => {
                 noisy(noise, h.sample(rng) as u32, self.m, rng)
             }
@@ -112,33 +294,47 @@ impl ObservationSource for MeanFieldSource<'_> {
 
     /// The word-at-a-time override behind the bit-plane threshold kernel:
     /// hoists the sampler match out of the per-draw loop, so the
-    /// `count ≤ 64` draws cost one virtual call total instead of one each.
-    /// **Stream-identical** to `count` successive
-    /// [`MeanFieldSource::next_observation`] calls by construction — the
-    /// same sampler and corruption draws from the same `rng` in the same
-    /// order; only the [`Observation`] wrapper and dispatch overhead are
-    /// elided.
+    /// `count ≤ 64` draws cost one virtual call total instead of one each,
+    /// and sets a run's bits in one mask. **Stream-identical** to `count`
+    /// successive [`MeanFieldSource::next_observation`] calls by
+    /// construction — the same run, sampler and corruption draws from the
+    /// same `rng` in the same order; only the [`Observation`] wrapper and
+    /// dispatch overhead are elided.
     fn next_threshold_word(&mut self, rng: &mut dyn RngCore, count: u32, threshold: u32) -> u64 {
         debug_assert!(count as usize <= 64, "a word holds at most 64 draws");
         let mut word = 0u64;
         match self.sampler {
-            MeanFieldSampler::Binomial(sampler) => {
-                // Fast path: one `fill_bytes` block for all `count` draws
-                // (exact-stream — see `AliasTable::try_sample_block`);
-                // falls back to per-draw sampling when the round's alias
-                // table isn't block-eligible.
-                let mut draws = [0usize; 64];
-                let draws = &mut draws[..count as usize];
-                if sampler.try_sample_block(rng, draws) {
-                    for (j, &seen) in draws.iter().enumerate() {
-                        word |= u64::from(seen as u32 >= threshold) << j;
-                    }
-                } else {
-                    for j in 0..count {
-                        word |= u64::from(sampler.sample(rng) as u32 >= threshold) << j;
+            MeanFieldSampler::Binomial(round) => match &round.draw {
+                BinomialDraw::EachAgent(sampler) => {
+                    // Fast path: one `fill_bytes` block for all `count`
+                    // draws (exact-stream — see
+                    // `AliasTable::try_sample_block`); falls back to
+                    // per-draw sampling when the round's alias table isn't
+                    // block-eligible.
+                    let mut draws = [0usize; 64];
+                    let draws = &mut draws[..count as usize];
+                    if sampler.try_sample_block(rng, draws) {
+                        for (j, &seen) in draws.iter().enumerate() {
+                            word |= u64::from(seen as u32 >= threshold) << j;
+                        }
+                    } else {
+                        for j in 0..count {
+                            word |= u64::from(sampler.sample(rng) as u32 >= threshold) << j;
+                        }
                     }
                 }
-            }
+                BinomialDraw::Runs(runs) => {
+                    // One agent's count, then the rest of its run inside
+                    // the word, set with one mask.
+                    let mut j = 0u32;
+                    while j < count {
+                        let bit = u64::from(self.next_in_runs(runs, rng) >= threshold);
+                        let span = 1 + self.repeats((count - j - 1) as usize) as u32;
+                        word |= bit * ((u64::MAX >> (64 - span)) << j);
+                        j += span;
+                    }
+                }
+            },
             MeanFieldSampler::Hypergeometric(h, noise) => {
                 for j in 0..count {
                     let seen = noisy(noise, h.sample(rng) as u32, self.m, rng);
@@ -147,6 +343,20 @@ impl ObservationSource for MeanFieldSource<'_> {
             }
         }
         word
+    }
+
+    /// The rest of the current unanimous run, up to `max` agents. Only a
+    /// run round has runs; its run count is still `Some` exactly when the
+    /// last observation was the run's unanimous count.
+    fn repeats(&mut self, max: usize) -> usize {
+        match &mut self.run {
+            Some(left) => {
+                let repeats = (*left).min(max as u64);
+                *left -= repeats;
+                repeats as usize
+            }
+            None => 0,
+        }
     }
 }
 
@@ -176,10 +386,7 @@ pub struct MeanFieldSourceFactory<'a> {
 
 impl ShardSourceFactory for MeanFieldSourceFactory<'_> {
     fn shard_source(&self, _range: Range<usize>) -> Box<dyn ObservationSource + '_> {
-        Box::new(MeanFieldSource {
-            sampler: self.sampler,
-            m: self.m,
-        })
+        Box::new(MeanFieldSource::new(self.sampler, self.m))
     }
 }
 
@@ -775,6 +982,7 @@ impl ShardSourceFactory for GraphSourceFactory<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fet_stats::hypergeometric::Hypergeometric;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -794,6 +1002,102 @@ mod tests {
         }
         fn clone_box(&self) -> Box<dyn Neighborhood> {
             Box::new(self.clone())
+        }
+    }
+
+    /// Near-consensus laws on both unanimous sides, `m = 1` (whose
+    /// conditioned law is one count), and the two degenerate laws.
+    const RUN_LAWS: [(u32, f64); 6] = [
+        (1, 0.03),
+        (3, 0.01),
+        (3, 0.995),
+        (12, 0.004),
+        (12, 0.0),
+        (12, 1.0),
+    ];
+
+    #[test]
+    fn run_rounds_take_the_threshold_at_the_unanimity_probability() {
+        for (m, p) in RUN_LAWS {
+            assert!(
+                BinomialRound::new(m, p).unwrap().draws_runs(),
+                "m={m} p={p}"
+            );
+        }
+        for m in [1u32, 12, 94] {
+            // u = (1 − p)^m just below and just above the threshold, and
+            // the mirror image u = p^m.
+            for (u, runs) in [(0.89, false), (0.91, true)] {
+                let p = 1.0 - f64::powf(u, 1.0 / f64::from(m));
+                for p in [p, 1.0 - p] {
+                    assert_eq!(BinomialRound::new(m, p).unwrap().draws_runs(), runs);
+                }
+            }
+        }
+        assert!(BinomialRound::new(12, 1.5).is_err());
+    }
+
+    /// The word kernel's run path draws exactly what successive
+    /// observations draw, across runs that end inside a word and runs
+    /// that span words, at every word length.
+    #[test]
+    fn threshold_words_replay_successive_observations_in_run_rounds() {
+        for (m, p) in RUN_LAWS {
+            let round = BinomialRound::new(m, p).unwrap();
+            let sampler = MeanFieldSampler::Binomial(&round);
+            for threshold in [1, m.div_ceil(2), m] {
+                let mut by_word = MeanFieldSource::new(sampler, m);
+                let mut by_draw = MeanFieldSource::new(sampler, m);
+                let mut word_rng = SmallRng::seed_from_u64(u64::from(m) ^ p.to_bits());
+                let mut draw_rng = word_rng.clone();
+                let untouched = word_rng.clone().next_u64();
+                for count in (0..400).map(|i| [64, 17, 1, 63, 64, 5][i % 6]) {
+                    let word = by_word.next_threshold_word(&mut word_rng, count, threshold);
+                    let expected = (0..count).fold(0u64, |word, j| {
+                        let ones = by_draw.next_observation(&mut draw_rng).ones();
+                        word | (u64::from(ones >= threshold) << j)
+                    });
+                    assert_eq!(word, expected, "m={m} p={p} threshold={threshold}");
+                }
+                let next = word_rng.next_u64();
+                assert_eq!(next, draw_rng.next_u64(), "m={m} p={p}");
+                // Only a degenerate law's one endless run draws nothing.
+                assert_eq!(next != untouched, p > 0.0 && p < 1.0, "m={m} p={p}");
+            }
+        }
+    }
+
+    /// Reporting repeats is stream-identical to drawing those agents' observations one by one.
+    #[test]
+    fn repeats_replay_successive_observations() {
+        let noisy = FaultPlan::with_noise(0.01).unwrap();
+        let hypergeometric = Hypergeometric::new(50, 1, 12).unwrap();
+        let runs = BinomialRound::new(12, 0.004).unwrap();
+        let each = BinomialRound::new(12, 0.3).unwrap();
+        for sampler in [
+            MeanFieldSampler::Binomial(&runs),
+            MeanFieldSampler::Binomial(&each),
+            MeanFieldSampler::Hypergeometric(&hypergeometric, Some(&noisy)),
+        ] {
+            let mut skipping = MeanFieldSource::new(sampler, 12);
+            let mut drawing = MeanFieldSource::new(sampler, 12);
+            let mut skip_rng = SmallRng::seed_from_u64(17);
+            let mut draw_rng = skip_rng.clone();
+            let (mut seen, mut repeated) = (Vec::new(), 0);
+            for max in (0..2_000).map(|i| i % 9) {
+                let ones = skipping.next_observation(&mut skip_rng).ones();
+                let repeats = skipping.repeats(max);
+                assert!(repeats <= max);
+                repeated += repeats;
+                seen.extend(std::iter::repeat_n(ones, 1 + repeats));
+            }
+            let drawn: Vec<u32> = (0..seen.len())
+                .map(|_| drawing.next_observation(&mut draw_rng).ones())
+                .collect();
+            assert_eq!(seen, drawn, "{sampler:?}");
+            assert_eq!(skip_rng.next_u64(), draw_rng.next_u64());
+            let reports = matches!(sampler, MeanFieldSampler::Binomial(r) if r.draws_runs());
+            assert_eq!(repeated > 0, reports, "{sampler:?}");
         }
     }
 

@@ -28,7 +28,10 @@
 //! `noisy-agent` cases ride the mean-field matrix and its dumps. Sleepy
 //! rounds draw their keep masks from a lane split by shard range, like the
 //! graph draws, so a `sleepy` case rides the mean-field, bit-plane and
-//! graph matrices.
+//! graph matrices. The bit-plane matrix also runs voter and 3-majority,
+//! whose bit-plane rounds take the word-at-a-time threshold kernel; near
+//! their all-wrong start it draws the mean-field source's unanimous runs.
+//! CI replays every dump under each forced ISA path and diffs them.
 
 use fet::prelude::*;
 use fet::sim::observer::TrajectoryRecorder;
@@ -287,6 +290,27 @@ fn bitplane_facade_trajectory(
         .expect("recording requested")
 }
 
+/// Opinion-only threshold protocols: on bit planes their sleep-free rounds
+/// draw one threshold word per 64 agents, through the mean-field source's
+/// unanimous runs while they sit near the all-wrong start.
+const WORD_KERNEL_PROTOCOLS: [&str; 2] = ["voter", "3-majority"];
+
+fn word_kernel_trajectory(protocol: &str, shards: u32, storage: Storage) -> Vec<f64> {
+    Simulation::builder()
+        .population(N)
+        .protocol_name(protocol)
+        .seed(SEED)
+        .max_rounds(MAX_ROUNDS)
+        .execution_mode(ExecutionMode::FusedParallel { threads: shards })
+        .storage(storage)
+        .record_trajectory(true)
+        .build()
+        .unwrap()
+        .run()
+        .trajectory
+        .expect("recording requested")
+}
+
 /// The storage-representation determinism matrix: bit-plane parallel
 /// trajectories must be byte-identical to typed-storage ones for every
 /// `(seed, shard count)` — in process against `Storage::Typed`, across
@@ -339,6 +363,15 @@ fn bitplane_parallel_stream_identity_matrix() {
                 shards,
                 &graph_bits,
             ));
+        }
+        for protocol in WORD_KERNEL_PROTOCOLS {
+            let typed = word_kernel_trajectory(protocol, shards, Storage::Typed);
+            let bits = word_kernel_trajectory(protocol, shards, Storage::BitPlane);
+            assert_eq!(
+                typed, bits,
+                "{protocol} shards={shards} (workers={workers}): typed vs bit-plane diverged"
+            );
+            dump.push_str(&render(protocol, shards, &bits));
         }
     }
     if let Ok(path) = std::env::var("FET_DETERMINISM_DUMP_BITPLANE") {

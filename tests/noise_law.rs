@@ -18,6 +18,12 @@
 //!   count-or-draw rule (`deg(v) ≤ m` counts), and the without-replacement
 //!   source against the hypergeometric pmf. Each test also shows power: the same draws must
 //!   reject the pmf at a probability moved by 0.05.
+//! * The binomial mean-field source against `Binomial(m, p′)` on both
+//!   sides of the unanimous-run threshold: at `u = max((1 − p′)^m, p′^m)`
+//!   just below and just above [`UNANIMOUS_RUN_THRESHOLD`], with either
+//!   count unanimous, and at `p′ ∈ {10⁻⁶, 1 − 10⁻⁶}`. The tally takes the
+//!   repeats the source reports after each unanimous count, as the FET
+//!   kernel does.
 //! * Binomial rounds fold `δ` into the round's sampler,
 //!   `Binomial(m, x(1 − δ) + (1 − x)δ)`, and no round path corrupts a
 //!   binomial draw again. Two-sample KS tests compare `x_{t+1}` after one
@@ -37,7 +43,8 @@ use fet::core::fet::FetState;
 use fet::core::protocol::ObservationSource;
 use fet::prelude::*;
 use fet::sim::sources::{
-    GraphSourceFactory, MeanFieldSampler, MeanFieldSourceFactory, SnapshotView,
+    BinomialRound, GraphSourceFactory, MeanFieldSampler, MeanFieldSourceFactory, SnapshotView,
+    UNANIMOUS_RUN_THRESHOLD,
 };
 use fet::stats::binomial::Binomial;
 use fet::stats::distance::ks_same_distribution;
@@ -73,14 +80,22 @@ const GRAPH_VERTICES: usize = 3;
 const GRAPH_VIEWS: usize = 2;
 /// Source-test grid points per (n, ones, m).
 const SOURCE_CELLS: usize = SOURCE_NS.len() * ONES_PER_N * SOURCE_SAMPLE_SIZES.len();
+/// Unanimity probabilities of the binomial source tests, as multiples of
+/// the run threshold: just below it and just above it.
+const RUN_SIDES: [f64; 2] = [0.99, 1.01];
+/// Binomial source cells per `m`: each side of the threshold with either
+/// count unanimous, and `p′ ∈ {10⁻⁶, 1 − 10⁻⁶}`.
+const RUN_CELLS: usize = RUN_SIDES.len() * 2 + 2;
 /// One chi-square test per (δ, m, k) of `corrupt_count`; per complete-graph
 /// source cell and view, plus its noisy cell; per graph vertex, `m` and
-/// view; per hypergeometric cell; plus the KS tests of the fold: fused
-/// typed, fused bit-plane, Agent bit-plane and Agent fused-parallel(3).
+/// view; per hypergeometric cell; per binomial source cell; plus the KS
+/// tests of the fold: fused typed, fused bit-plane, Agent bit-plane and
+/// Agent fused-parallel(3).
 const TESTS: usize = FLIP_PROBS.len() * SAMPLE_SIZES.len() * COUNTS_PER_SIZE
     + SOURCE_CELLS * (VIEWS.len() + 1)
     + GRAPH_VERTICES * SOURCE_SAMPLE_SIZES.len() * GRAPH_VIEWS
     + SOURCE_CELLS
+    + RUN_CELLS * SOURCE_SAMPLE_SIZES.len()
     + 4;
 const ALPHA: f64 = FAMILY_ALPHA / TESTS as f64;
 
@@ -314,6 +329,57 @@ fn graph_source_draws_the_neighborhood_binomial_law() {
                     ALPHA,
                 );
             }
+        }
+    }
+}
+
+/// The binomial source draws `Binomial(m, p′)` whether it hands out
+/// unanimous runs or not, and with the repeats it reports after each
+/// unanimous count counted as observations.
+#[test]
+fn mean_field_source_draws_the_binomial_law_around_the_run_threshold() {
+    let tree = SeedTree::new(0x0B1A_5E70);
+    for m in SOURCE_SAMPLE_SIZES {
+        let mut cells = Vec::new();
+        for side in RUN_SIDES {
+            // u = (1 − p′)^m, and its mirror u = p′^m.
+            let p = 1.0 - (UNANIMOUS_RUN_THRESHOLD * side).powf(1.0 / f64::from(m));
+            cells.extend([(p, side > 1.0), (1.0 - p, side > 1.0)]);
+        }
+        cells.extend([(1e-6, true), (1.0 - 1e-6, true)]);
+        assert_eq!(cells.len(), RUN_CELLS);
+        for (p, runs) in cells {
+            let round = BinomialRound::new(m, p).expect("p′ is a probability");
+            let case = format!("binomial m = {m}, p′ = {p}");
+            assert_eq!(
+                round.draws_runs(),
+                runs,
+                "{case}: wrong side of the threshold"
+            );
+            let factory = MeanFieldSourceFactory {
+                sampler: MeanFieldSampler::Binomial(&round),
+                m,
+            };
+            let mut source = factory.shard_source(0..DRAWS);
+            let mut rng = tree.child(&case).rng();
+            let mut observed = vec![0u64; m as usize + 1];
+            let mut drawn = 0;
+            while drawn < DRAWS {
+                let ones = source.next_observation(&mut rng).ones();
+                let mut seen = 1;
+                if ones == 0 || ones == m {
+                    seen += source.repeats(DRAWS - drawn - 1);
+                }
+                observed[ones as usize] += seen as u64;
+                drawn += seen;
+            }
+            assert_law(
+                &case,
+                &observed,
+                &binomial_pmf(m, p),
+                &binomial_pmf(m, shifted(p)),
+                ALPHA,
+            );
         }
     }
 }

@@ -25,6 +25,12 @@
 //!
 //! * graph rounds — typed fused, typed fused-parallel over three shards,
 //!   and bit-plane fused — at `δ = 0` and `δ = 0.05`;
+//! * near-consensus Binomial rounds, the same three legs at `δ = 0` and
+//!   `δ = 10⁻³`, from two more configurations at `ℓ = 3`: only the source
+//!   shows a one, or only one agent shows a zero. There the unanimity
+//!   probability `u = max((1 − p′)^m, p′^m)` is about 0.94, above the run
+//!   threshold `UNANIMOUS_RUN_THRESHOLD`, so most agents see the unanimous
+//!   count 0 or `m` inside a run, with no draw of their own;
 //! * sleepy rounds at `s = 0.3` and `δ = 0.05`: the same three graph legs,
 //!   and Binomial and literal Agent rounds on the complete graph, typed
 //!   fused and bit-plane fused.
@@ -38,12 +44,13 @@
 //!
 //! The suite runs at fixed seeds, so it is deterministic. Its legs share one
 //! family-wise level `α = 10⁻³`, split evenly (Bonferroni). It takes
-//! 4.5–5.3 s in a debug build on a 2-vCPU x86-64 host.
+//! 5.8–7.1 s in a debug build on a 2-vCPU x86-64 host.
 
 use fet::core::bitplane::BitPopulation;
 use fet::core::config::ProblemSpec;
 use fet::core::fet::FetState;
 use fet::prelude::*;
+use fet::sim::sources::BinomialRound;
 use fet::stats::binomial::Binomial;
 use fet::topology::builders::erdos_renyi;
 use fet::topology::graph::SharedGraph;
@@ -67,9 +74,17 @@ const SLEEPY_FLIP: f64 = 0.05;
 const REPLAYS: u64 = 3_000;
 /// Family-wise false-rejection budget of the whole suite.
 const FAMILY_ALPHA: f64 = 1e-3;
-/// Three graph legs at each δ, three sleepy graph legs and four sleepy
-/// complete-graph legs.
-const TESTS: usize = 3 * FLIPS.len() + 3 + 4;
+/// ℓ of the near-consensus Binomial legs: at n = 100 a single odd agent
+/// out is a 1-fraction of 0.01, and `0.99^{2ℓ}` passes the run threshold
+/// only for `ℓ ≤ 5`.
+const RUN_ELL: u32 = 3;
+/// Flip probabilities of the near-consensus Binomial legs.
+const RUN_FLIPS: [f64; 2] = [0.0, 1e-3];
+/// The near-consensus configurations: one unanimous side each.
+const RUN_SIDES: [Opinion; 2] = [Opinion::Zero, Opinion::One];
+/// Three graph legs at each δ, three near-consensus Binomial legs at each
+/// δ and side, three sleepy graph legs and four sleepy complete-graph legs.
+const TESTS: usize = 3 * FLIPS.len() + 3 * RUN_FLIPS.len() * RUN_SIDES.len() + 3 + 4;
 const ALPHA: f64 = FAMILY_ALPHA / TESTS as f64;
 /// The leg axes: literal sampling, and the two fused modes.
 const AGENT: Fidelity = Fidelity::Agent;
@@ -100,6 +115,22 @@ fn configuration() -> Vec<FetState> {
         .collect()
 }
 
+/// A configuration of agents `1..N` next to consensus on `side`: every
+/// agent shows `side` except one (none when `side` is zero, since the
+/// source shows a one), with stored half-counts spread over `0..=RUN_ELL`.
+fn near_consensus(side: Opinion) -> Vec<FetState> {
+    (0..N - 1)
+        .map(|i| FetState {
+            opinion: if side.is_one() && i == 40 {
+                Opinion::Zero
+            } else {
+                side
+            },
+            prev_count_second_half: (i * 5 + 3) % (RUN_ELL + 1),
+        })
+        .collect()
+}
+
 /// Vertex `v`'s round-start 1-fraction among its neighbors, per agent.
 fn graph_fractions(graph: &Graph, config: &[FetState]) -> Vec<f64> {
     let is_one = |v: u32| v == 0 || config[v as usize - 1].opinion.is_one();
@@ -118,12 +149,14 @@ fn complete_fractions(config: &[FetState]) -> Vec<f64> {
     vec![ones as f64 / f64::from(N); config.len()]
 }
 
-/// The exact pmf of the ones after one round, over `0..=N`. Agent `v` sees
-/// 1-fraction `fractions[v]`, passed through `move_f` first, its observed
-/// bits flip at `delta`, and it sleeps with probability `sleep`.
+/// The exact pmf of the ones after one round of FET at `ell`, over
+/// `0..=N`. Agent `v` sees 1-fraction `fractions[v]`, passed through
+/// `move_f` first, its observed bits flip at `delta`, and it sleeps with
+/// probability `sleep`.
 fn round_pmf(
     config: &[FetState],
     fractions: &[f64],
+    ell: u32,
     delta: f64,
     sleep: f64,
     move_f: impl Fn(f64) -> f64,
@@ -131,7 +164,7 @@ fn round_pmf(
     let mut pmf = vec![1.0];
     for (state, &f) in config.iter().zip(fractions) {
         let f = move_f(f);
-        let first_half = Binomial::new(u64::from(ELL), f * (1.0 - delta) + (1.0 - f) * delta)
+        let first_half = Binomial::new(u64::from(ell), f * (1.0 - delta) + (1.0 - f) * delta)
             .expect("a probability");
         let stored = u64::from(state.prev_count_second_half);
         let kept = if state.opinion.is_one() { 1.0 } else { 0.0 };
@@ -164,16 +197,24 @@ fn spec() -> ProblemSpec {
     ProblemSpec::new(u64::from(N), 1, CORRECT).expect("valid spec")
 }
 
-/// The configuration on typed storage.
-fn typed(config: &[FetState]) -> Box<TypedPopulation<FetProtocol>> {
-    let protocol = FetProtocol::new(ELL).expect("valid ℓ");
+/// The configuration on typed storage, under FET at `ell`.
+fn typed_at(config: &[FetState], ell: u32) -> Box<TypedPopulation<FetProtocol>> {
+    let protocol = FetProtocol::new(ell).expect("valid ℓ");
     Box::new(TypedPopulation::from_states(protocol, config.to_vec()))
 }
 
-/// The configuration on bit planes.
-fn bit_planes(config: &[FetState]) -> Box<BitPopulation<FetProtocol>> {
-    let protocol = FetProtocol::new(ELL).expect("valid ℓ");
+/// The configuration on bit planes, under FET at `ell`.
+fn bit_planes_at(config: &[FetState], ell: u32) -> Box<BitPopulation<FetProtocol>> {
+    let protocol = FetProtocol::new(ell).expect("valid ℓ");
     Box::new(BitPopulation::from_states(protocol, config))
+}
+
+fn typed(config: &[FetState]) -> Box<TypedPopulation<FetProtocol>> {
+    typed_at(config, ELL)
+}
+
+fn bit_planes(config: &[FetState]) -> Box<BitPopulation<FetProtocol>> {
+    bit_planes_at(config, ELL)
 }
 
 /// Ones after one engine round from `container`, on the graph when one is
@@ -229,8 +270,8 @@ fn graph_rounds_follow_the_exact_round_law() {
     let fractions = graph_fractions(&graph, &config);
     let tree = SeedTree::new(0x0209_1A70);
     for delta in FLIPS {
-        let pmf = round_pmf(&config, &fractions, delta, 0.0, |f| f);
-        let moved = round_pmf(&config, &fractions, delta, 0.0, shifted);
+        let pmf = round_pmf(&config, &fractions, ELL, delta, 0.0, |f| f);
+        let moved = round_pmf(&config, &fractions, ELL, delta, 0.0, shifted);
         let fault = faults(delta, 0.0);
         let legs: [(&str, &dyn Fn(u64) -> u64); 3] = [
             ("typed fused", &|seed| {
@@ -252,14 +293,55 @@ fn graph_rounds_follow_the_exact_round_law() {
 }
 
 #[test]
+fn near_consensus_binomial_rounds_follow_the_exact_round_law() {
+    let tree = SeedTree::new(0x0B1A_C0A7);
+    let binomial = Fidelity::Binomial;
+    for side in RUN_SIDES {
+        let config = near_consensus(side);
+        let fractions = complete_fractions(&config);
+        for delta in RUN_FLIPS {
+            let x = fractions[0];
+            let p = x * (1.0 - delta) + (1.0 - x) * delta;
+            let law = BinomialRound::new(2 * RUN_ELL, p).expect("a probability");
+            assert!(
+                law.draws_runs(),
+                "x = {x}, δ = {delta}: the round draws no runs"
+            );
+            let pmf = round_pmf(&config, &fractions, RUN_ELL, delta, 0.0, |f| f);
+            let moved = round_pmf(&config, &fractions, RUN_ELL, delta, 0.0, shifted);
+            let fault = faults(delta, 0.0);
+            let legs: [(&str, &dyn Fn(u64) -> u64); 3] = [
+                ("typed fused", &|seed| {
+                    let pop = typed_at(&config, RUN_ELL);
+                    round(pop, None, binomial, FUSED, fault, seed)
+                }),
+                ("typed fused-parallel(3)", &|seed| {
+                    let pop = typed_at(&config, RUN_ELL);
+                    round(pop, None, binomial, SHARDED, fault, seed)
+                }),
+                ("bit-plane fused", &|seed| {
+                    let pop = bit_planes_at(&config, RUN_ELL);
+                    round(pop, None, binomial, FUSED, fault, seed)
+                }),
+            ];
+            for (leg, round) in legs {
+                let case = format!("binomial {leg}, near all-{side:?}, δ = {delta}");
+                let observed = tally(&tree, &case, round);
+                assert_law(&case, &observed, &pmf, &moved, ALPHA);
+            }
+        }
+    }
+}
+
+#[test]
 fn sleepy_graph_rounds_follow_the_exact_round_law() {
     let graph = graph();
     let config = configuration();
     let fractions = graph_fractions(&graph, &config);
     let tree = SeedTree::new(0x5133_9A70);
-    let pmf = round_pmf(&config, &fractions, SLEEPY_FLIP, SLEEP, |f| f);
-    let moved = round_pmf(&config, &fractions, SLEEPY_FLIP, SLEEP, shifted);
-    let awake = round_pmf(&config, &fractions, SLEEPY_FLIP, 0.0, |f| f);
+    let pmf = round_pmf(&config, &fractions, ELL, SLEEPY_FLIP, SLEEP, |f| f);
+    let moved = round_pmf(&config, &fractions, ELL, SLEEPY_FLIP, SLEEP, shifted);
+    let awake = round_pmf(&config, &fractions, ELL, SLEEPY_FLIP, 0.0, |f| f);
     let fault = faults(SLEEPY_FLIP, SLEEP);
     let legs: [(&str, &dyn Fn(u64) -> u64); 3] = [
         ("sleepy graph typed fused", &|seed| {
@@ -284,9 +366,9 @@ fn sleepy_complete_graph_rounds_follow_the_exact_round_law() {
     let config = configuration();
     let fractions = complete_fractions(&config);
     let tree = SeedTree::new(0x5133_C0A7);
-    let pmf = round_pmf(&config, &fractions, SLEEPY_FLIP, SLEEP, |f| f);
-    let moved = round_pmf(&config, &fractions, SLEEPY_FLIP, SLEEP, shifted);
-    let awake = round_pmf(&config, &fractions, SLEEPY_FLIP, 0.0, |f| f);
+    let pmf = round_pmf(&config, &fractions, ELL, SLEEPY_FLIP, SLEEP, |f| f);
+    let moved = round_pmf(&config, &fractions, ELL, SLEEPY_FLIP, SLEEP, shifted);
+    let awake = round_pmf(&config, &fractions, ELL, SLEEPY_FLIP, 0.0, |f| f);
     let fault = faults(SLEEPY_FLIP, SLEEP);
     let binomial = Fidelity::Binomial;
     let legs: [(&str, &dyn Fn(u64) -> u64); 4] = [

@@ -208,17 +208,20 @@ fn current_digests() -> Vec<(String, u64)> {
 /// index source; and the `graph/` and `noisy/graph/` legs, recorded when
 /// vertices of degree `d ≤ m` began drawing `Binomial(m, k/d)` from their
 /// neighbor count; and the `sleepy` legs, recorded when sleepy rounds moved
-/// from the per-agent loop onto fused rounds under a keep mask (each re-key
+/// from the per-agent loop onto fused rounds under a keep mask. The
+/// `binomial/`, `sleepy` and `fault-schedule` legs were recorded again when
+/// Binomial rounds whose unanimity probability reaches
+/// `UNANIMOUS_RUN_THRESHOLD` began handing out unanimous runs (each re-key
 /// is listed in docs/DETERMINISM.md). The `graph-dense/` legs, added with
 /// the neighbor-count change, match what the index draws produced before
 /// it.
 const RECORDED: &[(&str, u64)] = &[
-    ("binomial/fused/typed", 0x0FEDC72F581E9080),
-    ("binomial/fused/bits", 0x0FEDC72F581E9080),
-    ("binomial/parallel-1/typed", 0x584EBE985A6175C0),
-    ("binomial/parallel-1/bits", 0x584EBE985A6175C0),
-    ("binomial/parallel-3/typed", 0x9E699D8D81DB79C7),
-    ("binomial/parallel-3/bits", 0x9E699D8D81DB79C7),
+    ("binomial/fused/typed", 0x66B40B4B2C73CAEF),
+    ("binomial/fused/bits", 0x66B40B4B2C73CAEF),
+    ("binomial/parallel-1/typed", 0x83EB608A4B030125),
+    ("binomial/parallel-1/bits", 0x83EB608A4B030125),
+    ("binomial/parallel-3/typed", 0x80303F961BF3F95C),
+    ("binomial/parallel-3/bits", 0x80303F961BF3F95C),
     ("without-replacement/fused/typed", 0x15C0B393325FDF54),
     ("without-replacement/fused/bits", 0x15C0B393325FDF54),
     ("without-replacement/parallel-1/typed", 0xAF5B5F10B55E6543),
@@ -244,12 +247,12 @@ const RECORDED: &[(&str, u64)] = &[
     ("graph-dense/parallel-3/typed", 0x2E4AEDFA87E35261),
     ("graph-dense/parallel-3/bits", 0x2E4AEDFA87E35261),
     ("async", 0x13734C7E19126BAC),
-    ("sleepy", 0x60EDF5B90125675A),
-    ("sleepy/fused/typed", 0x60EDF5B90125675A),
-    ("sleepy/fused/bits", 0x60EDF5B90125675A),
-    ("sleepy/parallel-3/typed", 0x12241826CCA30131),
-    ("sleepy/parallel-3/bits", 0x12241826CCA30131),
-    ("fault-schedule", 0x09627D961712269D),
+    ("sleepy", 0x587994E56A06BBD1),
+    ("sleepy/fused/typed", 0x587994E56A06BBD1),
+    ("sleepy/fused/bits", 0x587994E56A06BBD1),
+    ("sleepy/parallel-3/typed", 0x60CA9F3EB1ED3BFC),
+    ("sleepy/parallel-3/bits", 0x60CA9F3EB1ED3BFC),
+    ("fault-schedule", 0x4637F228ED320709),
     ("noisy/binomial/fused/bits", 0x48406B686CAC7D5D),
     ("noisy/without-replacement/fused/typed", 0x2C2285985658677F),
     ("noisy/graph/fused/typed", 0x52F86701BE66C097),
