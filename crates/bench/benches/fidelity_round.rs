@@ -1,8 +1,8 @@
 //! Micro-benchmark: one full population round per fidelity.
 //!
-//! Quantifies the fidelity tower of DESIGN.md §4.2: literal `O(n·ℓ)`
-//! sampling vs `O(n)` binomial counts vs the `O(ℓ)` aggregate chain — all
-//! configured through the unified `Simulation` facade.
+//! Quantifies the fidelity tower of fet-sim's crate docs: literal
+//! `O(n·ℓ)` sampling vs `O(n)` binomial counts vs the `O(ℓ)` aggregate
+//! chain — all configured through the unified `Simulation` facade.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fet_sim::engine::Fidelity;

@@ -1,8 +1,10 @@
 //! E17 — **asynchronous scheduler**: is the round structure load-bearing?
 //!
 //! Runs FET under a population-protocol-style scheduler (one random agent
-//! activates per tick; `n` ticks = one parallel round) against the
-//! synchronous engine on identical instances. Measured shape (a negative
+//! activates at a time; `n` activations = one parallel round) against
+//! synchronous rounds on identical instances. Both are the same `Engine`
+//! under its two `Scheduler`s, so an asynchronous run takes the same
+//! storages, noise and fault schedules. Measured shape (a negative
 //! extension result of this reproduction, asserted in `fet-sim`'s tests):
 //!
 //! * synchronous FET converges in polylog rounds;
@@ -18,8 +20,8 @@
 use fet_bench::{fmt_opt_time, Harness, ROOT_SEED};
 use fet_plot::csv::CsvWriter;
 use fet_plot::table::Table;
-use fet_sim::engine::Fidelity;
-use fet_sim::simulation::{Scheduler, Simulation};
+use fet_sim::engine::{Fidelity, Scheduler};
+use fet_sim::simulation::Simulation;
 use fet_stats::rng::SeedTree;
 
 fn main() {

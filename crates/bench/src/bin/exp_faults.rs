@@ -4,7 +4,7 @@
 //! (Feinerman et al. 2017; Boczkowski et al. 2018 prove *limits* on noisy
 //! rumor spreading); its model lets the adversary redefine the correct bit.
 //! This experiment measures FET under all three perturbations. Measured
-//! shapes (see EXPERIMENTS.md for the full discussion):
+//! shapes:
 //!
 //! * **observation noise is fatal to strict consensus**: the absorbing
 //!   state relies on exact unanimity ties, so any i.i.d. bit-flip noise

@@ -1,8 +1,8 @@
 //! # fet-bench — the experiment harness
 //!
-//! One binary per paper artifact (see DESIGN.md §5 and EXPERIMENTS.md for
-//! the index). This library holds the shared plumbing: output locations,
-//! the `--quick` switch, and small formatting helpers.
+//! One binary per paper artifact, each documenting its measured shape in
+//! its own module docs. This library holds the shared plumbing: output
+//! locations, the `--quick` switch, and small formatting helpers.
 //!
 //! Run any experiment with
 //!

@@ -38,9 +38,9 @@ use fet_plot::table::Table;
 use fet_protocols::registry::{ProtocolParams, ProtocolRegistry};
 use fet_sim::aggregate::AggregateFetChain;
 use fet_sim::convergence::ConvergenceCriterion;
-use fet_sim::engine::{ExecutionMode, Fidelity};
+use fet_sim::engine::{ExecutionMode, Fidelity, Scheduler};
 use fet_sim::init::InitialCondition;
-use fet_sim::simulation::{Scheduler, Simulation, SimulationBuilder, Storage};
+use fet_sim::simulation::{Simulation, SimulationBuilder, Storage};
 use fet_stats::compare::CoinCompetition;
 use fet_sweep::runner::{run_sweep, SweepOptions};
 use fet_sweep::serve::SweepServer;
@@ -136,7 +136,7 @@ common flags: --n N  --protocol NAME  --ell L  --c C  --seed S  --delta D
                      and to `topology` graph runs)
               --threads N (shard/worker count for --mode fused-parallel; default: all cores)
               --storage auto|typed|bit-plane (state representation; bit-plane packs opinions
-                     64/word for packable protocols on synchronous runs — same trajectory,
+                     64/word for packable protocols on either scheduler — same trajectory,
                      ~8x less state; auto switches at n >= 10^7)
               --k K  --p P  --q Q  --correct 0|1  --max-rounds R
 topology:     --graph NAME  --degree D  --beta B  (accepts --mode fused|fused-parallel)

@@ -329,6 +329,66 @@ fn run_with_bit_plane_storage_matches_typed() {
     );
 }
 
+/// Asynchronous rounds run on either storage and replay one stream: every
+/// output line but the storage and its resident bytes matches.
+#[test]
+fn run_async_scheduler_matches_across_storages() {
+    let run = |storage: &str| {
+        run_ok(&[
+            "run",
+            "--n",
+            "300",
+            "--seed",
+            "7",
+            "--scheduler",
+            "async",
+            "--max-rounds",
+            "30",
+            "--storage",
+            storage,
+        ])
+    };
+    let packed = run("bit-plane");
+    assert!(
+        packed.contains("storage = bit-plane"),
+        "storage not echoed: {packed}"
+    );
+    let typed = run("typed");
+    assert!(typed.contains("did NOT converge"), "{typed}");
+    let without_storage = |s: &str| {
+        let bytes = "state bytes), ";
+        s.lines()
+            .map(|line| match (line.find("storage = "), line.find(bytes)) {
+                (Some(from), Some(to)) => format!("{}{}", &line[..from], &line[to + bytes.len()..]),
+                _ => line.to_string(),
+            })
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(without_storage(&packed), without_storage(&typed));
+}
+
+#[test]
+fn run_rejects_async_with_a_mean_field_fidelity() {
+    let out = fet()
+        .args([
+            "run",
+            "--n",
+            "300",
+            "--scheduler",
+            "async",
+            "--fidelity",
+            "binomial",
+        ])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("invalid parameter `scheduler`: offending axis: fidelity"),
+        "{stderr}"
+    );
+}
+
 #[test]
 fn run_with_explicit_ell_and_zero_correct() {
     let text = run_ok(&[

@@ -17,9 +17,9 @@
 //! [`DynPopulation`] holding one contiguous `Vec` of the concrete states
 //! (or packed bit planes, [`ErasedProtocol::bit_population`]), so a
 //! runtime-selected protocol pays one virtual dispatch per round into the
-//! typed kernel and nothing per agent. Every engine — synchronous and
-//! asynchronous — drives runtime-selected protocols through such a
-//! container.
+//! typed kernel and nothing per agent. The engine drives
+//! runtime-selected protocols through such a container under either
+//! scheduler.
 //!
 //! [`DynPopulation`]: crate::population::DynPopulation
 

@@ -1,10 +1,12 @@
-//! The synchronous round engine.
+//! The round engine.
 //!
 //! Implements the paper's execution model: in every round each non-source
 //! agent observes the opinion bits of `m = samples_per_round()` agents
 //! chosen uniformly at random **with replacement** from the whole
 //! population, then updates its state through the protocol. All updates
 //! within a round are synchronous (they read the round-`t` outputs).
+//! [`Scheduler::Asynchronous`] swaps that round for `n` random
+//! activations (see [`Scheduler`]).
 //!
 //! Two exact fidelities are provided (see the crate docs): literal index
 //! sampling ([`Fidelity::Agent`]) and the distributionally identical
@@ -101,6 +103,7 @@ use crate::sources::{
 };
 use fet_core::bitplane::BitPlane;
 use fet_core::config::ProblemSpec;
+use fet_core::observation::Observation;
 use fet_core::opinion::Opinion;
 use fet_core::population::{DynPopulation, Population, TypedPopulation};
 use fet_core::protocol::{Protocol, RoundContext};
@@ -183,6 +186,27 @@ impl fmt::Display for ExecutionMode {
             }
         }
     }
+}
+
+/// When agents act relative to one another.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Scheduler {
+    /// The paper's model: every agent observes and updates each round.
+    Synchronous,
+    /// Population-protocol-style: a round is `n` activations, each of one
+    /// uniformly random non-source agent, which reads `m` uniformly random
+    /// agents' *current* outputs and updates alone, all on the engine's
+    /// main RNG. Rounds are therefore parallel rounds. Activations sample
+    /// literally on the complete graph, so [`Engine::set_scheduler`]
+    /// rejects a non-[`Fidelity::Agent`] fidelity, a neighborhood, sleepy
+    /// agents and a forced [`ExecutionMode`]; noise, schedules and both
+    /// storages apply unchanged. The reproduction's negative finding
+    /// (experiment E17): FET does **not** converge under this scheduler.
+    /// The coherent trend every agent reads in the same round is what
+    /// drives it; per-agent activation clocks scatter that reference, and
+    /// near-consensus states leak at a constant rate. Exact consensus is
+    /// still absorbing, but unreachable.
+    Asynchronous,
 }
 
 /// Population size above which [`ExecutionMode::Auto`] parallelizes the
@@ -285,6 +309,7 @@ struct EngineCore {
     source: Source,
     fidelity: Fidelity,
     mode: ExecutionMode,
+    scheduler: Scheduler,
     neighborhood: Option<Box<dyn Neighborhood>>,
     fault: FaultPlan,
     /// Round-sorted fault-schedule events still to fire;
@@ -341,11 +366,10 @@ struct EngineCore {
     /// knob: caps the OS threads actually spawned without touching the
     /// shard count, hence without touching the stream), parsed once at
     /// construction. A malformed value is kept as its error: runs that
-    /// never shard ignore it, and every constructor and
-    /// [`EngineCore::set_mode`] return it once the run can resolve to a
-    /// parallel round ([`EngineCore::check_parallel_workers`]) — a
-    /// parallel run never silently ignores it (CI's determinism job
-    /// depends on the two worker counts differing).
+    /// never shard ignore it, and every constructor and setter returns it
+    /// once the run can resolve to a parallel round
+    /// ([`EngineCore::check`]) — a parallel run never silently ignores it
+    /// (CI's determinism job depends on the two worker counts differing).
     parallel_workers: Result<Option<u32>, SimError>,
 }
 
@@ -439,6 +463,7 @@ impl EngineCore {
             source,
             fidelity,
             mode: ExecutionMode::Auto,
+            scheduler: Scheduler::Synchronous,
             neighborhood: None,
             fault: FaultPlan::none(),
             schedule_events: Vec::new(),
@@ -525,18 +550,50 @@ impl EngineCore {
                 });
             }
         }
-        let previous = std::mem::replace(&mut self.mode, mode);
-        if let Err(e) = self.check_parallel_workers() {
-            self.mode = previous;
-            return Err(e);
-        }
-        Ok(())
+        self.try_set(|core| &mut core.mode, mode)
     }
 
-    /// Returns the `FET_PARALLEL_WORKERS` parse error when the current
-    /// configuration can resolve to a parallel round; runs that never
-    /// shard ignore the variable.
-    fn check_parallel_workers(&self) -> Result<(), SimError> {
+    /// Installs `value` in the field `field` selects, and puts the
+    /// previous value back when the result fails [`EngineCore::check`].
+    fn try_set<T>(&mut self, field: fn(&mut Self) -> &mut T, value: T) -> Result<(), SimError> {
+        let previous = std::mem::replace(field(self), value);
+        self.check().inspect_err(|_| *field(self) = previous)
+    }
+
+    /// The one configuration check every constructor and axis setter
+    /// runs. An asynchronous run must sample literally on the complete
+    /// graph, awake, in the default mode; its error names the offending
+    /// axis. Otherwise it returns the `FET_PARALLEL_WORKERS` parse error
+    /// when the run can resolve to a parallel round; runs that never shard
+    /// ignore the variable.
+    fn check(&self) -> Result<(), SimError> {
+        if self.scheduler == Scheduler::Asynchronous {
+            let axis = if self.fidelity != Fidelity::Agent {
+                format!(
+                    "fidelity — activations read agents literally; {:?} fidelity applies to \
+                     synchronous rounds only",
+                    self.fidelity
+                )
+            } else if self.neighborhood.is_some() {
+                "topology — activations sample the complete graph only".into()
+            } else if self.fault.sleep_prob > 0.0 {
+                "sleep_prob — a sleeping agent is one that is not activated; sleepy \
+                 agents apply to synchronous rounds only"
+                    .into()
+            } else if self.mode != ExecutionMode::Auto {
+                format!(
+                    "mode — execution mode `{}` picks how a synchronous round runs; \
+                     activations have one implementation (use auto)",
+                    self.mode
+                )
+            } else {
+                return Ok(());
+            };
+            return Err(SimError::InvalidParameter {
+                name: "scheduler",
+                detail: format!("offending axis: {axis}"),
+            });
+        }
         match (self.resolve_round_impl(), &self.parallel_workers) {
             (Some(_), Err(e)) => Err(e.clone()),
             _ => Ok(()),
@@ -644,7 +701,7 @@ impl EngineCore {
         self.recovery.reset();
     }
 
-    /// Executes one synchronous round (see [`Engine::step`]).
+    /// Executes one round (see [`Engine::step`]).
     fn step<A: Population + ?Sized>(&mut self, pop: &mut A) {
         self.apply_schedule(pop);
         // Legacy one-shot environment change: the correct bit itself flips.
@@ -652,21 +709,66 @@ impl EngineCore {
             self.source.retarget(new_correct);
             self.refresh_caches(pop);
         }
-        if !self.mean_field() {
-            // Index-sampling rounds write outputs in place while the
-            // source still reads round-start opinions: rotate the
-            // persistent double buffer instead of copying — or, on
-            // bit-plane populations, word-copy the packed opinion plane
-            // into the 1 bit/agent word snapshot.
-            if self.bit_store {
-                self.refresh_bit_snapshot(pop);
-            } else {
-                self.rotate_opinion_buffer();
+        if self.scheduler == Scheduler::Asynchronous {
+            self.step_activations(pop);
+        } else {
+            if !self.mean_field() {
+                // Index-sampling rounds write outputs in place while the
+                // source still reads round-start opinions: rotate the
+                // persistent double buffer instead of copying — or, on
+                // bit-plane populations, word-copy the packed opinion
+                // plane into the 1 bit/agent word snapshot.
+                if self.bit_store {
+                    self.refresh_bit_snapshot(pop);
+                } else {
+                    self.rotate_opinion_buffer();
+                }
             }
+            self.step_fused_round(pop, self.resolve_round_impl());
         }
-        self.step_fused_round(pop, self.resolve_round_impl());
         self.round += 1;
         self.recovery.observe(self.round, self.all_correct());
+    }
+
+    /// One asynchronous round: `n` activations on the main RNG. Each one
+    /// draws a uniform non-source agent, then `m` uniform agents whose
+    /// *current* outputs it reads (earlier activations of the round
+    /// included; a byte read on typed storage, a plane read on bit
+    /// planes), flips the count at `δ`, and steps the agent alone.
+    fn step_activations<A: Population + ?Sized>(&mut self, pop: &mut A) {
+        let n = self.spec.n() as usize;
+        let num_sources = self.spec.num_sources() as usize;
+        let m = pop.samples_per_round();
+        let ctx = RoundContext::new(self.round);
+        let source_output = self.source.output();
+        for _ in 0..n {
+            let agent = self.rng.gen_range(0..pop.len());
+            let mut ones = 0u32;
+            // Two loops, not one branch per read: the typed loop is the
+            // tight one.
+            if self.bit_store {
+                for _ in 0..m {
+                    let k = self.rng.gen_range(0..n);
+                    let output = if k < num_sources {
+                        source_output
+                    } else {
+                        pop.output_of(k - num_sources)
+                    };
+                    ones += u32::from(output.is_one());
+                }
+            } else {
+                for _ in 0..m {
+                    ones += u32::from(self.outputs[self.rng.gen_range(0..n)].is_one());
+                }
+            }
+            let ones = self.fault.corrupt_count(ones, m, &mut self.rng);
+            let obs = Observation::new(ones, m).expect("count bounded by sample size");
+            let output = pop.step_agent(agent, &obs, &ctx, &mut self.rng);
+            if !self.bit_store {
+                self.outputs[num_sources + agent] = output;
+            }
+        }
+        self.refresh_caches(pop);
     }
 
     /// Rotates the round-start opinion double buffer for index-sampling
@@ -962,7 +1064,7 @@ impl<A: Population + ?Sized> Engine<A> {
             });
         }
         let core = EngineCore::construct(population.as_mut(), spec, fidelity, init, seed)?;
-        core.check_parallel_workers()?;
+        core.check()?;
         Ok(Engine { population, core })
     }
 
@@ -983,7 +1085,7 @@ impl<A: Population + ?Sized> Engine<A> {
         seed: u64,
     ) -> Result<Self, SimError> {
         let core = EngineCore::construct_filled(population.as_mut(), spec, fidelity, seed)?;
-        core.check_parallel_workers()?;
+        core.check()?;
         Ok(Engine { population, core })
     }
 
@@ -996,8 +1098,9 @@ impl<A: Population + ?Sized> Engine<A> {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidParameter`] when some vertex has no
-    /// neighbors, when the vertex count differs from the spec's `n`, or
-    /// when the fidelity is not [`Fidelity::Agent`].
+    /// neighbors, when the vertex count differs from the spec's `n`, when
+    /// the fidelity is not [`Fidelity::Agent`], or under
+    /// [`Scheduler::Asynchronous`] (see [`Engine::set_scheduler`]).
     pub fn with_neighborhood(
         mut self,
         neighborhood: Box<dyn Neighborhood>,
@@ -1020,7 +1123,8 @@ impl<A: Population + ?Sized> Engine<A> {
                 ),
             });
         }
-        self.core.neighborhood = Some(neighborhood);
+        self.core
+            .try_set(|core| &mut core.neighborhood, Some(neighborhood))?;
         Ok(self)
     }
 
@@ -1029,12 +1133,12 @@ impl<A: Population + ?Sized> Engine<A> {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidParameter`] (name `fault`) when a
-    /// probability knob lies outside `[0, 1]` ([`FaultPlan::validate`]);
-    /// the previous plan then stays installed.
+    /// probability knob lies outside `[0, 1]` ([`FaultPlan::validate`]),
+    /// and (name `scheduler`) for sleepy agents under
+    /// [`Scheduler::Asynchronous`]; the previous plan then stays installed.
     pub fn set_fault_plan(&mut self, fault: FaultPlan) -> Result<(), SimError> {
         fault.validate()?;
-        self.core.fault = fault;
-        Ok(())
+        self.core.try_set(|core| &mut core.fault, fault)
     }
 
     /// Installs a round-indexed fault schedule: its base plan replaces
@@ -1048,6 +1152,7 @@ impl<A: Population + ?Sized> Engine<A> {
     /// [`FaultSchedule::from_plan`] schedule carries it unchecked).
     pub fn set_fault_schedule(&mut self, schedule: &FaultSchedule) -> Result<(), SimError> {
         schedule.base().validate()?;
+        self.core.try_set(|core| &mut core.fault, schedule.base())?;
         self.core.set_schedule(schedule);
         Ok(())
     }
@@ -1068,10 +1173,11 @@ impl<A: Population + ?Sized> Engine<A> {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidParameter`] for
-    /// [`ExecutionMode::FusedParallel`] with zero threads or a protocol
-    /// that opts out of parallel sharding. Also returns it, naming
+    /// [`ExecutionMode::FusedParallel`] with zero threads, and for a mode
+    /// other than [`ExecutionMode::Auto`] under
+    /// [`Scheduler::Asynchronous`]. Also returns it, naming
     /// `FET_PARALLEL_WORKERS`, when that variable is malformed and the
-    /// mode can resolve to a parallel round; the mode is then unchanged.
+    /// mode can resolve to a parallel round. The mode is then unchanged.
     pub fn set_execution_mode(&mut self, mode: ExecutionMode) -> Result<(), SimError> {
         self.core.set_mode(mode)
     }
@@ -1079,6 +1185,28 @@ impl<A: Population + ?Sized> Engine<A> {
     /// The configured execution mode.
     pub fn execution_mode(&self) -> ExecutionMode {
         self.core.mode
+    }
+
+    /// Selects the scheduler (default [`Scheduler::Synchronous`]); it
+    /// applies from the next [`Engine::step`] on. Asynchronous rounds keep
+    /// the round prologue (schedule events, retargets) and replace the
+    /// fused round with `n` activations; they allocate no round scratch.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidParameter`] (name `scheduler`, naming
+    /// the offending axis) when [`Scheduler::Asynchronous`] meets a
+    /// non-[`Fidelity::Agent`] fidelity, a neighborhood, sleepy agents or
+    /// a mode other than [`ExecutionMode::Auto`]; also the
+    /// `FET_PARALLEL_WORKERS` error of [`Engine::set_execution_mode`]. The
+    /// scheduler is then unchanged.
+    pub fn set_scheduler(&mut self, scheduler: Scheduler) -> Result<(), SimError> {
+        self.core.try_set(|core| &mut core.scheduler, scheduler)
+    }
+
+    /// The configured scheduler.
+    pub fn scheduler(&self) -> Scheduler {
+        self.core.scheduler
     }
 
     /// Bytes of per-round auxiliary round buffers currently allocated (the
@@ -1174,13 +1302,14 @@ impl<A: Population + ?Sized> Engine<A> {
         out
     }
 
-    /// Executes one synchronous round.
+    /// Executes one round.
     ///
-    /// The round is one fused pass over the container
+    /// A synchronous round is one fused pass over the container
     /// ([`Protocol::step_fused`]): each agent's observation is drawn on
     /// demand, its update applied, and the round counters folded in the
     /// same pass. Under sleepy-agent faults each sleeper then keeps its
-    /// round-start state and output.
+    /// round-start state and output. An asynchronous round is `n`
+    /// activations (see [`Scheduler::Asynchronous`]).
     pub fn step(&mut self) {
         self.core.step(self.population.as_mut());
     }
@@ -2641,5 +2770,231 @@ mod tests {
                 "{mode:?}: a ring run must not converge this fast"
             );
         }
+    }
+
+    // ---- the asynchronous scheduler ----
+
+    /// An engine on the complete graph under [`Scheduler::Asynchronous`].
+    fn async_engine<A: Population + ?Sized>(
+        population: Box<A>,
+        n: u64,
+        init: InitialCondition,
+        seed: u64,
+    ) -> Engine<A> {
+        let mut e = Engine::new(population, spec(n), Fidelity::Agent, init, seed).unwrap();
+        e.set_scheduler(Scheduler::Asynchronous).unwrap();
+        e
+    }
+
+    #[test]
+    fn async_fet_fails_to_converge_the_negative_finding() {
+        // The finding documented on `Scheduler::Asynchronous`: random
+        // activation breaks FET. Assert the measured behaviour so that any
+        // change that *fixes* asynchrony shows up loudly.
+        let protocol = FetProtocol::for_population(200, 4.0).unwrap();
+        let population = Box::new(TypedPopulation::new(protocol));
+        let mut e = async_engine(population, 200, InitialCondition::AllWrong, 3);
+        let report = e.run(20_000, ConvergenceCriterion::new(3), &mut NullObserver);
+        assert!(
+            !report.converged(),
+            "async FET unexpectedly converged — a finding changed: {report:?}"
+        );
+        // And it is genuinely wandering, not stuck at the start.
+        assert!(report.final_fraction_correct > 0.02);
+    }
+
+    #[test]
+    fn exact_consensus_is_absorbing_under_asynchrony_on_both_storages() {
+        // Consensus is unreachable under asynchrony, yet absorbing: at
+        // unanimity count′ = ℓ ≥ any stored count, so agents adopt or keep
+        // 1 forever.
+        let ell = FetProtocol::for_population(150, 4.0).unwrap().ell();
+        for population in [fet_population(ell), fet_bit_population(ell)] {
+            let mut e = async_engine(population, 150, InitialCondition::AllCorrect, 5);
+            for _ in 0..50 {
+                e.step();
+                assert_eq!(e.fraction_ones(), 1.0, "consensus broke");
+                assert!(e.all_correct());
+            }
+        }
+    }
+
+    /// Counts each agent's activations; every output stays zero.
+    #[derive(Debug, Clone)]
+    struct Activations;
+
+    impl Protocol for Activations {
+        type State = u64;
+
+        fn name(&self) -> &str {
+            "activations"
+        }
+
+        fn samples_per_round(&self) -> u32 {
+            1
+        }
+
+        fn init_state(&self, _opinion: Opinion, _rng: &mut dyn RngCore) -> u64 {
+            0
+        }
+
+        fn step(
+            &self,
+            steps: &mut u64,
+            _obs: &Observation,
+            _ctx: &RoundContext,
+            _rng: &mut dyn RngCore,
+        ) -> Opinion {
+            *steps += 1;
+            Opinion::Zero
+        }
+
+        fn output(&self, _steps: &u64) -> Opinion {
+            Opinion::Zero
+        }
+
+        fn memory_footprint(&self) -> fet_core::memory::MemoryFootprint {
+            fet_core::memory::MemoryFootprint::new(8, 0, 0)
+        }
+    }
+
+    #[test]
+    fn async_round_advances_once_per_n_activations() {
+        let population = Box::new(TypedPopulation::new(Activations));
+        let mut e = async_engine(population, 10, InitialCondition::Random, 7);
+        for round in 1..=3 {
+            e.step();
+            assert_eq!(e.round(), round);
+            assert_eq!(e.states().iter().sum::<u64>(), 10 * round);
+        }
+    }
+
+    #[test]
+    fn async_runs_replay_per_seed() {
+        let run = |seed: u64| {
+            let mut e = async_engine(typed(6), 60, InitialCondition::Random, seed);
+            let mut rec = TrajectoryRecorder::new();
+            let report = e.run(300, ConvergenceCriterion::new(2), &mut rec);
+            (report, rec.into_fractions())
+        };
+        assert_eq!(run(11), run(11));
+        assert_ne!(run(11).1, run(12).1, "the seed must key the stream");
+    }
+
+    #[test]
+    fn oversized_populations_are_rejected() {
+        let spec_big = ProblemSpec::single_source(1 << 40, Opinion::One).unwrap();
+        assert!(matches!(
+            Engine::new(
+                typed(4),
+                spec_big,
+                Fidelity::Agent,
+                InitialCondition::Random,
+                1
+            ),
+            Err(SimError::UnsupportedPopulation { .. })
+        ));
+    }
+
+    /// A trend switch and a state corruption fire under asynchronous
+    /// rounds as under synchronous ones, one recovery record each; typed
+    /// and bit-plane storage replay the same noisy trajectory, and neither
+    /// allocates round scratch.
+    #[test]
+    fn async_schedules_fire_one_recovery_record_per_event() {
+        let schedule = FaultSchedule::new(
+            FaultPlan::with_noise(0.02).unwrap(),
+            vec![
+                FaultEvent::TrendSwitch {
+                    round: 5,
+                    correct: Opinion::Zero,
+                },
+                FaultEvent::StateCorruption {
+                    round: 9,
+                    fraction: 0.5,
+                },
+            ],
+        )
+        .unwrap();
+        let run = |population| {
+            let mut e = async_engine(population, 120, InitialCondition::AllCorrect, 13);
+            e.set_fault_schedule(&schedule).unwrap();
+            let mut rec = TrajectoryRecorder::new();
+            let report = e.run(15, ConvergenceCriterion::new(3), &mut rec);
+            assert_eq!(e.round_scratch_bytes(), 0);
+            let records = e.recovery_records().to_vec();
+            (report, rec.into_fractions(), records, e.correct())
+        };
+        let typed = run(fet_population(6));
+        assert_eq!(typed, run(fet_bit_population(6)));
+        let (report, _, records, correct) = typed;
+        assert_eq!(report.rounds_run, 15);
+        assert_eq!(correct, Opinion::Zero);
+        let events: Vec<_> = records.iter().map(|r| (r.event_round, r.kind)).collect();
+        assert_eq!(
+            events,
+            [
+                (5, FaultEventKind::TrendSwitch),
+                (9, FaultEventKind::StateCorruption)
+            ]
+        );
+    }
+
+    /// Each configuration asynchronous rounds cannot run is a typed error
+    /// naming its axis, whichever setter comes last, and leaves the engine
+    /// as it was.
+    #[test]
+    fn async_rejections_are_typed_and_leave_the_engine_unchanged() {
+        let fresh = |fidelity| {
+            Engine::new(typed(4), spec(40), fidelity, InitialCondition::Random, 1).unwrap()
+        };
+        let rejects = |result: Result<(), SimError>, axis: &str| match result {
+            Err(SimError::InvalidParameter {
+                name: "scheduler",
+                detail,
+            }) => assert!(
+                detail.starts_with(&format!("offending axis: {axis} ")),
+                "{detail}"
+            ),
+            other => panic!("{axis}: {other:?}"),
+        };
+        let sleepy = FaultPlan::with_sleep(0.1).unwrap();
+        let to_async = |e: &mut Engine<TypedPopulation<FetProtocol>>| {
+            let result = e.set_scheduler(Scheduler::Asynchronous);
+            assert_eq!(e.scheduler(), Scheduler::Synchronous);
+            result
+        };
+        // The scheduler set last.
+        for fidelity in [Fidelity::Binomial, Fidelity::WithoutReplacement] {
+            rejects(to_async(&mut fresh(fidelity)), "fidelity");
+        }
+        let mut e = fresh(Fidelity::Agent);
+        e.set_fault_plan(sleepy).unwrap();
+        rejects(to_async(&mut e), "sleep_prob");
+        let mut e = fresh(Fidelity::Agent);
+        e.set_execution_mode(ExecutionMode::Fused).unwrap();
+        rejects(to_async(&mut e), "mode");
+        let ring = || Box::new(Ring::new(40));
+        let mut e = fresh(Fidelity::Agent).with_neighborhood(ring()).unwrap();
+        rejects(to_async(&mut e), "topology");
+        // The scheduler set first.
+        let mut e = fresh(Fidelity::Agent);
+        e.set_scheduler(Scheduler::Asynchronous).unwrap();
+        rejects(e.set_fault_plan(sleepy), "sleep_prob");
+        let schedule = FaultSchedule::from_plan(sleepy);
+        rejects(e.set_fault_schedule(&schedule), "sleep_prob");
+        for mode in [
+            ExecutionMode::Fused,
+            ExecutionMode::FusedParallel { threads: 2 },
+        ] {
+            rejects(e.set_execution_mode(mode), "mode");
+        }
+        assert_eq!(e.execution_mode(), ExecutionMode::Auto);
+        // Noise is an observation fault: activations apply it.
+        e.set_fault_plan(FaultPlan::with_noise(0.1).unwrap())
+            .unwrap();
+        e.step();
+        let err = e.with_neighborhood(ring()).map(|_| ()).unwrap_err();
+        rejects(Err(err), "topology");
     }
 }

@@ -1,10 +1,13 @@
-//! # fet-sim — synchronous PULL-model simulation engine
+//! # fet-sim — PULL-model simulation engine
 //!
 //! Drives `fet-core` protocols against an actual population, implementing
 //! the paper's model (§1.2): synchronous rounds; each agent observes the
 //! opinions of uniformly random agents (with replacement); one or more
 //! source agents constantly output the correct opinion; all non-source
-//! agents start from arbitrary states.
+//! agents start from arbitrary states. The one per-agent engine,
+//! [`engine::Engine`], also runs the population-protocol scheduler that
+//! activates one random agent at a time
+//! ([`engine::Scheduler::Asynchronous`], experiment E17).
 //!
 //! ## Three fidelities
 //!
@@ -37,8 +40,8 @@
 //! # Example
 //!
 //! The one-stop entry point is the [`simulation::Simulation`] builder;
-//! synchronous runs execute on the one synchronous engine,
-//! [`engine::Engine`], over a zero-copy type-erased population container:
+//! per-agent runs execute on the one engine, [`engine::Engine`], over a
+//! zero-copy type-erased population container:
 //!
 //! ```
 //! use fet_sim::simulation::Simulation;
@@ -57,7 +60,6 @@
 #![deny(missing_debug_implementations)]
 
 pub mod aggregate;
-pub mod asynchronous;
 pub mod batch;
 pub mod convergence;
 pub mod engine;
@@ -74,15 +76,14 @@ pub use error::SimError;
 /// Convenient re-exports of the most commonly used items.
 pub mod prelude {
     pub use crate::aggregate::AggregateFetChain;
-    pub use crate::asynchronous::AsyncEngine;
     pub use crate::batch::{parallel_map, BatchSummary};
     pub use crate::convergence::{ConvergenceCriterion, ConvergenceReport};
-    pub use crate::engine::{Engine, ExecutionMode, Fidelity};
+    pub use crate::engine::{Engine, ExecutionMode, Fidelity, Scheduler};
     pub use crate::error::SimError;
     pub use crate::fault::FaultPlan;
     pub use crate::init::InitialCondition;
     pub use crate::neighborhood::Neighborhood;
     pub use crate::observer::{NullObserver, RoundObserver, TrajectoryRecorder};
-    pub use crate::simulation::{RunReport, Scheduler, Simulation, SimulationBuilder, Storage};
+    pub use crate::simulation::{RunReport, Simulation, SimulationBuilder, Storage};
     pub use crate::sources::{GraphSource, GraphSourceFactory};
 }

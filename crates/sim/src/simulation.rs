@@ -1,10 +1,10 @@
 //! The unified `Simulation` facade: one validated builder over every way
 //! this workspace can run a protocol.
 //!
-//! The workspace runs a protocol three ways — the synchronous [`Engine`]
-//! (on the complete graph or any [`Neighborhood`]), [`AsyncEngine`] and
-//! [`AggregateFetChain`]. [`Simulation::builder`] puts them behind one
-//! fluent, validated configuration surface, used by the CLI, the
+//! The workspace runs a protocol two ways — the per-agent [`Engine`] (on
+//! the complete graph or any [`Neighborhood`], under either scheduler)
+//! and the [`AggregateFetChain`]. [`Simulation::builder`] puts them behind
+//! one fluent, validated configuration surface, used by the CLI, the
 //! examples and the experiment binaries:
 //!
 //! * **protocol** — a typed instance, an [`ErasedProtocol`], or a registry
@@ -18,7 +18,7 @@
 //!   [`Neighborhood`] (e.g. a `fet_topology::graph::Graph`).
 //! * **scheduler** — synchronous rounds ([`Scheduler::Synchronous`]) or the
 //!   population-protocol-style random-activation scheduler
-//!   ([`Scheduler::Asynchronous`]).
+//!   ([`Scheduler::Asynchronous`]), both on the [`Engine`].
 //! * **execution mode** — how a synchronous round's fused single-pass
 //!   kernel executes: [`ExecutionMode::Auto`] (default; work-sharded
 //!   across threads above an `n` threshold on multi-core hosts), or force
@@ -32,16 +32,15 @@
 //! Running yields a uniform [`RunReport`] regardless of the execution
 //! strategy chosen underneath.
 //!
-//! Synchronous runs — however the protocol was chosen — execute on the
+//! Per-agent runs — however the protocol was chosen — execute on the
 //! default [`Engine`] instantiation, `Engine<dyn DynPopulation>`: the
 //! protocol handle builds a type-erased *population container* (one
 //! contiguous buffer of concrete states or packed bit planes, see
-//! [`fet_core::population`]) and every round dispatches once into the typed
-//! fused kernel. A registry-name run is therefore stream-identical to, and
-//! within a few percent of, the equivalent `Engine<TypedPopulation<P>>`
-//! run.
-//! Asynchronous runs step the same kind of container, one agent per
-//! activation.
+//! [`fet_core::population`]) and every synchronous round dispatches once
+//! into the typed fused kernel. A registry-name run is therefore
+//! stream-identical to, and within a few percent of, the equivalent
+//! `Engine<TypedPopulation<P>>` run. Asynchronous rounds step the same
+//! container one agent per activation.
 //!
 //! # Example
 //!
@@ -68,11 +67,10 @@
 //! ```
 
 use crate::aggregate::AggregateFetChain;
-use crate::asynchronous::AsyncEngine;
 use crate::convergence::{
     ConvergenceCriterion, ConvergenceDetector, ConvergenceReport, RecoveryRecord,
 };
-use crate::engine::{Engine, ExecutionMode, Fidelity};
+use crate::engine::{Engine, ExecutionMode, Fidelity, Scheduler};
 use crate::error::SimError;
 use crate::fault::{FaultPlan, FaultSchedule};
 use crate::init::InitialCondition;
@@ -88,29 +86,17 @@ use fet_stats::binomial::sample_binomial;
 use fet_stats::rng::SeedTree;
 use std::fmt;
 
-/// When agents act relative to one another.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Scheduler {
-    /// The paper's model: every agent observes and updates each round.
-    Synchronous,
-    /// Population-protocol-style: one random agent activates per tick;
-    /// time is counted in parallel rounds (`n` ticks each). Note the
-    /// reproduction's negative finding: FET does **not** converge under
-    /// this scheduler (see [`crate::asynchronous`]).
-    Asynchronous,
-}
-
 /// Default sample-size constant `c` in `ℓ = ⌈c·ln n⌉`.
 pub const DEFAULT_SAMPLE_CONSTANT: f64 = 4.0;
 
 /// Population size at which [`Storage::Auto`] switches a packable
-/// synchronous run to bit-plane storage. Below it the byte
+/// per-agent run to bit-plane storage. Below it the byte
 /// representation's ~8 bytes/agent are immaterial and the typed buffer
 /// stays the familiar default; above it the packed planes cut resident
 /// opinion storage 8× (64×, for opinion-only protocols).
 pub const BIT_PLANE_AUTO_MIN_N: u64 = 10_000_000;
 
-/// How the synchronous engine stores per-agent state (orthogonal to
+/// How the engine stores per-agent state (orthogonal to
 /// [`ExecutionMode`], which picks how a round *executes*).
 ///
 /// Bit-plane storage packs opinions 64 agents per `u64` word, plus a
@@ -120,12 +106,13 @@ pub const BIT_PLANE_AUTO_MIN_N: u64 = 10_000_000;
 /// [`fet_core::bitplane`]. Rounds run through the in-place fused
 /// kernels; opinion-only threshold protocols (voter, 3-majority)
 /// additionally take the word-at-a-time kernel, 64 agents per plane
-/// write. It requires a *packable, passive* protocol
-/// ([`fet_core::protocol::Protocol::state_planes`]) and the synchronous
-/// scheduler with a per-agent fidelity; [`SimulationBuilder::build`]
-/// validates both. Trajectories are
-/// **bit-identical** to the typed representation for the same `(seed,
-/// execution mode, shard count)` — storage never perturbs the stream.
+/// write; asynchronous activations read and step single agents on the
+/// planes. It requires a *packable, passive* protocol
+/// ([`fet_core::protocol::Protocol::state_planes`]) and a per-agent
+/// fidelity; [`SimulationBuilder::build`] validates both. Trajectories
+/// are **bit-identical** to the typed representation for the same
+/// `(seed, scheduler, execution mode, shard count)` — storage never
+/// perturbs the stream.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Storage {
     /// Select automatically: bit-plane when the protocol is packable,
@@ -175,16 +162,15 @@ pub struct RunReport {
     pub fidelity: Fidelity,
     /// Execution mode the run was configured with ([`ExecutionMode::Auto`]
     /// resolves to the single-threaded or the work-sharded fused kernel;
-    /// the aggregate and asynchronous runners have one implementation
-    /// each).
+    /// the aggregate chain and asynchronous rounds have one
+    /// implementation each).
     pub mode: ExecutionMode,
     /// Scheduler the run used.
     pub scheduler: Scheduler,
     /// The storage representation the run resolved to — never
-    /// [`Storage::Auto`]; [`Storage::BitPlane`] exactly when the
-    /// synchronous engine drove packed planes, [`Storage::Typed`]
-    /// otherwise (including the aggregate and asynchronous runners,
-    /// which keep no packable per-agent planes).
+    /// [`Storage::Auto`]; [`Storage::BitPlane`] exactly when the engine
+    /// drove packed planes, [`Storage::Typed`] otherwise (including the
+    /// aggregate chain, which keeps no per-agent states).
     pub storage: Storage,
     /// Heap bytes resident in the per-agent state container at report
     /// time (`0` for the aggregate chain, which keeps no per-agent
@@ -217,22 +203,19 @@ impl RunReport {
 }
 
 enum Runner {
-    /// The synchronous hot path: the [`Engine`] over a type-erased
-    /// *population container* (contiguous typed states or packed bit
-    /// planes — no per-round state buffer or clone), stream-identical to
-    /// the typed `Engine<TypedPopulation<P>>` for the same seed.
-    Sync(Box<Engine>),
-    /// The per-activation scheduler: one agent of the same population
-    /// container steps per tick.
-    Async(Box<AsyncEngine>),
+    /// The per-agent hot path, under either scheduler: the [`Engine`]
+    /// over a type-erased *population container* (contiguous typed states
+    /// or packed bit planes — no per-round state buffer or clone),
+    /// stream-identical to the typed `Engine<TypedPopulation<P>>` for the
+    /// same seed.
+    Engine(Box<Engine>),
     Aggregate(AggregateFetChain),
 }
 
 impl fmt::Debug for Runner {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Runner::Sync(_) => f.write_str("Runner::Sync"),
-            Runner::Async(_) => f.write_str("Runner::Async"),
+            Runner::Engine(_) => f.write_str("Runner::Engine"),
             Runner::Aggregate(_) => f.write_str("Runner::Aggregate"),
         }
     }
@@ -270,8 +253,7 @@ impl Simulation {
     /// The paper's `x_t`: fraction of agents currently outputting 1.
     pub fn fraction_ones(&self) -> f64 {
         match &self.runner {
-            Runner::Sync(e) => e.fraction_ones(),
-            Runner::Async(e) => e.fraction_ones(),
+            Runner::Engine(e) => e.fraction_ones(),
             Runner::Aggregate(c) => c.fractions().1,
         }
     }
@@ -279,8 +261,7 @@ impl Simulation {
     /// Fraction of non-source agents currently deciding correctly.
     pub fn fraction_correct(&self) -> f64 {
         match &self.runner {
-            Runner::Sync(e) => e.fraction_correct(),
-            Runner::Async(e) => e.fraction_correct(),
+            Runner::Engine(e) => e.fraction_correct(),
             Runner::Aggregate(c) => c.fraction_correct(),
         }
     }
@@ -288,8 +269,7 @@ impl Simulation {
     /// Rounds executed so far (parallel rounds under the async scheduler).
     pub fn round(&self) -> u64 {
         match &self.runner {
-            Runner::Sync(e) => e.round(),
-            Runner::Async(e) => e.parallel_rounds(),
+            Runner::Engine(e) => e.round(),
             Runner::Aggregate(c) => c.round(),
         }
     }
@@ -297,8 +277,7 @@ impl Simulation {
     /// The current correct opinion (tracks mid-run source retargeting).
     pub fn correct(&self) -> Opinion {
         match &self.runner {
-            Runner::Sync(e) => e.correct(),
-            Runner::Async(e) => e.spec().correct(),
+            Runner::Engine(e) => e.correct(),
             Runner::Aggregate(c) => c.spec().correct(),
         }
     }
@@ -306,8 +285,7 @@ impl Simulation {
     /// `true` when every non-source agent currently decides correctly.
     pub fn all_correct(&self) -> bool {
         match &self.runner {
-            Runner::Sync(e) => e.all_correct(),
-            Runner::Async(e) => e.all_correct(),
+            Runner::Engine(e) => e.all_correct(),
             Runner::Aggregate(c) => c.all_correct(),
         }
     }
@@ -317,12 +295,7 @@ impl Simulation {
     /// drive loops; [`Simulation::run`] is the usual entry point.
     pub fn step(&mut self) {
         match &mut self.runner {
-            Runner::Sync(e) => e.step(),
-            Runner::Async(e) => {
-                for _ in 0..e.spec().n() {
-                    e.tick();
-                }
-            }
+            Runner::Engine(e) => e.step(),
             Runner::Aggregate(c) => c.step(),
         }
     }
@@ -334,14 +307,16 @@ impl Simulation {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidParameter`] (name `fault`) for a plan
-    /// that fails [`FaultPlan::validate`], and for the aggregate and
-    /// asynchronous runners, which do not execute fault plans.
+    /// that fails [`FaultPlan::validate`] and for the aggregate chain,
+    /// which does not execute fault plans, and the error of
+    /// [`Engine::set_fault_plan`] for sleepy agents under the
+    /// asynchronous scheduler.
     pub fn set_fault_plan(&mut self, fault: FaultPlan) -> Result<(), SimError> {
         match &mut self.runner {
-            Runner::Sync(e) => e.set_fault_plan(fault),
-            Runner::Async(_) | Runner::Aggregate(_) => Err(SimError::InvalidParameter {
+            Runner::Engine(e) => e.set_fault_plan(fault),
+            Runner::Aggregate(_) => Err(SimError::InvalidParameter {
                 name: "fault",
-                detail: "fault plans are a synchronous per-agent engine feature".into(),
+                detail: "fault plans are a per-agent engine feature".into(),
             }),
         }
     }
@@ -355,20 +330,20 @@ impl Simulation {
     /// As [`Simulation::set_fault_plan`].
     pub fn set_fault_schedule(&mut self, schedule: &FaultSchedule) -> Result<(), SimError> {
         match &mut self.runner {
-            Runner::Sync(e) => e.set_fault_schedule(schedule),
-            Runner::Async(_) | Runner::Aggregate(_) => Err(SimError::InvalidParameter {
+            Runner::Engine(e) => e.set_fault_schedule(schedule),
+            Runner::Aggregate(_) => Err(SimError::InvalidParameter {
                 name: "fault",
-                detail: "fault schedules are a synchronous per-agent engine feature".into(),
+                detail: "fault schedules are a per-agent engine feature".into(),
             }),
         }
     }
 
-    /// Per-event recovery records accumulated so far (empty for runners
-    /// without fault schedules).
+    /// Per-event recovery records accumulated so far (empty for the
+    /// aggregate chain, which runs no fault schedules).
     pub fn recovery_records(&self) -> &[RecoveryRecord] {
         match &self.runner {
-            Runner::Sync(e) => e.recovery_records(),
-            Runner::Async(_) | Runner::Aggregate(_) => &[],
+            Runner::Engine(e) => e.recovery_records(),
+            Runner::Aggregate(_) => &[],
         }
     }
 
@@ -391,8 +366,7 @@ impl Simulation {
             let criterion = self.criterion;
             let max_rounds = self.max_rounds;
             match &mut self.runner {
-                Runner::Sync(engine) => engine.run(max_rounds, criterion, &mut fanout),
-                Runner::Async(engine) => run_async(engine, max_rounds, criterion, &mut fanout),
+                Runner::Engine(engine) => engine.run(max_rounds, criterion, &mut fanout),
                 Runner::Aggregate(chain) => {
                     run_aggregate(chain, max_rounds, criterion, &mut fanout)
                 }
@@ -416,8 +390,7 @@ impl Simulation {
     /// Heap bytes resident in the per-agent state container right now.
     pub fn resident_bytes(&self) -> u64 {
         match &self.runner {
-            Runner::Sync(e) => e.population().resident_bytes() as u64,
-            Runner::Async(e) => e.resident_state_bytes() as u64,
+            Runner::Engine(e) => e.population().resident_bytes() as u64,
             Runner::Aggregate(_) => 0,
         }
     }
@@ -426,38 +399,6 @@ impl Simulation {
     /// [`Storage::Auto`]).
     pub fn storage(&self) -> Storage {
         self.storage
-    }
-}
-
-/// Drives the async engine in parallel rounds, with observer snapshots.
-fn run_async(
-    engine: &mut AsyncEngine,
-    max_parallel_rounds: u64,
-    criterion: ConvergenceCriterion,
-    observer: &mut dyn RoundObserver,
-) -> ConvergenceReport {
-    let n = engine.spec().n();
-    let mut detector = ConvergenceDetector::new(criterion);
-    let mut round = engine.parallel_rounds();
-    let snapshot = |engine: &AsyncEngine, round| RoundSnapshot {
-        round,
-        fraction_ones: engine.fraction_ones(),
-        fraction_correct: engine.fraction_correct(),
-    };
-    observer.on_round(snapshot(engine, round));
-    let mut done = detector.observe(round, engine.all_correct());
-    while !done && round < max_parallel_rounds {
-        for _ in 0..n {
-            engine.tick();
-        }
-        round = engine.parallel_rounds();
-        observer.on_round(snapshot(engine, round));
-        done = detector.observe(round, engine.all_correct());
-    }
-    ConvergenceReport {
-        converged_at: detector.converged_at(),
-        rounds_run: round,
-        final_fraction_correct: engine.fraction_correct(),
     }
 }
 
@@ -634,7 +575,8 @@ impl SimulationBuilder {
     /// multi-core hosts). Forcing [`ExecutionMode::Fused`] or
     /// [`ExecutionMode::FusedParallel`] is validated in
     /// [`SimulationBuilder::build`]: both require a synchronous per-agent
-    /// run, and the parallel mode additionally a non-zero thread count.
+    /// run (see [`Engine::set_execution_mode`]), and the parallel mode
+    /// additionally a non-zero thread count.
     /// Note the stream caveat in [`crate::engine`]'s docs: each
     /// mode (and each parallel shard count) is its own deterministic
     /// stream per seed.
@@ -643,7 +585,10 @@ impl SimulationBuilder {
         self
     }
 
-    /// Sets the scheduler (default [`Scheduler::Synchronous`]).
+    /// Sets the scheduler (default [`Scheduler::Synchronous`]). The
+    /// asynchronous scheduler defaults the fidelity to
+    /// [`Fidelity::Agent`]; [`SimulationBuilder::build`] returns
+    /// [`Engine::set_scheduler`]'s error for the combinations it rejects.
     pub fn scheduler(mut self, s: Scheduler) -> Self {
         self.scheduler = s;
         self
@@ -652,8 +597,8 @@ impl SimulationBuilder {
     /// Selects the per-agent storage representation (default
     /// [`Storage::Auto`]): the contiguous typed buffer, or packed bit
     /// planes — 1 bit/agent opinion plus, for protocols like FET that
-    /// carry a small per-agent counter, 1 byte/agent of auxiliary state
-    /// (see [`fet_core::bitplane`]).
+    /// carry a small per-agent counter, its `⌈log₂(ℓ+1)⌉` bits/agent of
+    /// auxiliary state (see [`fet_core::bitplane`]).
     ///
     /// Storage is orthogonal to [`SimulationBuilder::execution_mode`]: it
     /// changes where states live, never which random stream the round
@@ -661,8 +606,8 @@ impl SimulationBuilder {
     /// the same `(seed, mode, shard count)`. Forcing
     /// [`Storage::BitPlane`] is validated in
     /// [`SimulationBuilder::build`]: it requires a packable passive
-    /// protocol ([`fet_core::protocol::Protocol::state_planes`]) and the
-    /// synchronous scheduler with a per-agent fidelity.
+    /// protocol ([`fet_core::protocol::Protocol::state_planes`]) and a
+    /// per-agent fidelity.
     pub fn storage(mut self, s: Storage) -> Self {
         self.storage = s;
         self
@@ -734,13 +679,13 @@ impl SimulationBuilder {
     ///
     /// Returns [`SimError::InvalidParameter`] for incompatible selections
     /// — a fault plan (or schedule base plan) with a probability outside
-    /// `[0, 1]`, topology with a non-agent fidelity or the async scheduler,
-    /// aggregate fidelity with a protocol lacking the Observation 1
-    /// structure / with faults / with the async scheduler,
-    /// without-replacement sampling with `m > n`, an unknown registry name,
-    /// a malformed `FET_SIMD` (or `avx2` forced on a host without it) on a
-    /// synchronous per-agent run — and [`SimError::Core`] for invalid
-    /// instance parameters.
+    /// `[0, 1]`, topology with a non-agent fidelity, aggregate fidelity
+    /// with a protocol lacking the Observation 1 structure / with faults /
+    /// with the async scheduler, the async scheduler with anything
+    /// [`Engine::set_scheduler`] rejects, without-replacement sampling
+    /// with `m > n`, an unknown registry name, a malformed `FET_SIMD` (or
+    /// `avx2` forced on a host without it) on a per-agent run — and
+    /// [`SimError::Core`] for invalid instance parameters.
     pub fn build(self) -> Result<Simulation, SimError> {
         let n = match (self.n, self.topology.as_ref()) {
             (Some(n), Some(t)) if n != u64::from(t.population()) => {
@@ -809,40 +754,14 @@ impl SimulationBuilder {
         effective_fault.validate()?;
         let faulty =
             !effective_fault.is_none() || self.schedule.as_ref().is_some_and(|s| !s.is_trivial());
-        if self.scheduler == Scheduler::Asynchronous {
-            if fidelity != Fidelity::Agent {
-                return Err(Self::invalid(
-                    "scheduler",
-                    format!(
-                        "the asynchronous scheduler samples literally; {fidelity:?} fidelity \
-                         applies to synchronous rounds only"
-                    ),
-                ));
-            }
-            if faulty {
-                return Err(Self::invalid(
-                    "fault",
-                    "fault plans and schedules are a synchronous-engine feature",
-                ));
-            }
-        }
-
-        if self.topology.is_some() {
-            if self.scheduler == Scheduler::Asynchronous {
-                return Err(Self::invalid(
-                    "topology",
-                    "the asynchronous scheduler runs on the complete graph only",
-                ));
-            }
-            if !matches!(fidelity, Fidelity::Agent) {
-                return Err(Self::invalid(
-                    "topology",
-                    format!(
-                        "neighbor sampling is literal; {fidelity:?} fidelity applies to the \
-                         complete graph only (use Fidelity::Agent or drop the topology)"
-                    ),
-                ));
-            }
+        if self.topology.is_some() && fidelity != Fidelity::Agent {
+            return Err(Self::invalid(
+                "topology",
+                format!(
+                    "neighbor sampling is literal; {fidelity:?} fidelity applies to the \
+                     complete graph only (use Fidelity::Agent or drop the topology)"
+                ),
+            ));
         }
         if fidelity == Fidelity::Aggregate {
             if self.scheduler == Scheduler::Asynchronous {
@@ -859,38 +778,22 @@ impl SimulationBuilder {
                 ));
             }
         }
-        if self.mode != ExecutionMode::Auto {
-            // The fused/parallel choice exists only for the synchronous
-            // per-agent engine; other runners have a single implementation.
-            if self.scheduler == Scheduler::Asynchronous || fidelity == Fidelity::Aggregate {
-                return Err(Self::invalid(
-                    "mode",
-                    format!(
-                        "execution mode `{}` applies to synchronous per-agent runs; the \
-                         aggregate chain and the asynchronous scheduler have one \
-                         implementation each (use ExecutionMode::Auto)",
-                        self.mode
-                    ),
-                ));
-            }
-            if matches!(self.mode, ExecutionMode::FusedParallel { threads: 0 }) {
-                return Err(Self::invalid(
-                    "mode",
-                    "offending axis: threads — fused-parallel needs at least one thread",
-                ));
-            }
+        // The engine validates the mode of per-agent runs.
+        if self.mode != ExecutionMode::Auto && fidelity == Fidelity::Aggregate {
+            return Err(Self::invalid(
+                "mode",
+                format!(
+                    "execution mode `{}` applies to per-agent runs; the aggregate chain has \
+                     one implementation (use ExecutionMode::Auto)",
+                    self.mode
+                ),
+            ));
         }
 
-        // Storage is a synchronous per-agent engine axis riding the fused
-        // rounds; every requirement is checkable here, so forcing bit
-        // planes fails at build time with the offending axis named.
-        let bit_plane_obstacle: Option<String> = if self.scheduler == Scheduler::Asynchronous {
-            Some(
-                "offending axis: scheduler — the asynchronous runner steps one agent per \
-                 activation on typed storage; bit planes serve the synchronous fused rounds"
-                    .into(),
-            )
-        } else if fidelity == Fidelity::Aggregate {
+        // Storage is a per-agent engine axis; every requirement is
+        // checkable here, so forcing bit planes fails at build time with
+        // the offending axis named.
+        let bit_plane_obstacle: Option<String> = if fidelity == Fidelity::Aggregate {
             Some(
                 "offending axis: fidelity — the aggregate chain keeps no per-agent states \
                  to pack"
@@ -920,8 +823,8 @@ impl SimulationBuilder {
             }
         };
 
-        let runner = match (self.scheduler, fidelity) {
-            (Scheduler::Synchronous, Fidelity::Aggregate) => {
+        let runner = match fidelity {
+            Fidelity::Aggregate => {
                 let chain_ell = protocol.aggregate_ell().ok_or_else(|| {
                     Self::invalid(
                         "fidelity",
@@ -937,13 +840,7 @@ impl SimulationBuilder {
                     spec, chain_ell, ones, ones, self.seed,
                 )?)
             }
-            (Scheduler::Asynchronous, _) => Runner::Async(Box::new(AsyncEngine::new(
-                protocol.population(),
-                spec,
-                self.init,
-                self.seed,
-            )?)),
-            (Scheduler::Synchronous, per_agent) => {
+            per_agent => {
                 // The factory-produced handle hands out a population
                 // container — contiguous typed states, or packed bit
                 // planes when the storage axis resolved there; the engine
@@ -957,6 +854,9 @@ impl SimulationBuilder {
                     _ => protocol.population(),
                 };
                 let mut engine = Engine::new(population, spec, per_agent, self.init, self.seed)?;
+                // Every later setter re-checks its axis against the
+                // scheduler.
+                engine.set_scheduler(self.scheduler)?;
                 if let Some(topology) = self.topology {
                     engine = engine.with_neighborhood(topology)?;
                 }
@@ -964,10 +864,8 @@ impl SimulationBuilder {
                     Some(schedule) => engine.set_fault_schedule(schedule)?,
                     None => engine.set_fault_plan(self.fault)?,
                 }
-                // Mode compatibility is validated above; what is left is
-                // a malformed `FET_PARALLEL_WORKERS` on a run that shards.
                 engine.set_execution_mode(self.mode)?;
-                Runner::Sync(Box::new(engine))
+                Runner::Engine(Box::new(engine))
             }
         };
 
@@ -1124,7 +1022,8 @@ mod tests {
 
     #[test]
     fn fused_mode_rejects_incompatible_configurations() {
-        // Aggregate and async runners have one implementation each.
+        // The aggregate chain and asynchronous rounds have one
+        // implementation each.
         for (fidelity, scheduler) in [
             (Some(Fidelity::Aggregate), Scheduler::Synchronous),
             (None, Scheduler::Asynchronous),
@@ -1214,6 +1113,56 @@ mod tests {
     }
 
     #[test]
+    fn async_rejections_are_the_engines_typed_errors() {
+        use crate::neighborhood::tests::Ring;
+        let base = || {
+            Simulation::builder()
+                .population(60)
+                .scheduler(Scheduler::Asynchronous)
+        };
+        let sleepy = FaultPlan::with_sleep(0.1).unwrap();
+        for (axis, builder) in [
+            ("fidelity", base().fidelity(Fidelity::Binomial)),
+            ("fidelity", base().fidelity(Fidelity::WithoutReplacement)),
+            ("topology", base().topology(Ring::new(60))),
+            ("sleep_prob", base().fault(sleepy)),
+            (
+                "sleep_prob",
+                base().fault_schedule(FaultSchedule::from_plan(sleepy)),
+            ),
+            ("mode", base().execution_mode(ExecutionMode::Fused)),
+            (
+                "mode",
+                base().execution_mode(ExecutionMode::FusedParallel { threads: 2 }),
+            ),
+        ] {
+            match builder.build() {
+                Err(SimError::InvalidParameter {
+                    name: "scheduler",
+                    detail,
+                }) => assert!(
+                    detail.starts_with(&format!("offending axis: {axis} ")),
+                    "{detail}"
+                ),
+                other => panic!("{axis}: {other:?}"),
+            }
+        }
+        // Mid-run, too.
+        let mut sim = base().max_rounds(2).build().unwrap();
+        sim.run();
+        assert!(matches!(
+            sim.set_fault_plan(sleepy),
+            Err(SimError::InvalidParameter {
+                name: "scheduler",
+                ..
+            })
+        ));
+        // Only the aggregate chain stays a facade rejection.
+        let err = base().fidelity(Fidelity::Aggregate).build().unwrap_err();
+        assert!(err.to_string().contains("synchronous rounds only"), "{err}");
+    }
+
+    #[test]
     fn initial_ones_matches_conditions() {
         let spec = ProblemSpec::single_source(1_000, Opinion::One).unwrap();
         assert_eq!(initial_ones(&spec, InitialCondition::AllWrong, 0), 1);
@@ -1231,25 +1180,39 @@ mod tests {
     #[test]
     fn storage_axis_is_trajectory_invisible() {
         // The representation equivalence contract at facade level: for a
-        // fixed (seed, fidelity, mode), typed and bit-plane storage
-        // produce the same trajectory, report, and convergence round —
-        // the packed planes never enter the stream.
-        for (fidelity, mode) in [
-            (Fidelity::Binomial, ExecutionMode::Fused),
+        // fixed (seed, scheduler, fidelity, mode), typed and bit-plane
+        // storage produce the same trajectory, report, and convergence
+        // round — the packed planes never enter the stream.
+        let sync = Scheduler::Synchronous;
+        for (scheduler, fidelity, mode) in [
+            (sync, Fidelity::Binomial, ExecutionMode::Fused),
             (
+                sync,
                 Fidelity::Binomial,
                 ExecutionMode::FusedParallel { threads: 3 },
             ),
-            (Fidelity::Agent, ExecutionMode::Fused),
-            (Fidelity::Agent, ExecutionMode::FusedParallel { threads: 3 }),
+            (sync, Fidelity::Agent, ExecutionMode::Fused),
+            (
+                sync,
+                Fidelity::Agent,
+                ExecutionMode::FusedParallel { threads: 3 },
+            ),
+            (
+                Scheduler::Asynchronous,
+                Fidelity::Agent,
+                ExecutionMode::Auto,
+            ),
         ] {
+            let case = format!("{scheduler:?}/{fidelity:?}/{mode:?}");
             let run = |storage: Storage| {
                 Simulation::builder()
                     .population(350)
                     .seed(13)
+                    .scheduler(scheduler)
                     .fidelity(fidelity)
                     .execution_mode(mode)
                     .storage(storage)
+                    .max_rounds(60)
                     .record_trajectory(true)
                     .build()
                     .unwrap()
@@ -1257,16 +1220,17 @@ mod tests {
             };
             let typed = run(Storage::Typed);
             let bits = run(Storage::BitPlane);
-            assert!(typed.converged(), "{fidelity:?}/{mode:?}: {typed:?}");
+            // Asynchronous FET never converges (E17).
+            assert_eq!(typed.converged(), scheduler == sync, "{case}: {typed:?}");
             assert_eq!(typed.storage, Storage::Typed);
             assert_eq!(bits.storage, Storage::BitPlane);
-            assert_eq!(typed.trajectory, bits.trajectory, "{fidelity:?}/{mode:?}");
-            assert_eq!(typed.report, bits.report, "{fidelity:?}/{mode:?}");
+            assert_eq!(typed.trajectory, bits.trajectory, "{case}");
+            assert_eq!(typed.report, bits.report, "{case}");
             // And the representation actually shrinks resident state:
-            // ~16 bytes/agent typed FET vs 1 bit + 1 byte packed.
+            // 8 bytes/agent typed FET vs 1 bit + 5 clock bits packed.
             assert!(
                 bits.resident_bytes * 4 < typed.resident_bytes,
-                "{fidelity:?}/{mode:?}: {} !< {}",
+                "{case}: {} !< {}",
                 bits.resident_bytes,
                 typed.resident_bytes
             );
@@ -1277,7 +1241,7 @@ mod tests {
     fn storage_auto_resolves_typed_below_the_threshold() {
         let sim = Simulation::builder().population(500).build().unwrap();
         assert_eq!(sim.storage(), Storage::Typed);
-        // The aggregate and async runners always report typed storage.
+        // The aggregate chain always reports typed storage.
         let sim = Simulation::builder()
             .population(1_000_000)
             .fidelity(Fidelity::Aggregate)
@@ -1293,21 +1257,11 @@ mod tests {
                 .population(200)
                 .storage(Storage::BitPlane)
         };
-        for (what, builder) in [
-            ("aggregate fidelity", base().fidelity(Fidelity::Aggregate)),
-            (
-                "async scheduler",
-                base()
-                    .scheduler(Scheduler::Asynchronous)
-                    .fidelity(Fidelity::Agent),
-            ),
-        ] {
-            let err = builder.build().unwrap_err();
-            assert!(
-                err.to_string().contains("storage") && err.to_string().contains("offending axis"),
-                "{what}: {err}"
-            );
-        }
+        let err = base().fidelity(Fidelity::Aggregate).build().unwrap_err();
+        assert!(
+            err.to_string().contains("storage") && err.to_string().contains("offending axis"),
+            "aggregate fidelity: {err}"
+        );
         // An unpackable protocol (voter keeps OpinionOnly planes — that
         // IS packable; majority's tie-breaking state is too; use a big
         // ell so FET's count no longer fits the auxiliary byte).

@@ -8,10 +8,10 @@
 //!   (*Follow the Emerging Trend*, Protocol 1), its unpartitioned variant,
 //!   and the object-safe [`core::erased`] layer for runtime protocol
 //!   selection.
-//! * [`sim`] — the simulation engines and the unified
+//! * [`sim`] — the per-agent engine, the aggregate chain and the unified
 //!   [`sim::simulation::Simulation`] builder facade (agent-level,
 //!   binomial, without-replacement, and aggregate fidelities; synchronous
-//!   and asynchronous schedulers; topologies; fault plans).
+//!   and asynchronous schedulers on one engine; topologies; fault plans).
 //! * [`protocols`] — baseline opinion dynamics plus the runtime
 //!   [`protocols::registry::ProtocolRegistry`] (`"fet"`, `"voter"`,
 //!   `"3-majority"`, …).
@@ -89,10 +89,10 @@ pub mod prelude {
     pub use fet_gauntlet::{run_gauntlet, GauntletOptions, GauntletSpec};
     pub use fet_protocols::registry::{ProtocolParams, ProtocolRegistry};
     pub use fet_sim::convergence::{ConvergenceCriterion, ConvergenceReport};
-    pub use fet_sim::engine::{Engine, ExecutionMode, Fidelity};
+    pub use fet_sim::engine::{Engine, ExecutionMode, Fidelity, Scheduler};
     pub use fet_sim::fault::{FaultEvent, FaultPlan, FaultSchedule};
     pub use fet_sim::neighborhood::Neighborhood;
-    pub use fet_sim::simulation::{RunReport, Scheduler, Simulation, SimulationBuilder, Storage};
+    pub use fet_sim::simulation::{RunReport, Simulation, SimulationBuilder, Storage};
     pub use fet_stats::rng::SeedTree;
     pub use fet_sweep::runner::{run_sweep, SweepOptions, SweepOutcome};
     pub use fet_sweep::spec::SweepSpec;

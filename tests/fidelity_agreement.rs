@@ -1,6 +1,7 @@
-//! Cross-validation of the fidelity tower (DESIGN.md §4.2): literal
-//! sampling ≡ binomial counts ≡ aggregate chain ≡ closed-form drift ≡
-//! exact Markov solve. These tests are the reproduction's spine.
+//! Cross-validation of the fidelity tower (the fidelity table in fet-sim's
+//! crate docs): literal sampling ≡ binomial counts ≡ aggregate chain ≡
+//! closed-form drift ≡ exact Markov solve. These tests are the
+//! reproduction's spine.
 
 use fet::analysis::drift::DriftField;
 use fet::analysis::markov::ExactChain;

@@ -185,7 +185,7 @@ fn convergence_with_sleepy_agents() {
     // decoheres (n = 400: ~10 rounds at 5% sleep, ~10² at 10%, ~10³–10⁴ at
     // 20%, and at 30% most seeds do not converge within 2·10⁵ rounds).
     // Assert the survivable regime; the breakdown at 30% is covered by the
-    // async negative finding in `fet_sim::asynchronous`.
+    // async negative finding on `fet_sim::engine::Scheduler::Asynchronous`.
     let report = Simulation::builder()
         .population(400)
         .seed(37)

@@ -9,10 +9,11 @@
 //! {binomial, without-replacement, literal Agent, random-regular graph of
 //! degree below and above the sample size `m`} ×
 //! {fused, fused-parallel with 1 and 3 shards} × {typed, bit-plane}, plus
-//! one asynchronous run, sleepy binomial runs (default mode, and
-//! {fused, fused-parallel with 3 shards} × {typed, bit-plane}), one
-//! fault-schedule run, one noisy run per sampling rule and a noisy sleepy
-//! binomial run, and compares the FNV-1a digests
+//! an asynchronous run on each storage, sleepy binomial runs (default
+//! mode, and {fused, fused-parallel with 3 shards} × {typed, bit-plane}),
+//! one fault-schedule run, one noisy run per sampling rule (asynchronous
+//! activation included) and a noisy sleepy binomial run, and compares the
+//! FNV-1a digests
 //! against the table below. A refactor of the round machinery must leave
 //! every digest unchanged; a deliberate stream re-key updates the table in
 //! the same change and says so in docs/DETERMINISM.md.
@@ -103,6 +104,13 @@ fn current_digests() -> Vec<(String, u64)> {
     ];
     let sleepy =
         || observed("binomial").fault(FaultPlan::with_sleep(0.2).expect("valid sleep probability"));
+    let asynchronous = || {
+        Simulation::builder()
+            .population(200)
+            .seed(SEED)
+            .scheduler(Scheduler::Asynchronous)
+            .max_rounds(40)
+    };
     let mut cases = Vec::new();
     for kind in [
         "binomial",
@@ -120,15 +128,10 @@ fn current_digests() -> Vec<(String, u64)> {
             }
         }
     }
+    cases.push(("async".into(), digest(asynchronous())));
     cases.push((
-        "async".into(),
-        digest(
-            Simulation::builder()
-                .population(200)
-                .seed(SEED)
-                .scheduler(Scheduler::Asynchronous)
-                .max_rounds(40),
-        ),
+        "async/bits".into(),
+        digest(asynchronous().storage(Storage::BitPlane)),
     ));
     cases.push(("sleepy".into(), digest(sleepy())));
     for (mode_label, mode) in [modes[0], modes[2]] {
@@ -196,6 +199,10 @@ fn current_digests() -> Vec<(String, u64)> {
             ..FaultPlan::with_noise(NOISE).expect("valid flip probability")
         })),
     ));
+    cases.push((
+        "noisy/async".into(),
+        digest(asynchronous().fault(FaultPlan::with_noise(NOISE).expect("valid flip probability"))),
+    ));
     cases
 }
 
@@ -214,7 +221,10 @@ fn current_digests() -> Vec<(String, u64)> {
 /// `UNANIMOUS_RUN_THRESHOLD` began handing out unanimous runs (each re-key
 /// is listed in docs/DETERMINISM.md). The `graph-dense/` legs, added with
 /// the neighbor-count change, match what the index draws produced before
-/// it.
+/// it. The `async` leg was recorded again when asynchronous activation
+/// became an `Engine` round, which moved its init draws from the `"async"`
+/// seed lane to `"engine"`; `async/bits` and `noisy/async` were added
+/// then.
 const RECORDED: &[(&str, u64)] = &[
     ("binomial/fused/typed", 0x66B40B4B2C73CAEF),
     ("binomial/fused/bits", 0x66B40B4B2C73CAEF),
@@ -246,7 +256,8 @@ const RECORDED: &[(&str, u64)] = &[
     ("graph-dense/parallel-1/bits", 0x48843A5D7180900E),
     ("graph-dense/parallel-3/typed", 0x2E4AEDFA87E35261),
     ("graph-dense/parallel-3/bits", 0x2E4AEDFA87E35261),
-    ("async", 0x13734C7E19126BAC),
+    ("async", 0x01DBA140DD81B8FB),
+    ("async/bits", 0x01DBA140DD81B8FB),
     ("sleepy", 0x587994E56A06BBD1),
     ("sleepy/fused/typed", 0x587994E56A06BBD1),
     ("sleepy/fused/bits", 0x587994E56A06BBD1),
@@ -258,6 +269,7 @@ const RECORDED: &[(&str, u64)] = &[
     ("noisy/graph/fused/typed", 0x52F86701BE66C097),
     ("noisy/agent/fused/typed", 0xBEDEDB849F5FC6DB),
     ("noisy/sleepy", 0xF69D039153C8693E),
+    ("noisy/async", 0xCD2D2BC649D1A203),
 ];
 
 #[test]
