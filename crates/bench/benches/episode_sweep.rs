@@ -11,10 +11,11 @@
 //!   (warm cache, merge loop, aggregates) on the calling thread. The
 //!   ISSUE 6 acceptance bar is `runner_1 / serial_loop ≤ 1.05` — the
 //!   dispatch layer must cost under 5% on top of the episodes themselves.
-//! * `runner_4` — four workers through the work-stealing pool. On a
-//!   multi-core host this should approach a 4× speedup; on a starved
-//!   host (see the parallelism note this bench prints) it measures the
-//!   injector/steal/channel overhead instead.
+//! * `runner_4` — four workers claiming episodes from the job dispenser
+//!   (`fet_core::pool::run_jobs`). On a multi-core host this should
+//!   approach a 4× speedup; on a starved host (see the parallelism note
+//!   this bench prints) it measures the thread, cursor and hand-over
+//!   overhead instead.
 //!
 //! Numbers are recorded in `docs/BENCHMARKS.md`.
 

@@ -520,26 +520,25 @@ fn cmd_baselines(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_topology(flags: &Flags) -> Result<(), String> {
-    use fet_topology::builders;
+    use fet_sweep::spec::TopologySpec;
+    use fet_sweep::SweepError;
     use fet_topology::graph::GraphStats;
 
     let n: u32 = get(flags, "n", 1_000)?;
-    let seed: u64 = get(flags, "seed", 0)?;
-    let degree: u32 = get(flags, "degree", 32)?;
-    let beta: f64 = get(flags, "beta", 0.1)?;
     let name = flags.get("graph").map_or("regular", String::as_str);
-    let mut rng = fet_stats::rng::SeedTree::new(seed).child("graph").rng();
-    let graph = match name {
-        "complete" => builders::complete(n),
-        "er" => builders::erdos_renyi(n, f64::from(degree) / f64::from(n.max(1)), &mut rng),
-        "regular" => builders::random_regular(n, degree + (n * degree) % 2, &mut rng),
-        "ring" => builders::ring_lattice(n, degree.max(1)),
-        "star" => builders::star(n),
-        "barbell" => builders::barbell(n / 2, degree.clamp(1, n / 2)),
-        "smallworld" => builders::watts_strogatz(n, degree.max(1), beta, &mut rng),
-        other => return Err(format!("unknown --graph `{other}`")),
+    // The sweep's builder, so a one-cell topology sweep at this seed runs
+    // the same graph.
+    let graph = TopologySpec {
+        graph: name.to_string(),
+        degree: get(flags, "degree", 32)?,
+        beta: get(flags, "beta", 0.1)?,
+        seed: get(flags, "seed", 0)?,
     }
-    .map_err(|e| e.to_string())?;
+    .build(n)
+    .map_err(|e| match e {
+        SweepError::Spec { detail } => detail,
+        other => other.to_string(),
+    })?;
     let stats = GraphStats::of(&graph);
     println!("graph {name}: {stats}");
     let budget: u64 = get(flags, "max-rounds", 20_000)?;

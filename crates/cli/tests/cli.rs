@@ -126,15 +126,15 @@ fn run_fused_parallel_replays_per_seed_and_thread_count() {
 
 #[test]
 fn run_rejects_a_malformed_worker_override_only_when_it_shards() {
-    let run = |mode: &[&str]| {
+    let run = |args: &[&str]| {
         fet()
-            .args(["run", "--n", "300", "--seed", "3"])
-            .args(mode)
+            .args(["run", "--seed", "3"])
+            .args(args)
             .env("FET_PARALLEL_WORKERS", "bogus")
             .output()
             .expect("binary runs")
     };
-    let out = run(&["--mode", "fused-parallel", "--threads", "2"]);
+    let out = run(&["--n", "300", "--mode", "fused-parallel", "--threads", "2"]);
     assert_eq!(out.status.code(), Some(1));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
@@ -143,8 +143,23 @@ fn run_rejects_a_malformed_worker_override_only_when_it_shards() {
         ),
         "{stderr}"
     );
-    // A run that never shards ignores the variable.
-    assert!(run(&["--mode", "fused"]).status.success());
+    // Runs that never shard ignore the variable: a single-threaded fused
+    // run, and an asynchronous run at a size where a synchronous run
+    // shards on a multi-core host (activations never shard).
+    assert!(run(&["--n", "300", "--mode", "fused"]).status.success());
+    let out = run(&[
+        "--n",
+        "2000000",
+        "--scheduler",
+        "async",
+        "--max-rounds",
+        "0",
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }
 
 #[test]
@@ -237,6 +252,45 @@ fn topology_fused_replays_per_seed() {
         ])
     };
     assert_eq!(run(), run(), "fixed seed graph-fused runs must replay");
+}
+
+/// `fet topology` builds its graph with the sweep's builder, so at one
+/// seed it steps the graph a one-cell topology sweep steps: every
+/// truncated run stalls where the sweep's trajectory is after as many
+/// rounds.
+#[test]
+fn topology_steps_the_graph_of_a_one_cell_sweep() {
+    use fet_sweep::{run_sweep, SweepOptions, SweepSpec};
+    let spec = SweepSpec::parse(
+        r#"{"n": [400], "topology": {"graph": "regular", "degree": 8, "seed": 7},
+            "seeds": {"base": 7, "count": 1}, "max_rounds": 3, "stability_window": 5,
+            "record_trajectory": true}"#,
+    )
+    .unwrap();
+    let outcome = run_sweep(&spec, &SweepOptions::default()).unwrap();
+    let trajectory = outcome.records[0].trajectory.clone().unwrap();
+    assert_eq!(trajectory.len(), 4, "x_0 through x_3");
+    for (rounds, ones_fraction) in trajectory.into_iter().enumerate().skip(1) {
+        let text = run_ok(&[
+            "topology",
+            "--n",
+            "400",
+            "--graph",
+            "regular",
+            "--degree",
+            "8",
+            "--seed",
+            "7",
+            "--max-rounds",
+            &rounds.to_string(),
+        ]);
+        // The trajectory counts the one source; the CLI reports the
+        // non-sources.
+        let ones = (ones_fraction * 400.0).round();
+        let correct = (ones - 1.0) / 399.0;
+        let stalled = format!("stalled at {:.1}% correct", 100.0 * correct);
+        assert!(text.contains(&stalled), "round {rounds}: {stalled}\n{text}");
+    }
 }
 
 #[test]

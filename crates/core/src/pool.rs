@@ -1,208 +1,86 @@
-//! Work-stealing execution over independent jobs.
+//! One parallel-for over a closed list of independent jobs.
 //!
-//! [`shard`](crate::shard) parallelizes *within* one round; this module
-//! parallelizes *across* independent pieces of work — replicate batches
-//! (`fet_sim::batch`) and episode sweeps (`fet-sweep`) both run on it. The
-//! design is the classic three-tier work-stealing scheme, built on `std`
-//! only:
+//! [`shard`](crate::shard) rounds, replicate batches (`fet_sim::batch`)
+//! and episode sweeps (`fet-sweep`) all hand [`run_jobs`] a known list of
+//! jobs that never submit further work, so one shared cursor is the whole
+//! scheduler: each idle worker claims the next unclaimed job, and a slow
+//! job holds back nothing but its own worker.
 //!
-//! * a **shared injector** holds work nobody has claimed yet;
-//! * each worker owns a **local deque** and pops from its back;
-//! * an idle worker first refills from the injector (a small batch, so
-//!   the injector lock is cold), then **steals** from the front of a
-//!   sibling's deque (half the victim's backlog at once).
-//!
-//! Determinism contract: the pool schedules *when* jobs run, never *what*
-//! they compute — each job is keyed by its index and writes only its own
-//! result slot, so the output of [`run_indexed`] is a pure function of the
-//! job closure, independent of worker count, stealing order, and OS
-//! scheduling. This is the same "only the key derives the stream"
-//! discipline the split-RNG sharding in [`shard`](crate::shard) follows.
+//! Determinism contract: the dispenser decides *when* a job runs, never
+//! *what* it computes. Each job carries everything that derives its
+//! result (an index, a seed, a shard's storage and stream), so a caller
+//! that files each result under its job's key gets output independent of
+//! the worker count and of OS scheduling. This is the same "only the key
+//! derives the stream" discipline the split-RNG sharding in
+//! [`shard`](crate::shard) follows.
 
-use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::sync::{mpsc, Mutex};
 
-/// The shared tail of unclaimed work: a locked queue every worker refills
-/// from. Pushes go to the back; claims come off the front in small batches
-/// so that job order stays roughly FIFO and the lock stays cold.
-#[derive(Debug, Default)]
-pub struct Injector<T> {
-    queue: Mutex<VecDeque<T>>,
-}
-
-impl<T> Injector<T> {
-    /// An empty injector.
-    pub fn new() -> Self {
-        Injector {
-            queue: Mutex::new(VecDeque::new()),
-        }
-    }
-
-    /// Adds one job.
-    pub fn push(&self, job: T) {
-        self.lock().push_back(job);
-    }
-
-    /// Adds a batch of jobs in order.
-    pub fn push_all(&self, jobs: impl IntoIterator<Item = T>) {
-        self.lock().extend(jobs);
-    }
-
-    /// Claims up to `max` jobs off the front.
-    pub fn claim(&self, max: usize) -> Vec<T> {
-        let mut q = self.lock();
-        let take = max.min(q.len());
-        q.drain(..take).collect()
-    }
-
-    /// Jobs currently waiting.
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    /// `true` when nothing is waiting.
-    pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<T>> {
-        self.queue.lock().expect("injector lock poisoned")
-    }
-}
-
-/// One worker's local job deque. The owner pops from the back (LIFO keeps
-/// its cache warm); thieves steal from the front (FIFO hands them the
-/// oldest — and for sweeps, the lowest-indexed — backlog).
-#[derive(Debug, Default)]
-pub struct WorkerDeque<T> {
-    jobs: Mutex<VecDeque<T>>,
-}
-
-impl<T> WorkerDeque<T> {
-    /// An empty deque.
-    pub fn new() -> Self {
-        WorkerDeque {
-            jobs: Mutex::new(VecDeque::new()),
-        }
-    }
-
-    /// Owner side: queues freshly claimed jobs at the back.
-    pub fn extend(&self, jobs: impl IntoIterator<Item = T>) {
-        self.lock().extend(jobs);
-    }
-
-    /// Owner side: takes the most recently queued job.
-    pub fn pop(&self) -> Option<T> {
-        self.lock().pop_back()
-    }
-
-    /// Thief side: takes roughly half the victim's backlog off the front.
-    /// Returns an empty vec when there is nothing to steal.
-    pub fn steal_half(&self) -> Vec<T> {
-        let mut q = self.lock();
-        let take = q.len().div_ceil(2);
-        q.drain(..take).collect()
-    }
-
-    /// Jobs currently queued.
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    /// `true` when the deque is empty.
-    pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<T>> {
-        self.jobs.lock().expect("worker deque lock poisoned")
-    }
-}
-
-/// How many jobs a worker claims from the injector per refill: enough to
-/// amortize the lock, few enough that siblings can still steal a fair
-/// share of a `jobs`-sized backlog split `workers` ways.
-pub fn refill_batch(pending: usize, workers: usize) -> usize {
-    (pending / (workers.max(1) * 4)).clamp(1, 64)
-}
-
-/// Runs `jobs` index-keyed jobs on up to `workers` threads via
-/// injector + per-worker deques + stealing, returning results in index
-/// order.
+/// Runs `work` over `jobs` on up to `workers` scoped threads and hands
+/// every result to `done` on the calling thread, in completion order.
 ///
-/// The closure receives the job index and must derive everything it needs
-/// (seeds included) from it; the pool guarantees the result vector is
-/// identical for every `workers` value.
+/// Workers claim one job at a time, in list order, from a single shared
+/// cursor. Once `done` returns `false` the cursor closes: jobs already
+/// claimed finish, their results are dropped, and the call returns. Each
+/// worker hands over one result at a time and waits until `done` has
+/// taken it, so when `done` returns `false` on the `k`-th result, at most
+/// `k + workers` jobs have been claimed.
+///
+/// With one worker (or zero) or at most one job, everything runs inline
+/// on the calling thread, in list order.
 ///
 /// # Panics
 ///
-/// Propagates a panicking job (the scope joins all workers first).
-pub fn run_indexed<R, F>(jobs: usize, workers: usize, f: F) -> Vec<R>
-where
+/// Propagates the panic of a panicking job (after the other workers
+/// finish) or of `done`.
+pub fn run_jobs<J, R>(
+    jobs: Vec<J>,
+    workers: usize,
+    work: impl Fn(J) -> R + Sync,
+    mut done: impl FnMut(R) -> bool,
+) where
+    J: Send,
     R: Send,
-    F: Fn(usize) -> R + Sync,
 {
-    let workers = workers.max(1);
-    if jobs == 0 {
-        return Vec::new();
+    let workers = workers.min(jobs.len());
+    if workers <= 1 {
+        for job in jobs {
+            if !done(work(job)) {
+                break;
+            }
+        }
+        return;
     }
-    if workers == 1 || jobs == 1 {
-        return (0..jobs).map(f).collect();
-    }
-    let injector: Injector<usize> = Injector::new();
-    injector.push_all(0..jobs);
-    let deques: Vec<WorkerDeque<usize>> = (0..workers).map(|_| WorkerDeque::new()).collect();
-    let mut out: Vec<Option<R>> = (0..jobs).map(|_| None).collect();
-    // Hand each worker a raw pointer-free view of its own output slots:
-    // collect per-job slot references up front by splitting the vec into
-    // one-element chunks, then let each completed job fill its slot
-    // through a lock (results are written once per index; the lock only
-    // serializes the cheap slot write, not the job itself).
-    let out_slots = Mutex::new(&mut out);
+    let cursor = Mutex::new(jobs.into_iter());
+    let (tx, rx) = mpsc::sync_channel(0);
     std::thread::scope(|scope| {
-        for me in 0..workers {
-            let injector = &injector;
-            let deques = &deques;
-            let out_slots = &out_slots;
-            let f = &f;
-            scope.spawn(move || loop {
-                let job = next_job(me, injector, deques);
-                let Some(index) = job else { break };
-                let result = f(index);
-                out_slots.lock().expect("result slots lock poisoned")[index] = Some(result);
-            });
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                let (cursor, work, tx) = (&cursor, &work, tx.clone());
+                scope.spawn(move || loop {
+                    // The guard drops at the end of this statement, so no
+                    // job runs under the lock.
+                    let job = cursor.lock().expect("job cursor poisoned").next();
+                    let Some(job) = job else { break };
+                    if tx.send(work(job)).is_err() {
+                        break;
+                    }
+                })
+            })
+            .collect();
+        drop(tx);
+        for result in rx {
+            if !done(result) {
+                *cursor.lock().expect("job cursor poisoned") = Vec::new().into_iter();
+                break;
+            }
+        }
+        for handle in handles {
+            if let Err(panic) = handle.join() {
+                std::panic::resume_unwind(panic);
+            }
         }
     });
-    out.into_iter()
-        .map(|r| r.expect("every job index claimed exactly once"))
-        .collect()
-}
-
-/// One scheduling decision for worker `me`: local pop, else injector
-/// refill, else steal. `None` means the whole job set is exhausted (the
-/// closed-world case — [`run_indexed`] — where no new work ever appears).
-fn next_job(me: usize, injector: &Injector<usize>, deques: &[WorkerDeque<usize>]) -> Option<usize> {
-    loop {
-        if let Some(job) = deques[me].pop() {
-            return Some(job);
-        }
-        let batch = injector.claim(refill_batch(injector.len(), deques.len()));
-        if !batch.is_empty() {
-            deques[me].extend(batch);
-            continue;
-        }
-        // Injector dry: steal the oldest half of the fullest sibling.
-        let victim = (0..deques.len())
-            .filter(|&w| w != me)
-            .max_by_key(|&w| deques[w].len())?;
-        let stolen = deques[victim].steal_half();
-        if stolen.is_empty() {
-            // Everyone's deque is empty and the injector is closed-world:
-            // any job still running belongs to another worker.
-            return None;
-        }
-        deques[me].extend(stolen);
-    }
 }
 
 #[cfg(test)]
@@ -210,73 +88,106 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    #[test]
-    fn run_indexed_preserves_index_order() {
-        let out = run_indexed(257, 4, |i| i * 3);
-        assert_eq!(out.len(), 257);
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(*v, i * 3);
-        }
-    }
-
-    #[test]
-    fn worker_count_never_changes_results() {
-        let reference = run_indexed(100, 1, |i| (i as u64 * 0x9E37) ^ 0xabc);
-        for workers in [2, 3, 7, 16] {
-            assert_eq!(
-                run_indexed(100, workers, |i| (i as u64 * 0x9E37) ^ 0xabc),
-                reference
-            );
-        }
-    }
-
-    #[test]
-    fn every_job_runs_exactly_once() {
-        let counter = AtomicUsize::new(0);
-        let out = run_indexed(1000, 8, |i| {
-            counter.fetch_add(1, Ordering::Relaxed);
-            i
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), 1000);
-        assert_eq!(out.len(), 1000);
-    }
-
-    #[test]
-    fn empty_and_single_job_sets() {
-        assert!(run_indexed(0, 4, |i| i).is_empty());
-        assert_eq!(run_indexed(1, 4, |i| i + 1), vec![1]);
-    }
-
-    #[test]
-    fn stealing_moves_backlog_between_deques() {
-        let d: WorkerDeque<usize> = WorkerDeque::new();
-        d.extend(0..10);
-        let stolen = d.steal_half();
-        assert_eq!(
-            stolen,
-            (0..5).collect::<Vec<_>>(),
-            "thief takes the front half"
+    /// Every result of `run_jobs` over `jobs` on `workers`, sorted by job.
+    fn collect(jobs: usize, workers: usize, f: impl Fn(usize) -> u64 + Sync) -> Vec<(usize, u64)> {
+        let mut out = Vec::new();
+        run_jobs(
+            (0..jobs).collect(),
+            workers,
+            |i| (i, f(i)),
+            |r| {
+                out.push(r);
+                true
+            },
         );
-        assert_eq!(d.pop(), Some(9), "owner still pops from the back");
-        assert_eq!(d.len(), 4);
+        out.sort_unstable();
+        out
     }
 
     #[test]
-    fn injector_claims_are_fifo_batches() {
-        let inj: Injector<usize> = Injector::new();
-        inj.push_all(0..10);
-        assert_eq!(inj.claim(4), vec![0, 1, 2, 3]);
-        assert_eq!(inj.len(), 6);
-        inj.push(10);
-        assert_eq!(inj.claim(100), vec![4, 5, 6, 7, 8, 9, 10]);
-        assert!(inj.is_empty());
+    fn every_job_runs_once_and_worker_count_never_changes_results() {
+        let f = |i: usize| (i as u64 * 0x9E37) ^ 0xabc;
+        for jobs in 0..=40 {
+            let reference = collect(jobs, 1, f);
+            assert_eq!(reference.len(), jobs);
+            for workers in 1..=9 {
+                let runs: Vec<AtomicUsize> = (0..jobs).map(|_| AtomicUsize::new(0)).collect();
+                let out = collect(jobs, workers, |i| {
+                    runs[i].fetch_add(1, Ordering::Relaxed);
+                    f(i)
+                });
+                assert_eq!(out, reference, "jobs={jobs} workers={workers}");
+                assert!(
+                    runs.iter().all(|r| r.load(Ordering::Relaxed) == 1),
+                    "jobs={jobs} workers={workers}"
+                );
+            }
+        }
     }
 
     #[test]
-    fn refill_batch_is_bounded() {
-        assert_eq!(refill_batch(0, 4), 1);
-        assert_eq!(refill_batch(16, 4), 1);
-        assert_eq!(refill_batch(1000, 4), 62);
-        assert_eq!(refill_batch(1_000_000, 4), 64);
+    fn one_worker_or_one_job_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        for (jobs, workers) in [(5, 1), (5, 0), (1, 4)] {
+            let mut threads = Vec::new();
+            run_jobs(
+                (0..jobs).collect::<Vec<_>>(),
+                workers,
+                |_| std::thread::current().id(),
+                |id| {
+                    threads.push(id);
+                    true
+                },
+            );
+            assert_eq!(threads, vec![caller; jobs], "jobs={jobs} workers={workers}");
+        }
+    }
+
+    #[test]
+    fn no_job_is_claimed_once_done_declines() {
+        for workers in [1, 2, 4, 9] {
+            for stop_after in [1, 3, 7] {
+                let claimed = AtomicUsize::new(0);
+                let mut taken = 0;
+                run_jobs(
+                    (0..1000).collect::<Vec<u32>>(),
+                    workers,
+                    |job| {
+                        claimed.fetch_add(1, Ordering::Relaxed);
+                        job
+                    },
+                    |_| {
+                        taken += 1;
+                        taken < stop_after
+                    },
+                );
+                assert_eq!(taken, stop_after, "done is not called after `false`");
+                let claimed = claimed.load(Ordering::Relaxed);
+                let bound = stop_after + if workers > 1 { workers } else { 0 };
+                assert!(
+                    claimed <= bound,
+                    "workers={workers} stop_after={stop_after}: {claimed} jobs claimed"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_job_propagates_its_panic() {
+        for workers in [1, 3] {
+            let caught = std::panic::catch_unwind(|| {
+                run_jobs(
+                    (0..8).collect::<Vec<u32>>(),
+                    workers,
+                    |job| assert_ne!(job, 5, "job 5 fails"),
+                    |()| true,
+                );
+            })
+            .expect_err("the job's panic reaches the caller");
+            let message = caught
+                .downcast_ref::<String>()
+                .expect("assert_ne! panics with a formatted message");
+            assert!(message.contains("job 5 fails"), "{message}");
+        }
     }
 }

@@ -34,8 +34,9 @@
 //! are consumed by
 //! [`Population::step_round`](crate::population::Population::step_round),
 //! whose containers only carve their storage into per-shard pieces and
-//! hand them to this module's one shard runner: worker striping, scoped
-//! threads and the shard-ordered counter reduction live here, once.
+//! hand them to this module's one shard runner, which dispatches the
+//! pieces through [`pool::run_jobs`](crate::pool::run_jobs) and reduces
+//! their counters in shard order.
 //!
 //! # Sleepy rounds
 //!
@@ -296,7 +297,7 @@ impl<A: ShardSlices, B: ShardSlices> ShardSlices for (A, B) {
 ///
 /// # Panics
 ///
-/// Panics when a shard worker panics.
+/// Propagates the panic of a shard's `step`.
 pub(crate) fn run_round<S, F>(
     storage: S,
     n: usize,
@@ -315,13 +316,12 @@ where
         }
         RoundStreams::Sharded(plan) => plan,
     };
-    let shards = plan.shards();
     // Carve the storage into per-shard pieces once; disjointness is what
     // lets the shards run concurrently without any synchronization on the
     // hot path.
-    let mut jobs: Vec<(u32, Range<usize>, S)> = Vec::with_capacity(shards as usize);
+    let mut jobs: Vec<(u32, Range<usize>, S)> = Vec::with_capacity(plan.shards() as usize);
     let mut rest = storage;
-    for s in 0..shards {
+    for s in 0..plan.shards() {
         let range = plan.shard_range(n, s);
         if range.is_empty() {
             continue;
@@ -330,54 +330,24 @@ where
         rest = tail;
         jobs.push((s, range, piece));
     }
-    let run_shard = |(s, range, piece): (u32, Range<usize>, S)| {
-        let mut rng = plan.rng_for_shard(s);
-        let mut source = sources.shard_source(range.clone());
-        step(piece, range, source.as_mut(), &mut rng)
-    };
-    // Per-shard counters are accumulated into fixed slots and reduced in
+    // Each shard's counters land in that shard's slot and are reduced in
     // shard order, so the totals cannot depend on which worker finished
-    // first (u64 sums are order-free anyway; the slots keep the reduction
-    // obviously deterministic).
-    let workers = (plan.workers() as usize).min(jobs.len());
+    // first.
+    let mut per_shard = vec![FusedCounters::default(); plan.shards() as usize];
+    crate::pool::run_jobs(
+        jobs,
+        plan.workers() as usize,
+        |(s, range, piece)| {
+            let mut rng = plan.rng_for_shard(s);
+            let mut source = sources.shard_source(range.clone());
+            (s, step(piece, range, source.as_mut(), &mut rng))
+        },
+        |(s, counters)| {
+            per_shard[s as usize] = counters;
+            true
+        },
+    );
     let mut totals = FusedCounters::default();
-    if workers <= 1 {
-        for job in jobs {
-            totals += run_shard(job);
-        }
-        return totals;
-    }
-    // Round-robin shard-to-worker striping; any assignment yields
-    // identical results (see the determinism contract), and the striping
-    // balances the remainder-carrying early shards across workers.
-    let mut groups: Vec<Vec<_>> = (0..workers).map(|_| Vec::new()).collect();
-    for (i, job) in jobs.into_iter().enumerate() {
-        groups[i % workers].push(job);
-    }
-    let run_shard = &run_shard;
-    let per_shard = std::thread::scope(|scope| {
-        let handles: Vec<_> = groups
-            .into_iter()
-            .map(|group| {
-                scope.spawn(move || {
-                    group
-                        .into_iter()
-                        .map(|job| {
-                            let s = job.0;
-                            (s, run_shard(job))
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        let mut per_shard = vec![FusedCounters::default(); shards as usize];
-        for handle in handles {
-            for (s, c) in handle.join().expect("shard worker panicked") {
-                per_shard[s as usize] = c;
-            }
-        }
-        per_shard
-    });
     for c in per_shard {
         totals += c;
     }

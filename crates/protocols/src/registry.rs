@@ -14,10 +14,8 @@
 //! [`ProtocolRegistry::build_population`] (or
 //! [`ErasedProtocol::population`] on the handle) yields a contiguous
 //! type-erased state container — a
-//! [`DynPopulation`] — which is the
-//! zero-copy execution path synchronous facade runs use. Prefer it over
-//! driving the `ErasedProtocol` itself through an engine, which boxes
-//! every agent's state (see `fet_core::erased` for the trade-off).
+//! [`DynPopulation`]. That container is how every per-agent engine run
+//! holds its agents; no engine steps an `ErasedProtocol` directly.
 //!
 //! [`ProtocolRegistry::with_builtins`] pre-registers the whole comparison
 //! set of this workspace; [`ProtocolRegistry::register`] adds custom

@@ -3,14 +3,11 @@
 //! Every replicate derives its seed from the experiment's [`SeedTree`] by
 //! index, so results are bit-identical regardless of thread count — the
 //! batch layer only changes *when* replicates run, never *what* they
-//! compute.
-//!
-//! Since PR 6 the execution itself is delegated to the workspace-wide
-//! work-stealing runner ([`fet_core::pool`]) — the same injector +
-//! per-worker-deque scheduler the episode-parallel sweep engine
-//! (`fet-sweep`) saturates cores with. This module keeps only the
-//! order-preserving [`parallel_map`] and the summary statistics
-//! ([`BatchSummary`]); its former bespoke chunked thread loop is gone.
+//! compute. [`parallel_map`] dispatches the replicates through the
+//! workspace's one job dispenser ([`fet_core::pool::run_jobs`]), which
+//! also runs shard rounds and sweep episodes; this module adds the
+//! order-preserving result slots and the summary statistics
+//! ([`BatchSummary`]).
 //!
 //! [`SeedTree`]: fet_stats::rng::SeedTree
 
@@ -20,14 +17,12 @@ use fet_stats::summary::{wilson_interval, Summary};
 /// Maps `f` over `items` on up to `threads` worker threads, preserving
 /// input order in the output.
 ///
-/// Runs on the workspace work-stealing pool
-/// ([`fet_core::pool::run_indexed`]): jobs are keyed by index and write
-/// only their own result slot, so the output is identical for every
-/// thread count.
+/// Each result lands in its item's slot, so the output is identical for
+/// every thread count ([`fet_core::pool::run_jobs`]).
 ///
 /// # Panics
 ///
-/// Panics if a worker thread panics (the panic is propagated).
+/// Propagates a panic of `f`.
 ///
 /// # Example
 ///
@@ -43,7 +38,20 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    fet_core::pool::run_indexed(items.len(), threads, |i| f(&items[i]))
+    let mut slots: Vec<Option<R>> = items.iter().map(|_| None).collect();
+    fet_core::pool::run_jobs(
+        items.iter().enumerate().collect(),
+        threads,
+        |(i, item)| (i, f(item)),
+        |(i, r)| {
+            slots[i] = Some(r);
+            true
+        },
+    );
+    slots
+        .into_iter()
+        .map(|r| r.expect("every item is mapped once"))
+        .collect()
 }
 
 /// Aggregated outcome of a batch of convergence runs.

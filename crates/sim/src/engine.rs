@@ -260,6 +260,41 @@ fn check_fidelity(samples_per_round: u32, fidelity: Fidelity, n: usize) -> Resul
     Ok(())
 }
 
+/// The asynchronous scheduler's rule, which the engine checks on every
+/// axis change and `SimulationBuilder::build` before it fills a container:
+/// activations sample literally on the complete graph, awake, in the
+/// default mode. The error (name `scheduler`) names the offending axis.
+pub(crate) fn check_async_axes(
+    fidelity: Fidelity,
+    topology: bool,
+    sleep_prob: f64,
+    mode: ExecutionMode,
+) -> Result<(), SimError> {
+    let axis = if fidelity != Fidelity::Agent {
+        format!(
+            "fidelity — activations read agents literally; {fidelity:?} fidelity applies to \
+             synchronous rounds only"
+        )
+    } else if topology {
+        "topology — activations sample the complete graph only".into()
+    } else if sleep_prob > 0.0 {
+        "sleep_prob — a sleeping agent is one that is not activated; sleepy agents apply to \
+         synchronous rounds only"
+            .into()
+    } else if mode != ExecutionMode::Auto {
+        format!(
+            "mode — execution mode `{mode}` picks how a synchronous round runs; activations \
+             have one implementation (use auto)"
+        )
+    } else {
+        return Ok(());
+    };
+    Err(SimError::InvalidParameter {
+        name: "scheduler",
+        detail: format!("offending axis: {axis}"),
+    })
+}
+
 /// Validates the `FET_SIMD` kernel-tier override. The tier resolves
 /// lazily, on a run's first tiered draw — every fused round draws through
 /// one — and [`fet_stats::isa::active_path`] panics on a bad value, so
@@ -561,38 +596,18 @@ impl EngineCore {
     }
 
     /// The one configuration check every constructor and axis setter
-    /// runs. An asynchronous run must sample literally on the complete
-    /// graph, awake, in the default mode; its error names the offending
-    /// axis. Otherwise it returns the `FET_PARALLEL_WORKERS` parse error
-    /// when the run can resolve to a parallel round; runs that never shard
-    /// ignore the variable.
+    /// runs. An asynchronous run must pass [`check_async_axes`].
+    /// Otherwise it returns the `FET_PARALLEL_WORKERS` parse error when the
+    /// run can resolve to a parallel round; runs that never shard ignore
+    /// the variable.
     fn check(&self) -> Result<(), SimError> {
         if self.scheduler == Scheduler::Asynchronous {
-            let axis = if self.fidelity != Fidelity::Agent {
-                format!(
-                    "fidelity — activations read agents literally; {:?} fidelity applies to \
-                     synchronous rounds only",
-                    self.fidelity
-                )
-            } else if self.neighborhood.is_some() {
-                "topology — activations sample the complete graph only".into()
-            } else if self.fault.sleep_prob > 0.0 {
-                "sleep_prob — a sleeping agent is one that is not activated; sleepy \
-                 agents apply to synchronous rounds only"
-                    .into()
-            } else if self.mode != ExecutionMode::Auto {
-                format!(
-                    "mode — execution mode `{}` picks how a synchronous round runs; \
-                     activations have one implementation (use auto)",
-                    self.mode
-                )
-            } else {
-                return Ok(());
-            };
-            return Err(SimError::InvalidParameter {
-                name: "scheduler",
-                detail: format!("offending axis: {axis}"),
-            });
+            return check_async_axes(
+                self.fidelity,
+                self.neighborhood.is_some(),
+                self.fault.sleep_prob,
+                self.mode,
+            );
         }
         match (self.resolve_round_impl(), &self.parallel_workers) {
             (Some(_), Err(e)) => Err(e.clone()),
@@ -1048,10 +1063,31 @@ impl<A: Population + ?Sized> Engine<A> {
     /// the default mode resolves to a parallel round (see
     /// [`Engine::set_execution_mode`]).
     pub fn new(
+        population: Box<A>,
+        spec: ProblemSpec,
+        fidelity: Fidelity,
+        init: InitialCondition,
+        seed: u64,
+    ) -> Result<Self, SimError> {
+        Self::scheduled(
+            population,
+            spec,
+            fidelity,
+            init,
+            Scheduler::Synchronous,
+            seed,
+        )
+    }
+
+    /// [`Engine::new`] under `scheduler` from the start, so the
+    /// constructor checks the run's own configuration: an asynchronous run
+    /// never shards and ignores `FET_PARALLEL_WORKERS`.
+    pub(crate) fn scheduled(
         mut population: Box<A>,
         spec: ProblemSpec,
         fidelity: Fidelity,
         init: InitialCondition,
+        scheduler: Scheduler,
         seed: u64,
     ) -> Result<Self, SimError> {
         if !population.is_empty() {
@@ -1063,7 +1099,8 @@ impl<A: Population + ?Sized> Engine<A> {
                 ),
             });
         }
-        let core = EngineCore::construct(population.as_mut(), spec, fidelity, init, seed)?;
+        let mut core = EngineCore::construct(population.as_mut(), spec, fidelity, init, seed)?;
+        core.scheduler = scheduler;
         core.check()?;
         Ok(Engine { population, core })
     }

@@ -70,7 +70,7 @@ use crate::aggregate::AggregateFetChain;
 use crate::convergence::{
     ConvergenceCriterion, ConvergenceDetector, ConvergenceReport, RecoveryRecord,
 };
-use crate::engine::{Engine, ExecutionMode, Fidelity, Scheduler};
+use crate::engine::{check_async_axes, Engine, ExecutionMode, Fidelity, Scheduler};
 use crate::error::SimError;
 use crate::fault::{FaultPlan, FaultSchedule};
 use crate::init::InitialCondition;
@@ -680,9 +680,9 @@ impl SimulationBuilder {
     /// Returns [`SimError::InvalidParameter`] for incompatible selections
     /// — a fault plan (or schedule base plan) with a probability outside
     /// `[0, 1]`, topology with a non-agent fidelity, aggregate fidelity
-    /// with a protocol lacking the Observation 1 structure / with faults /
-    /// with the async scheduler, the async scheduler with anything
-    /// [`Engine::set_scheduler`] rejects, without-replacement sampling
+    /// with a protocol lacking the Observation 1 structure / with faults,
+    /// the async scheduler with anything [`Engine::set_scheduler`] rejects
+    /// or with the aggregate fidelity, without-replacement sampling
     /// with `m > n`, an unknown registry name, a malformed `FET_SIMD` (or
     /// `avx2` forced on a host without it) on a per-agent run — and
     /// [`SimError::Core`] for invalid instance parameters.
@@ -763,20 +763,22 @@ impl SimulationBuilder {
                 ),
             ));
         }
-        if fidelity == Fidelity::Aggregate {
-            if self.scheduler == Scheduler::Asynchronous {
-                return Err(Self::invalid(
-                    "fidelity",
-                    "the aggregate chain models synchronous rounds only",
-                ));
-            }
-            if faulty {
-                return Err(Self::invalid(
-                    "fidelity",
-                    "fault plans and schedules need per-agent state; use agent or binomial \
-                     fidelity",
-                ));
-            }
+        // The whole asynchronous configuration is known here, so its
+        // rejections (the aggregate fidelity among them) come before any
+        // container is filled.
+        if self.scheduler == Scheduler::Asynchronous {
+            check_async_axes(
+                fidelity,
+                self.topology.is_some(),
+                effective_fault.sleep_prob,
+                self.mode,
+            )?;
+        }
+        if fidelity == Fidelity::Aggregate && faulty {
+            return Err(Self::invalid(
+                "fidelity",
+                "fault plans and schedules need per-agent state; use agent or binomial fidelity",
+            ));
         }
         // The engine validates the mode of per-agent runs.
         if self.mode != ExecutionMode::Auto && fidelity == Fidelity::Aggregate {
@@ -853,10 +855,14 @@ impl SimulationBuilder {
                         .expect("packability validated by the storage axis above"),
                     _ => protocol.population(),
                 };
-                let mut engine = Engine::new(population, spec, per_agent, self.init, self.seed)?;
-                // Every later setter re-checks its axis against the
-                // scheduler.
-                engine.set_scheduler(self.scheduler)?;
+                let mut engine = Engine::scheduled(
+                    population,
+                    spec,
+                    per_agent,
+                    self.init,
+                    self.scheduler,
+                    self.seed,
+                )?;
                 if let Some(topology) = self.topology {
                     engine = engine.with_neighborhood(topology)?;
                 }
@@ -1112,18 +1118,60 @@ mod tests {
         assert_eq!(report.scheduler, Scheduler::Asynchronous);
     }
 
+    /// A protocol whose container cannot be filled: a build that returns
+    /// an error instead of panicking filled nothing.
+    #[derive(Debug, Clone)]
+    struct Unfillable;
+
+    impl fet_core::protocol::Protocol for Unfillable {
+        type State = ();
+
+        fn name(&self) -> &str {
+            "unfillable"
+        }
+
+        fn samples_per_round(&self) -> u32 {
+            1
+        }
+
+        fn init_state(&self, _opinion: Opinion, _rng: &mut dyn rand::RngCore) {
+            panic!("a rejected build filled its container")
+        }
+
+        fn step(
+            &self,
+            _state: &mut (),
+            _obs: &fet_core::observation::Observation,
+            _ctx: &fet_core::protocol::RoundContext,
+            _rng: &mut dyn rand::RngCore,
+        ) -> Opinion {
+            Opinion::Zero
+        }
+
+        fn output(&self, _state: &()) -> Opinion {
+            Opinion::Zero
+        }
+
+        fn memory_footprint(&self) -> fet_core::memory::MemoryFootprint {
+            fet_core::memory::MemoryFootprint::new(0, 0, 0)
+        }
+    }
+
     #[test]
     fn async_rejections_are_the_engines_typed_errors() {
         use crate::neighborhood::tests::Ring;
-        let base = || {
+        let working = || {
             Simulation::builder()
                 .population(60)
                 .scheduler(Scheduler::Asynchronous)
         };
+        // Every rejection comes before the container is filled.
+        let base = || working().protocol(Unfillable);
         let sleepy = FaultPlan::with_sleep(0.1).unwrap();
         for (axis, builder) in [
             ("fidelity", base().fidelity(Fidelity::Binomial)),
             ("fidelity", base().fidelity(Fidelity::WithoutReplacement)),
+            ("fidelity", base().fidelity(Fidelity::Aggregate)),
             ("topology", base().topology(Ring::new(60))),
             ("sleep_prob", base().fault(sleepy)),
             (
@@ -1148,7 +1196,7 @@ mod tests {
             }
         }
         // Mid-run, too.
-        let mut sim = base().max_rounds(2).build().unwrap();
+        let mut sim = working().max_rounds(2).build().unwrap();
         sim.run();
         assert!(matches!(
             sim.set_fault_plan(sleepy),
@@ -1157,9 +1205,6 @@ mod tests {
                 ..
             })
         ));
-        // Only the aggregate chain stays a facade rejection.
-        let err = base().fidelity(Fidelity::Aggregate).build().unwrap_err();
-        assert!(err.to_string().contains("synchronous rounds only"), "{err}");
     }
 
     #[test]

@@ -133,22 +133,24 @@ pub fn render_report(spec: &SweepSpec, records: &[EpisodeRecord]) -> SweepReport
         }
     }
 
-    let mut table = Table::new(
-        [
-            "n",
-            "noise",
-            "ell",
-            "episodes",
-            "converged",
-            "rate 95% CI",
-            "mean T",
-            "median T",
-            "p95 T",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect(),
-    );
+    // The robustness axes get a column when the spec has them, so every
+    // row names its whole cell.
+    let mut header = vec!["n", "noise", "ell"];
+    if !spec.switch_period.is_empty() {
+        header.push("period");
+    }
+    if !spec.corruption.is_empty() {
+        header.push("corruption");
+    }
+    header.extend([
+        "episodes",
+        "converged",
+        "rate 95% CI",
+        "mean T",
+        "median T",
+        "p95 T",
+    ]);
+    let mut table = Table::new(header.iter().map(|s| s.to_string()).collect());
     let mut mean_by_cell: Vec<f64> = Vec::with_capacity(cells as usize);
     for (cell_index, cell_records) in by_cell.iter().enumerate() {
         let cell = spec.cell(cell_index as u64);
@@ -165,10 +167,10 @@ pub fn render_report(spec: &SweepSpec, records: &[EpisodeRecord]) -> SweepReport
             Err(_) => (f64::NAN, f64::NAN, f64::NAN),
         };
         mean_by_cell.push(mean);
-        table.add_row(vec![
-            cell.n.to_string(),
-            fmt_float(cell.noise),
-            ell.to_string(),
+        let mut row = vec![cell.n.to_string(), fmt_float(cell.noise), ell.to_string()];
+        row.extend(cell.switch_period.map(|p| p.to_string()));
+        row.extend(cell.corruption.map(fmt_float));
+        row.extend([
             episodes.to_string(),
             format!("{converged}/{episodes}"),
             format!("[{}, {}]", fmt_float(lo), fmt_float(hi)),
@@ -176,38 +178,14 @@ pub fn render_report(spec: &SweepSpec, records: &[EpisodeRecord]) -> SweepReport
             fmt_cell(median),
             fmt_cell(p95),
         ]);
+        table.add_row(row);
     }
 
-    // A 2-D heatmap needs exactly the n × noise plane (a third ℓ axis
-    // would alias cells into the same pixel).
-    let heatmap = if spec.n.len() > 1 && spec.noise.len() > 1 && spec.ell.len() <= 1 {
-        let ells = spec.ell.len().max(1);
-        let rows: Vec<Vec<f64>> = spec
-            .noise
-            .iter()
-            .enumerate()
-            .map(|(noise_i, _)| {
-                spec.n
-                    .iter()
-                    .enumerate()
-                    .map(|(n_i, _)| {
-                        let cell = (n_i * spec.noise.len() + noise_i) * ells;
-                        let v = mean_by_cell[cell];
-                        if v.is_nan() {
-                            0.0
-                        } else {
-                            v
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut hm = Heatmap::new(rows);
+    let heatmap = heatmap_pixels(spec, &mean_by_cell).map(|pixels| {
+        let mut hm = Heatmap::new(pixels);
         hm.title("mean convergence rounds (rows: noise ↑, cols: n →)");
-        Some(hm.render_flipped())
-    } else {
-        None
-    };
+        hm.render_flipped()
+    });
 
     // Histogram over all episodes, rebuilt from the ordered records so
     // the artifact never depends on the live accumulator's history.
@@ -251,6 +229,35 @@ pub fn render_report(spec: &SweepSpec, records: &[EpisodeRecord]) -> SweepReport
         heatmap,
         histogram,
     }
+}
+
+/// The `noise × n` heatmap's pixels (rows: noise, columns: n), or `None`
+/// unless n and noise are the only axes with more than one point: a third
+/// such axis would alias several cells into one pixel. With every other
+/// axis at one point, pixel `(noise_i, n_i)` is cell
+/// `n_i·|noise| + noise_i`; a cell without converged episodes shows 0.
+fn heatmap_pixels(spec: &SweepSpec, mean_by_cell: &[f64]) -> Option<Vec<Vec<f64>>> {
+    let plane = spec.n.len() > 1
+        && spec.noise.len() > 1
+        && spec.ell.len() <= 1
+        && spec.switch_period.len() <= 1
+        && spec.corruption.len() <= 1;
+    plane.then(|| {
+        (0..spec.noise.len())
+            .map(|noise_i| {
+                (0..spec.n.len())
+                    .map(|n_i| {
+                        let v = mean_by_cell[n_i * spec.noise.len() + noise_i];
+                        if v.is_nan() {
+                            0.0
+                        } else {
+                            v
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    })
 }
 
 fn fmt_cell(v: f64) -> String {
@@ -307,6 +314,51 @@ mod tests {
             a.contains("mean convergence rounds"),
             "2-D grid renders a heatmap\n{a}"
         );
+    }
+
+    #[test]
+    fn robustness_axes_label_every_row_and_suppress_the_heatmap() {
+        let spec = SweepSpec::parse(
+            r#"{"n": [60, 80], "noise": [0, 0.1], "switch_period": [50, 100], "switches": 1,
+                "seeds": {"count": 1}, "max_rounds": 400}"#,
+        )
+        .unwrap();
+        let report = render_report(&spec, &run_all(&spec));
+        let mut labels: Vec<Vec<&str>> = report
+            .table
+            .lines()
+            .skip(2)
+            .map(|row| row.split_whitespace().take(4).collect())
+            .collect();
+        assert_eq!(labels.len(), 8);
+        labels.sort();
+        labels.dedup();
+        assert_eq!(labels.len(), 8, "rows share a label\n{}", report.table);
+        assert!(report.table.starts_with("n "), "{}", report.table);
+        assert!(report.table.lines().next().unwrap().contains("period"));
+        assert!(report.heatmap.is_none(), "{report}");
+    }
+
+    #[test]
+    fn heatmap_pixels_are_their_cells_means() {
+        let spec = SweepSpec::parse(
+            r#"{"n": [60, 80], "noise": [0, 0.1], "switch_period": [50], "corruption": [0.1],
+                "switches": 1, "seeds": {"count": 1}, "max_rounds": 400}"#,
+        )
+        .unwrap();
+        // Each cell's "mean" is its own index.
+        let means: Vec<f64> = (0..spec.cell_count()).map(|c| c as f64).collect();
+        let pixels = heatmap_pixels(&spec, &means).expect("an n × noise plane");
+        for (noise_i, row) in pixels.iter().enumerate() {
+            for (n_i, &pixel) in row.iter().enumerate() {
+                let cell = spec.cell(pixel as u64);
+                assert_eq!(
+                    (cell.n, cell.noise),
+                    (spec.n[n_i], spec.noise[noise_i]),
+                    "pixel ({noise_i}, {n_i})"
+                );
+            }
+        }
     }
 
     #[test]

@@ -15,10 +15,9 @@
 //! [`FetProtocol`]: fet_core::fet::FetProtocol
 
 use crate::error::SweepError;
-use crate::spec::{graph_seed_tree, TopologySpec};
+use crate::spec::TopologySpec;
 use fet_core::erased::ErasedProtocol;
 use fet_protocols::registry::{ProtocolParams, ProtocolRegistry};
-use fet_topology::builders;
 use fet_topology::graph::{Graph, SharedGraph};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -105,7 +104,7 @@ impl WarmCache {
         if let Some(hit) = cache.get(&key) {
             return Ok(SharedGraph::new(Arc::clone(hit)));
         }
-        let graph = Arc::new(build_graph(spec, n)?);
+        let graph = Arc::new(spec.build(n)?);
         cache.insert(key, Arc::clone(&graph));
         Ok(SharedGraph::new(graph))
     }
@@ -128,30 +127,6 @@ impl Default for WarmCache {
     fn default() -> Self {
         WarmCache::new()
     }
-}
-
-/// Instantiates the graph a [`TopologySpec`] describes, mirroring the
-/// CLI's `topology` command (same names, same degree conventions, same
-/// RNG labeling) so sweeps and one-off runs agree.
-fn build_graph(spec: &TopologySpec, n: u32) -> Result<Graph, SweepError> {
-    let degree = spec.degree;
-    let mut rng = graph_seed_tree(spec.seed).child(&spec.graph).rng();
-    let graph = match spec.graph.as_str() {
-        "complete" => builders::complete(n),
-        "er" => builders::erdos_renyi(n, f64::from(degree) / f64::from(n.max(1)), &mut rng),
-        "regular" => builders::random_regular(n, degree + (n * degree) % 2, &mut rng),
-        "ring" => builders::ring_lattice(n, degree.max(1)),
-        "star" => builders::star(n),
-        "barbell" => builders::barbell(n / 2, degree.clamp(1, n / 2)),
-        "smallworld" => builders::watts_strogatz(n, degree.max(1), spec.beta, &mut rng),
-        other => {
-            return Err(SweepError::spec(format!(
-                "unknown topology graph `{other}` \
-                 (complete, er, regular, ring, star, barbell, smallworld)"
-            )));
-        }
-    };
-    graph.map_err(|e| SweepError::spec(format!("graph `{}`: {e}", spec.graph)))
 }
 
 #[cfg(test)]

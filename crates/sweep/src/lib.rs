@@ -2,10 +2,10 @@
 //!
 //! Episode-parallel sweep engine for the Korman–Vacus experiments: a
 //! [`SweepSpec`] (parameter grid × seed range) decomposes into
-//! independent episode jobs that saturate cores through the shared
-//! work-stealing pool in [`fet_core::pool`], stream through a merge
-//! loop into live aggregates and an on-disk checkpoint, and render into
-//! convergence tables, histograms, and phase-diagram heatmaps.
+//! independent episode jobs that saturate cores through the workspace's
+//! one job dispenser ([`fet_core::pool::run_jobs`]), stream through a
+//! merge step into live aggregates and an on-disk checkpoint, and render
+//! into convergence tables, histograms, and phase-diagram heatmaps.
 //!
 //! The paper's workload is *many short runs*, not one long one: phase
 //! diagrams over `(n, noise, ℓ)` grids and convergence-time
@@ -30,7 +30,7 @@
 //! ## Determinism contract
 //!
 //! Every episode result is a pure function of `(seed, shard count,
-//! cell parameters)`. Scheduling — worker count, stealing order, client
+//! cell parameters)`. Scheduling — worker count, completion order, client
 //! multiplexing, kill/resume cycles — decides only *when* an episode
 //! runs. Finalized manifests and rendered reports are therefore
 //! byte-identical across all of those axes, which CI checks by

@@ -1,30 +1,29 @@
-//! The batch sweep runner: episode jobs over work-stealing workers,
-//! streamed through a merge loop into the manifest and live aggregates.
+//! The batch sweep runner: episode jobs on the workspace's job
+//! dispenser, streamed through a merge step into the manifest and live
+//! aggregates.
 //!
-//! Scheduling shape (shared with `fet_sim::batch` via
-//! [`fet_core::pool`]): a shared injector seeded with every pending
-//! episode index, one deque per worker, owners popping LIFO and thieves
-//! taking half FIFO. The pool decides *when* an episode runs, never
-//! *what* it computes — each record is a pure function of its episode
-//! index — so any worker count, any interleaving, and any kill/resume
-//! history produce the same final manifest bytes.
+//! Pending episodes go to [`fet_core::pool::run_jobs`], whose workers
+//! claim them one at a time in episode order. The dispenser decides
+//! *when* an episode runs, never *what* it computes — each record is a
+//! pure function of its episode index — so any worker count, any
+//! interleaving, and any kill/resume history produce the same final
+//! manifest bytes.
 //!
-//! The merge loop runs on the calling thread: workers send completed
-//! records over a channel; the merger journals each one as it lands
-//! (completion order — crash-safe, not canonical), folds it into the
-//! order-invariant live aggregates, and emits a progress line. When the
-//! last episode lands the manifest is rewritten canonically and the
-//! report rendered from episode-index order.
+//! The merge step runs on the calling thread as each record lands: it
+//! journals the record (completion order — crash-safe, not canonical),
+//! folds it into the order-invariant live aggregates, and emits a
+//! progress line. A failed episode or journal write stops new claims.
+//! When the last episode lands the manifest is rewritten canonically and
+//! the report rendered from episode-index order.
 
 use crate::aggregate::{render_report, SweepAggregates, SweepReport};
 use crate::cache::WarmCache;
 use crate::error::SweepError;
 use crate::manifest::Manifest;
 use crate::spec::{EpisodeRecord, SweepSpec};
-use fet_core::pool::{refill_batch, Injector, WorkerDeque};
+use fet_core::pool::run_jobs;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// How a sweep invocation should run.
@@ -79,8 +78,9 @@ impl SweepOutcome {
 ///
 /// # Errors
 ///
-/// Spec-validation, manifest, and episode-construction failures; an
-/// episode failure aborts the sweep after in-flight episodes drain, and
+/// Spec-validation, manifest, and episode-construction failures. A failed
+/// episode or journal write stops new claims and is returned once the
+/// episodes already running drain (their records are dropped);
 /// everything already journaled stays resumable.
 pub fn run_sweep(spec: &SweepSpec, options: &SweepOptions) -> Result<SweepOutcome, SweepError> {
     spec.validate()?;
@@ -112,25 +112,28 @@ pub fn run_sweep(spec: &SweepSpec, options: &SweepOptions) -> Result<SweepOutcom
     }
 
     let completed_now = pending.len();
-    if !pending.is_empty() {
-        let workers = options.workers.max(1).min(pending.len());
-        let mut last_progress = Instant::now();
-        let mut failure: Option<SweepError> = None;
+    let mut failure: Option<SweepError> = None;
+    let mut last_progress = Instant::now();
+    run_jobs(
+        pending,
+        options.workers,
+        |episode| spec.run_episode(episode, &cache),
         // The merge step: journal (crash-safe, completion order), fold
         // into the live aggregates, emit progress.
-        let mut merge = |result: Result<EpisodeRecord, SweepError>,
-                         manifest: &mut Option<Manifest>|
-         -> Result<(), SweepError> {
+        |result| {
             let record = match result {
-                Ok(r) => r,
+                Ok(record) => record,
                 Err(e) => {
-                    failure.get_or_insert(e);
-                    return Ok(());
+                    failure = Some(e);
+                    return false;
                 }
             };
             aggregates.record(&record);
-            if let Some(m) = manifest {
-                m.append(record.clone())?;
+            if let Some(m) = &mut manifest {
+                if let Err(e) = m.append(record.clone()) {
+                    failure = Some(e);
+                    return false;
+                }
             }
             memory.insert(record.episode, record);
             if options.progress
@@ -143,62 +146,22 @@ pub fn run_sweep(spec: &SweepSpec, options: &SweepOptions) -> Result<SweepOutcom
                 );
                 last_progress = Instant::now();
             }
-            Ok(())
-        };
-        if workers <= 1 {
-            // Serial path: run and merge inline, same discipline.
-            for &episode in &pending {
-                merge(spec.run_episode(episode, &cache), &mut manifest)?;
-            }
-        } else {
-            let injector = Injector::new();
-            injector.push_all(pending.iter().copied());
-            let deques: Vec<WorkerDeque<u64>> = (0..workers).map(|_| WorkerDeque::new()).collect();
-            let (tx, rx) = mpsc::channel::<Result<EpisodeRecord, SweepError>>();
-            let mut merge_error: Option<SweepError> = None;
-            std::thread::scope(|scope| {
-                let cache = &cache;
-                for me in 0..workers {
-                    let tx = tx.clone();
-                    let injector = &injector;
-                    let deques = &deques;
-                    scope.spawn(move || {
-                        while let Some(episode) = next_job(me, injector, deques) {
-                            if tx.send(spec.run_episode(episode, cache)).is_err() {
-                                break;
-                            }
-                        }
-                    });
-                }
-                drop(tx);
-                // Merge concurrently on the calling thread; the loop
-                // ends when the last worker drops its sender.
-                for result in rx {
-                    if let Err(e) = merge(result, &mut manifest) {
-                        merge_error.get_or_insert(e);
-                        break;
-                    }
-                }
-            });
-            if let Some(e) = merge_error {
-                return Err(e);
-            }
-        }
-        if options.progress {
-            eprintln!();
-        }
-        if let Some(e) = failure {
-            return Err(e);
-        }
+            true
+        },
+    );
+    if options.progress && completed_now > 0 {
+        eprintln!();
+    }
+    if let Some(e) = failure {
+        return Err(e);
     }
 
     let complete = memory.len() as u64 == spec.episode_count();
     if complete {
         if let Some(m) = &mut manifest {
+            // A finalized manifest resumed whole needs no rewrite.
             if !m.is_complete() || completed_now > 0 {
                 m.finalize(spec)?;
-            } else if m.is_complete() && completed_now == 0 {
-                // Fully resumed from a finalized manifest: nothing to do.
             }
         }
     }
@@ -218,30 +181,6 @@ pub fn run_sweep(spec: &SweepSpec, options: &SweepOptions) -> Result<SweepOutcom
         protocols_cached: cache.protocols_cached(),
         graphs_cached: cache.graphs_cached(),
     })
-}
-
-/// Claims the next episode for worker `me`: own deque first, then a
-/// batch from the injector, then half of the fullest sibling's deque.
-/// `None` means the closed job world is exhausted.
-fn next_job(me: usize, injector: &Injector<u64>, deques: &[WorkerDeque<u64>]) -> Option<u64> {
-    loop {
-        if let Some(job) = deques[me].pop() {
-            return Some(job);
-        }
-        let batch = injector.claim(refill_batch(injector.len(), deques.len()));
-        if !batch.is_empty() {
-            deques[me].extend(batch);
-            continue;
-        }
-        let victim = (0..deques.len())
-            .filter(|&w| w != me)
-            .max_by_key(|&w| deques[w].len())?;
-        let loot = deques[victim].steal_half();
-        if loot.is_empty() {
-            return None;
-        }
-        deques[me].extend(loot);
-    }
 }
 
 #[cfg(test)]
@@ -281,6 +220,31 @@ mod tests {
         assert!(!partial.complete);
         assert!(partial.report.is_none());
         assert_eq!(partial.completed_now, 2);
+    }
+
+    #[test]
+    fn a_failed_episode_stops_new_claims() {
+        // The middle cell's graph cannot be built: degree 16 on 10 vertices.
+        let spec = SweepSpec::parse(
+            r#"{"n": [200, 10, 300], "topology": {"graph": "regular", "degree": 16},
+                "seeds": {"count": 2}, "max_rounds": 50}"#,
+        )
+        .unwrap();
+        let path = std::env::temp_dir().join(format!("fet-sweep-stop-{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let options = SweepOptions {
+            manifest: Some(path.clone()),
+            ..opts(1)
+        };
+        let err = run_sweep(&spec, &options).unwrap_err().to_string();
+        assert!(err.contains("graph `regular`"), "{err}");
+        let journaled: Vec<u64> = Manifest::open(&path, &spec)
+            .unwrap()
+            .records()
+            .map(|r| r.episode)
+            .collect();
+        assert_eq!(journaled, [0, 1], "no episode after the failed one ran");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

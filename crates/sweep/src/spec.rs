@@ -24,6 +24,8 @@ use fet_sim::fault::{FaultEvent, FaultEventKind, FaultPlan, FaultSchedule};
 use fet_sim::init::InitialCondition;
 use fet_sim::simulation::{default_max_rounds, Simulation, SimulationBuilder};
 use fet_stats::rng::SeedTree;
+use fet_topology::builders;
+use fet_topology::graph::Graph;
 
 /// Consecutive root seeds: `base, base+1, …, base+count-1` per grid cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,6 +50,39 @@ pub struct TopologySpec {
     pub beta: f64,
     /// Seed of the graph construction RNG (independent of episode seeds).
     pub seed: u64,
+}
+
+impl TopologySpec {
+    /// Builds the named graph on `n` vertices, for sweep cells and
+    /// `fet topology` alike, from the seed's `"sweep-graph"` → name lane
+    /// (independent of every episode stream).
+    ///
+    /// # Errors
+    ///
+    /// [`SweepError::Spec`] for an unknown name or rejected parameters.
+    pub fn build(&self, n: u32) -> Result<Graph, SweepError> {
+        let degree = self.degree;
+        let mut rng = SeedTree::new(self.seed)
+            .child("sweep-graph")
+            .child(&self.graph)
+            .rng();
+        let graph = match self.graph.as_str() {
+            "complete" => builders::complete(n),
+            "er" => builders::erdos_renyi(n, f64::from(degree) / f64::from(n.max(1)), &mut rng),
+            "regular" => builders::random_regular(n, degree + (n * degree) % 2, &mut rng),
+            "ring" => builders::ring_lattice(n, degree.max(1)),
+            "star" => builders::star(n),
+            "barbell" => builders::barbell(n / 2, degree.clamp(1, n / 2)),
+            "smallworld" => builders::watts_strogatz(n, degree.max(1), self.beta, &mut rng),
+            other => {
+                return Err(SweepError::spec(format!(
+                    "unknown topology graph `{other}` \
+                     (complete, er, regular, ring, star, barbell, smallworld)"
+                )));
+            }
+        };
+        graph.map_err(|e| SweepError::spec(format!("graph `{}`: {e}", self.graph)))
+    }
 }
 
 /// One grid cell: the parameters every episode of the cell shares.
@@ -777,12 +812,6 @@ impl SweepSpec {
             recovery: report.recovery,
         })
     }
-}
-
-/// Seed material shared by sweep components that need auxiliary draws
-/// (e.g. graph construction) without touching episode streams.
-pub fn graph_seed_tree(topology_seed: u64) -> SeedTree {
-    SeedTree::new(topology_seed).child("sweep-graph")
 }
 
 /// One completed episode: the manifest's unit record, keyed by the

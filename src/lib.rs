@@ -25,7 +25,7 @@
 //! * [`stats`] — probability substrate.
 //! * [`plot`] — terminal plotting and CSV export.
 //! * [`sweep`] — the throughput tier: episode-parallel parameter sweeps
-//!   with work-stealing workers, kill/resume manifests, and the
+//!   on the workspace's one job dispenser, kill/resume manifests, and the
 //!   `fet serve` daemon.
 //! * [`gauntlet`] — the robustness tier: multi-protocol fault-schedule
 //!   sweeps with per-switch recovery reports and adaptation-latency
