@@ -66,14 +66,7 @@ fn main() -> ExitCode {
             }
         }
     }
-    let flags = match parse_flags(rest) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let result = match cmd.as_str() {
+    let result = parse_flags(rest).and_then(|flags| match cmd.as_str() {
         "run" => cmd_run(&flags),
         "protocols" => cmd_protocols(),
         "trace" => cmd_trace(&flags),
@@ -91,14 +84,34 @@ fn main() -> ExitCode {
             println!("{USAGE}");
             Ok(())
         }
-        other => Err(format!("unknown command `{other}`")),
-    };
+        other => Err(CliError::Usage(format!("unknown command `{other}`"))),
+    });
     match result {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        Err(CliError::Usage(e)) => {
             eprintln!("error: {e}\n\n{USAGE}");
             ExitCode::FAILURE
         }
+        Err(CliError::Failed(e)) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Why a command failed. A malformed command line (an unknown command, a
+/// flag without its value, a value that does not parse or is out of
+/// range) is answered with the usage text; a well-formed command that
+/// fails while it runs prints only its error.
+#[derive(Debug)]
+enum CliError {
+    Usage(String),
+    Failed(String),
+}
+
+impl From<String> for CliError {
+    fn from(e: String) -> Self {
+        CliError::Failed(e)
     }
 }
 
@@ -144,13 +157,13 @@ conflict:     --k0 K0  --k1 K1  --burn-in B  --window W";
 
 type Flags = HashMap<String, String>;
 
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
+fn parse_flags(args: &[String]) -> Result<Flags, CliError> {
     let mut flags = Flags::new();
     let mut i = 0;
     while i < args.len() {
         let a = &args[i];
         let Some(name) = a.strip_prefix("--") else {
-            return Err(format!("expected a --flag, got `{a}`"));
+            return Err(CliError::Usage(format!("expected a --flag, got `{a}`")));
         };
         // Boolean switches.
         if name == "agent-level" || name == "quick" || name == "quiet" {
@@ -159,7 +172,7 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             continue;
         }
         let Some(value) = args.get(i + 1) else {
-            return Err(format!("flag --{name} needs a value"));
+            return Err(CliError::Usage(format!("flag --{name} needs a value")));
         };
         flags.insert(name.to_string(), value.clone());
         i += 2;
@@ -167,44 +180,46 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
     Ok(flags)
 }
 
-fn get<T: std::str::FromStr>(flags: &Flags, name: &str, default: T) -> Result<T, String> {
+fn get<T: std::str::FromStr>(flags: &Flags, name: &str, default: T) -> Result<T, CliError> {
     match flags.get(name) {
         None => Ok(default),
         Some(v) => v
             .parse()
-            .map_err(|_| format!("invalid value for --{name}: `{v}`")),
+            .map_err(|_| CliError::Usage(format!("invalid value for --{name}: `{v}`"))),
     }
 }
 
-fn get_init(flags: &Flags) -> Result<InitialCondition, String> {
+fn get_init(flags: &Flags) -> Result<InitialCondition, CliError> {
     match flags.get("init").map(String::as_str) {
         None | Some("all-wrong") => Ok(InitialCondition::AllWrong),
         Some("all-correct") => Ok(InitialCondition::AllCorrect),
         Some("random") => Ok(InitialCondition::Random),
-        Some(other) => Err(format!("unknown --init `{other}`")),
+        Some(other) => Err(CliError::Usage(format!("unknown --init `{other}`"))),
     }
 }
 
-fn get_correct(flags: &Flags) -> Result<Opinion, String> {
+fn get_correct(flags: &Flags) -> Result<Opinion, CliError> {
     match get::<u8>(flags, "correct", 1)? {
         0 => Ok(Opinion::Zero),
         1 => Ok(Opinion::One),
-        other => Err(format!("--correct must be 0 or 1, got {other}")),
+        other => Err(CliError::Usage(format!(
+            "--correct must be 0 or 1, got {other}"
+        ))),
     }
 }
 
-fn get_fidelity(flags: &Flags) -> Result<Option<Fidelity>, String> {
+fn get_fidelity(flags: &Flags) -> Result<Option<Fidelity>, CliError> {
     match flags.get("fidelity").map(String::as_str) {
         None => Ok(flags.contains_key("agent-level").then_some(Fidelity::Agent)),
         Some("agent") => Ok(Some(Fidelity::Agent)),
         Some("binomial") => Ok(Some(Fidelity::Binomial)),
         Some("without-replacement") => Ok(Some(Fidelity::WithoutReplacement)),
         Some("aggregate") => Ok(Some(Fidelity::Aggregate)),
-        Some(other) => Err(format!("unknown --fidelity `{other}`")),
+        Some(other) => Err(CliError::Usage(format!("unknown --fidelity `{other}`"))),
     }
 }
 
-fn get_mode(flags: &Flags) -> Result<ExecutionMode, String> {
+fn get_mode(flags: &Flags) -> Result<ExecutionMode, CliError> {
     let mode = match flags.get("mode").map(String::as_str) {
         None | Some("auto") => ExecutionMode::Auto,
         Some("fused") => ExecutionMode::Fused,
@@ -213,39 +228,41 @@ fn get_mode(flags: &Flags) -> Result<ExecutionMode, String> {
             let default = std::thread::available_parallelism().map_or(1, |p| p.get() as u32);
             let threads: u32 = get(flags, "threads", default)?;
             if threads == 0 {
-                return Err("--threads must be at least 1".into());
+                return Err(CliError::Usage("--threads must be at least 1".into()));
             }
             ExecutionMode::FusedParallel { threads }
         }
-        Some(other) => return Err(format!("unknown --mode `{other}`")),
+        Some(other) => return Err(CliError::Usage(format!("unknown --mode `{other}`"))),
     };
     if flags.contains_key("threads") && !matches!(mode, ExecutionMode::FusedParallel { .. }) {
-        return Err("--threads applies to --mode fused-parallel only".into());
+        return Err(CliError::Usage(
+            "--threads applies to --mode fused-parallel only".into(),
+        ));
     }
     Ok(mode)
 }
 
-fn get_storage(flags: &Flags) -> Result<Storage, String> {
+fn get_storage(flags: &Flags) -> Result<Storage, CliError> {
     match flags.get("storage").map(String::as_str) {
         None | Some("auto") => Ok(Storage::Auto),
         Some("typed") => Ok(Storage::Typed),
         Some("bit-plane") => Ok(Storage::BitPlane),
-        Some(other) => Err(format!(
+        Some(other) => Err(CliError::Usage(format!(
             "unknown --storage `{other}` (auto|typed|bit-plane)"
-        )),
+        ))),
     }
 }
 
-fn get_scheduler(flags: &Flags) -> Result<Scheduler, String> {
+fn get_scheduler(flags: &Flags) -> Result<Scheduler, CliError> {
     match flags.get("scheduler").map(String::as_str) {
         None | Some("sync") => Ok(Scheduler::Synchronous),
         Some("async") => Ok(Scheduler::Asynchronous),
-        Some(other) => Err(format!("unknown --scheduler `{other}`")),
+        Some(other) => Err(CliError::Usage(format!("unknown --scheduler `{other}`"))),
     }
 }
 
 /// Assembles the common `Simulation` builder axes from the flag map.
-fn builder_from(flags: &Flags) -> Result<SimulationBuilder, String> {
+fn builder_from(flags: &Flags) -> Result<SimulationBuilder, CliError> {
     let mut b = Simulation::builder()
         .seed(get(flags, "seed", 0)?)
         .sample_constant(get(flags, "c", 4.0)?)
@@ -255,7 +272,10 @@ fn builder_from(flags: &Flags) -> Result<SimulationBuilder, String> {
         .scheduler(get_scheduler(flags)?)
         .storage(get_storage(flags)?);
     if let Some(e) = flags.get("ell") {
-        b = b.ell(e.parse().map_err(|_| format!("invalid --ell `{e}`"))?);
+        b = b.ell(
+            e.parse()
+                .map_err(|_| CliError::Usage(format!("invalid --ell `{e}`")))?,
+        );
     }
     if let Some(f) = get_fidelity(flags)? {
         b = b.fidelity(f);
@@ -263,7 +283,7 @@ fn builder_from(flags: &Flags) -> Result<SimulationBuilder, String> {
     if let Some(r) = flags.get("max-rounds") {
         b = b.max_rounds(
             r.parse()
-                .map_err(|_| format!("invalid --max-rounds `{r}`"))?,
+                .map_err(|_| CliError::Usage(format!("invalid --max-rounds `{r}`")))?,
         );
     }
     if let Some(name) = flags.get("protocol") {
@@ -272,7 +292,7 @@ fn builder_from(flags: &Flags) -> Result<SimulationBuilder, String> {
     Ok(b)
 }
 
-fn cmd_run(flags: &Flags) -> Result<(), String> {
+fn cmd_run(flags: &Flags) -> Result<(), CliError> {
     let n: u64 = get(flags, "n", 10_000)?;
     let init = get_init(flags)?;
     let mut sim = builder_from(flags)?
@@ -310,7 +330,7 @@ fn cmd_run(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_protocols() -> Result<(), String> {
+fn cmd_protocols() -> Result<(), CliError> {
     let registry = ProtocolRegistry::with_builtins();
     let params = ProtocolParams::for_population(10_000, 4.0);
     let mut table = Table::new(
@@ -368,7 +388,7 @@ fn cmd_protocols() -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_trace(flags: &Flags) -> Result<(), String> {
+fn cmd_trace(flags: &Flags) -> Result<(), CliError> {
     let n: u64 = get(flags, "n", 100_000)?;
     let seed: u64 = get(flags, "seed", 0)?;
     let delta: f64 = get(flags, "delta", 0.05)?;
@@ -391,12 +411,12 @@ fn cmd_trace(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_domains(flags: &Flags) -> Result<(), String> {
+fn cmd_domains(flags: &Flags) -> Result<(), CliError> {
     let n: u64 = get(flags, "n", 10_000)?;
     let delta: f64 = get(flags, "delta", 0.05)?;
     let steps: usize = get(flags, "steps", 60)?;
     if steps < 2 {
-        return Err("--steps must be at least 2".into());
+        return Err(CliError::Usage("--steps must be at least 2".into()));
     }
     let params = DomainParams::new(n, delta).map_err(|e| e.to_string())?;
     let cells: Vec<Vec<String>> = (0..steps)
@@ -418,7 +438,7 @@ fn cmd_domains(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_markov(flags: &Flags) -> Result<(), String> {
+fn cmd_markov(flags: &Flags) -> Result<(), CliError> {
     let n: u64 = get(flags, "n", 16)?;
     let ell: u64 = get(flags, "ell", 6)?;
     let chain = ExactChain::new(n, ell).map_err(|e| e.to_string())?;
@@ -432,7 +452,7 @@ fn cmd_markov(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_coins(flags: &Flags) -> Result<(), String> {
+fn cmd_coins(flags: &Flags) -> Result<(), CliError> {
     let k: u64 = get(flags, "k", 256)?;
     let p: f64 = get(flags, "p", 0.45)?;
     let q: f64 = get(flags, "q", 0.55)?;
@@ -445,7 +465,7 @@ fn cmd_coins(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_impossibility(flags: &Flags) -> Result<(), String> {
+fn cmd_impossibility(flags: &Flags) -> Result<(), CliError> {
     let n: u64 = get(flags, "n", 1024)?;
     let seed: u64 = get(flags, "seed", 0)?;
     let out = ImpossibilityScenario::standard(n, seed).run();
@@ -470,7 +490,7 @@ fn cmd_impossibility(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_baselines(flags: &Flags) -> Result<(), String> {
+fn cmd_baselines(flags: &Flags) -> Result<(), CliError> {
     let n: u64 = get(flags, "n", 1_000)?;
     let reps: u64 = get(flags, "reps", 10)?;
     let seed: u64 = get(flags, "seed", 0)?;
@@ -519,7 +539,7 @@ fn cmd_baselines(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_topology(flags: &Flags) -> Result<(), String> {
+fn cmd_topology(flags: &Flags) -> Result<(), CliError> {
     use fet_sweep::spec::TopologySpec;
     use fet_sweep::SweepError;
     use fet_topology::graph::GraphStats;
@@ -560,7 +580,7 @@ fn cmd_topology(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_conflict(flags: &Flags) -> Result<(), String> {
+fn cmd_conflict(flags: &Flags) -> Result<(), CliError> {
     use fet_adversary::conflict::ConflictEngine;
 
     let n: u64 = get(flags, "n", 2_000)?;
@@ -596,9 +616,11 @@ fn cmd_conflict(flags: &Flags) -> Result<(), String> {
 /// `FET_SWEEP_WORKERS` environment variable, then every host core.
 /// (Distinct from `FET_PARALLEL_WORKERS`, which caps the *round-sharding*
 /// tier inside a single fused-parallel simulation.)
-fn sweep_workers(flags: &Flags) -> Result<usize, String> {
+fn sweep_workers(flags: &Flags) -> Result<usize, CliError> {
     let workers = match flags.get("workers") {
-        Some(w) => w.parse().map_err(|_| format!("invalid --workers `{w}`"))?,
+        Some(w) => w
+            .parse()
+            .map_err(|_| CliError::Usage(format!("invalid --workers `{w}`")))?,
         None => match std::env::var("FET_SWEEP_WORKERS") {
             Ok(w) => w
                 .parse()
@@ -607,24 +629,29 @@ fn sweep_workers(flags: &Flags) -> Result<usize, String> {
         },
     };
     if workers == 0 {
-        return Err("--workers must be at least 1".into());
+        return Err(CliError::Usage("--workers must be at least 1".into()));
     }
     Ok(workers)
 }
 
-fn cmd_sweep(spec_path: Option<&str>, flags: &Flags) -> Result<(), String> {
+fn cmd_sweep(spec_path: Option<&str>, flags: &Flags) -> Result<(), CliError> {
     let Some(path) = spec_path
         .map(str::to_string)
         .or_else(|| flags.get("spec").cloned())
     else {
-        return Err("sweep needs a spec file: `fet sweep <spec.json>`".into());
+        return Err(CliError::Usage(
+            "sweep needs a spec file: `fet sweep <spec.json>`".into(),
+        ));
     };
     let text = std::fs::read_to_string(&path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     let spec = SweepSpec::parse(&text).map_err(|e| e.to_string())?;
     let workers = sweep_workers(flags)?;
     let episode_limit = match flags.get("limit") {
         None => None,
-        Some(k) => Some(k.parse().map_err(|_| format!("invalid --limit `{k}`"))?),
+        Some(k) => Some(
+            k.parse()
+                .map_err(|_| CliError::Usage(format!("invalid --limit `{k}`")))?,
+        ),
     };
     let options = SweepOptions {
         workers,
@@ -660,19 +687,24 @@ fn cmd_sweep(spec_path: Option<&str>, flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_gauntlet(spec_path: Option<&str>, flags: &Flags) -> Result<(), String> {
+fn cmd_gauntlet(spec_path: Option<&str>, flags: &Flags) -> Result<(), CliError> {
     let Some(path) = spec_path
         .map(str::to_string)
         .or_else(|| flags.get("spec").cloned())
     else {
-        return Err("gauntlet needs a spec file: `fet gauntlet <spec.json>`".into());
+        return Err(CliError::Usage(
+            "gauntlet needs a spec file: `fet gauntlet <spec.json>`".into(),
+        ));
     };
     let text = std::fs::read_to_string(&path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     let spec = GauntletSpec::parse(&text).map_err(|e| e.to_string())?;
     let workers = sweep_workers(flags)?;
     let episode_limit = match flags.get("limit") {
         None => None,
-        Some(k) => Some(k.parse().map_err(|_| format!("invalid --limit `{k}`"))?),
+        Some(k) => Some(
+            k.parse()
+                .map_err(|_| CliError::Usage(format!("invalid --limit `{k}`")))?,
+        ),
     };
     let options = GauntletOptions {
         workers,
@@ -708,7 +740,7 @@ fn cmd_gauntlet(spec_path: Option<&str>, flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_serve(flags: &Flags) -> Result<(), String> {
+fn cmd_serve(flags: &Flags) -> Result<(), CliError> {
     let addr = flags
         .get("addr")
         .cloned()
@@ -728,7 +760,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    fn flags_of(args: &[&str]) -> Result<Flags, String> {
+    fn flags_of(args: &[&str]) -> Result<Flags, CliError> {
         let owned: Vec<String> = args.iter().map(|s| s.to_string()).collect();
         parse_flags(&owned)
     }
@@ -886,18 +918,30 @@ mod tests {
     #[test]
     fn sweep_requires_a_spec_path() {
         let err = cmd_sweep(None, &flags_of(&[]).unwrap()).unwrap_err();
-        assert!(err.contains("spec file"), "{err}");
+        assert!(
+            matches!(&err, CliError::Usage(e) if e.contains("spec file")),
+            "{err:?}"
+        );
         let err = cmd_sweep(Some("/nonexistent/spec.json"), &flags_of(&[]).unwrap()).unwrap_err();
-        assert!(err.contains("cannot read"), "{err}");
+        assert!(
+            matches!(&err, CliError::Failed(e) if e.contains("cannot read")),
+            "{err:?}"
+        );
     }
 
     #[test]
     fn gauntlet_requires_a_spec_path() {
         let err = cmd_gauntlet(None, &flags_of(&[]).unwrap()).unwrap_err();
-        assert!(err.contains("spec file"), "{err}");
+        assert!(
+            matches!(&err, CliError::Usage(e) if e.contains("spec file")),
+            "{err:?}"
+        );
         let err =
             cmd_gauntlet(Some("/nonexistent/spec.json"), &flags_of(&[]).unwrap()).unwrap_err();
-        assert!(err.contains("cannot read"), "{err}");
+        assert!(
+            matches!(&err, CliError::Failed(e) if e.contains("cannot read")),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -500,6 +500,37 @@ fn flag_without_value_fails() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("needs a value"));
 }
 
+/// The usage text answers a malformed command line only; a well-formed
+/// command that fails while it runs prints its one error line.
+#[test]
+fn usage_follows_argument_errors_only() {
+    for args in [
+        &["frobnicate"][..],
+        &["run", "--n"],
+        &["run", "--n", "many"],
+        &["run", "--mode", "warp"],
+    ] {
+        let out = fet().args(args).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.starts_with("error: ") && stderr.contains("commands:"),
+            "{args:?}: {stderr}"
+        );
+    }
+    let out = fet()
+        .args(["run", "--scheduler", "async", "--fidelity", "binomial"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.starts_with("error: invalid parameter `scheduler`: offending axis: fidelity")
+            && stderr.lines().count() == 1,
+        "{stderr}"
+    );
+}
+
 // ---------------------------------------------------------------- sweep
 
 /// Writes a spec file into a fresh per-test temp directory.

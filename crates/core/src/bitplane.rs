@@ -41,6 +41,21 @@
 //! byte per slice word into 8×8 bit matrices and transposed with three
 //! delta swaps. The tile lives on the stack, so a round allocates nothing.
 //!
+//! Near consensus most tiles need none of that. In a sleep-free round the
+//! kernel first asks the source whether one unanimous run covers the whole
+//! tile ([`ObservationSource::unanimous_run`]; the mean-field source
+//! answers in near-consensus binomial rounds, drawing a pending run length
+//! exactly where the tile's first observation would). If it does, the
+//! protocol steps the tile on its packed words
+//! ([`Protocol::step_unanimous_tile`]): for FET, count 0 clears every
+//! opinion whose stored count is not 0 (`opinions &= !OR(slices)`) and
+//! clears the clock slices, and count `m` sets every opinion whose stored
+//! count is below `ℓ` and stores `ℓ` in the slices — a few word operations
+//! per clock bit per 64 agents, with nothing unpacked and nothing drawn.
+//! A protocol without that hook still gets the tile, unpacked and stepped
+//! through its fused kernel over the run's observation. Tiles a run ends
+//! in take the unpacked path as before.
+//!
 //! In a sleepy round each tile steps under its keep mask instead (see
 //! [`shard`](crate::shard#sleepy-rounds)).
 //!
@@ -63,7 +78,9 @@
 //! the agents in plane order, so the tile boundary never enters the
 //! stream. The word-at-a-time kernel draws the very same observation
 //! stream 64 agents at a time (see the contract on
-//! [`ObservationSource::next_threshold_word`]). A bit-plane run is
+//! [`ObservationSource::next_threshold_word`]), and a tile stepped on its
+//! words inside a unanimous run draws nothing, as the run's observations
+//! and FET's split of a unanimous count draw nothing. A bit-plane run is
 //! therefore **bit-identical** to the typed and population-erased runs
 //! of the same `(seed, shard count)` — the property
 //! `tests/erasure_equivalence.rs` checks — and the aux-plane width never
@@ -435,7 +452,14 @@ impl<'a> AuxSliceMut<'a> {
                 *slice |= ((column >> (8 * j)) & 0xFF) << (8 * k);
             }
         }
-        self.words[w * self.bits..(w + 1) * self.bits].copy_from_slice(&slices[..self.bits]);
+        let bits = self.bits;
+        self.group_mut(w).copy_from_slice(&slices[..bits]);
+    }
+
+    /// The `bits` slice words of plane word `w`'s agents.
+    #[inline]
+    fn group_mut(&mut self, w: usize) -> &mut [u64] {
+        &mut self.words[w * self.bits..(w + 1) * self.bits]
     }
 }
 
@@ -533,21 +557,51 @@ fn step_threshold_words(
             "threshold word has bits past the drawn count"
         );
         *word_slot = word;
-        let ones = u64::from(word.count_ones());
-        counters.ones += ones;
-        counters.correct += if correct.is_one() {
-            ones
-        } else {
-            in_word as u64 - ones
-        };
-        if let Some(out) = outputs.as_deref_mut() {
-            for bit in 0..in_word {
-                out[idx + bit] = Opinion::from(((word >> bit) & 1) == 1);
-            }
-        }
+        counters += word_written(word, in_word, correct, outputs.as_deref_mut(), idx);
         idx += in_word;
     }
     counters
+}
+
+/// The counters of a freshly written opinion word holding `in_word`
+/// agents, by popcount, and its bits copied into `outputs[start..]` when
+/// the caller asked for per-agent outputs.
+#[inline]
+fn word_written(
+    word: u64,
+    in_word: usize,
+    correct: Opinion,
+    outputs: Option<&mut [Opinion]>,
+    start: usize,
+) -> FusedCounters {
+    if let Some(out) = outputs {
+        for (bit, slot) in out[start..start + in_word].iter_mut().enumerate() {
+            *slot = Opinion::from(((word >> bit) & 1) == 1);
+        }
+    }
+    let ones = u64::from(word.count_ones());
+    FusedCounters {
+        ones,
+        correct: if correct.is_one() {
+            ones
+        } else {
+            in_word as u64 - ones
+        },
+    }
+}
+
+/// The source of a tile that one unanimous run covers: every agent sees
+/// the run's observation, and nothing is drawn for any of them.
+struct Unanimous(Observation);
+
+impl ObservationSource for Unanimous {
+    fn next_observation(&mut self, _rng: &mut dyn RngCore) -> Observation {
+        self.0
+    }
+
+    fn repeats(&mut self, max: usize) -> usize {
+        max
+    }
 }
 
 /// Steps the agents `range` of the population, held in a packed plane
@@ -588,6 +642,20 @@ fn step_packed_slice<P: Protocol>(
     for (w, word_slot) in words[..len.div_ceil(WORD_BITS)].iter_mut().enumerate() {
         let start = w * WORD_BITS;
         let in_word = (len - start).min(WORD_BITS);
+        // A tile inside one unanimous run steps on its packed words when
+        // the protocol has a word rule for the run's observation.
+        let run = match masks {
+            None => source.unanimous_run(rng, in_word),
+            Some(_) => None,
+        };
+        if let Some(obs) = &run {
+            let live = u64::MAX >> (WORD_BITS - in_word);
+            if protocol.step_unanimous_tile(obs, word_slot, aux.group_mut(w), live) {
+                counters +=
+                    word_written(*word_slot, in_word, correct, outputs.as_deref_mut(), start);
+                continue;
+            }
+        }
         let states = &mut states[..in_word];
         aux.load_tile(w, &mut values);
         let opinions = *word_slot;
@@ -599,9 +667,12 @@ fn step_packed_slice<P: Protocol>(
             Some(out) => &mut out[start..start + in_word],
             None => &mut tile_outputs[..in_word],
         };
-        counters += match masks.as_mut() {
-            None => protocol.step_fused(states, source, ctx, rng, correct, out),
-            Some(masks) => {
+        counters += match (masks.as_mut(), run) {
+            (None, None) => protocol.step_fused(states, source, ctx, rng, correct, out),
+            (None, Some(obs)) => {
+                protocol.step_fused(states, &mut Unanimous(obs), ctx, rng, correct, out)
+            }
+            (Some(masks), _) => {
                 shard::step_tile_keeping(protocol, states, masks, source, ctx, rng, correct, out)
             }
         };

@@ -279,6 +279,47 @@ impl Protocol for FetProtocol {
         true
     }
 
+    /// A unanimous count splits into `(0, 0)` or `(ℓ, ℓ)` without a draw,
+    /// so `follow_trend` becomes a word function of the stored counts:
+    /// count 0 keeps an opinion only where `count″ = 0` (the tie) and
+    /// clears the clocks; count `m` keeps it where `count″ = ℓ`, sets it
+    /// where `count″ < ℓ`, clears it where `count″ > ℓ` (which the planes
+    /// can hold, though no round stores it), and stores `ℓ`.
+    fn step_unanimous_tile(
+        &self,
+        obs: &Observation,
+        opinions: &mut u64,
+        slices: &mut [u64],
+        live: u64,
+    ) -> bool {
+        let m = self.samples_per_round();
+        if obs.sample_size() != m {
+            return false;
+        }
+        if obs.ones() == 0 {
+            *opinions &= !slices.iter().fold(0, |any, &slice| any | slice);
+            slices.fill(0);
+        } else if obs.ones() == m {
+            // Bit-sliced comparison with ℓ, most significant slice first.
+            let (mut below, mut equal) = (0u64, u64::MAX);
+            for (b, &slice) in slices.iter().enumerate().rev() {
+                if (self.ell >> b) & 1 == 1 {
+                    below |= equal & !slice;
+                    equal &= slice;
+                } else {
+                    equal &= !slice;
+                }
+            }
+            *opinions = ((*opinions & equal) | below) & live;
+            for (b, slice) in slices.iter_mut().enumerate() {
+                *slice = if (self.ell >> b) & 1 == 1 { live } else { 0 };
+            }
+        } else {
+            return false;
+        }
+        true
+    }
+
     fn output(&self, state: &FetState) -> Opinion {
         state.opinion
     }

@@ -49,7 +49,8 @@ impl RoundContext {
 /// per-observation fault corruption, while the protocol stays in charge of
 /// the state update. One virtual call per agent, zero auxiliary memory —
 /// or fewer calls, when a kernel steps the agent runs a source reports
-/// through [`ObservationSource::repeats`]. Two families exist:
+/// through [`ObservationSource::repeats`] or
+/// [`ObservationSource::unanimous_run`]. Two families exist:
 ///
 /// * **mean-field** sources (binomial / without-replacement sampling on
 ///   the complete graph): an observation is a pure function of the round's
@@ -113,6 +114,27 @@ pub trait ObservationSource {
     fn repeats(&mut self, max: usize) -> usize {
         let _ = max;
         0
+    }
+
+    /// Whether the next `agents` agents all fall inside one unanimous run,
+    /// which the source hands out without drawing anything per agent. If
+    /// so, returns the run's observation and counts the `agents` agents as
+    /// delivered: the caller steps them with it and does not call
+    /// `next_observation` for them. The bit-plane tile kernel asks at each
+    /// tile's first agent, before anything else is drawn for the tile.
+    ///
+    /// # Contract
+    ///
+    /// Returning `Some(obs)` must be **stream-identical** to `agents`
+    /// successive `next_observation` calls that each return `obs`. The
+    /// call may draw what the next `next_observation` would draw first (a
+    /// pending run length); a source that then declines keeps that draw,
+    /// so the next call it answers must be `next_observation`. The default
+    /// declines and draws nothing. The mean-field source answers in
+    /// near-consensus binomial rounds (see `fet-sim`'s `MeanFieldSource`).
+    fn unanimous_run(&mut self, rng: &mut dyn RngCore, agents: usize) -> Option<Observation> {
+        let _ = (rng, agents);
+        None
     }
 }
 
@@ -397,6 +419,35 @@ pub trait Protocol {
     /// word kernel's draw stream equal to the tile kernel's.
     fn opinion_threshold(&self) -> Option<u32> {
         None
+    }
+
+    /// Steps up to 64 bit-plane agents that all observe the unanimous
+    /// `obs` (0 or `m` ones) on their packed words, without unpacking
+    /// them: bit `j` of `opinions` is agent `j`'s opinion, and bit `j` of
+    /// `slices[b]` is bit `b` of its packed aux value (the
+    /// [`AuxPlane`](crate::bitplane::AuxPlane) layout, one group).
+    /// Agents outside `live` are the trailing group's padding, whose bits
+    /// must stay zero in every word. Returns `false`, touching nothing,
+    /// when the protocol has no word rule for `obs`; the bit-plane kernel
+    /// then unpacks the agents and steps them through
+    /// [`Protocol::step_fused`]. Defaults to `false`.
+    ///
+    /// # Contract
+    ///
+    /// Returning `true` must leave every live agent's `(opinion, aux)` bits
+    /// as [`Protocol::pack_state`] of the state `step` would produce, and
+    /// is allowed only for observations at which `step` draws nothing from
+    /// its RNG: the hook takes no RNG. FET implements it (count 0 falls
+    /// unless the stored count ties, count `m` rises unless it ties).
+    fn step_unanimous_tile(
+        &self,
+        obs: &Observation,
+        opinions: &mut u64,
+        slices: &mut [u64],
+        live: u64,
+    ) -> bool {
+        let _ = (obs, opinions, slices, live);
+        false
     }
 
     /// Packs a state into `(opinion bit, auxiliary byte)` — the planes of

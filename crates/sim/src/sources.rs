@@ -358,6 +358,23 @@ impl ObservationSource for MeanFieldSource<'_> {
             None => 0,
         }
     }
+
+    /// In a run round, the next `agents` agents when the current run
+    /// covers them all. A run that has not started yet draws its length
+    /// here, where the next agent's [`MeanFieldSource::next_observation`]
+    /// would draw it, and keeps it when the run ends short of the tile.
+    /// Every other round declines and draws nothing.
+    fn unanimous_run(&mut self, rng: &mut dyn RngCore, agents: usize) -> Option<Observation> {
+        let MeanFieldSampler::Binomial(round) = self.sampler else {
+            return None;
+        };
+        let BinomialDraw::Runs(runs) = &round.draw else {
+            return None;
+        };
+        let left = *self.run.get_or_insert_with(|| runs.run_length(rng));
+        self.run = Some(left.checked_sub(agents as u64)?);
+        Some(Observation::new(runs.count, self.m).expect("a unanimous count is in range"))
+    }
 }
 
 /// `ones` after the round's observation noise, when there is any.
@@ -1098,6 +1115,94 @@ mod tests {
             assert_eq!(skip_rng.next_u64(), draw_rng.next_u64());
             let reports = matches!(sampler, MeanFieldSampler::Binomial(r) if r.draws_runs());
             assert_eq!(repeated > 0, reports, "{sampler:?}");
+        }
+    }
+
+    /// A whole-tile answer from `unanimous_run`, plus the
+    /// `next_observation` calls after it, replays plain `next_observation`
+    /// calls: the same observations and the same RNG position. Cases: a
+    /// pending run whose length is drawn at the tile start, a run ending
+    /// exactly on the tile's last agent, a run one agent short, and a
+    /// degenerate law's endless run; then a walk over many tiles, as the
+    /// bit-plane kernel asks. Per-agent binomial and hypergeometric rounds
+    /// decline and draw nothing.
+    #[test]
+    fn unanimous_runs_replay_successive_observations() {
+        const TILE: usize = 64;
+        // u = (1 − p)^12 ≈ 0.994: runs average ~170 agents.
+        let runs = BinomialRound::new(12, 0.0005).unwrap();
+        let endless = BinomialRound::new(12, 1.0).unwrap();
+        let replay = |round: &BinomialRound, pending: Option<u64>, seed: u64| {
+            let sampler = MeanFieldSampler::Binomial(round);
+            let mut asking = MeanFieldSource::new(sampler, 12);
+            let mut drawing = MeanFieldSource::new(sampler, 12);
+            asking.run = pending;
+            drawing.run = pending;
+            let mut ask_rng = SmallRng::seed_from_u64(seed);
+            let mut draw_rng = ask_rng.clone();
+            let answer = asking.unanimous_run(&mut ask_rng, TILE);
+            let mut seen = match answer {
+                Some(obs) => vec![obs.ones(); TILE],
+                None => Vec::new(),
+            };
+            while seen.len() < 3 * TILE {
+                seen.push(asking.next_observation(&mut ask_rng).ones());
+            }
+            let drawn: Vec<u32> = (0..seen.len())
+                .map(|_| drawing.next_observation(&mut draw_rng).ones())
+                .collect();
+            assert_eq!(seen, drawn, "pending={pending:?} seed={seed}");
+            assert_eq!(ask_rng.next_u64(), draw_rng.next_u64());
+            answer.map(|obs| (obs.ones(), obs.sample_size()))
+        };
+        let drawn_here: Vec<_> = (0..200).map(|seed| replay(&runs, None, seed)).collect();
+        assert!(drawn_here.contains(&Some((0, 12))) && drawn_here.contains(&None));
+        for seed in 0..20 {
+            assert_eq!(replay(&runs, Some(TILE as u64), seed), Some((0, 12)));
+            assert_eq!(replay(&runs, Some(TILE as u64 - 1), seed), None);
+            assert_eq!(replay(&endless, None, seed), Some((12, 12)));
+        }
+
+        // Many tiles in a row, a short trailing tile among them.
+        let sampler = MeanFieldSampler::Binomial(&runs);
+        let mut asking = MeanFieldSource::new(sampler, 12);
+        let mut drawing = MeanFieldSource::new(sampler, 12);
+        let mut ask_rng = SmallRng::seed_from_u64(99);
+        let mut draw_rng = ask_rng.clone();
+        let (mut seen, mut answered) = (Vec::new(), 0);
+        for agents in (0..300).map(|i| [TILE, TILE, 17][i % 3]) {
+            match asking.unanimous_run(&mut ask_rng, agents) {
+                Some(obs) => {
+                    answered += 1;
+                    seen.extend(std::iter::repeat_n(obs.ones(), agents));
+                }
+                None => {
+                    seen.extend((0..agents).map(|_| asking.next_observation(&mut ask_rng).ones()))
+                }
+            }
+        }
+        let drawn: Vec<u32> = (0..seen.len())
+            .map(|_| drawing.next_observation(&mut draw_rng).ones())
+            .collect();
+        assert_eq!(seen, drawn);
+        assert_eq!(ask_rng.next_u64(), draw_rng.next_u64());
+        assert!(answered > 0 && answered < 300, "{answered} tiles answered");
+
+        let each = BinomialRound::new(12, 0.3).unwrap();
+        let hypergeometric = Hypergeometric::new(50, 1, 12).unwrap();
+        let noisy = FaultPlan::with_noise(0.01).unwrap();
+        for sampler in [
+            MeanFieldSampler::Binomial(&each),
+            MeanFieldSampler::Hypergeometric(&hypergeometric, Some(&noisy)),
+        ] {
+            let mut source = MeanFieldSource::new(sampler, 12);
+            let mut rng = SmallRng::seed_from_u64(5);
+            let untouched = rng.clone().next_u64();
+            assert!(
+                source.unanimous_run(&mut rng, TILE).is_none(),
+                "{sampler:?}"
+            );
+            assert_eq!(rng.next_u64(), untouched, "{sampler:?} drew");
         }
     }
 

@@ -25,10 +25,15 @@
 //! * **word-kernel equivalence** — the word-at-a-time threshold kernel
 //!   (voter, 3-majority) produces the same trajectory, counters, and
 //!   popcounts as the tile kernel (the protocol's fused kernel over 64
-//!   unpacked states per plane word), sequentially and sharded.
+//!   unpacked states per plane word), sequentially and sharded;
+//! * **unanimous tiles** — a tile that one unanimous run covers steps on
+//!   its packed words (FET's `step_unanimous_tile`), or through the fused
+//!   kernel for a protocol without that hook, and leaves the planes, the
+//!   counters and the RNG exactly where the typed container's round does.
 
 use fet::prelude::*;
 use fet_core::bitplane::{AuxPlane, BitPlane, BitPopulation};
+use fet_core::fet::FetState;
 use fet_core::memory::MemoryFootprint;
 use fet_core::observation::Observation;
 use fet_core::protocol::{ObservationSource, RoundContext, StatePlanes};
@@ -113,6 +118,88 @@ struct UniformFactory {
 impl ShardSourceFactory for UniformFactory {
     fn shard_source(&self, _range: std::ops::Range<usize>) -> Box<dyn ObservationSource + '_> {
         Box::new(UniformSource { m: self.m })
+    }
+}
+
+/// How the agents of one 64-agent tile observe in a [`TileScript`] round.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tile {
+    /// Every agent sees count 0.
+    Zeros,
+    /// Every agent sees count `m`.
+    Ones,
+    /// Every agent draws a uniform count from the round RNG.
+    Mixed,
+}
+
+/// A positional source playing a per-tile script. It hands each unanimous
+/// tile whole to the bit-plane kernel through `unanimous_run`, and the
+/// same agents to the typed kernel as runs through `repeats`, so both
+/// kernels walk one stream; mixed tiles draw, so a kernel that loses its
+/// place in the RNG stream shows in the states.
+struct TileScript<'a> {
+    tiles: &'a [Tile],
+    m: u32,
+    /// The next agent to observe.
+    next: usize,
+    /// The last observation's count, when the script made it unanimous.
+    last: Option<u32>,
+    answered: &'a std::sync::atomic::AtomicUsize,
+}
+
+impl TileScript<'_> {
+    fn scripted(&self, agent: usize) -> Option<u32> {
+        match self.tiles[agent / 64] {
+            Tile::Zeros => Some(0),
+            Tile::Ones => Some(self.m),
+            Tile::Mixed => None,
+        }
+    }
+}
+
+impl ObservationSource for TileScript<'_> {
+    fn next_observation(&mut self, rng: &mut dyn RngCore) -> Observation {
+        self.last = self.scripted(self.next);
+        self.next += 1;
+        let ones = self.last.unwrap_or_else(|| rng.next_u32() % (self.m + 1));
+        Observation::new(ones, self.m).unwrap()
+    }
+
+    fn repeats(&mut self, max: usize) -> usize {
+        let mut repeats = 0;
+        while repeats < max && self.last.is_some() && self.scripted(self.next) == self.last {
+            self.next += 1;
+            repeats += 1;
+        }
+        repeats
+    }
+
+    fn unanimous_run(&mut self, _rng: &mut dyn RngCore, agents: usize) -> Option<Observation> {
+        assert_eq!(self.next % 64, 0, "asked in the middle of a tile");
+        let ones = self.scripted(self.next)?;
+        self.next += agents;
+        self.last = Some(ones);
+        self.answered
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        Some(Observation::new(ones, self.m).unwrap())
+    }
+}
+
+struct TileScriptFactory {
+    tiles: Vec<Tile>,
+    m: u32,
+    answered: std::sync::atomic::AtomicUsize,
+}
+
+impl ShardSourceFactory for TileScriptFactory {
+    fn shard_source(&self, range: std::ops::Range<usize>) -> Box<dyn ObservationSource + '_> {
+        Box::new(TileScript {
+            tiles: &self.tiles,
+            m: self.m,
+            next: range.start,
+            last: None,
+            answered: &self.answered,
+        })
     }
 }
 
@@ -330,6 +417,162 @@ proptest! {
             word_kernel_case(VoterProtocol::new(), n, seed, rounds, shards);
             word_kernel_case(ThreeMajorityProtocol::new(), n, seed, rounds, shards);
         }
+    }
+
+    /// Word-path level: tiles inside one unanimous run of count 0 or `m`
+    /// step on their packed words (FET), or through the fused kernel over
+    /// the run's observation (the [`PerAgent`] wrapper, which has no word
+    /// rule). Both leave the opinion plane, every stored clock, the
+    /// counters and the RNG's next word where the typed container's round
+    /// does: at every clock width, at word-boundary sizes with a partial
+    /// trailing tile, in sequential and 3-shard rounds, in place and with
+    /// per-agent outputs.
+    #[test]
+    fn unanimous_tiles_step_on_packed_words_like_typed_rounds(
+        extra_n in 1usize..400,
+        ell in 1u32..=255,
+        seed in any::<u64>(),
+    ) {
+        for n in boundary_sizes(extra_n) {
+            unanimous_tile_case(ell, n, seed);
+        }
+    }
+}
+
+/// One unanimous-tile case: two scripted rounds (the second meets the
+/// clocks the first stored, so ties at both counts come up) from explicit
+/// states whose clocks favour the tie values 0 and `ℓ`, in each of the
+/// four round shapes, on a typed container, a FET bit-plane container and
+/// a bit-plane container of the hook-less [`PerAgent`] wrapper.
+fn unanimous_tile_case(ell: u32, n: usize, seed: u64) {
+    let fet = FetProtocol::new(ell).unwrap();
+    let m = fet.samples_per_round();
+    let mut script_rng = rand::rngs::SmallRng::seed_from_u64(seed);
+    let states: Vec<FetState> = (0..n)
+        .map(|_| FetState {
+            opinion: Opinion::from(script_rng.next_u32() & 1 == 1),
+            prev_count_second_half: match script_rng.next_u32() % 3 {
+                0 => 0,
+                1 => ell,
+                _ => script_rng.next_u32() % (ell + 1),
+            },
+        })
+        .collect();
+    let scripts: Vec<TileScriptFactory> = (0..2)
+        .map(|_| TileScriptFactory {
+            tiles: (0..n.div_ceil(64))
+                .map(|_| {
+                    [
+                        Tile::Zeros,
+                        Tile::Ones,
+                        Tile::Mixed,
+                        Tile::Zeros,
+                        Tile::Ones,
+                    ][script_rng.next_u32() as usize % 5]
+                })
+                .collect(),
+            m,
+            answered: Default::default(),
+        })
+        .collect();
+    for (sharded, in_place) in [(false, false), (false, true), (true, false), (true, true)] {
+        let case = format!("ell={ell} n={n} seed={seed} sharded={sharded} in_place={in_place}");
+        let mut typed = TypedPopulation::from_states(fet.clone(), states.clone());
+        let mut word = BitPopulation::from_states(fet.clone(), &states);
+        let mut hookless = BitPopulation::from_states(PerAgent(fet.clone()), &states);
+        let rngs: [rand::rngs::SmallRng; 3] =
+            std::array::from_fn(|_| rand::rngs::SmallRng::seed_from_u64(seed ^ 0x5C21));
+        let [mut rng_t, mut rng_w, mut rng_h] = rngs;
+        for (round, script) in scripts.iter().enumerate() {
+            let ctx = RoundContext::new(round as u64);
+            let plan = sharded.then(|| ShardPlan::new(3, 2, seed, round as u64));
+            let streams = |rng| match &plan {
+                Some(plan) => RoundStreams::Sharded(plan),
+                None => RoundStreams::Main(rng),
+            };
+            let mut out_t = vec![Opinion::Zero; n];
+            let mut out_w = vec![Opinion::Zero; n];
+            let mut out_h = vec![Opinion::Zero; n];
+            let ct = typed.step_round(
+                script,
+                &ctx,
+                streams(&mut rng_t),
+                None,
+                Opinion::One,
+                Some(&mut out_t),
+            );
+            let (out_w_slot, out_h_slot) = if in_place {
+                (None, None)
+            } else {
+                (Some(&mut out_w[..]), Some(&mut out_h[..]))
+            };
+            let cw = word.step_round(
+                script,
+                &ctx,
+                streams(&mut rng_w),
+                None,
+                Opinion::One,
+                out_w_slot,
+            );
+            let ch = hookless.step_round(
+                script,
+                &ctx,
+                streams(&mut rng_h),
+                None,
+                Opinion::One,
+                out_h_slot,
+            );
+            assert_eq!(cw, ct, "{case} round={round}: counters");
+            assert_eq!(ch, ct, "{case} round={round}: hook-less counters");
+            if !in_place {
+                assert_eq!(out_w, out_t, "{case} round={round}");
+                assert_eq!(out_h, out_t, "{case} round={round}");
+            }
+            // Planes packed from the typed states, padding included.
+            let packed = BitPopulation::from_states(fet.clone(), typed.states());
+            for (label, planes) in [
+                ("word", word.opinion_plane()),
+                ("hook-less", hookless.opinion_plane()),
+            ] {
+                assert_eq!(
+                    planes,
+                    packed.opinion_plane(),
+                    "{case} round={round}: {label} opinions"
+                );
+            }
+            assert_eq!(
+                word.aux_plane(),
+                packed.aux_plane(),
+                "{case} round={round}: clocks"
+            );
+            assert_eq!(
+                hookless.aux_plane(),
+                packed.aux_plane(),
+                "{case} round={round}: hook-less clocks"
+            );
+            for (i, state) in typed.states().iter().enumerate() {
+                assert_eq!(
+                    u32::from(word.aux_value(i)),
+                    state.prev_count_second_half,
+                    "{case} agent {i}"
+                );
+            }
+        }
+        assert_eq!(
+            rng_w.next_u64(),
+            rng_t.clone().next_u64(),
+            "{case}: RNG position"
+        );
+        assert_eq!(
+            rng_h.next_u64(),
+            rng_t.next_u64(),
+            "{case}: hook-less RNG position"
+        );
+    }
+    for script in &scripts {
+        let unanimous = script.tiles.iter().any(|&tile| tile != Tile::Mixed);
+        let answered = script.answered.load(std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(answered > 0, unanimous, "ell={ell} n={n}: tiles answered");
     }
 }
 
