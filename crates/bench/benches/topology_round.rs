@@ -11,7 +11,8 @@ use fet_topology::builders;
 
 fn bench_generators(c: &mut Criterion) {
     let mut group = c.benchmark_group("graph_generation");
-    for &n in &[1_000u32, 10_000] {
+    // n = 10⁵ is the size of the benchmark's `graph-reg32-1e5` graph.
+    for &n in &[1_000u32, 10_000, 100_000] {
         group.bench_with_input(BenchmarkId::new("erdos_renyi_m=16n", n), &n, |b, &n| {
             let p = 32.0 / f64::from(n);
             let mut rng = SeedTree::new(1).rng();
@@ -21,11 +22,24 @@ fn bench_generators(c: &mut Criterion) {
             let mut rng = SeedTree::new(2).rng();
             b.iter(|| builders::random_regular(n, 32, &mut rng).expect("valid"));
         });
+        if n > 10_000 {
+            continue;
+        }
         group.bench_with_input(BenchmarkId::new("watts_strogatz_k=8", n), &n, |b, &n| {
             let mut rng = SeedTree::new(3).rng();
             b.iter(|| builders::watts_strogatz(n, 8, 0.1, &mut rng).expect("valid"));
         });
     }
+    // Above d = 128 the pairing's duplicate check scans the filled part of
+    // the shorter row instead of a whole row.
+    group.bench_with_input(
+        BenchmarkId::new("random_regular_d=256", 10_000),
+        &10_000u32,
+        |b, &n| {
+            let mut rng = SeedTree::new(4).rng();
+            b.iter(|| builders::random_regular(n, 256, &mut rng).expect("valid"));
+        },
+    );
     group.finish();
 }
 

@@ -101,6 +101,22 @@ impl Graph {
         Ok(Graph { offsets, neighbors })
     }
 
+    /// Assembles a graph from CSR arrays a generator filled in place.
+    ///
+    /// The caller guarantees what [`Graph::from_edges`] establishes: every
+    /// row strictly ascending, in range and free of its own vertex, and
+    /// every edge present in both of its rows. Debug builds re-check the
+    /// rows.
+    pub(crate) fn from_csr(offsets: Vec<usize>, neighbors: Vec<u32>) -> Graph {
+        let graph = Graph { offsets, neighbors };
+        debug_assert_eq!(graph.offsets.last(), Some(&graph.neighbors.len()));
+        debug_assert!((0..graph.n()).all(|v| {
+            let row = graph.neighbors(v);
+            row.windows(2).all(|w| w[0] < w[1]) && row.iter().all(|&w| w != v && w < graph.n())
+        }));
+        graph
+    }
+
     /// Number of vertices.
     pub fn n(&self) -> u32 {
         (self.offsets.len() - 1) as u32
