@@ -30,16 +30,6 @@ fn bench_generators(c: &mut Criterion) {
             b.iter(|| builders::watts_strogatz(n, 8, 0.1, &mut rng).expect("valid"));
         });
     }
-    // Above d = 128 the pairing's duplicate check scans the filled part of
-    // the shorter row instead of a whole row.
-    group.bench_with_input(
-        BenchmarkId::new("random_regular_d=256", 10_000),
-        &10_000u32,
-        |b, &n| {
-            let mut rng = SeedTree::new(4).rng();
-            b.iter(|| builders::random_regular(n, 256, &mut rng).expect("valid"));
-        },
-    );
     group.finish();
 }
 

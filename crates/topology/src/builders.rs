@@ -192,18 +192,15 @@ pub fn erdos_renyi<R: Rng + ?Sized>(n: u32, p: f64, rng: &mut R) -> Result<Graph
     // Row v is its lower neighbors, then its upper row. The lower ones are
     // the u < v whose upper rows hold v: the walk below writes them in
     // ascending u, all before it reaches v.
-    let mut degree: Vec<usize> = upper_len.iter().map(|&c| c as usize).collect();
+    let mut offsets = vec![0usize; nu + 1];
     for &w in &upper {
-        degree[w as usize] += 1;
+        offsets[w as usize + 1] += 1;
     }
-    let mut offsets = Vec::with_capacity(nu + 1);
-    offsets.push(0usize);
     for v in 0..nu {
-        offsets.push(offsets[v] + degree[v]);
+        offsets[v + 1] += offsets[v] + upper_len[v] as usize;
     }
     // Each row's next free lower slot.
-    let mut cursor = degree;
-    cursor.copy_from_slice(&offsets[..nu]);
+    let mut cursor = offsets[..nu].to_vec();
     let mut neighbors = vec![0u32; 2 * upper.len()];
     let mut rest = upper.as_slice();
     for (v, &len) in upper_len.iter().enumerate() {
@@ -221,11 +218,6 @@ pub fn erdos_renyi<R: Rng + ?Sized>(n: u32, p: f64, rng: &mut R) -> Result<Graph
 /// Maximum restart attempts for [`random_regular`] before giving up.
 const REGULAR_MAX_ATTEMPTS: u32 = 100;
 
-/// Degrees up to which [`random_regular`]'s duplicate check compares a
-/// whole row rather than the filled part of the shorter one. Measured:
-/// whole rows pair faster at d = 128 and slower at d = 256.
-const WHOLE_ROW_SCAN: usize = 128;
-
 /// Random `d`-regular graph via Steger–Wormald incremental pairing:
 /// half-edge stubs are matched one pair at a time, re-drawing any pair
 /// that would create a self-loop or parallel edge, and restarting from
@@ -241,10 +233,10 @@ const WHOLE_ROW_SCAN: usize = 128;
 /// `[v·d, v·d + d)` and a fill count, a drawn pair is a duplicate iff one
 /// endpoint already sits in the other's row, and an accepted pair appends
 /// to both rows, which are sorted in place at the end. The duplicate check
-/// compares a whole row up to `d = 128` and the filled part of the shorter
-/// row above it. The working set is the stubs plus the rows, `≈ 8·n·d`
-/// bytes, and the draws are unchanged from a hash set of taken pairs: the
-/// same graph and the same RNG position after the call.
+/// scans the filled part of the shorter row. The working set is the stubs
+/// plus the rows, `≈ 8·n·d` bytes, and the draws are unchanged from a hash
+/// set of taken pairs: the same graph and the same RNG position after the
+/// call.
 ///
 /// # Errors
 ///
@@ -273,13 +265,8 @@ pub fn random_regular<R: Rng + ?Sized>(
     let mut fill = vec![0u32; n as usize];
     let mut stubs = Vec::with_capacity(rows.len());
     'attempt: for _ in 0..REGULAR_MAX_ATTEMPTS {
-        // Vertex v's stubs, and the unfilled slots of its row, hold v,
-        // which no admissible pair of v's can match.
-        for (v, row) in rows.chunks_exact_mut(du).enumerate() {
-            row.fill(v as u32);
-        }
         stubs.clear();
-        stubs.extend_from_slice(&rows);
+        stubs.extend((0..n).flat_map(|v| std::iter::repeat_n(v, du)));
         fill.fill(0);
         while stubs.len() > 1 {
             // A pair is admissible unless it is a self-loop or duplicate.
@@ -297,15 +284,8 @@ pub fn random_regular<R: Rng + ?Sized>(
                 if a == b {
                     continue;
                 }
-                // Short rows are compared whole: the scan then waits on
-                // neither fill count, and its fixed length is predicted.
-                let duplicate = if du <= WHOLE_ROW_SCAN {
-                    holds(&rows[a * du..][..du], b as u32)
-                } else {
-                    let (v, w) = if fill[a] <= fill[b] { (a, b) } else { (b, a) };
-                    holds(&rows[v * du..][..fill[v] as usize], w as u32)
-                };
-                if duplicate {
+                let (v, w) = if fill[a] <= fill[b] { (a, b) } else { (b, a) };
+                if rows[v * du..][..fill[v] as usize].contains(&(w as u32)) {
                     continue;
                 }
                 let (fa, fb) = (fill[a] as usize, fill[b] as usize);
@@ -334,12 +314,6 @@ pub fn random_regular<R: Rng + ?Sized>(
         generator: "random_regular",
         attempts: REGULAR_MAX_ATTEMPTS,
     })
-}
-
-/// `true` if `row` holds `w`. Compares every slot, without an early exit,
-/// so the loop vectorizes.
-fn holds(row: &[u32], w: u32) -> bool {
-    row.iter().fold(false, |hit, &x| hit | (x == w))
 }
 
 /// Watts–Strogatz small world: start from [`ring_lattice`]`(n, k)` and

@@ -14,7 +14,7 @@
 //! `random_regular(640, 63)` from `tests/stream_digests.rs`'s seed. The
 //! spec cases rebuild the graph directly from the spec's RNG lane too, so
 //! the RNG position is hashed and the spec's mapping onto the builder is
-//! checked in the same pass. About 0.8 s in a debug build.
+//! checked in the same pass. About 1 s in a debug build.
 //!
 //! On a mismatch the failure message lists every case's current digest in
 //! table form.
