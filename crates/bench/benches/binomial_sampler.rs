@@ -1,13 +1,15 @@
 //! Micro-benchmark: exact binomial sampling across size regimes
 //! (alias table vs beta-splitting), plus the hypergeometric split used by
-//! FET's sample partition and the per-ISA-path alias block kernels
+//! FET's sample partition (`split_table` draws it from the table FET
+//! steps with, over counts drawn from Bin(2ℓ, 0.35) at ℓ = 47), and the
+//! per-ISA-path alias block kernels
 //! (`alias_block_{scalar,swar,avx2}` — scalar is the branchy f64 probe
 //! reference, the others the branchless integer tiers from
 //! `fet_stats::isa`). Paths the host can't execute are skipped.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fet_stats::binomial::{sample_binomial, BinomialSampler};
-use fet_stats::hypergeometric::split_sample;
+use fet_stats::hypergeometric::{split_sample, SplitTable};
 use fet_stats::isa::IsaPath;
 use fet_stats::rng::SeedTree;
 
@@ -55,6 +57,15 @@ fn bench_samplers(c: &mut Criterion) {
             },
         );
     }
+    let table = SplitTable::new(47);
+    let sampler = BinomialSampler::new(94, 0.35).unwrap();
+    let mut count_rng = SeedTree::new(5).child("split-counts").rng();
+    let counts: Vec<u64> = (0..4_096).map(|_| sampler.sample(&mut count_rng)).collect();
+    group.bench_with_input(BenchmarkId::new("split_table", 47), &table, |b, table| {
+        let mut rng = SeedTree::new(6).child("split-table").rng();
+        let mut next = counts.iter().cycle();
+        b.iter(|| table.split(*next.next().unwrap(), &mut rng))
+    });
     group.finish();
 }
 

@@ -8,16 +8,25 @@
 //! provided per-`step` loop (no protocol overrides it; engine rounds run
 //! `step_fused`), so the `protocol_step_batch` rows must read the same as
 //! the loop rows.
+//!
+//! `fet_ell32` feeds one fixed observation to one fixed state, a pattern
+//! the branch predictor learns. The `fet_step_fused_p*` rows step
+//! 10⁵ agents at ℓ = 47 through `step_fused` over a slice source instead:
+//! counts drawn from Bin(2ℓ, p) at p ∈ {0.05, 0.35, 0.9}, uniform stored
+//! counts, so the split and the trend update see random data. Divide
+//! ns/iter by 10⁵ for ns/agent.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use fet_core::fet::{FetProtocol, FetState};
 use fet_core::observation::Observation;
 use fet_core::opinion::Opinion;
-use fet_core::protocol::{Protocol, RoundContext};
+use fet_core::protocol::{ObservationSource, Protocol, RoundContext};
 use fet_core::simple_trend::{SimpleTrendProtocol, SimpleTrendState};
 use fet_protocols::majority::MajorityProtocol;
 use fet_protocols::voter::VoterProtocol;
+use fet_stats::binomial::BinomialSampler;
 use fet_stats::rng::SeedTree;
+use rand::RngCore;
 
 fn bench_steps(c: &mut Criterion) {
     let mut group = c.benchmark_group("protocol_step");
@@ -163,10 +172,60 @@ fn bench_step_batch_large(c: &mut Criterion) {
     group.finish();
 }
 
+/// Replays one observation per agent and draws nothing.
+struct SliceSource<'a>(std::slice::Iter<'a, Observation>);
+
+impl ObservationSource for SliceSource<'_> {
+    fn next_observation(&mut self, _rng: &mut dyn RngCore) -> Observation {
+        *self.0.next().expect("one observation per agent")
+    }
+}
+
+/// FET's fused kernel on drawn counts: the split and the update at the
+/// rates a round of that fraction of ones feeds them.
+fn bench_step_fused(c: &mut Criterion) {
+    let mut group = c.benchmark_group("protocol_step_fused_100k");
+    let agents = 100_000usize;
+    let fet = FetProtocol::new(47).unwrap();
+    let m = fet.samples_per_round();
+    let ctx = RoundContext::new(0);
+    let mut init_rng = SeedTree::new(10).child("fused-init").rng();
+    let states: Vec<FetState> = (0..agents)
+        .map(|_| fet.init_state(Opinion::Zero, &mut init_rng))
+        .collect();
+    for p in [0.05, 0.35, 0.9] {
+        let sampler = BinomialSampler::new(u64::from(m), p).unwrap();
+        let observations: Vec<Observation> = (0..agents)
+            .map(|_| Observation::new(sampler.sample(&mut init_rng) as u32, m).unwrap())
+            .collect();
+        group.bench_function(format!("fet_step_fused_p{p}"), |b| {
+            let mut rng = SeedTree::new(11).child("fused").rng();
+            let mut outputs = vec![Opinion::Zero; agents];
+            b.iter_batched(
+                || states.clone(),
+                |mut states| {
+                    let mut source = SliceSource(observations.iter());
+                    fet.step_fused(
+                        &mut states,
+                        &mut source,
+                        &ctx,
+                        &mut rng,
+                        Opinion::One,
+                        &mut outputs,
+                    )
+                },
+                BatchSize::LargeInput,
+            )
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_steps,
     bench_step_batch,
-    bench_step_batch_large
+    bench_step_batch_large,
+    bench_step_fused
 );
 criterion_main!(benches);

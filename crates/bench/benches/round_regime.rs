@@ -9,6 +9,8 @@
 //!
 //! * `near-zero` — x = 5·10⁻⁴, unanimity probability `u ≈ 0.95`;
 //! * `mixed` — x = 0.35, `u ≈ 0`;
+//! * `band` — x = 0.993, `u ≈ 0.52`: below the run threshold, so every
+//!   agent draws its count, though about half of them see a unanimous one;
 //! * `consensus` — every agent correct, a degenerate law;
 //! * `noisy-consensus` — every agent correct, δ = 10⁻⁶, `u ≈ 0.9999`.
 //!
@@ -26,6 +28,7 @@ fn bench_regimes(c: &mut Criterion) {
     let regimes = [
         ("near-zero", InitialCondition::FractionCorrect(5e-4), 0.0),
         ("mixed", InitialCondition::FractionCorrect(0.35), 0.0),
+        ("band", InitialCondition::FractionCorrect(0.993), 0.0),
         ("consensus", InitialCondition::AllCorrect, 0.0),
         ("noisy-consensus", InitialCondition::AllCorrect, 1e-6),
     ];

@@ -599,6 +599,10 @@ impl ObservationSource for Unanimous {
         self.0
     }
 
+    fn reports_runs(&self) -> bool {
+        true
+    }
+
     fn repeats(&mut self, max: usize) -> usize {
         max
     }

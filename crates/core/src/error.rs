@@ -23,6 +23,13 @@ pub enum CoreError {
         /// What the observation carried.
         got: u32,
     },
+    /// A half-sample size exceeds what the protocol can draw exactly.
+    SampleSizeTooLarge {
+        /// The requested half-sample size `ℓ`.
+        ell: u32,
+        /// The largest accepted `ℓ`.
+        max: u32,
+    },
     /// A population parameter is out of range (e.g. zero agents, or more
     /// sources than agents).
     InvalidPopulation {
@@ -46,6 +53,9 @@ impl fmt::Display for CoreError {
                     f,
                     "protocol expects {expected} samples per round, observation has {got}"
                 )
+            }
+            CoreError::SampleSizeTooLarge { ell, max } => {
+                write!(f, "sample size ℓ = {ell} exceeds the cap of {max}")
             }
             CoreError::InvalidPopulation { detail } => write!(f, "invalid population: {detail}"),
         }

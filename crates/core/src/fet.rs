@@ -26,6 +26,18 @@
 //! `Hypergeometric(2ℓ, c, ℓ)` ones into `S′_t`. Drawing that split from the
 //! count is therefore *literally* the protocol's partition step — not an
 //! approximation — while keeping the observation interface count-only.
+//!
+//! The split is drawn from a [`SplitTable`] shared by every protocol value
+//! with the same `ℓ`, and it is exact to the bit. The sequential sampler
+//! [`split_sample`](fet_stats::hypergeometric::split_sample) takes one word,
+//! `y = next_u64() >> 11`, and returns the first support point whose float
+//! partial sum `acc_k ≥ y·2⁻⁵³`. The table stores each partial sum as the
+//! integer `t_k = ⌊acc_k·2⁵³⌋ + 1`; scaling by 2⁵³ is exact and `y` is an
+//! integer, so `acc_k ≥ y·2⁻⁵³ ⟺ y < t_k`, and a guide of bucket starts
+//! finds the first such `k` after a scan of about one entry. Both forms
+//! therefore return the same split for every word, and neither draws for
+//! the degenerate counts 0 and `2ℓ`. The update itself, greater sets, less
+//! clears and a tie keeps, is one branch-free bit expression.
 
 use crate::error::CoreError;
 use crate::memory::{bits_for_count, MemoryFootprint};
@@ -38,6 +50,15 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, OnceLock};
+
+/// The largest half-sample size `ℓ` FET accepts.
+///
+/// Every count's split seeds its recurrence with a PMF of at least
+/// `1/C(2ℓ, ℓ)`, a normal `f64` up to `ℓ = 513`. Past it the seed loses
+/// bits, and from `ℓ = 541` it underflows to 0, so the split no longer
+/// follows its law. The cap also bounds the split table, which holds
+/// about `(ℓ + 1)²` thresholds: 3.4 MiB at the cap.
+const MAX_ELL: u32 = 512;
 
 /// Process-wide cache of [`SplitTable`]s keyed by `ℓ`.
 ///
@@ -127,10 +148,15 @@ impl FetProtocol {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::ZeroSampleSize`] when `ell == 0`.
+    /// Returns [`CoreError::ZeroSampleSize`] when `ell == 0`, and
+    /// [`CoreError::SampleSizeTooLarge`] when `ell > 512`, before the
+    /// split table is built.
     pub fn new(ell: u32) -> Result<Self, CoreError> {
         if ell == 0 {
             return Err(CoreError::ZeroSampleSize);
+        }
+        if ell > MAX_ELL {
+            return Err(CoreError::SampleSizeTooLarge { ell, max: MAX_ELL });
         }
         Ok(FetProtocol {
             ell,
@@ -170,11 +196,10 @@ impl FetProtocol {
 #[inline(always)]
 fn follow_trend(state: &mut FetState, (count_prime, count_second): (u64, u64)) -> Opinion {
     let stale = u64::from(state.prev_count_second_half);
-    let new_opinion = match count_prime.cmp(&stale) {
-        std::cmp::Ordering::Greater => Opinion::One,
-        std::cmp::Ordering::Less => Opinion::Zero,
-        std::cmp::Ordering::Equal => state.opinion,
-    };
+    // Greater sets, less clears, a tie keeps: one bit expression, so the
+    // random comparison feeds no branch.
+    let one = (count_prime > stale) | ((count_prime >= stale) & state.opinion.is_one());
+    let new_opinion = Opinion::from(one);
     state.opinion = new_opinion;
     state.prev_count_second_half = count_second as u32;
     new_opinion
@@ -247,6 +272,7 @@ impl Protocol for FetProtocol {
             counters.ones += u64::from(new_opinion.is_one());
             counters.correct += u64::from(new_opinion == correct);
         };
+        let runs = source.reports_runs();
         let mut agents = states.iter_mut().zip(outputs.iter_mut());
         while let Some((state, out)) = agents.next() {
             let obs = source.next_observation(rng);
@@ -263,9 +289,9 @@ impl Protocol for FetProtocol {
             update(state, out, split);
             // A unanimous count splits without a draw, so the agents the
             // source reports seeing it again step with no draw and no call
-            // at all. Asking only here keeps mixed rounds at one call per
-            // agent.
-            if ones == 0 || ones == m {
+            // at all. Asking only here, and only a source that reports
+            // runs, keeps every other round at one call per agent.
+            if runs && (ones == 0 || ones == m) {
                 let repeats = source.repeats(agents.len());
                 for (state, out) in agents.by_ref().take(repeats) {
                     update(state, out, split);
@@ -386,6 +412,20 @@ mod tests {
         let p = FetProtocol::for_population(1 << 16, 4.0).unwrap();
         // ℓ = ⌈4 · ln 2^16⌉ = ⌈44.36⌉ = 45.
         assert_eq!(p.ell(), 45);
+    }
+
+    #[test]
+    fn ell_is_capped_before_the_table_is_built() {
+        assert_eq!(FetProtocol::new(MAX_ELL).unwrap().ell(), MAX_ELL);
+        let too_large = FetProtocol::new(MAX_ELL + 1).unwrap_err();
+        assert_eq!(
+            too_large,
+            CoreError::SampleSizeTooLarge {
+                ell: MAX_ELL + 1,
+                max: MAX_ELL,
+            }
+        );
+        assert!(too_large.to_string().contains("exceeds the cap of 512"));
     }
 
     #[test]
@@ -538,6 +578,10 @@ mod tests {
             let obs = *self.obs.next().expect("one observation per agent");
             self.last = Some(obs);
             obs
+        }
+
+        fn reports_runs(&self) -> bool {
+            self.report_repeats
         }
 
         fn repeats(&mut self, max: usize) -> usize {

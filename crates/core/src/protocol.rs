@@ -98,6 +98,17 @@ pub trait ObservationSource {
         word
     }
 
+    /// Whether [`repeats`](ObservationSource::repeats) can report anything
+    /// from this source, so a kernel asks once per call instead of after
+    /// every unanimous count. The default answers `false`. Skipping
+    /// `repeats` never moves a stream: by its contract, the run's agents
+    /// then take the same observation through
+    /// [`next_observation`](ObservationSource::next_observation) without a
+    /// draw, so a source that answers `false` only loses the shortcut.
+    fn reports_runs(&self) -> bool {
+        false
+    }
+
     /// How many of the next agents, at most `max`, see the observation the
     /// last [`next_observation`](ObservationSource::next_observation) call
     /// returned again, without the source drawing anything for them. The

@@ -345,6 +345,11 @@ impl ObservationSource for MeanFieldSource<'_> {
         word
     }
 
+    /// Only a binomial round that draws unanimous runs has runs to report.
+    fn reports_runs(&self) -> bool {
+        matches!(self.sampler, MeanFieldSampler::Binomial(round) if round.draws_runs())
+    }
+
     /// The rest of the current unanimous run, up to `max` agents. Only a
     /// run round has runs; its run count is still `Some` exactly when the
     /// last observation was the run's unanimous count.
@@ -1115,6 +1120,7 @@ mod tests {
             assert_eq!(skip_rng.next_u64(), draw_rng.next_u64());
             let reports = matches!(sampler, MeanFieldSampler::Binomial(r) if r.draws_runs());
             assert_eq!(repeated > 0, reports, "{sampler:?}");
+            assert_eq!(skipping.reports_runs(), reports, "{sampler:?}");
         }
     }
 

@@ -9,7 +9,7 @@
 
 use crate::error::StatsError;
 use crate::ln_choose;
-use rand::Rng;
+use rand::{Rng, RngCore};
 
 /// A hypergeometric distribution: draws without replacement.
 ///
@@ -170,14 +170,26 @@ pub fn split_sample<R: Rng + ?Sized>(ones: u64, half: u64, rng: &mut R) -> (u64,
 /// the PMF recurrence. A round of the FET kernel performs one
 /// split per agent, all from the same family `Hypergeometric(2ℓ, c, ℓ)` —
 /// so the table computes each count's CDF once (`O(ℓ²)` total) and every
-/// draw becomes one uniform plus a short scan. Construction amortizes
-/// after roughly `2ℓ` draws.
+/// draw becomes one word, one guide load and a forward scan of about one
+/// entry. Construction amortizes after roughly `2ℓ` draws.
 ///
-/// Stream-compatible with [`split_sample`]: the CDF entries are the exact
-/// partial sums the sequential sampler accumulates (same seed PMF, same
-/// ratio recurrence, same addition order), each draw consumes exactly one
-/// uniform — and none for degenerate counts — so for a given RNG state the
-/// two produce bit-identical results.
+/// # Exactness
+///
+/// [`split_sample`] turns one word into `u = y·2⁻⁵³` with
+/// `y = next_u64() >> 11`, and returns the first support point whose
+/// partial sum `acc_k ≥ u`, or the last point when float round-off leaves
+/// every sum below `u`. The table accumulates the same partial sums (same
+/// seed PMF, same ratio recurrence, same addition order) and stores each
+/// as the integer threshold `t_k = ⌊acc_k·2⁵³⌋ + 1`, the last as
+/// `u64::MAX`. Scaling by 2⁵³ is exact in floating point and `y` is an
+/// integer, so `acc_k ≥ y·2⁻⁵³ ⟺ ⌊acc_k·2⁵³⌋ ≥ y ⟺ y < t_k`: the first
+/// `k` with `y < t_k` is the sampler's `k` for every word. Each count's
+/// guide cuts the 2⁵³ values of `y` into a power-of-two number of equal
+/// buckets, at least one per support point, and holds for each bucket the
+/// first `k` whose threshold exceeds the bucket's start. The thresholds do
+/// not decrease, so a word's scan starts at or before its answer and
+/// stops on it. Degenerate counts draw nothing. For a given RNG state the
+/// table and [`split_sample`] therefore return bit-identical results.
 ///
 /// # Example
 ///
@@ -195,43 +207,97 @@ pub fn split_sample<R: Rng + ?Sized>(ones: u64, half: u64, rng: &mut R) -> (u64,
 #[derive(Debug, Clone, PartialEq)]
 pub struct SplitTable {
     half: u64,
-    /// Per count `c`: the partial sums of `Hypergeometric(2·half, c, half)`
-    /// over its support (empty for degenerate single-point supports).
-    cdfs: Vec<Vec<f64>>,
-    /// Per count `c`: the support minimum.
-    mins: Vec<u64>,
+    /// One row per count `c ∈ 0..=2·half`.
+    rows: Vec<SplitRow>,
+    /// Every drawing row's thresholds `t_k`, row after row.
+    thresholds: Vec<u64>,
+    /// Every drawing row's guide, row after row: per bucket, the offset in
+    /// the row of the first threshold above the bucket's start.
+    guide: Vec<u32>,
+}
+
+/// Where one count's split lives in a [`SplitTable`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SplitRow {
+    /// The support minimum of `Hypergeometric(2·half, c, half)`.
+    min: u64,
+    /// Whether the support has more than one point, so a split draws.
+    draws: bool,
+    /// `y >> shift` is a word's guide bucket.
+    shift: u32,
+    /// Index of the row's first threshold in `thresholds`.
+    start: usize,
+    /// Index of the row's first bucket in `guide`.
+    guide: usize,
+}
+
+/// The partial sums [`split_sample`] accumulates for `ones` observed
+/// ones in a sample of `2·half`, over the support from its minimum, which
+/// is returned alongside.
+fn partial_sums(half: u64, ones: u64) -> (u64, Vec<f64>) {
+    let total = 2 * half;
+    let h = Hypergeometric::new(total, ones, half).expect("ones ≤ 2·half by construction");
+    let (lo, hi) = (h.support_min(), h.support_max());
+    // The sequential sampler's accumulation, reified: same seed PMF, same
+    // ratio recurrence, same addition order.
+    let mut sums = Vec::with_capacity((hi - lo + 1) as usize);
+    let mut pk = h.pmf(lo);
+    let mut acc = pk;
+    sums.push(acc);
+    for k in lo..hi {
+        let num = (ones - k) as f64 * (half - k) as f64;
+        let den = (k + 1) as f64 * ((total + k + 1) - ones - half) as f64;
+        pk *= num / den;
+        acc += pk;
+        sums.push(acc);
+    }
+    (lo, sums)
 }
 
 impl SplitTable {
     /// Builds the tables for half-sample size `half` (total `2·half`).
     pub fn new(half: u64) -> Self {
         let total = 2 * half;
-        let mut cdfs = Vec::with_capacity((total + 1) as usize);
-        let mut mins = Vec::with_capacity((total + 1) as usize);
-        for c in 0..=total {
-            let h = Hypergeometric::new(total, c, half).expect("c ≤ 2·half by construction");
-            let (lo, hi) = (h.support_min(), h.support_max());
-            mins.push(lo);
-            if lo == hi {
-                cdfs.push(Vec::new());
+        let mut rows = Vec::with_capacity((total + 1) as usize);
+        let (mut thresholds, mut guide) = (Vec::new(), Vec::new());
+        for ones in 0..=total {
+            let (min, sums) = partial_sums(half, ones);
+            let buckets = (sums.len() as u64).next_power_of_two();
+            let row = SplitRow {
+                min,
+                draws: sums.len() > 1,
+                shift: 53 - buckets.trailing_zeros(),
+                start: thresholds.len(),
+                guide: guide.len(),
+            };
+            rows.push(row);
+            if !row.draws {
                 continue;
             }
-            // The sequential sampler's accumulation, reified: same seed
-            // PMF, same ratio recurrence, same addition order.
-            let mut cdf = Vec::with_capacity((hi - lo + 1) as usize);
-            let mut pk = h.pmf(lo);
-            let mut acc = pk;
-            cdf.push(acc);
-            for k in lo..hi {
-                let num = (c - k) as f64 * (half - k) as f64;
-                let den = (k + 1) as f64 * ((total + k + 1) - c - half) as f64;
-                pk *= num / den;
-                acc += pk;
-                cdf.push(acc);
+            thresholds.extend(
+                sums.iter()
+                    .map(|&acc| (acc * (1u64 << 53) as f64) as u64 + 1),
+            );
+            // The final point is taken whenever no earlier one is.
+            *thresholds.last_mut().expect("a drawing row has points") = u64::MAX;
+            let row_thresholds = &thresholds[row.start..];
+            let mut k = 0;
+            for bucket in 0..buckets {
+                while row_thresholds[k] <= bucket << row.shift {
+                    k += 1;
+                }
+                guide.push(u32::try_from(k).expect("a support offset fits u32"));
             }
-            cdfs.push(cdf);
         }
-        SplitTable { half, cdfs, mins }
+        // A table lives as long as the process: drop the growth slack.
+        thresholds.shrink_to_fit();
+        guide.shrink_to_fit();
+        SplitTable {
+            half,
+            rows,
+            thresholds,
+            guide,
+        }
     }
 
     /// The half-sample size the table was built for.
@@ -245,25 +311,27 @@ impl SplitTable {
     /// # Panics
     ///
     /// Panics when `ones > 2 * half`.
-    pub fn split<R: Rng + ?Sized>(&self, ones: u64, rng: &mut R) -> (u64, u64) {
+    #[inline]
+    pub fn split<R: RngCore + ?Sized>(&self, ones: u64, rng: &mut R) -> (u64, u64) {
         assert!(
             ones <= 2 * self.half,
             "ones {ones} exceed sample size {}",
             2 * self.half
         );
-        let lo = self.mins[ones as usize];
-        let cdf = &self.cdfs[ones as usize];
-        if cdf.is_empty() {
-            return (lo, ones - lo);
+        let row = &self.rows[ones as usize];
+        if !row.draws {
+            return (row.min, ones - row.min);
         }
-        let u: f64 = rng.gen();
-        // First k with acc ≥ u — the sequential sampler's stop rule,
-        // located by binary search (the partial sums are non-decreasing,
-        // so `partition_point` finds exactly the index the linear scan
-        // would). The final entry is taken when u exceeds every partial
-        // sum (float round-off can leave the total a hair below 1).
-        let offset = cdf.partition_point(|&acc| acc < u).min(cdf.len() - 1) as u64;
-        let first = lo + offset;
+        // The word `gen::<f64>()` scales by 2⁻⁵³; see the type docs.
+        let y = rng.next_u64() >> 11;
+        let mut k = row.start + self.guide[row.guide + (y >> row.shift) as usize] as usize;
+        // The first step as arithmetic, not a branch: a bucket rarely
+        // holds two thresholds, so the loop after it rarely runs.
+        k += usize::from(y >= self.thresholds[k]);
+        while y >= self.thresholds[k] {
+            k += 1;
+        }
+        let first = row.min + (k - row.start) as u64;
         (first, ones - first)
     }
 }
@@ -350,6 +418,73 @@ mod tests {
         assert_eq!(split_sample(0, 8, &mut rng), (0, 0));
         let (a, b) = split_sample(16, 8, &mut rng);
         assert_eq!((a, b), (8, 8));
+    }
+
+    /// The float search the integer thresholds replaced: the first partial
+    /// sum `≥ u = y·2⁻⁵³`, or the last point when none is.
+    fn float_split(half: u64, ones: u64, y: u64) -> u64 {
+        let (lo, sums) = partial_sums(half, ones);
+        let u = y as f64 * (1.0 / (1u64 << 53) as f64);
+        lo + sums.partition_point(|&acc| acc < u).min(sums.len() - 1) as u64
+    }
+
+    /// Hands out at most one scripted word, and panics on a second draw.
+    struct Script(Option<u64>);
+
+    impl RngCore for Script {
+        fn next_u32(&mut self) -> u32 {
+            self.next_u64() as u32
+        }
+
+        fn next_u64(&mut self) -> u64 {
+            self.0.take().expect("the script ran out of words")
+        }
+
+        fn fill_bytes(&mut self, _dest: &mut [u8]) {
+            unreachable!("splits draw whole words")
+        }
+    }
+
+    #[test]
+    fn split_table_matches_float_search_on_every_boundary() {
+        // For every count, the words whose `y` sits on either side of each
+        // partial sum (`⌊acc·2⁵³⌋` and one above, i.e. `t_k − 1` and
+        // `t_k`), and on every bucket start of the finest guide any row
+        // of the table can have. The table, the float search and the
+        // sequential sampler must agree on each word; degenerate counts
+        // must draw nothing (an empty script panics).
+        for half in [1u64, 2, 3, 47, 83, 300] {
+            let table = SplitTable::new(half);
+            let finest = (half + 1).next_power_of_two();
+            let bucket_starts = (0..finest).map(|b| b << (53 - finest.trailing_zeros()));
+            let bucket_starts: Vec<u64> = bucket_starts.collect();
+            for ones in 0..=2 * half {
+                let (lo, sums) = partial_sums(half, ones);
+                if sums.len() == 1 {
+                    let none = &mut Script(None);
+                    assert_eq!(table.split(ones, none), (lo, ones - lo));
+                    continue;
+                }
+                let edges = sums.iter().flat_map(|&acc| {
+                    let floor = (acc * (1u64 << 53) as f64) as u64;
+                    [floor, floor + 1]
+                });
+                let ys = edges.chain(bucket_starts.iter().copied());
+                for y in ys.chain([0, (1 << 53) - 1]).filter(|&y| y < 1 << 53) {
+                    // The low 11 bits never reach `y`.
+                    let word = (y << 11) | 0x7ff;
+                    let expected = float_split(half, ones, y);
+                    let got = table.split(ones, &mut Script(Some(word)));
+                    assert_eq!(
+                        got,
+                        (expected, ones - expected),
+                        "ℓ {half}, ones {ones}, y {y}"
+                    );
+                    let sequential = split_sample(ones, half, &mut Script(Some(word)));
+                    assert_eq!(sequential, got, "ℓ {half}, ones {ones}, y {y}");
+                }
+            }
+        }
     }
 
     #[test]

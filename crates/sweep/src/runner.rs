@@ -83,9 +83,9 @@ impl SweepOutcome {
 /// episodes already running drain (their records are dropped);
 /// everything already journaled stays resumable.
 pub fn run_sweep(spec: &SweepSpec, options: &SweepOptions) -> Result<SweepOutcome, SweepError> {
-    spec.validate()?;
-    let start = Instant::now();
     let cache = WarmCache::new();
+    spec.validate_with(&cache)?;
+    let start = Instant::now();
 
     let mut manifest = match &options.manifest {
         Some(path) => Some(Manifest::open(path, spec)?),
@@ -224,9 +224,11 @@ mod tests {
 
     #[test]
     fn a_failed_episode_stops_new_claims() {
-        // The middle cell's graph cannot be built: degree 16 on 10 vertices.
+        // Validation builds every cell's protocol and graph, but only
+        // episode 0's engine, so the middle cell's oversampling
+        // (without-replacement m = 12 > n = 10) fails at run time.
         let spec = SweepSpec::parse(
-            r#"{"n": [200, 10, 300], "topology": {"graph": "regular", "degree": 16},
+            r#"{"n": [200, 10, 300], "ell": [6], "fidelity": "without-replacement",
                 "seeds": {"count": 2}, "max_rounds": 50}"#,
         )
         .unwrap();
@@ -237,7 +239,10 @@ mod tests {
             ..opts(1)
         };
         let err = run_sweep(&spec, &options).unwrap_err().to_string();
-        assert!(err.contains("graph `regular`"), "{err}");
+        assert!(
+            err.contains("without-replacement sampling needs m ≤ n"),
+            "{err}"
+        );
         let journaled: Vec<u64> = Manifest::open(&path, &spec)
             .unwrap()
             .records()
@@ -245,6 +250,29 @@ mod tests {
             .collect();
         assert_eq!(journaled, [0, 1], "no episode after the failed one ran");
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn an_unbuildable_cell_fails_before_the_manifest_opens() {
+        let mut spec = SweepSpec::parse(
+            r#"{"n": [200], "topology": {"graph": "regular", "degree": 16},
+                "seeds": {"count": 2}, "max_rounds": 50}"#,
+        )
+        .unwrap();
+        // Degree 16 on 10 vertices cannot be built.
+        spec.n = vec![200, 10, 300];
+        let path = std::env::temp_dir().join(format!("fet-sweep-cells-{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let options = SweepOptions {
+            manifest: Some(path.clone()),
+            ..opts(1)
+        };
+        let err = run_sweep(&spec, &options).unwrap_err().to_string();
+        assert!(err.contains("graph `regular`"), "{err}");
+        assert!(
+            !path.exists(),
+            "no manifest for a spec that fails validation"
+        );
     }
 
     #[test]

@@ -406,8 +406,14 @@ impl SweepSpec {
 
     /// Checks the assembled spec, including a dry build of the first
     /// episode's simulation so protocol/fidelity/mode incompatibilities
-    /// surface here, not mid-sweep.
+    /// surface here, not mid-sweep, and every cell's protocol and graph.
     pub fn validate(&self) -> Result<(), SweepError> {
+        self.validate_with(&crate::cache::WarmCache::new())
+    }
+
+    /// [`SweepSpec::validate`], building through `cache`, so a run that
+    /// validates through its own cache reuses every protocol and graph.
+    pub(crate) fn validate_with(&self, cache: &crate::cache::WarmCache) -> Result<(), SweepError> {
         if self.n.is_empty() {
             return Err(SweepError::spec(
                 "`n` must list at least one population size",
@@ -496,9 +502,18 @@ impl SweepSpec {
         }
         // Dry-build episode 0: protocol-name resolution, ℓ bounds,
         // without-replacement oversampling, graph construction, mode
-        // compatibility — all the facade's build checks.
-        let cache = crate::cache::WarmCache::new();
-        self.build_simulation(0, &cache).map(|_| ())
+        // compatibility — all the facade's build checks. Every other cell
+        // builds its protocol and graph through the same cache, so a bad
+        // ℓ or an unbuildable graph anywhere in the grid fails here,
+        // before a manifest exists.
+        self.build_simulation(0, cache)?;
+        for cell in (1..self.cell_count()).map(|c| self.cell(c)) {
+            cache.protocol(&self.protocol, cell.n, self.cell_ell(&cell))?;
+            if let Some(t) = &self.topology {
+                cache.shared_graph(t, cell.n as u32)?;
+            }
+        }
+        Ok(())
     }
 
     /// Canonical JSON form (defaults included), the manifest header's
@@ -1105,6 +1120,23 @@ mod tests {
         ] {
             assert!(SweepSpec::parse(bad).is_err(), "`{bad}` should be rejected");
         }
+    }
+
+    #[test]
+    fn every_cells_protocol_and_graph_are_built_at_parse() {
+        // Episode 0 builds; the second cell's graph (degree 16 on 10
+        // vertices) and ℓ (past the FET cap) do not.
+        let graph = SweepSpec::parse(
+            r#"{"n": [200, 10, 300], "topology": {"graph": "regular", "degree": 16},
+                "seeds": {"count": 2}, "max_rounds": 50}"#,
+        )
+        .unwrap_err()
+        .to_string();
+        assert!(graph.contains("graph `regular`"), "{graph}");
+        let ell = SweepSpec::parse(r#"{"n": [100], "ell": [8, 100000]}"#)
+            .unwrap_err()
+            .to_string();
+        assert!(ell.contains("exceeds the cap of 512"), "{ell}");
     }
 
     #[test]

@@ -165,6 +165,10 @@ impl ObservationSource for TileScript<'_> {
         Observation::new(ones, self.m).unwrap()
     }
 
+    fn reports_runs(&self) -> bool {
+        true
+    }
+
     fn repeats(&mut self, max: usize) -> usize {
         let mut repeats = 0;
         while repeats < max && self.last.is_some() && self.scripted(self.next) == self.last {
